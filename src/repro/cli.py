@@ -1119,6 +1119,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         gateway.predict(plans, env_features=env, deadline_ms=200)
     gateway.inject_faults(0)
     check(gateway.breaker.stats()["trip_count"] >= 1, "breaker tripped")
+    # The trip hook writes the dump on the gateway's worker thread, which
+    # the forty answers above do not wait for.
+    import time
+
+    dump_deadline = time.monotonic() + 5.0
+    while recorder.dumps_total < 1 and time.monotonic() < dump_deadline:
+        time.sleep(0.01)
     check(recorder.dumps_total >= 1, "flight recorder auto-dumped")
     if recorder.last_dump_path is not None:
         with open(recorder.last_dump_path) as fh:

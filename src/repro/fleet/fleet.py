@@ -104,6 +104,10 @@ class ServingFleet:
         self.rpc_timeout = rpc_timeout
         self.fallback = fallback or NativeCostFallback()
         self.telemetry = telemetry or Telemetry()
+        self._requests_total = self.telemetry.counter(
+            "requests_total", "fleet requests received"
+        )
+        self._workers_alive = self.telemetry.gauge("workers_alive", "live fleet workers")
         self._req_counter = 0
         self._req_lock = threading.Lock()
         self._closed = False
@@ -139,6 +143,9 @@ class ServingFleet:
         self.slo = (
             SLOMonitor(obs.slo) if obs is not None and obs.slo is not None else None
         )
+        if self.slo is not None:
+            # SLO window gauges are computed when parent telemetry is read.
+            self.telemetry.add_collector(lambda: self.slo.export(self.telemetry))
         ctx = mp.get_context("fork")
         self._workers: dict[str, _WorkerHandle] = {}
         for i in range(n_workers):
@@ -178,7 +185,7 @@ class ServingFleet:
                 for name in self._workers
             }
         self.router = ConsistentHashRouter(self._workers, replicas=replicas)
-        self.telemetry.gauge("workers_alive", "live fleet workers").set(n_workers)
+        self._workers_alive.set(n_workers)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -226,9 +233,7 @@ class ServingFleet:
         self.telemetry.counter(
             "worker_failures_total", "fleet workers lost (crash or pipe break)"
         ).inc()
-        self.telemetry.gauge("workers_alive", "live fleet workers").set(
-            len(self.live_workers())
-        )
+        self._workers_alive.set(len(self.live_workers()))
         if self.recorder is not None:
             # Incident kind: snapshots the parent's recent spans/events so
             # the traffic leading up to the loss is reconstructable.
@@ -291,7 +296,7 @@ class ServingFleet:
         request across both processes.  ``trace`` joins an upstream trace
         (e.g. a scenario replay's deterministic context)."""
         started = time.monotonic()
-        self.telemetry.counter("requests_total", "fleet requests received").inc()
+        self._requests_total.inc()
         envs = [
             tuple(float(v) for v in env) if env is not None else None
             for env in env_sweep
@@ -563,8 +568,6 @@ class ServingFleet:
     def to_prometheus(self) -> str:
         """One text exposition: merged per-shard metrics under
         ``repro_fleet`` plus parent-side counters under ``repro_fleet_parent``."""
-        if self.slo is not None:
-            self.slo.export(self.telemetry)
         stats = self.stats()
         parent = self.telemetry
         parent_ns = parent.namespace
@@ -602,7 +605,7 @@ class ServingFleet:
                 handle.conn.close()
             except OSError:
                 pass
-        self.telemetry.gauge("workers_alive", "live fleet workers").set(0)
+        self._workers_alive.set(0)
 
     def __enter__(self) -> "ServingFleet":
         return self

@@ -82,6 +82,7 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self._state = CLOSED
         self._outcomes: deque[bool] = deque(maxlen=self.config.window)  # True == bad
+        self._bad = 0  # running sum(self._outcomes)
         self._opened_at = 0.0
         self._probes_issued = 0
         self._probe_successes = 0
@@ -148,8 +149,7 @@ class CircuitBreaker:
                     if self._probe_successes >= self.config.half_open_probes:
                         self._close_locked()
             elif self._state == CLOSED:
-                self._outcomes.append(slow)
-                tripped = self._evaluate_locked()
+                tripped = self._evaluate_locked(slow)
             # open: stale outcome from before the trip; the window is gone.
         if tripped and self.on_trip is not None:
             self.on_trip(self)
@@ -166,16 +166,21 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 tripped = self._trip_locked()
             elif self._state == CLOSED:
-                self._outcomes.append(True)
-                tripped = self._evaluate_locked()
+                tripped = self._evaluate_locked(True)
         if tripped and self.on_trip is not None:
             self.on_trip(self)
 
-    def _evaluate_locked(self) -> bool:
+    def _evaluate_locked(self, bad: bool) -> bool:
+        """Push one closed-state outcome into the window and trip if the
+        failed-or-slow fraction reached the threshold."""
         outcomes = self._outcomes
+        if outcomes and len(outcomes) == outcomes.maxlen:
+            self._bad -= outcomes.popleft()
+        outcomes.append(bad)
+        self._bad += bad
         if len(outcomes) < self.config.min_calls:
             return False
-        if sum(outcomes) / len(outcomes) >= self.config.failure_rate_threshold:
+        if self._bad / len(outcomes) >= self.config.failure_rate_threshold:
             return self._trip_locked()
         return False
 
@@ -184,11 +189,13 @@ class CircuitBreaker:
         self._opened_at = self.clock()
         self.trip_count += 1
         self._outcomes.clear()
+        self._bad = 0
         return True
 
     def _close_locked(self) -> None:
         self._state = CLOSED
         self._outcomes.clear()
+        self._bad = 0
         self._probes_issued = 0
         self._probe_successes = 0
 

@@ -152,22 +152,45 @@ class GatewayResult:
         )
 
 
+class _Latch:
+    """One-shot hand-off from the worker to the one caller waiting on a
+    request: a lock created held, released by :meth:`set`.  Does what the
+    gateway used of ``threading.Event`` at a third of its cost (an Event is
+    a Condition, a lock and a fresh waiter lock per wait)."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._lock.acquire()
+
+    def set(self) -> None:
+        """Wake the waiter; harmless when already set."""
+        try:
+            self._lock.release()
+        except RuntimeError:
+            pass
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until set or ``timeout`` seconds passed; ``True`` when set."""
+        return self._lock.acquire(timeout=-1 if timeout is None else timeout)
+
+
 class _PendingRequest:
     """One caller's unit of work, parked on the queue until the worker
     batches it (or the caller's deadline abandons it)."""
 
     __slots__ = (
-        "plans", "env_features", "env_key", "deadline", "enqueued_at",
+        "plans", "env_features", "env_key", "enqueued_at",
         "event", "result", "error", "abandoned", "done", "paced", "span",
     )
 
-    def __init__(self, plans, env_features, env_key, deadline, now) -> None:
+    def __init__(self, plans, env_features, env_key, now) -> None:
         self.plans = plans
         self.env_features = env_features
         self.env_key = env_key
-        self.deadline = deadline  # absolute monotonic seconds, or None
         self.enqueued_at = now
-        self.event = threading.Event()
+        self.event = _Latch()
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
         self.abandoned = False
@@ -208,6 +231,27 @@ class OptimizerGateway:
         self.config = config or GatewayConfig()
         self.fallback = fallback or NativeCostFallback()
         self.telemetry = telemetry or Telemetry()
+        # The instruments every learned request updates, resolved once.
+        t = self.telemetry
+        self._requests_total = t.counter("requests_total", "requests received")
+        self._plans_total = t.counter("plans_total", "plans scored")
+        self._learned_total = t.counter("learned_total", "requests answered learned")
+        self._batches_total = t.counter("batches_total", "learned batches executed")
+        self._request_latency = t.histogram(
+            "request_latency_seconds", "end-to-end request latency"
+        )
+        self._queue_wait = t.histogram(
+            "queue_wait_seconds", "request wait from admission to worker pickup"
+        )
+        self._learned_batch = t.histogram(
+            "learned_batch_seconds", "learned-path batch latency"
+        )
+        self._batch_plans = t.histogram("batch_plans", "plans per learned batch")
+        self._service_time = t.histogram(
+            "service_time_seconds",
+            "learned-path compute share of request latency (per request, its "
+            "batch's execution time; queue_wait_seconds holds the other half)",
+        )
         self._on_trip = on_trip
         #: Observability (all optional, all ~free when absent): a
         #: :class:`repro.obs.Tracer` minting request spans at admission, a
@@ -245,6 +289,9 @@ class OptimizerGateway:
         self._fault_budget = 0
         self._fault_error: BaseException | None = None
         self._running = True
+        # Gauges mirroring the service, breaker, pacer and SLO monitor are
+        # set when telemetry is read, not once per batch.
+        self.telemetry.add_collector(self._sync_gauges)
         self._worker = threading.Thread(
             target=self._worker_loop, name="optimizer-gateway", daemon=True
         )
@@ -304,8 +351,8 @@ class OptimizerGateway:
         :class:`~repro.obs.TraceContext` (e.g. from the fleet parent) so the
         request span joins the caller's trace instead of starting one."""
         started = time.monotonic()
-        self.telemetry.counter("requests_total", "requests received").inc()
-        self.telemetry.counter("plans_total", "plans scored").inc(len(plans))
+        self._requests_total.inc()
+        self._plans_total.inc(len(plans))
         span = (
             self.tracer.start_trace("gateway.request", parent=trace)
             if self.tracer is not None
@@ -347,44 +394,38 @@ class OptimizerGateway:
             tuple(float(v) for v in env_features) if env_features is not None else None
         )
         deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
-        request = _PendingRequest(list(plans), env_features, env_key, deadline, started)
+        request = _PendingRequest(list(plans), env_features, env_key, started)
         request.paced = self.pacer is not None
         request.span = span
 
+        refused = None
         with self._work:
             if not self._running:
-                closed = True
-                shed = False
+                refused = "closed"
             elif len(self._queue) >= self.config.max_queue_depth:
-                closed = False
-                shed = True
+                refused = "shed"
             else:
-                closed = shed = False
                 self._queue.append(request)
-                self.telemetry.gauge("queue_depth", "pending requests").set(
-                    len(self._queue)
-                )
                 self._work.notify()
-        if closed:
+        if refused is not None:
             self.breaker.release_probe()
             self._pacer_release(request)
-            return self._fallback_result(plans, env_features, "closed", started, span=span)
-        if shed:
-            self.breaker.release_probe()
-            self._pacer_release(request)
-            return self._fallback_result(plans, env_features, "shed", started, span=span)
+            return self._fallback_result(plans, env_features, refused, started, span=span)
 
-        timeout = deadline - time.monotonic() if deadline is not None else None
-        if timeout is not None and timeout > 0:
-            request.event.wait(timeout)
-        elif timeout is None:
-            request.event.wait()
-        # else: budget already exhausted by admission; fall through.
-
-        with self._lock:
-            done, error = request.done, request.error
-            if not done:
-                request.abandoned = True
+        if deadline is None:
+            done = request.event.wait()
+        else:
+            timeout = deadline - time.monotonic()
+            # A budget already exhausted by admission does not wait at all.
+            done = timeout > 0 and request.event.wait(timeout)
+        if not done:
+            # The answer may still have landed since the wait gave up; the
+            # lock decides between it and abandoning the request.
+            with self._lock:
+                done = request.done
+                if not done:
+                    request.abandoned = True
+        error = request.error
         if done and error is None:
             assert request.result is not None
             return self._finish(
@@ -478,11 +519,9 @@ class OptimizerGateway:
         self, result: GatewayResult, started: float, *, span=NULL_SPAN
     ) -> GatewayResult:
         if result.source == "learned":
-            self.telemetry.counter("learned_total", "requests answered learned").inc()
+            self._learned_total.inc()
         latency = time.monotonic() - started
-        self.telemetry.histogram(
-            "request_latency_seconds", "end-to-end request latency"
-        ).observe(latency)
+        self._request_latency.observe(latency)
         if self.slo is not None:
             self.slo.record(latency, deadline_hit=result.reason != "deadline")
         if span.sampled:
@@ -506,7 +545,6 @@ class OptimizerGateway:
         self.telemetry.counter(
             "breaker_trips_total", "circuit breaker trips"
         ).inc()
-        self._sync_gauges()
         if self.recorder is not None:
             # Incident kind: the recorder snapshots its ring so the spans
             # and sheds leading up to the trip survive for reconstruction.
@@ -566,18 +604,12 @@ class OptimizerGateway:
                     self._work.wait()
                 if not self._running and not self._queue:
                     return
-                first = self._queue.popleft()
-                self.telemetry.gauge("queue_depth", "pending requests").set(
-                    len(self._queue)
-                )
-                self._observe_queue_wait(first)
+                first = self._popleft_locked()
                 if first.done:
                     # Already answered by a concurrent close() drain.
                     continue
-                if first.abandoned:
-                    abandoned_early = True
-                else:
-                    abandoned_early = False
+                abandoned_early = first.abandoned
+                if not abandoned_early:
                     self._inflight.append(first)
             if abandoned_early:
                 # The caller already answered from the fallback; the learned
@@ -585,21 +617,16 @@ class OptimizerGateway:
                 self._pacer_release(first)
                 self.breaker.record_failure(kind="slow")
                 continue
-            group = self._coalesce(first)
-            try:
-                self._execute(group)
-            finally:
-                with self._lock:
-                    self._inflight.clear()
+            self._execute(self._coalesce(first))
 
-    def _observe_queue_wait(self, request: _PendingRequest) -> None:
-        """Admission-to-pickup wait, the queueing half of request latency
-        (the other half, the learned batch compute, is ``service_time``).
-        Recorded for every popped request — including abandoned ones, whose
-        queue wait is exactly what blew their budget."""
-        self.telemetry.histogram(
-            "queue_wait_seconds", "request wait from admission to worker pickup"
-        ).observe(time.monotonic() - request.enqueued_at)
+    def _popleft_locked(self) -> _PendingRequest:
+        """Pop the queue head and record its admission-to-pickup wait, the
+        queueing half of request latency (the other half, the learned batch
+        compute, is ``service_time``) — for every popped request, including
+        abandoned ones, whose queue wait is exactly what blew their budget."""
+        request = self._queue.popleft()
+        self._queue_wait.observe(time.monotonic() - request.enqueued_at)
+        return request
 
     def _coalesce(self, first: _PendingRequest) -> list[_PendingRequest]:
         """Merge queued requests with the same environment key into one
@@ -622,24 +649,13 @@ class OptimizerGateway:
                     break
                 if total + len(nxt.plans) > self.config.max_coalesce_plans:
                     break
-                self._queue.popleft()
-                self.telemetry.gauge("queue_depth", "pending requests").set(
-                    len(self._queue)
-                )
-                self._observe_queue_wait(nxt)
-                if nxt.done:
-                    skipped = nxt  # answered by a concurrent close() drain
-                    nxt = None
-                    drained = True
-                elif nxt.abandoned:
-                    skipped = nxt
-                    nxt = None
-                    drained = False
-                else:
-                    drained = False
+                self._popleft_locked()
+                drained = nxt.done  # answered by a concurrent close() drain
+                skipped = drained or nxt.abandoned
+                if not skipped:
                     self._inflight.append(nxt)
-            if nxt is None:
-                self._pacer_release(skipped)
+            if skipped:
+                self._pacer_release(nxt)
                 if not drained:
                     self.breaker.record_failure(kind="slow")
                 continue
@@ -703,30 +719,30 @@ class OptimizerGateway:
             # drains spans for a trace right after predict() returns, the
             # batch (and nested serving) spans are already buffered.
             batch_span.finish()
-        self.telemetry.counter("batches_total", "learned batches executed").inc()
-        self.telemetry.histogram(
-            "learned_batch_seconds", "learned-path batch latency"
-        ).observe(elapsed)
-        self.telemetry.histogram("batch_plans", "plans per learned batch").observe(
-            len(all_plans)
-        )
+        self._batches_total.inc()
+        self._learned_batch.observe(elapsed)
+        self._batch_plans.observe(len(all_plans))
 
-        service_time = self.telemetry.histogram(
-            "service_time_seconds",
-            "learned-path compute share of request latency (per request, its "
-            "batch's execution time; queue_wait_seconds holds the other half)",
-        )
+        # Answer every caller under one acquisition of the gateway lock; the
+        # breaker hears the outcomes, in the same order, once it is released
+        # (a trip hook may call back into the gateway).
         offset = 0
         now = time.monotonic()
         slots = 0
-        for request in group:
-            n = len(request.plans)
-            with self._lock:
-                abandoned = request.abandoned
-                drained = request.done  # answered by a concurrent close()
+        verdicts: list[str | None] = []
+        with self._lock:
+            self._inflight.clear()  # == group: all answered before the release
+            for request in group:
+                n = len(request.plans)
                 slots += request.paced
                 request.paced = False
-                if not abandoned and not drained:
+                if request.done:
+                    verdicts.append(None)  # a concurrent close() answered it
+                elif request.abandoned:
+                    # Caller answered from fallback at its deadline while we
+                    # were computing: a slow call against the breaker.
+                    verdicts.append("slow")
+                else:
                     if request.span.sampled and batch_span.sampled:
                         request.span.set_attr("batch_span_id", batch_span.span_id)
                     request.done = True
@@ -735,18 +751,14 @@ class OptimizerGateway:
                     else:
                         request.result = np.asarray(predictions[offset : offset + n])
                     request.event.set()
-            if drained:
-                pass  # caller already answered from the fallback
-            elif abandoned:
-                # Caller answered from fallback at its deadline while we were
-                # computing: a slow call against the breaker.
-                self.breaker.record_failure(kind="slow")
-            elif error is not None:
-                self.breaker.record_failure(kind="error")
-            else:
-                service_time.observe(elapsed)
+                    verdicts.append("ok" if error is None else "error")
+                offset += n
+        for request, verdict in zip(group, verdicts):
+            if verdict == "ok":
+                self._service_time.observe(elapsed)
                 self.breaker.record_success(now - request.enqueued_at)
-            offset += n
+            elif verdict is not None:
+                self.breaker.record_failure(kind=verdict)
         if self.pacer is not None and slots:
             if error is None:
                 # The pipe computed this batch whether or not every caller
@@ -756,11 +768,12 @@ class OptimizerGateway:
             else:
                 # A failed batch measures nothing; just return the slots.
                 self.pacer.release(slots)
-        self._sync_gauges()
 
     # -- reporting -------------------------------------------------------------
 
     def _sync_gauges(self) -> None:
+        """The telemetry collector: mirror the live objects into gauges."""
+        self.telemetry.gauge("queue_depth", "pending requests").set(len(self._queue))
         self.telemetry.gauge("breaker_state", "0 closed, 1 half-open, 2 open").set(
             _BREAKER_STATE_CODES[self.breaker.state]
         )
@@ -782,15 +795,14 @@ class OptimizerGateway:
                     "seconds, parallel-encode batches, warmed plans, "
                     "quantization gate state)",
                 ).set(value)
+        if self.slo is not None:
+            self.slo.export(self.telemetry)
 
     def stats(self, *, include_samples: bool = False) -> dict:
         """JSON-able operational snapshot: telemetry, breaker, pacer, queue.
         ``include_samples`` attaches raw histogram reservoirs so fleet-level
         merges can compute exact quantiles."""
-        self._sync_gauges()
         snapshot = self.telemetry.snapshot(include_samples=include_samples)
-        with self._lock:
-            depth = len(self._queue)
         snapshot["breaker"] = self.breaker.stats()
         if self.pacer is not None:
             snapshot["pacer"] = self.pacer.stats()
@@ -800,14 +812,11 @@ class OptimizerGateway:
             snapshot["flight_recorder"] = self.recorder.stats()
         if self.slo is not None:
             snapshot["slo"] = self.slo.snapshot()
-        snapshot["queue_depth"] = depth
+        snapshot["queue_depth"] = len(self._queue)
         snapshot["has_model"] = self.has_model
         return snapshot
 
     def to_prometheus(self) -> str:
-        self._sync_gauges()
-        if self.slo is not None:
-            self.slo.export(self.telemetry)
         return self.telemetry.to_prometheus()
 
     # -- shutdown --------------------------------------------------------------

@@ -15,7 +15,9 @@ create, so instrumented code never needs registration boilerplate), times
 code blocks via :meth:`Telemetry.span`, and exports everything as a JSON
 document or Prometheus text exposition (counters, gauges, and summaries
 with quantile labels).  All instruments are safe to update from multiple
-threads; exports take a consistent per-instrument snapshot.
+threads; exports take a consistent per-instrument snapshot.  Hot paths hold
+their instruments as attributes (one lookup, not one per update); gauges that
+mirror another object are set by collectors when an export is read.
 """
 
 from __future__ import annotations
@@ -226,6 +228,7 @@ class Telemetry:
         self.namespace = _sanitize(namespace)
         self._lock = threading.Lock()
         self._instruments: "OrderedDict[str, Counter | Gauge | Histogram]" = OrderedDict()
+        self._collectors: list = []
 
     # -- instrument access ----------------------------------------------------
 
@@ -250,6 +253,22 @@ class Telemetry:
 
     def histogram(self, name: str, help: str = "", *, window: int = 2048) -> Histogram:
         return self._get_or_create(Histogram, name, help, window=window)
+
+    def add_collector(self, collect) -> None:
+        """Run ``collect()`` at the top of every :meth:`snapshot` and
+        :meth:`to_prometheus`, for as long as the registry lives: gauges
+        mirroring another object's state (cache tallies, breaker state) are
+        set there, when read, not on the path that serves requests."""
+        with self._lock:
+            self._collectors.append(collect)
+
+    def _collected(self) -> list:
+        with self._lock:
+            collectors = list(self._collectors)
+        for collect in collectors:
+            collect()
+        with self._lock:
+            return list(self._instruments.values())
 
     def record_shed(self, reason: str) -> None:
         """Count one shed admission decision, split by reason.
@@ -287,8 +306,7 @@ class Telemetry:
         """One consistent-enough JSON-able view of every instrument.
         ``include_samples`` forwards to every histogram (raw reservoirs for
         exact downstream merging)."""
-        with self._lock:
-            instruments = list(self._instruments.values())
+        instruments = self._collected()
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         for instrument in instruments:
             if isinstance(instrument, Histogram):
@@ -305,8 +323,7 @@ class Telemetry:
         """Prometheus text exposition: counters as ``_total``-suffixed
         counters, gauges verbatim, histograms as summaries with quantile
         labels plus ``_count``/``_sum``."""
-        with self._lock:
-            instruments = list(self._instruments.values())
+        instruments = self._collected()
         lines: list[str] = []
         for instrument in instruments:
             metric = f"{self.namespace}_{_sanitize(instrument.name)}"

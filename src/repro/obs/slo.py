@@ -135,34 +135,41 @@ class SLOMonitor:
             "p99_burn": p99 / self.config.p99_target_seconds,
         }
 
+    def _windows(self):
+        return [self.window_stats(w.seconds) for w in self.config.windows]
+
+    def _burning(self, windows):
+        return all(
+            stats["n"] >= self.config.min_samples
+            and stats["burn_rate"] >= window.burn_threshold
+            for window, stats in zip(self.config.windows, windows)
+        )
+
     def alerting(self):
         """True when every configured window burns above its threshold."""
-        for window in self.config.windows:
-            stats = self.window_stats(window.seconds)
-            if stats["n"] < self.config.min_samples:
-                return False
-            if stats["burn_rate"] < window.burn_threshold:
-                return False
-        return True
+        return self._burning(self._windows())
 
     def snapshot(self):
         with self._lock:
             total, miss = self._total, self._total_miss
+        windows = self._windows()
         return {
             "objective": self.config.deadline_hit_objective,
             "p99_target_seconds": self.config.p99_target_seconds,
             "total": total,
             "total_missed": miss,
-            "alerting": self.alerting(),
-            "windows": [self.window_stats(w.seconds) for w in self.config.windows],
+            "alerting": self._burning(windows),
+            "windows": windows,
         }
 
     def export(self, telemetry):
-        """Mirror the current window stats into Telemetry gauges."""
-        for window in self.config.windows:
-            stats = self.window_stats(window.seconds)
+        """Mirror the current window stats into Telemetry gauges (the
+        gateway and the fleet parent run this as a telemetry collector,
+        i.e. whenever their telemetry is read)."""
+        windows = self._windows()
+        for window, stats in zip(self.config.windows, windows):
             tag = f"{window.seconds:g}s"
             telemetry.gauge(f"slo_hit_rate_{tag}").set(stats["hit_rate"])
             telemetry.gauge(f"slo_burn_rate_{tag}").set(stats["burn_rate"])
             telemetry.gauge(f"slo_p99_burn_{tag}").set(stats["p99_burn"])
-        telemetry.gauge("slo_alerting").set(1.0 if self.alerting() else 0.0)
+        telemetry.gauge("slo_alerting").set(1.0 if self._burning(windows) else 0.0)

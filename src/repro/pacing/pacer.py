@@ -173,6 +173,15 @@ class AdmissionPacer:
         self.resets_total = 0
         self.state_entries = {state: 0 for state in PACER_STATE_CODES}
         self.state_entries[STARTUP] = 1
+        #: Per-state dwell histogram (name, help), built once: ``telemetry``
+        #: may be attached after construction, so only the names are bound.
+        self._dwell_names = {
+            state: (
+                f"{name}_dwell_{state.replace('-', '_')}_seconds",
+                f"time spent per visit in pacer state {state}",
+            )
+            for state in PACER_STATE_CODES
+        }
 
     # -- estimates -------------------------------------------------------------
 
@@ -239,10 +248,9 @@ class AdmissionPacer:
         if state == self._state:
             return
         if self.telemetry is not None:
-            self.telemetry.histogram(
-                f"{self.name}_dwell_{self._state.replace('-', '_')}_seconds",
-                f"time spent per visit in pacer state {self._state}",
-            ).observe(now - self._state_entered_at)
+            self.telemetry.histogram(*self._dwell_names[self._state]).observe(
+                now - self._state_entered_at
+            )
         self._state = state
         self._state_entered_at = now
         self.state_entries[state] += 1

@@ -22,7 +22,8 @@ round-off when ``dtype=float32``) while removing all of those costs:
 3. **parallel encoding** — a request whose encode-miss set reaches
    ``parallel_encode_threshold`` plans fans the encoding out across CPU
    cores through :mod:`repro.evaluation.parallel`'s fork pool, with a
-   serial fallback below the threshold (or on one core / without fork);
+   serial fallback below the threshold (or on one core / without fork /
+   inside a daemonic process such as a fleet worker, which may not fork);
 4. **size-bucketed micro-batching** — plans are grouped by node count
    (``TreeBatch.bucket_indices``) so one 40-node plan does not pad every
    5-node plan in the batch to 41 rows; batch buffers are float32 and
@@ -523,8 +524,8 @@ class CostInferenceService:
 
     ``parallel_encode_threshold`` sets the request size at which encode
     cache misses fan out across ``encode_processes`` workers via the
-    evaluation fork pool (serial below it, or when only one worker
-    resolves).
+    evaluation fork pool (serial below it, when only one worker
+    resolves, or in a daemonic process).
 
     Caveat: base encodings are cached by *structural* fingerprint.  When
     ``env_features=None`` the per-node logged environments are read fresh
@@ -979,8 +980,14 @@ class CostInferenceService:
         return encoded
 
     def _encode_workers(self, n_plans: int) -> int:
+        import multiprocessing
+
         from repro.evaluation.parallel import resolve_processes
 
+        if multiprocessing.current_process().daemon:
+            # A daemonic process (every fleet worker) may not have children:
+            # forking the encode pool there kills the worker.
+            return 1
         try:
             return resolve_processes(n_plans, self.encode_processes)
         except ValueError:

@@ -235,6 +235,17 @@ def checkpointed(project_with_history, tmp_path_factory):
     return path, predictor, plans
 
 
+def _long_warm_list(project, n=96):
+    """``n`` plans: past the service's default parallel_encode_threshold (64)."""
+    from repro.core.explorer import PlanExplorer
+
+    explorer = PlanExplorer(project.optimizer)
+    plans = [r.plan for r in project.repository.records]
+    while len(plans) < n:
+        plans.extend(explorer.candidates(project.sample_query(4), top_k=5))
+    return plans[:n]
+
+
 @needs_fork
 class TestServingFleet:
     def test_matches_direct_service(self, checkpointed):
@@ -312,6 +323,30 @@ class TestServingFleet:
                 assert miss_delta == 0
                 assert hit_delta > 0
 
+    def test_promote_with_long_warm_list_keeps_workers_alive(
+        self, checkpointed, project_with_history
+    ):
+        # A warm list of >= parallel_encode_threshold (64) plans used to fork
+        # an encode pool inside the daemonic worker, which killed it.
+        path, predictor, _plans = checkpointed
+        import copy
+
+        warm_plans = _long_warm_list(project_with_history)
+        candidate = copy.deepcopy(predictor)
+        candidate.weights_version = 9
+        path3 = path.parent / "v3.npz"
+        save_predictor(candidate, path3, environment_features=ENV)
+        with ServingFleet(
+            path, n_workers=2, service_kwargs={"encode_processes": 2}
+        ) as fleet:
+            acked = fleet.promote(path3, warm=[(p, ENV) for p in warm_plans])
+            assert acked == {"shard-0": 9, "shard-1": 9}
+            assert fleet.live_workers() == ["shard-0", "shard-1"]
+            assert set(fleet.ping()) == {"shard-0", "shard-1"}
+            for shard in fleet.stats()["shards"].values():
+                assert shard["gauges"]["serving_warmed_plans"] == 96
+                assert shard["gauges"]["serving_parallel_encode_batches"] == 0
+
     def test_worker_crash_sheds_remaps_and_keeps_serving(self, checkpointed):
         path, _predictor, plans = checkpointed
         with ServingFleet(path, n_workers=3) as fleet:
@@ -374,6 +409,41 @@ class TestServingFleet:
         fleet.close()
         late = fleet.predict("t", plans[:3], env_features=ENV)
         assert late.source == "fallback" and late.reason == "closed"
+
+
+def _swap_with_warm_list(conn, path, plans):
+    """Child-process body: hot swap with a warm list on a bare service."""
+    from repro.core.serialization import load_predictor
+
+    service = CostInferenceService.from_checkpoint(path, encode_processes=2)
+    predictor, _env = load_predictor(path)
+    service.swap_predictor(predictor, warm=[(p, ENV) for p in plans])
+    conn.send(service.cache_counters())
+
+
+@needs_fork
+def test_long_warm_list_in_daemonic_process_encodes_serially(
+    checkpointed, project_with_history
+):
+    import multiprocessing
+
+    path, _predictor, _plans = checkpointed
+    plans = _long_warm_list(project_with_history)
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    child = ctx.Process(
+        target=_swap_with_warm_list, args=(child_conn, path, plans), daemon=True
+    )
+    child.start()
+    child_conn.close()
+    try:
+        assert parent_conn.poll(120), "daemonic child never answered"
+        counters = parent_conn.recv()  # EOFError: the child died before sending
+    finally:
+        child.join(30)
+    assert child.exitcode == 0
+    assert counters["warmed_plans"] == 96
+    assert counters["parallel_encode_batches"] == 0
 
 
 @needs_fork

@@ -19,11 +19,14 @@ retrain signal, promotion -> breaker reset).
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.gateway import (
@@ -36,7 +39,8 @@ from repro.gateway import (
     Telemetry,
     environment_factor_from_features,
 )
-from repro.pacing import PacerConfig
+from repro.gateway.gateway import _Latch
+from repro.pacing import PACER_STATE_CODES, AdmissionPacer, PacerConfig
 from repro.serving import CostInferenceService
 
 TINY = PredictorConfig(epochs=2, hidden_dims=(16, 16), embedding_dim=8, adversarial=False)
@@ -112,6 +116,33 @@ class _FakeClock:
 
 def _marker_plans(*markers: float) -> list[_MarkerPlan]:
     return [_MarkerPlan(m) for m in markers]
+
+
+class _StubFallback:
+    def predict(self, plans, *, env_features=None):
+        return np.array([-p.marker for p in plans], dtype=np.float64)
+
+
+class _StuckService:
+    """A learned path that blocks until ``release`` is set."""
+
+    predictor = _StubPredictor()
+
+    def __init__(self) -> None:
+        self.release = threading.Event()
+
+    def predict(self, plans, *, env_features=None):
+        self.release.wait(20.0)
+        return np.zeros(len(plans))
+
+
+def _settle(condition, timeout: float = 5.0) -> bool:
+    """Poll until the worker's post-answer bookkeeping made ``condition()``
+    true (a caller is woken before its batch is accounted)."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return condition()
 
 
 # -- telemetry ------------------------------------------------------------------
@@ -345,6 +376,42 @@ class TestCircuitBreaker:
         assert stats["state"] == "closed"
         assert stats["success_count"] == 1
         assert stats["window_filled"] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window=st.integers(1, 12),
+        min_calls=st.integers(1, 14),
+        threshold=st.floats(0.05, 1.0),
+        outcomes=st.lists(st.booleans(), max_size=80),
+    )
+    def test_trip_points_match_windowed_sum_definition(
+        self, window, min_calls, threshold, outcomes
+    ):
+        """The running bad-count trips exactly where ``sum(window) /
+        len(window) >= threshold`` over the last ``window`` outcomes does."""
+        config = BreakerConfig(
+            window=window, min_calls=min_calls, failure_rate_threshold=threshold
+        )
+        breaker = CircuitBreaker(config, clock=_FakeClock())
+        reference: deque[bool] = deque(maxlen=window)
+        trips, want = [], []
+        for i, bad in enumerate(outcomes):
+            if bad:
+                breaker.record_failure()
+            else:
+                breaker.record_success(0.0)
+            if breaker.trip_count > len(trips):
+                trips.append(i)
+                breaker.reset()  # closed again with an empty window
+            reference.append(bad)
+            if (
+                len(reference) >= min_calls
+                and sum(reference) / len(reference) >= threshold
+            ):
+                want.append(i)
+                reference.clear()
+        assert trips == want
+        assert breaker.stats()["window_filled"] == len(reference)
 
 
 # -- fallback -------------------------------------------------------------------
@@ -755,10 +822,6 @@ class TestGatewayClose:
     def test_close_drains_admitted_requests(self):
         """Requests admitted before close() are still answered (learned when
         the worker can finish them) — no caller is left stranded."""
-        class _StubFallback:
-            def predict(self, plans, *, env_features=None):
-                return np.array([-p.marker for p in plans], dtype=np.float64)
-
         service = _StubService(delay=0.05)
         gw = OptimizerGateway(service, fallback=_StubFallback())
         results: list = []
@@ -785,20 +848,8 @@ class TestGatewayClose:
         """A learned path stuck past the close timeout must not strand the
         caller whose request it is holding: close() fails it over and the
         caller answers from the fallback with reason ``closed``."""
-        release = threading.Event()
-
-        class _StuckService:
-            predictor = _StubPredictor()
-
-            def predict(self, plans, *, env_features=None):
-                release.wait(20.0)
-                return np.zeros(len(plans))
-
-        class _StubFallback:
-            def predict(self, plans, *, env_features=None):
-                return np.array([-p.marker for p in plans], dtype=np.float64)
-
-        gw = OptimizerGateway(_StuckService(), fallback=_StubFallback())
+        stuck = _StuckService()
+        gw = OptimizerGateway(stuck, fallback=_StubFallback())
         done: list = []
 
         def caller() -> None:
@@ -809,7 +860,7 @@ class TestGatewayClose:
         time.sleep(0.05)  # worker is now blocked inside the learned path
         gw.close(timeout=0.2)
         t.join(timeout=10.0)
-        release.set()  # unstick the daemon worker before the test exits
+        stuck.release.set()  # unstick the daemon worker before the test exits
         assert not t.is_alive(), "caller stranded on a stuck learned path"
         assert done and done[0].fallback and done[0].reason == "closed"
 
@@ -818,21 +869,9 @@ class TestGatewayClose:
         caller's deadline fires: the caller wakes on the failover event,
         answers ``closed`` (never ``deadline``), never blocks, and the
         pacer slot comes back exactly once."""
-        release = threading.Event()
-
-        class _StuckService:
-            predictor = _StubPredictor()
-
-            def predict(self, plans, *, env_features=None):
-                release.wait(20.0)
-                return np.zeros(len(plans))
-
-        class _StubFallback:
-            def predict(self, plans, *, env_features=None):
-                return np.array([-p.marker for p in plans], dtype=np.float64)
-
+        stuck = _StuckService()
         config = GatewayConfig(pacer=PacerConfig())
-        gw = OptimizerGateway(_StuckService(), config=config, fallback=_StubFallback())
+        gw = OptimizerGateway(stuck, config=config, fallback=_StubFallback())
         done: list = []
 
         def caller() -> None:
@@ -844,7 +883,7 @@ class TestGatewayClose:
         started = time.monotonic()
         gw.close(timeout=0.1)  # failover completes well inside the budget
         t.join(timeout=10.0)
-        release.set()
+        stuck.release.set()
         assert not t.is_alive(), "caller stranded across close()"
         assert done and done[0].fallback and done[0].reason == "closed"
         # Woke on the failover, not by waiting out the 2 s deadline.
@@ -856,26 +895,14 @@ class TestGatewayClose:
         """The mirror race: the deadline fires first, the caller answers
         ``deadline`` immediately, and the close() that follows releases the
         stranded request's pacer slot instead of leaking it."""
-        release = threading.Event()
-
-        class _StuckService:
-            predictor = _StubPredictor()
-
-            def predict(self, plans, *, env_features=None):
-                release.wait(20.0)
-                return np.zeros(len(plans))
-
-        class _StubFallback:
-            def predict(self, plans, *, env_features=None):
-                return np.array([-p.marker for p in plans], dtype=np.float64)
-
+        stuck = _StuckService()
         config = GatewayConfig(pacer=PacerConfig())
-        gw = OptimizerGateway(_StuckService(), config=config, fallback=_StubFallback())
+        gw = OptimizerGateway(stuck, config=config, fallback=_StubFallback())
         result = gw.predict(_marker_plans(1.0), deadline_ms=30)
         assert result.fallback and result.reason == "deadline"
         assert gw.pacer.inflight == 1  # the stuck batch still holds it
         gw.close(timeout=0.1)
-        release.set()
+        stuck.release.set()
         assert gw.pacer.inflight == 0
         counters = gw.stats()["counters"]
         assert counters["shed_deadline_total"] == 1
@@ -902,6 +929,184 @@ class TestLatencySplit:
             prom = gw.to_prometheus()
             assert "repro_queue_wait_seconds" in prom
             assert "repro_service_time_seconds" in prom
+
+
+# -- the bound request path: gauges on read, bound instruments, lock latch -------
+
+
+def _prometheus_values(text: str) -> dict[str, float]:
+    return {
+        line.split()[0]: float(line.split()[1])
+        for line in text.splitlines()
+        if line and not line.startswith("#") and "{" not in line
+    }
+
+
+class TestRequestPath:
+    def test_hot_requests_skip_the_registry_and_reads_see_live_values(
+        self, trained, monkeypatch
+    ):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        counter_reads: list = []
+        cache_counters = service.cache_counters
+        service.cache_counters = lambda: counter_reads.append(1) or cache_counters()
+        # startup_full_rounds: the pacer stays in STARTUP, so the dwell
+        # histogram (one lookup per state change) stays out of the count.
+        config = GatewayConfig(pacer=PacerConfig(startup_full_rounds=10**9))
+        with OptimizerGateway(service, config=config) as gw:
+            for _ in range(3):
+                gw.predict(plans[:6], env_features=ENV)
+            assert _settle(lambda: gw.pacer.inflight == 0)
+            lookups: list = []
+            get_or_create = Telemetry._get_or_create
+
+            def counting(self, cls, name, help, **kwargs):
+                lookups.append(name)
+                return get_or_create(self, cls, name, help, **kwargs)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(Telemetry, "_get_or_create", counting)
+                del counter_reads[:]
+                for _ in range(200):
+                    assert gw.predict(plans[:6], env_features=ENV).source == "learned"
+                assert _settle(lambda: gw.pacer.inflight == 0)
+                assert lookups == []
+                assert counter_reads == []
+
+            want = {f"serving_{k}": float(v) for k, v in cache_counters().items()}
+            assert want["serving_prediction_cache_hits"] >= 200 * 6
+            pacer = gw.pacer.stats()
+            want.update(
+                breaker_state=0.0,
+                model_weights_version=float(predictor.weights_version),
+                pacer_state=PACER_STATE_CODES[pacer["state"]],
+                pacer_inflight=0.0,
+                pacer_inflight_cap=float(pacer["inflight_cap"]),
+                pacer_btl_rate=pacer["btl_rate"],
+                pacer_min_latency_seconds=pacer["min_latency_seconds"],
+            )
+            assert want["pacer_btl_rate"] > 0.0
+            prometheus = _prometheus_values(gw.to_prometheus())
+            for gauges in (gw.stats()["gauges"], gw.telemetry.snapshot()["gauges"]):
+                for name, value in want.items():
+                    assert gauges[name] == value, name
+                    assert prometheus[f"repro_{name}"] == pytest.approx(value, rel=1e-9)
+            assert gw.stats()["counters"]["requests_total"] == 203
+
+    def test_latch_is_one_shot_and_set_is_idempotent(self):
+        latch = _Latch()
+        assert latch.wait(0.01) is False
+        threading.Timer(0.02, latch.set).start()
+        assert latch.wait() is True
+        latch.set()
+        latch.set()
+
+    def test_deadline_against_stuck_service_returns_slot_and_probe_once(self):
+        clock = _FakeClock()
+        breaker = _breaker(clock, half_open_probes=1)
+        for _ in range(4):
+            breaker.record_failure()
+        clock.advance(10.0)  # cooldown over: the next request is the probe
+        pacer = AdmissionPacer(PacerConfig())
+        returned: list[int] = []
+        release, on_delivered = pacer.release, pacer.on_delivered
+        pacer.release = lambda n=1: returned.append(n) or release(n)
+        pacer.on_delivered = lambda n=1, **kw: returned.append(n) or on_delivered(n, **kw)
+        service = _StuckService()
+        gw = OptimizerGateway(
+            service, breaker=breaker, pacer=pacer, fallback=_StubFallback()
+        )
+        try:
+            started = time.monotonic()
+            result = gw.predict(_marker_plans(3.0), deadline_ms=30)
+            assert time.monotonic() - started < 1.0
+            assert result.reason == "deadline"
+            assert (result.costs == [-3.0]).all()
+            # The stuck batch still holds the slot and the only probe.
+            assert pacer.inflight == 1 and returned == []
+            assert breaker.state == "half-open" and not breaker.allow()
+            service.release.set()
+            assert _settle(lambda: pacer.inflight == 0)
+            # The abandoned probe resolved as one slow call: re-opened.
+            assert breaker.trip_count == 2
+            assert breaker.stats()["slow_count"] == 1
+        finally:
+            service.release.set()
+            gw.close()
+        assert returned == [1]
+        assert breaker.trip_count == 2
+
+    def test_close_fails_over_queued_and_inflight_requests(self):
+        service = _StuckService()
+        gw = OptimizerGateway(service, fallback=_StubFallback())
+        results: dict[float, object] = {}
+
+        def caller(marker: float, env) -> None:
+            results[marker] = gw.predict(_marker_plans(marker), env_features=env)
+
+        # Different environments never coalesce: the second request stays
+        # queued behind the first, which is stuck in the learned path.
+        threads = [
+            threading.Thread(target=caller, args=(1.0, ENV)),
+            threading.Thread(target=caller, args=(2.0, (0.1, 0.1, 0.1, 0.1))),
+        ]
+        try:
+            for t in threads:
+                t.start()
+                time.sleep(0.05)
+            assert gw.stats()["queue_depth"] == 1
+            gw.close(timeout=0.1)
+            for t in threads:
+                t.join(timeout=10.0)
+        finally:
+            service.release.set()
+        assert not any(t.is_alive() for t in threads), "caller stranded across close()"
+        for marker in (1.0, 2.0):
+            assert results[marker].reason == "closed"
+            assert (results[marker].costs == [-marker]).all()
+
+    def test_conservation_under_concurrent_mixed_deadlines(self):
+        service = _StubService(delay=0.002)
+        config = GatewayConfig(pacer=PacerConfig())
+        deadlines = (None, 1.0, 4.0, 50.0)
+        results: list = []
+        lock = threading.Lock()
+        gw = OptimizerGateway(service, config=config, fallback=_StubFallback())
+
+        def caller(k: int) -> None:
+            mine = [
+                gw.predict(_marker_plans(float(k), float(i)), deadline_ms=deadlines[(k + i) % 4])
+                for i in range(60)
+            ]
+            with lock:
+                results.extend(mine)
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert _settle(lambda: gw.pacer.inflight == 0)
+            counters = gw.stats()["counters"]
+            learned = sum(r.source == "learned" for r in results)
+            assert len(results) == 240 and 0 < learned < 240
+            assert counters["requests_total"] == 240
+            assert counters["learned_total"] == learned
+            assert counters.get("fallback_total", 0) == 240 - learned
+            pacer = gw.pacer.stats()
+            assert pacer["inflight"] == 0
+            assert pacer["admitted_total"] + pacer["denied_total"] <= 240
+        finally:
+            gw.close()
+        assert gw.pacer.inflight == 0
 
 
 # -- lifecycle wiring -----------------------------------------------------------

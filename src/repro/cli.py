@@ -558,6 +558,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     survivors.  Suitable as a CI job; exits non-zero on any violation."""
     import copy
     import tempfile
+    import time
     from pathlib import Path
 
     from repro.core.explorer import PlanExplorer
@@ -566,6 +567,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.core.serialization import save_predictor
     from repro.evaluation.pool import fork_available
     from repro.fleet import ServingFleet
+    from repro.gateway import OptimizerGateway
     from repro.serving.service import CostInferenceService
     from repro.warehouse.workload import ProjectProfile, generate_project
 
@@ -646,6 +648,22 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             owners = fleet.router.assignment(tenants)
             spread = {owners[t] for t in tenants}
             check(len(spread) > 1, f"tenants spread over {len(spread)} shards")
+
+            def hot_us_per_request(call, n=2000):
+                call()
+                started = time.perf_counter()
+                for _ in range(n):
+                    call()
+                return 1e6 * (time.perf_counter() - started) / n
+
+            hot = candidate_sets[0]
+            fleet_us = hot_us_per_request(lambda: fleet.predict(
+                tenants[0], hot, env_features=env, plans_key="cs-0"))
+            with OptimizerGateway(direct) as local:
+                local_us = hot_us_per_request(
+                    lambda: local.predict(hot, env_features=env))
+            print(f"  hop cost, one caller, cached answers: {fleet_us:.0f} us per fleet "
+                  f"request vs {local_us:.0f} us through a local gateway")
 
             print("\n[3] staged promote converges every shard, caches pre-warmed")
             candidate = copy.deepcopy(loam.predictor)

@@ -15,15 +15,18 @@ Parent-side responsibilities (this module):
 * process lifecycle — fork workers (reusing the evaluation pool's
   bootstrap: BLAS pinned to one thread per worker, seeds derived per
   worker), graceful drain on :meth:`ServingFleet.close`;
-* routing + framing — per-worker duplex pipes, one lock per pipe (callers
-  to *different* shards never serialize on each other), encode-once plan
-  shipping via per-worker ``plans_key`` memory with ``need-plans`` resend;
+* routing + framing — per-worker duplex pipes carrying one
+  :mod:`repro.fleet.wire` frame per message, one lock and one registered
+  poller per pipe (callers to *different* shards never serialize on each
+  other), encode-once plan shipping via a per-worker ``plans_key`` LRU
+  that mirrors the worker's, with ``need-plans`` resend as the backstop;
 * staged promotes — :meth:`promote` walks live workers one at a time,
   each loading the checkpoint and warming its caches before the next
   starts, so the fleet never has every shard cold simultaneously;
-* crash containment — a dead worker sheds only its own in-flight request
-  to the parent's native fallback (reason ``"worker-crash"``), leaves the
-  ring, and its tenants remap to the survivors (~1/N of the keyspace);
+* crash containment — a dead (or stalled past ``rpc_timeout``) worker
+  sheds only its own in-flight request to the parent's native fallback
+  (reason ``"worker-crash"``), is killed and reaped, leaves the ring, and
+  its tenants remap to the survivors (~1/N of the keyspace);
   the event is visible in fleet telemetry (``worker_failures_total``,
   ``workers_alive``);
 * merged observability — per-shard gateway snapshots plus fleet-level
@@ -33,15 +36,16 @@ Parent-side responsibilities (this module):
 
 from __future__ import annotations
 
+import select
 import threading
 import time
-
-import numpy as np
+from collections import OrderedDict
 
 from repro.evaluation.pool import fork_available
 from repro.fleet.router import ConsistentHashRouter
 from repro.fleet.telemetry import merge_snapshots, merged_to_prometheus
-from repro.fleet.worker import fleet_worker_main
+from repro.fleet.wire import recv_frame, send_frame, unpack_costs
+from repro.fleet.worker import PLAN_CACHE_CAP, fleet_worker_main
 from repro.gateway import GatewayResult, NativeCostFallback, Telemetry
 from repro.gateway.telemetry import SHED_REASONS
 from repro.obs import FlightRecorder, SLOMonitor, SpanCollector, Tracer
@@ -55,11 +59,17 @@ class WorkerCrashError(RuntimeError):
     """A worker died mid-conversation (pipe broke or process exited)."""
 
 
-class _WorkerHandle:
-    """Parent-side state for one shard: process, pipe, pipe lock, and the
-    set of candidate-set keys already shipped to this worker."""
+#: What a broken, hung-up or closed pipe raises (``BrokenPipeError`` and
+#: ``ConnectionError`` are ``OSError``\ s).
+_PIPE_ERRORS = (WorkerCrashError, EOFError, OSError)
 
-    __slots__ = ("name", "process", "conn", "lock", "alive", "sent_keys")
+
+class _WorkerHandle:
+    """Parent-side state for one shard: process, pipe, pipe lock, a poller
+    registered on the pipe once, and a mirror of the worker's LRU of
+    candidate-set keys."""
+
+    __slots__ = ("name", "process", "conn", "lock", "alive", "sent_keys", "poller")
 
     def __init__(self, name, process, conn) -> None:
         self.name = name
@@ -67,7 +77,21 @@ class _WorkerHandle:
         self.conn = conn
         self.lock = threading.Lock()
         self.alive = True
-        self.sent_keys: set = set()
+        self.sent_keys: OrderedDict = OrderedDict()
+        self.poller = select.poll()
+        self.poller.register(conn.fileno(), select.POLLIN)
+
+    def remember(self, plans_key) -> bool:
+        """Whether the worker already holds ``plans_key``'s plans — touching
+        the mirror exactly as the worker's plan cache is touched by the
+        frame about to be sent (call under :attr:`lock`, so both sides see
+        the same order and evict the same key)."""
+        known = plans_key in self.sent_keys
+        self.sent_keys[plans_key] = None
+        self.sent_keys.move_to_end(plans_key)
+        while len(self.sent_keys) > PLAN_CACHE_CAP:
+            self.sent_keys.popitem(last=False)
+        return known
 
 
 class ServingFleet:
@@ -194,31 +218,46 @@ class ServingFleet:
             self._req_counter += 1
             return self._req_counter
 
-    def _recv(self, handle: _WorkerHandle, req_id: int):
-        """One reply for ``req_id`` (the pipe is request-response under the
-        handle's lock, so replies cannot interleave); polls so a worker
-        death surfaces as :class:`WorkerCrashError` instead of a hang."""
+    def _exchange(self, handle: _WorkerHandle, message: tuple, span=NULL_SPAN):
+        """Send ``message`` and return its reply; call under the handle's
+        lock (the pipe is request-response, so replies cannot interleave).
+        The wait is sliced so a worker that died or stalled surfaces as
+        :class:`WorkerCrashError` instead of a hang; a hang-up makes the
+        pipe readable, and the read then raises ``EOFError`` at once.  A
+        sampled ``span`` gets the hop's parts (unsampled requests read no
+        clock for them)."""
+        timed = span.sampled
+        t0 = time.perf_counter() if timed else 0.0
+        sent = send_frame(handle.conn, message)
+        t1 = time.perf_counter() if timed else 0.0
         deadline = time.monotonic() + self.rpc_timeout
-        while True:
-            if handle.conn.poll(0.05):
-                reply = handle.conn.recv()
-                if reply[1] != req_id:
-                    raise WorkerCrashError(
-                        f"{handle.name}: protocol desync (reply {reply[1]}, "
-                        f"expected {req_id})"
-                    )
-                return reply
+        while not handle.poller.poll(50):
             if not handle.process.is_alive():
                 raise WorkerCrashError(f"{handle.name}: worker process died")
             if time.monotonic() > deadline:
                 raise WorkerCrashError(f"{handle.name}: rpc timed out")
+        t2 = time.perf_counter() if timed else 0.0
+        reply, received = recv_frame(handle.conn)
+        if timed:
+            span.set_attrs(
+                rpc_send_us=1e6 * (t1 - t0),
+                rpc_wait_us=1e6 * (t2 - t1),
+                rpc_decode_us=1e6 * (time.perf_counter() - t2),
+                frame_bytes_out=sent,
+                frame_bytes_in=received,
+            )
+        if reply[1] != message[1]:
+            raise WorkerCrashError(
+                f"{handle.name}: protocol desync (reply {reply[1]}, "
+                f"expected {message[1]})"
+            )
+        return reply
 
     def _rpc(self, handle: _WorkerHandle, message: tuple):
         try:
             with handle.lock:
-                handle.conn.send(message)
-                return self._recv(handle, message[1])
-        except (WorkerCrashError, EOFError, BrokenPipeError, ConnectionError, OSError) as exc:
+                return self._exchange(handle, message)
+        except _PIPE_ERRORS as exc:
             self._mark_dead(handle, exc)
             raise WorkerCrashError(f"{handle.name}: {exc}") from exc
 
@@ -247,6 +286,11 @@ class ServingFleet:
             handle.conn.close()
         except OSError:
             pass
+        # The parent has given up on this worker, but it may only be stalled
+        # (rpc timeout, desync) and still hold a full serving stack: SIGKILL
+        # also stops a SIGSTOPped process, which terminate() cannot.
+        handle.process.kill()
+        handle.process.join(5.0)
 
     def live_workers(self) -> list[str]:
         return [name for name, h in self._workers.items() if h.alive]
@@ -336,25 +380,31 @@ class ServingFleet:
                     span=span,
                     pacer_state=pacer.state,
                 )
-            send_plans = plans if plans_key is None or plans_key not in handle.sent_keys else None
-            req_id = self._next_req_id()
             rpc_started = time.monotonic()
             try:
-                reply = self._rpc(
-                    handle,
-                    ("predict", req_id, plans_key, send_plans, envs, deadline_ms,
-                     trace_wire),
-                )
-                if reply[0] == "need-plans":
-                    # Worker evicted (or never saw) this key; resend inline.
-                    handle.sent_keys.discard(plans_key)
-                    req_id = self._next_req_id()
-                    reply = self._rpc(
+                with handle.lock:
+                    known = plans_key is not None and handle.remember(plans_key)
+                    reply = self._exchange(
                         handle,
-                        ("predict", req_id, plans_key, plans, envs, deadline_ms,
-                         trace_wire),
+                        ("predict", self._next_req_id(), plans_key,
+                         None if known else plans, envs, deadline_ms, trace_wire),
+                        span,
                     )
-            except WorkerCrashError:
+                    if reply[0] == "need-plans":
+                        # The mirror was wrong (the worker never saw this
+                        # key, or evicted it); resend with plans inline.
+                        self.telemetry.counter(
+                            "plans_resent_total",
+                            "predict frames refused with need-plans and resent",
+                        ).inc()
+                        reply = self._exchange(
+                            handle,
+                            ("predict", self._next_req_id(), plans_key, plans,
+                             envs, deadline_ms, trace_wire),
+                            span,
+                        )
+            except _PIPE_ERRORS as exc:
+                self._mark_dead(handle, exc)
                 if pacer is not None:
                     # A crashed RPC measures nothing; hand back the slot.
                     pacer.release()
@@ -367,8 +417,6 @@ class ServingFleet:
                 pacer.on_delivered(
                     1, elapsed_seconds=time.monotonic() - rpc_started
                 )
-            if plans_key is not None:
-                handle.sent_keys.add(plans_key)
             latency_ms = 1e3 * (time.monotonic() - started)
             if self.collector is not None and len(reply) > 3:
                 # Worker-side span records for this trace rode the reply;
@@ -376,7 +424,7 @@ class ServingFleet:
                 self.collector.add_many(reply[3])
             results = [
                 GatewayResult(
-                    np.asarray(costs),
+                    unpack_costs(costs),
                     source,
                     reason,
                     latency_ms,
@@ -467,8 +515,10 @@ class ServingFleet:
         env_features)`` pairs, e.g. the feedback log's hottest plans)
         before the next worker begins — a rolling restart of the model,
         never of the processes.  Returns ``{shard: weights_version}`` for
-        every worker that converged; raises if any live worker failed to
-        ack or versions diverged."""
+        every worker that converged; raises ``RuntimeError`` naming the
+        shard and cause if a worker could not load the checkpoint (it keeps
+        serving its incumbent, as does every shard after it), if any live
+        worker failed to ack, or if versions diverged."""
         acked: dict[str, int] = {}
         for name in list(self._workers):
             handle = self._workers[name]
@@ -478,6 +528,12 @@ class ServingFleet:
             reply = self._rpc(
                 handle, ("load", req_id, str(checkpoint_path), warm)
             )
+            if reply[0] == "error":
+                # The shard refused the checkpoint and kept its incumbent;
+                # stop here rather than stage a file known to be bad.
+                raise RuntimeError(
+                    f"promote of {checkpoint_path} failed on {name}: {reply[2]}"
+                )
             acked[name] = int(reply[2])
         if not acked:
             raise RuntimeError("promote with no live workers")
@@ -507,7 +563,7 @@ class ServingFleet:
         if not handle.alive:
             raise KeyError(f"{shard} is already dead")
         with handle.lock:
-            handle.conn.send(("crash", self._next_req_id()))
+            send_frame(handle.conn, ("crash", self._next_req_id()))
 
     def ping(self) -> dict[str, int]:
         """Liveness probe of every live worker: ``{shard: derived seed}``."""

@@ -8,8 +8,8 @@ oversubscribe the machine N×BLAS ways, and a per-worker seed derived from
 randomness is reproducible regardless of fleet size — then loads the
 promoted checkpoint and serves a full single-process stack:
 ``load_predictor → CostInferenceService → OptimizerGateway``.  The parent
-talks to it over one duplex ``multiprocessing`` connection with a small
-framed protocol:
+talks to it over one duplex ``multiprocessing`` connection, one
+:mod:`repro.fleet.wire` frame per message in either direction:
 
 ``("predict", req_id, plans_key, plans, envs, deadline_ms, trace_wire)``
     Score one candidate set under each environment of ``envs`` (batched
@@ -22,12 +22,15 @@ framed protocol:
     :class:`~repro.obs.TraceContext` (or ``None``): the worker's gateway
     spans join the parent's trace, and their finished records ride the
     ``("ok", req_id, results, spans)`` reply back for cross-process
-    stitching.
+    stitching.  Each result's cost vector is raw ``float64`` bytes
+    (:func:`~repro.fleet.wire.pack_costs`).
 ``("load", req_id, checkpoint_path, warm)``
     Staged promote: load the checkpoint, hot-swap it into the service
     (``swap_predictor(..., warm=...)`` re-scoring the warm list so the
     first post-promote requests hit a warm cache), ack the new
-    ``weights_version``.
+    ``weights_version``.  A checkpoint that fails to load (missing,
+    truncated) answers ``("error", req_id, repr(exc))`` and the worker keeps
+    serving the incumbent — a bad promote must not cost a shard.
 ``("stats", req_id)`` / ``("ping", req_id)`` / ``("close", req_id)``
     Telemetry snapshot, liveness probe, graceful drain-and-exit.
 ``("crash", req_id)``
@@ -42,11 +45,13 @@ import os
 from collections import OrderedDict
 
 from repro.evaluation.pool import derive_seed, pin_blas_threads
+from repro.fleet.wire import pack_costs, recv_frame, send_frame
 
-__all__ = ["fleet_worker_main"]
+__all__ = ["PLAN_CACHE_CAP", "fleet_worker_main"]
 
-#: Candidate sets remembered per worker (keyed by the client's plans_key).
-_PLAN_CACHE_CAP = 512
+#: Candidate sets remembered per worker (keyed by the client's plans_key);
+#: the parent mirrors this LRU per shard to know which frames need plans.
+PLAN_CACHE_CAP = 512
 
 
 def _build_obs(obs_config, worker_id, base_seed):
@@ -89,6 +94,27 @@ def _build_gateway(checkpoint_path, service_kwargs, gateway_config, obs=(None, N
     )
 
 
+def _load(gateway, path, warm, service_kwargs) -> int:
+    """Load ``path`` and hot-swap it into ``gateway``'s service (attaching
+    one if the worker booted model-less); returns the served
+    ``weights_version``.  Raises before anything is swapped when the file
+    cannot be read or its encoder does not fit."""
+    from repro.core.serialization import load_predictor
+
+    predictor, _env = load_predictor(path)
+    if gateway.has_model:
+        gateway.service.swap_predictor(predictor, warm=warm or None)
+        gateway.notify_swap()
+    else:
+        from repro.serving.service import CostInferenceService
+
+        service = CostInferenceService(predictor, **(service_kwargs or {}))
+        gateway.attach_service(service)
+        if warm:
+            service.warm_caches(warm)
+    return gateway.service.predictor.weights_version
+
+
 def fleet_worker_main(
     conn,
     *,
@@ -111,7 +137,7 @@ def fleet_worker_main(
     try:
         while True:
             try:
-                message = conn.recv()
+                message, _ = recv_frame(conn)
             except EOFError:
                 break  # parent went away; nothing left to serve
             kind, req_id = message[0], message[1]
@@ -121,13 +147,13 @@ def fleet_worker_main(
                 if plans is None:
                     plans = plan_cache.get(plans_key)
                     if plans is None:
-                        conn.send(("need-plans", req_id))
+                        send_frame(conn, ("need-plans", req_id))
                         continue
                     plan_cache.move_to_end(plans_key)
                 elif plans_key is not None:
                     plan_cache[plans_key] = plans
                     plan_cache.move_to_end(plans_key)
-                    while len(plan_cache) > _PLAN_CACHE_CAP:
+                    while len(plan_cache) > PLAN_CACHE_CAP:
                         plan_cache.popitem(last=False)
                 parent_ctx = None
                 if trace_wire is not None and tracer is not None:
@@ -142,7 +168,9 @@ def fleet_worker_main(
                         deadline_ms=deadline_ms,
                         trace=parent_ctx,
                     )
-                    results.append((r.costs, r.source, r.reason, r.model_version))
+                    results.append(
+                        (pack_costs(r.costs), r.source, r.reason, r.model_version)
+                    )
                 # This worker's finished spans for the trace ride the reply
                 # back to the parent's collector (cross-process stitching).
                 spans = (
@@ -150,46 +178,38 @@ def fleet_worker_main(
                     if parent_ctx is not None
                     else []
                 )
-                conn.send(("ok", req_id, results, spans))
+                send_frame(conn, ("ok", req_id, results, spans))
 
             elif kind == "load":
                 _, _, path, warm = message
-                from repro.core.serialization import load_predictor
-
-                predictor, _env = load_predictor(path)
-                if gateway.has_model:
-                    gateway.service.swap_predictor(predictor, warm=warm or None)
-                    gateway.notify_swap()
+                try:
+                    version = _load(gateway, path, warm, service_kwargs)
+                except Exception as exc:  # noqa: BLE001 — reported to the parent
+                    # Missing/truncated/incompatible checkpoint: the shard
+                    # keeps serving; the parent's promote raises the cause.
+                    if recorder is not None:
+                        recorder.record("load-failed", str(path), error=repr(exc))
+                    send_frame(conn, ("error", req_id, repr(exc)))
                 else:
-                    from repro.serving.service import CostInferenceService
-
-                    service = CostInferenceService(
-                        predictor, **(service_kwargs or {})
-                    )
-                    gateway.attach_service(service)
-                    if warm:
-                        service.warm_caches(warm)
-                conn.send(
-                    ("loaded", req_id, gateway.service.predictor.weights_version)
-                )
+                    send_frame(conn, ("loaded", req_id, version))
 
             elif kind == "stats":
                 # Raw histogram reservoirs ride along so the parent's merge
                 # can compute exact fleet-level quantiles, not a max bound.
-                conn.send(("stats", req_id, gateway.stats(include_samples=True)))
+                send_frame(conn, ("stats", req_id, gateway.stats(include_samples=True)))
 
             elif kind == "ping":
-                conn.send(("pong", req_id, worker_id, seed))
+                send_frame(conn, ("pong", req_id, worker_id, seed))
 
             elif kind == "crash":
                 os._exit(1)
 
             elif kind == "close":
-                conn.send(("closed", req_id))
+                send_frame(conn, ("closed", req_id))
                 break
 
             else:
-                conn.send(("error", req_id, f"unknown message kind {kind!r}"))
+                send_frame(conn, ("error", req_id, f"unknown message kind {kind!r}"))
     finally:
         gateway.close()
         conn.close()

@@ -6,7 +6,14 @@ without ``fork``; router and telemetry-merge tests run everywhere.
 
 from __future__ import annotations
 
+import copy
+import multiprocessing.connection
+import os
+import pickle
+import signal
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +23,10 @@ from repro.core.serialization import save_predictor
 from repro.evaluation.parallel import EvalTask, run_tasks
 from repro.evaluation.pool import fork_available
 from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots, merged_to_prometheus
+from repro.fleet import fleet as fleet_module
+from repro.fleet.worker import PLAN_CACHE_CAP
+from repro.gateway import OptimizerGateway
+from repro.obs import ObsConfig
 from repro.serving.service import CostInferenceService
 
 TINY = PredictorConfig(hidden_dims=(16, 12), embedding_dim=8, epochs=2, batch_size=16)
@@ -376,6 +387,94 @@ class TestServingFleet:
             prom = fleet.to_prometheus()
             assert "repro_fleet_parent_worker_failures_total 1" in prom
 
+    def test_bad_checkpoint_fails_the_promote_not_the_shards(self, checkpointed, tmp_path):
+        path, predictor, plans = checkpointed
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(path.read_bytes()[:200])
+        with ServingFleet(path, n_workers=2) as fleet:
+            for bad in ("/nonexistent/v9.npz", truncated):
+                with pytest.raises(RuntimeError, match=r"shard-0.*(Error|BadZipFile)"):
+                    fleet.promote(bad)
+                assert fleet.live_workers() == ["shard-0", "shard-1"]
+                assert set(fleet.ping()) == {"shard-0", "shard-1"}
+                assert set(fleet.router.shards) == {"shard-0", "shard-1"}
+                for i in range(12):
+                    r = fleet.predict(f"t{i}", plans[:4], env_features=ENV)
+                    assert r.source == "learned"
+                    assert r.model_version == predictor.weights_version
+            counters = fleet.stats()["fleet"]["counters"]
+            assert "worker_failures_total" not in counters
+            assert "promotes_total" not in counters
+
+    def test_plan_key_memory_mirrors_the_workers_lru(self, checkpointed):
+        path, _predictor, plans = checkpointed
+        direct = CostInferenceService.from_checkpoint(path)
+        n_keys = PLAN_CACHE_CAP + 88
+        sets = [plans[k % 60 : k % 60 + 3] for k in range(n_keys)]
+        with ServingFleet(path, n_workers=1) as fleet:
+            handle = fleet._workers["shard-0"]
+            for _cycle in range(2):
+                # Second cycle: every key was evicted on both sides by the
+                # time it comes round again, so its plans ride the first frame.
+                for k in range(n_keys):
+                    got = fleet.predict("t", sets[k], env_features=ENV, plans_key=k)
+                    assert got.source == "learned"
+                    if k % 50 == 0:
+                        np.testing.assert_array_equal(
+                            got.costs, direct.predict(sets[k], env_features=ENV)
+                        )
+                assert len(handle.sent_keys) == PLAN_CACHE_CAP
+                assert list(handle.sent_keys)[-1] == n_keys - 1
+            counters = fleet.telemetry.snapshot()["counters"]
+            assert "plans_resent_total" not in counters
+            # The backstop still works when the mirror is wrong.
+            handle.sent_keys["ghost"] = None
+            got = fleet.predict("t", sets[0], env_features=ENV, plans_key="ghost")
+            assert got.source == "learned"
+            np.testing.assert_array_equal(
+                got.costs, direct.predict(sets[0], env_features=ENV)
+            )
+            assert fleet.telemetry.snapshot()["counters"]["plans_resent_total"] == 1
+
+    def test_stalled_worker_times_out_sheds_and_is_killed(self, checkpointed):
+        path, _predictor, plans = checkpointed
+        with ServingFleet(path, n_workers=2, rpc_timeout=0.3) as fleet:
+            tenant = "stalled"
+            victim = fleet.router.route(tenant)
+            handle = fleet._workers[victim]
+            assert fleet.predict(tenant, plans[:4], env_features=ENV).source == "learned"
+            os.kill(handle.process.pid, signal.SIGSTOP)
+            started = time.monotonic()
+            shed = fleet.predict(tenant, plans[:4], env_features=ENV)
+            elapsed = time.monotonic() - started
+            assert shed.source == "fallback" and shed.reason == "worker-crash"
+            assert 0.3 <= elapsed < 1.5
+            # The parent gave up on it, so it is gone — not a stopped orphan
+            # holding a serving stack that close() could not reap either.
+            assert not handle.process.is_alive()
+            assert handle.process.exitcode == -signal.SIGKILL
+            assert fleet.live_workers() == [s for s in ("shard-0", "shard-1") if s != victim]
+            assert fleet.router.route(tenant) != victim
+            assert fleet.predict(tenant, plans[:4], env_features=ENV).source == "learned"
+
+    def test_crash_is_seen_on_the_pipe_not_by_waiting_out_a_slice(self, checkpointed):
+        path, _predictor, plans = checkpointed
+        with ServingFleet(path, n_workers=2) as fleet:
+            tenant = "crashy"
+            handle = fleet._workers[fleet.router.route(tenant)]
+            polls: list = []
+            poller = handle.poller
+            handle.poller = types.SimpleNamespace(
+                poll=lambda ms: polls.append(poller.poll(ms)) or polls[-1]
+            )
+            fleet.crash_worker(handle.name)
+            # Straight after the crash frame: the request is usually written
+            # before the worker dies, and the hang-up ends the wait.
+            shed = fleet.predict(tenant, plans[:4], env_features=ENV)
+            assert shed.source == "fallback" and shed.reason == "worker-crash"
+            assert all(events for events in polls), "an empty 50 ms slice was waited out"
+            assert not handle.process.is_alive()
+
     def test_concurrent_tenants_across_shards(self, checkpointed):
         path, _predictor, plans = checkpointed
         direct = CostInferenceService.from_checkpoint(path)
@@ -409,6 +508,131 @@ class TestServingFleet:
         fleet.close()
         late = fleet.predict("t", plans[:3], env_features=ENV)
         assert late.source == "fallback" and late.reason == "closed"
+
+
+class _CountingConnCalls:
+    """Counts the parent's ``Connection`` traffic and what would mean the old
+    wire path is back (``connection.wait`` is what ``Connection.poll`` runs)."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.sent: list[int] = []
+        self.received: list[int] = []
+        self.waits = 0
+        connection = multiprocessing.connection
+        send_bytes = connection.Connection.send_bytes
+        recv_bytes = connection.Connection.recv_bytes
+        wait = connection.wait
+
+        def counting_send(conn, buf, *args):
+            self.sent.append(len(buf))
+            return send_bytes(conn, buf, *args)
+
+        def counting_recv(conn, *args):
+            payload = recv_bytes(conn, *args)
+            self.received.append(len(payload))
+            return payload
+
+        def counting_wait(*args, **kwargs):
+            self.waits += 1
+            return wait(*args, **kwargs)
+
+        monkeypatch.setattr(connection.Connection, "send_bytes", counting_send)
+        monkeypatch.setattr(connection.Connection, "recv_bytes", counting_recv)
+        monkeypatch.setattr(connection, "wait", counting_wait)
+
+
+@needs_fork
+class TestWire:
+    def test_one_frame_each_way_per_hot_request_and_no_extra_clock_reads(
+        self, checkpointed, monkeypatch
+    ):
+        path, _predictor, plans = checkpointed
+        # A tracer that samples nothing: the unsampled path, not the obs-off one.
+        with ServingFleet(path, n_workers=2, obs=ObsConfig(sample_rate=0.0)) as fleet:
+            for i in range(4):
+                fleet.predict(f"t{i}", plans[:6], env_features=ENV, plans_key="hot")
+            calls = _CountingConnCalls(monkeypatch)
+            clock = {"monotonic": 0, "perf_counter": 0}
+
+            def counting(name):
+                def read():
+                    clock[name] += 1
+                    return getattr(time, name)()
+                return read
+
+            monkeypatch.setattr(
+                fleet_module,
+                "time",
+                types.SimpleNamespace(
+                    monotonic=counting("monotonic"), perf_counter=counting("perf_counter")
+                ),
+            )
+            for i in range(200):
+                r = fleet.predict(f"t{i % 4}", plans[:6], env_features=ENV, plans_key="hot")
+                assert r.source == "learned" and r.trace_id is None
+            assert len(calls.sent) == 200 and len(calls.received) == 200
+            assert calls.waits == 0
+            # No plan tree crossed: every request frame is a few hundred bytes.
+            assert max(calls.sent) < 400
+            # Start, rpc start, rpc deadline, latency — and nothing for the
+            # hop's parts (an empty poll slice would add one deadline check).
+            assert clock["perf_counter"] == 0
+            assert 4 * 200 <= clock["monotonic"] <= 4 * 200 + 4
+
+    def test_answers_are_bitwise_the_shards_own_gateway_answers(self, checkpointed):
+        path, _predictor, plans = checkpointed
+        envs = [ENV, (0.2, 0.1, 0.3, 0.4), (0.9, 0.01, 0.1, 0.7)]
+        with OptimizerGateway(CostInferenceService.from_checkpoint(path)) as local:
+            want = [local.predict(plans[:8], env_features=env).costs for env in envs]
+        with ServingFleet(path, n_workers=2) as fleet:
+            one = fleet.predict("alpha", plans[:8], env_features=ENV)
+            sweep = fleet.predict_sweep("alpha", plans[:8], envs, plans_key="s")
+            again = fleet.predict_sweep("alpha", plans[:8], envs, plans_key="s")
+        for got, ref in zip([one] + sweep + again, [want[0]] + want + want):
+            assert got.source == "learned"
+            assert got.costs.dtype == ref.dtype == np.float64
+            assert np.array_equal(got.costs, ref)
+            assert got.costs.flags.writeable == ref.flags.writeable
+
+    def test_reply_with_wrong_req_id_marks_the_shard_dead(self, checkpointed):
+        path, _predictor, plans = checkpointed
+        with ServingFleet(path, n_workers=2) as fleet:
+            tenant = "desync"
+            handle = fleet._workers[fleet.router.route(tenant)]
+            conn = handle.conn
+
+            class StaleReply:
+                def __getattr__(self, name):
+                    return getattr(conn, name)
+
+                def recv_bytes(self):
+                    kind, req_id, *rest = pickle.loads(conn.recv_bytes())
+                    return pickle.dumps((kind, req_id - 1, *rest))
+
+            handle.conn = StaleReply()
+            shed = fleet.predict(tenant, plans[:4], env_features=ENV)
+            assert shed.source == "fallback" and shed.reason == "worker-crash"
+            assert not handle.alive and not handle.process.is_alive()
+            assert handle.name not in fleet.live_workers()
+            assert fleet.predict(tenant, plans[:4], env_features=ENV).source == "learned"
+
+    def test_megabyte_load_and_sampled_stats_ride_the_same_frame(
+        self, checkpointed, monkeypatch
+    ):
+        path, predictor, plans = checkpointed
+        warm = [(copy.deepcopy(p), ENV) for p in plans[:60] * 24]
+        with ServingFleet(path, n_workers=1) as fleet:
+            for _ in range(5):
+                fleet.predict("t", plans[:6], env_features=ENV)
+            calls = _CountingConnCalls(monkeypatch)
+            acked = fleet.promote(path, warm=warm)
+            assert acked == {"shard-0": predictor.weights_version + 1}
+            assert max(calls.sent) >= 1 << 20
+            shard = fleet.stats()["shards"]["shard-0"]
+            assert shard["gauges"]["serving_warmed_plans"] == len(warm)
+            latency = shard["histograms"]["request_latency_seconds"]
+            assert len(latency["samples"]) == latency["count"] == 5
+            assert len(calls.sent) == len(calls.received) == 2 and calls.waits == 0
 
 
 def _swap_with_warm_list(conn, path, plans):

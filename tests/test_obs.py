@@ -606,6 +606,14 @@ class TestFleetTracing:
                 assert "fleet-parent" in labels
                 assert any(label.startswith("shard-") for label in labels)
                 assert "fleet.request" in tree.names()
+                # The sampled root says where the hop's time went: send, wait
+                # and decode are disjoint stretches inside the span.
+                (root,) = tree.roots()
+                attrs = root["attrs"]
+                parts = [attrs[f"rpc_{part}_us"] for part in ("send", "wait", "decode")]
+                assert all(p > 0.0 for p in parts)
+                assert sum(parts) <= 1e3 * root["duration_ms"]
+                assert attrs["frame_bytes_out"] > 0 and attrs["frame_bytes_in"] > 0
 
     def test_worker_crash_leaves_flight_dump(self, checkpointed, tmp_path):
         from repro.fleet import ServingFleet

@@ -3,7 +3,8 @@
 The workload mirrors the online steering pattern of ``bench_fig10_inference``:
 every test query's candidate set (5 plans) is scored under four environment
 strategies, so the same plans are re-scored with only the 4-wide environment
-block changing — exactly the case the encode-once + env-splice cache targets.
+block changing — exactly the case the bucket cache and the env-linear first
+layer target.
 
 Three paths are timed:
 
@@ -13,8 +14,9 @@ Three paths are timed:
   once per (candidate set, environment) — the seed API has no sweep entry
   point;
 * **cold** — ``CostInferenceService`` with caches cleared before every
-  round, same per-(set, environment) request shape as naive: vectorized
-  encoding + size buckets + no-grad float32 packed forward;
+  round (``clear_caches`` keeps the weight-scoped projection table), same
+  per-(set, environment) request shape as naive: plans resolved to table
+  ids + size buckets + no-grad float32 packed forward;
 * **cold_quantized** — the cold path through a ``quantize="float16"``
   service using the serving layer's natural entry point for this workload:
   one ``predict_sweep(plans, ENVIRONMENTS)`` call per candidate set scores

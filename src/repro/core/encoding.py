@@ -97,12 +97,6 @@ class PlanEncoder:
         # Memoized log-min-max normalizations of small-integer scan attributes.
         self._partition_norm: dict[int, float] = {}
         self._column_norm: dict[int, float] = {}
-        # Structural feature rows memoized by serving node key, and child
-        # index arrays memoized by whole-plan fingerprint (see
-        # ``encode_plan``'s ``node_keys``); cleared wholesale when full.
-        self._row_memo: dict[tuple, np.ndarray] = {}
-        self._tree_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._row_memo_cap = 4096
 
     # -- public API -----------------------------------------------------------
 
@@ -116,7 +110,6 @@ class PlanEncoder:
         plan: PhysicalPlan,
         *,
         env_override: tuple[float, float, float, float] | None = None,
-        node_keys: "tuple | None" = None,
     ) -> EncodedPlan:
         """Encode the plan tree into padded-batch-ready arrays.
 
@@ -124,26 +117,12 @@ class PlanEncoder:
         inference time when the true environment is unobservable); without
         it, each node's logged stage environment is used.
 
-        ``node_keys`` optionally carries the plan's serving fingerprint
-        (:func:`repro.serving.fingerprint.plan_fingerprint` — one key per
-        pre-order node covering every attribute this encoder reads).  When
-        given, structural feature rows (everything except the environment
-        block) are memoized per node key, so candidate plans sharing
-        scan/aggregate subtrees skip re-encoding them.
-
         This is the vectorized fast path: one preallocated ``(n, dim)``
         feature array filled in place with memoized hash encodings and
         dict-based category lookups, then a single broadcast write of the
         environment block.  :meth:`encode_plan_reference` retains the naive
         per-node construction; equivalence tests assert bitwise-equal output.
         """
-        memo = None
-        if node_keys is not None:
-            memo = self._row_memo
-            fast = self._encode_memoized(plan, env_override, node_keys)
-            if fast is not None:
-                return fast
-
         # ``plan_nodes`` (serving fingerprint path) memoizes the pre-order
         # walk on the plan instance; reuse it when present.
         nodes = plan.__dict__.get("_serving_nodes")
@@ -155,11 +134,6 @@ class PlanEncoder:
         left = np.zeros(n, dtype=np.int64)
         right = np.zeros(n, dtype=np.int64)
 
-        if memo is not None and len(node_keys) != n:
-            raise ValueError(f"node_keys length {len(node_keys)} != node count {n}")
-        struct_width = self._env_offset
-        memo_misses: list[int] = []
-
         op_index = self._op_index
         op_rows = np.empty(n, dtype=np.int64)
         for i, node in enumerate(nodes):
@@ -169,27 +143,9 @@ class PlanEncoder:
                 left[i] = row_of[id(children[0])]
                 if len(children) > 1:
                     right[i] = row_of[id(children[1])]
-            if memo is not None:
-                cached = memo.get(node_keys[i])
-                if cached is not None:
-                    features[i, :struct_width] = cached
-                    continue
-                memo_misses.append(i)
             self._fill_attributes(features[i], node)
         # One-hot operator block and environment block as batched writes.
-        # (For memo-hit rows the cached block already holds the one-hot;
-        # re-writing the same 1.0 keeps the batched write unconditional.)
         features[np.arange(n), self._op_offset + op_rows] = 1.0
-        if memo is not None:
-            if memo_misses:
-                if len(memo) + len(memo_misses) > self._row_memo_cap:
-                    memo.clear()
-                for i in memo_misses:
-                    memo[node_keys[i]] = features[i, :struct_width].copy()
-            if node_keys not in self._tree_memo:
-                if len(self._tree_memo) >= self._row_memo_cap:
-                    self._tree_memo.clear()
-                self._tree_memo[node_keys] = (left.copy(), right.copy())
         if env_override is not None:
             features[:, self._env_offset : self._env_offset + 4] = env_override
         else:
@@ -251,43 +207,17 @@ class PlanEncoder:
 
     # -- node encoding -----------------------------------------------------------
 
-    def _encode_memoized(
-        self,
-        plan: PhysicalPlan,
-        env_override: "tuple[float, float, float, float] | None",
-        node_keys: tuple,
-    ) -> EncodedPlan | None:
-        """The all-hit fast path: every structural row and the child-index
-        arrays already memoized — assemble the encoding without walking the
-        tree.  Returns ``None`` (fall through to the general path) on any
-        miss, or when per-node logged environments are needed but the plan's
-        node walk is not memoized."""
-        tree = self._tree_memo.get(node_keys)
-        if tree is None:
-            return None
-        memo = self._row_memo
-        rows = []
-        for key in node_keys:
-            row = memo.get(key)
-            if row is None:
-                return None
-            rows.append(row)
-        nodes = None
-        if env_override is None:
-            nodes = plan.__dict__.get("_serving_nodes")
-            if nodes is None:
-                return None
-        n = len(node_keys)
-        features = np.zeros((n, self.dim))
-        features[:, : self._env_offset] = rows
-        if env_override is not None:
-            features[:, self._env_offset : self._env_offset + 4] = env_override
-        else:
-            features[:, self._env_offset : self._env_offset + 4] = [
-                node.env if node.env is not None else _NEUTRAL_ENV for node in nodes
-            ]
-        left, right = tree
-        return EncodedPlan(features=features, left=left.copy(), right=right.copy())
+    def structural_row(self, node: PlanNode) -> np.ndarray:
+        """One node's feature row with the environment block left at zero:
+        exactly what :meth:`encode_plan` writes for the node ahead of the
+        environment.  The serving layer projects this row through the first
+        conv layer once per distinct node (see ``serving.cache.
+        ProjectionTable``), so training and serving share one definition of
+        a feature."""
+        row = np.zeros(self.dim)
+        row[self._op_offset + self._op_index[node.op_type]] = 1.0
+        self._fill_attributes(row, node)
+        return row
 
     def _fill_attributes(self, row: np.ndarray, node: PlanNode) -> None:
         """Write the operator-specific blocks of one node into ``row`` (a view

@@ -1,4 +1,4 @@
-"""Plan fingerprinting for the serving-layer encoding cache.
+"""Plan fingerprinting for the serving-layer plan cache and projection table.
 
 The cache key must capture *exactly* what the encoder reads from a plan —
 no more (spurious misses) and no less (wrong hits).  ``PlanNode.
@@ -7,11 +7,12 @@ places, which the encoder does not, so two plans differing only at the
 7th decimal of a predicate constant would collide.  This module derives
 its own key from the encoder-visible attributes at full precision.
 
-Environment features are deliberately *excluded*: the serving layer always
-splices the environment block into the assembled batch (either the request
+Environment features are deliberately *excluded*: the serving layer adds
+the environment block's layer-1 contribution per request (either the request
 override or the per-node logged values read fresh at request time), so one
-cached encoding serves every environment — the encode-once + env-splice
-fast path.
+cached encoding serves every environment.  Each node's key is also the key
+of its row in :class:`~repro.serving.cache.ProjectionTable`, and its last
+element — the child count — is what the plan's tree shape is rebuilt from.
 
 Keys are plain nested tuples hashed by the interpreter's built-in tuple
 hash.  A digest (e.g. FNV over ``repr``) would be stable across processes
@@ -82,9 +83,8 @@ def plan_nodes(plan: PhysicalPlan) -> tuple:
     """The plan's pre-order node tuple, memoized on the plan instance.
 
     The recursive ``iter_nodes`` walk is pure per-call overhead once the
-    per-node feature rows are themselves memoized (see
-    ``PlanEncoder.encode_plan``'s ``node_keys``).  Same safety argument as
-    the fingerprint memo above: tree *structure* never changes after plan
+    per-node layer-1 rows are themselves looked up by key.  Same safety
+    argument as the fingerprint memo above: tree *structure* never changes after plan
     generation, and ``clone()`` drops the memo with the instance dict.
     """
     cached = plan.__dict__.get("_serving_nodes")

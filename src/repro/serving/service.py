@@ -10,30 +10,26 @@ plans it scored moments earlier under a different environment block.
 :class:`CostInferenceService` keeps outputs identical (within float32
 round-off when ``dtype=float32``) while removing all of those costs:
 
-1. **encode-once + env splice** — base encodings are cached in an LRU keyed
-   by :func:`~repro.serving.fingerprint.plan_fingerprint`; the 4-wide
-   environment block is spliced into the assembled batch via
-   ``PlanEncoder.env_slice``, so re-scoring the same plan under a new
-   environment never re-encodes the tree;
-2. **vectorized + memoized encoding** — cache misses go through the
-   preallocating ``PlanEncoder.encode_plan`` fast path, reusing the plan
-   fingerprint's per-node keys to memoize structural feature rows (candidate
-   sets of one query share most of their scan/aggregate nodes);
-3. **parallel encoding** — a request whose encode-miss set reaches
-   ``parallel_encode_threshold`` plans fans the encoding out across CPU
-   cores through :mod:`repro.evaluation.parallel`'s fork pool, with a
-   serial fallback below the threshold (or on one core / without fork /
-   inside a daemonic process such as a fleet worker, which may not fork);
-4. **size-bucketed micro-batching** — plans are grouped by node count
+1. **layer 1 as a lookup** — the first conv layer is linear before its
+   ReLU and the statistics-free encoding of a node is a function of its
+   fingerprint key, so ``row @ W1`` is computed once per distinct node and
+   weight set (:class:`~repro.serving.cache.ProjectionTable`).  A plan is
+   cached as integers (table ids and child positions, keyed by
+   :func:`~repro.serving.fingerprint.plan_fingerprint`), a bucket's
+   layer-1 pre-activation is three row gathers, and the environment block
+   enters through its own 4-row weight slice.  No feature matrix exists on
+   the serving path;
+2. **size-bucketed micro-batching** — plans are grouped by node count
    (``TreeBatch.bucket_indices``) so one 40-node plan does not pad every
-   5-node plan in the batch to 41 rows; batch buffers are float32 and
-   reused across requests to halve memory traffic;
-5. **packed inference forward** — a raw-numpy mirror of
+   5-node plan in the batch to 41 rows; assembled buckets are cached by
+   fingerprint tuple, and forward intermediates come from per-tag arenas
+   reused across requests;
+3. **packed inference forward** — a raw-numpy mirror of
    ``TreeConvEncoder``/``_PredictiveModule`` with per-layer weights split
    into contiguous (self, left, right) blocks so the per-layer
-   ``(batch, nodes, 3·dim)`` concatenation disappears, all intermediates
-   drawn from a reusable buffer arena, and every GEMM collapsed to 2-D;
-6. **gated weight quantization** — with ``quantize=`` set, the packed
+   ``(batch, nodes, 3·dim)`` concatenation disappears and every GEMM is
+   2-D;
+4. **gated weight quantization** — with ``quantize=`` set, the packed
    weights are stored float16/int8 (per-channel scales) and rebuilt once
    per ``weights_version`` inside ``_WeightSnapshot.refresh``; an rtol
    gate against the float32 reference on a deterministic calibration
@@ -56,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.encoding import _NEUTRAL_ENV, EncodedPlan
+from repro.core.encoding import _NEUTRAL_ENV
 from repro.nn.tree_conv import TreeBatch
-from repro.serving.cache import EncodingCache, PredictionCache
+from repro.serving.cache import EncodingCache, PredictionCache, ProjectionTable
 from repro.serving.fingerprint import plan_fingerprint, plan_nodes
 from repro.obs.trace import traced_section
 from repro.serving.quantize import quantize_matrix, split_conv_weight
@@ -68,8 +64,7 @@ __all__ = ["CostInferenceService", "ServingStats"]
 
 Env = "tuple[float, float, float, float]"
 
-#: Base encodings are cached with a zeroed environment block; the real block
-#: is spliced in at batch-assembly time.
+#: What a model trained without environment features is served under.
 _ZERO_ENV = (0.0, 0.0, 0.0, 0.0)
 
 #: Seed for the deterministic calibration batch the quantization gate runs.
@@ -92,14 +87,12 @@ class ServingStats:
     total_seconds: float
     p50_latency_ms: float
     p99_latency_ms: float
-    #: Cold-path attribution: seconds spent encoding (cache probes + node
-    #: encoding, serial or parallel), in the bucketed batch assembly +
+    #: Cold-path attribution: seconds spent encoding (plan-cache probes +
+    #: projection-table lookups and fills), in the bucketed batch assembly +
     #: forward, and building/gating packed (possibly quantized) weights.
     encode_seconds: float = 0.0
     forward_seconds: float = 0.0
     quantize_seconds: float = 0.0
-    #: Requests whose encode-miss set went through the fork pool.
-    parallel_encode_batches: int = 0
     #: Plans pushed through :meth:`CostInferenceService.warm_caches` (the
     #: post-swap warming pass).
     warmed_plans: int = 0
@@ -134,7 +127,6 @@ class ServingStats:
             "encode_seconds": self.encode_seconds,
             "forward_seconds": self.forward_seconds,
             "quantize_seconds": self.quantize_seconds,
-            "parallel_encode_batches": self.parallel_encode_batches,
             "warmed_plans": self.warmed_plans,
             "quantized_active": self.quantized_active,
             "quantize_gate_rel_err": self.quantize_gate_rel_err,
@@ -273,13 +265,15 @@ class _WeightSnapshot:
             left[b, 1 : n + 1] = rng.integers(0, n + 1, size=n)
             right[b, 1 : n + 1] = rng.integers(0, n + 1, size=n)
             mask[b, 1 : n + 1, 0] = 1.0
-        pool = _BufferPool()
-        want = _packed_forward(features, left, right, mask, self, pool, packed=reference)
+        pool = _BufferPool(self.dtype)
+        x2 = features.reshape(batch * rows, d_in)
+        gather_idx = _combined_gather_index(left, right)
+        want = _packed_forward(x2, gather_idx, mask, self, pool, packed=reference)
         # Corrupted/overflowed quantized weights propagate non-finite values
         # through this forward by design — the isfinite check below is the
         # rejection, so numpy's warnings are noise here.
         with np.errstate(all="ignore"):
-            got = _packed_forward(features, left, right, mask, self, pool, packed=quantized)
+            got = _packed_forward(x2, gather_idx, mask, self, pool, packed=quantized)
         if not np.all(np.isfinite(got)):
             return False, float("inf")
         denom = np.maximum(np.abs(want), 1e-9 * (1.0 + float(np.max(np.abs(want)))))
@@ -288,91 +282,50 @@ class _WeightSnapshot:
 
 
 class _BufferPool:
-    """Reusable batch buffers keyed by (shape, dtype, tag).
+    """One growable arena per tag, handing out leading-row views.
 
-    Every bucket of a steady-state serving workload hits the same handful of
-    (batch, padded-nodes, dim) shapes; reusing their buffers avoids an
-    allocate-and-fault cycle per request.  Single-threaded use only (a buffer
-    is recycled as soon as the next request asks for its shape).
+    A steady-state serving workload cycles through a few dozen bucket
+    shapes; an arena sized for the largest one seen serves them all without
+    an allocate-and-fault cycle per request.  ``tag`` separates buffers that
+    must coexist in one forward.  Single-threaded use only (a buffer is
+    recycled as soon as the next request asks for its tag).
     """
 
-    def __init__(self, max_entries: int = 64) -> None:
-        self._buffers: dict[tuple, np.ndarray] = {}
-        self._max_entries = max_entries
+    def __init__(self, dtype) -> None:
+        self._dtype = dtype
+        self._arenas: dict[str, np.ndarray] = {}
 
-    def _get(self, shape: tuple[int, ...], dtype, tag: str) -> np.ndarray:
-        # ``tag`` separates same-shaped buffers that must coexist in one
-        # request (left vs right child indices would otherwise alias).
-        key = (shape, dtype, tag)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            if len(self._buffers) < self._max_entries:
-                self._buffers[key] = buf
-        return buf
-
-    def zeros(self, shape: tuple[int, ...], dtype, tag: str = "") -> np.ndarray:
-        buf = self._get(shape, dtype, tag)
-        buf.fill(0)
-        return buf
-
-    def empty(self, shape: tuple[int, ...], dtype, tag: str = "") -> np.ndarray:
-        """Like :meth:`zeros` but without the fill — for buffers that are
+    def empty(self, shape: tuple[int, int], tag: str) -> np.ndarray:
+        """An uninitialised ``(rows, width)`` buffer — for arrays that are
         fully overwritten (GEMM ``out=``, gathers) before being read."""
-        return self._get(shape, dtype, tag)
+        rows, width = shape
+        arena = self._arenas.get(tag)
+        if arena is None or arena.shape[0] < rows or arena.shape[1] != width:
+            grown = rows if arena is None else max(rows, 2 * arena.shape[0])
+            arena = self._arenas[tag] = np.empty((grown, width), self._dtype)
+        return arena[:rows]
 
 
 class _BucketEntry:
     """One cached padded-batch assembly (see ``CostInferenceService.
-    _bucket_cache``): the zero-env base features, mask, combined gather
-    index, and real-child indicators of a bucket, plus the lazily built
-    layer-1 pre-activation ``h1_base = base_cat @ W1`` for the env-linear
-    first-layer fast path.  ``h1_packed`` records which packed weight set
-    ``h1_base`` was computed against, so a weight refresh or quantization
-    flip invalidates it by identity."""
+    _bucket_cache``): the mask, combined gather index and real-child
+    indicators of a bucket, plus its zero-environment layer-1
+    pre-activation ``h1_base`` gathered from the projection table.  Bound
+    to the table's weight set, so the bucket cache is cleared with it."""
 
-    __slots__ = (
-        "features", "mask", "gather_idx", "child_ind", "real_rows",
-        "gather_real", "seg_starts", "h1_base", "h1_packed", "sweep",
-    )
+    __slots__ = ("mask", "gather_idx", "child_ind", "h1_base", "sweep")
 
-    def __init__(
-        self, features, mask, gather_idx, child_ind, real_rows, gather_real, seg_starts
-    ) -> None:
-        self.features = features
+    def __init__(self, mask, gather_idx, child_ind, h1_base) -> None:
         self.mask = mask
         self.gather_idx = gather_idx
         # (nodes, 3) columns [mask, has_left, has_right]: one matvec with
         # the environment's per-block weight contribution reconstitutes the
         # env part of layer 1 for every row.
         self.child_ind = child_ind
-        # Real (non-sentinel, non-padding) flat row indices, the interleaved
-        # gather restricted to them, and each tree's first position within
-        # the real-row order — lets the widest GEMMs and the node head run
-        # on real rows only, skipping padding work entirely.
-        self.real_rows = real_rows
-        self.gather_real = gather_real
-        self.seg_starts = seg_starts
-        self.h1_base: np.ndarray | None = None  # bias included, padding rows pre-masked to zero
-        self.h1_packed: _PackedWeights | None = None
+        self.h1_base = h1_base  # bias included, padding rows masked to zero
         # Weight-agnostic structural tiles for the environment-sweep
         # forward, keyed by sweep width (see ``_forward_sweep``).
         self.sweep: dict[int, tuple] = {}
-
-
-def _encode_chunk_task(encoder, plans, *, seed: int = 0):
-    """Fork-pool task: encode one chunk of plans with a zeroed environment
-    block (the serving base encoding).  Runs in a worker process; returns
-    plain arrays so the parent rebuilds ``EncodedPlan``s without sharing
-    state with the child."""
-    del seed  # deterministic; required by the EvalTask calling convention
-    out = []
-    for plan in plans:
-        encoded = encoder.encode_plan(
-            plan, env_override=_ZERO_ENV, node_keys=plan_fingerprint(plan)
-        )
-        out.append((encoded.features, encoded.left, encoded.right))
-    return out
 
 
 def _combined_gather_index(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -398,16 +351,14 @@ def _combined_gather_index(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _packed_forward(
-    features: np.ndarray,
-    left: np.ndarray | None,
-    right: np.ndarray | None,
+    x2: np.ndarray,
+    gather_idx: np.ndarray,
     mask: np.ndarray,
     snapshot: _WeightSnapshot,
     pool: _BufferPool,
     *,
     packed: _PackedWeights | None = None,
-    gather_idx: np.ndarray | None = None,
-    layer1: tuple | None = None,
+    first: int = 0,
 ) -> np.ndarray:
     """Raw-numpy inference forward over packed weights: no ``Tensor``
     wrappers, no autodiff bookkeeping, no per-layer concatenation — each
@@ -418,49 +369,25 @@ def _packed_forward(
     the arrays are tiny and Python-level numpy-call count is the real cost,
     so the layer body is exactly five calls.
 
-    ``gather_idx`` may carry a precomputed :func:`_combined_gather_index`
-    (the bucket-assembly cache reuses it across requests); otherwise it is
-    derived from ``left``/``right`` here.
-
-    ``layer1`` optionally carries ``(h1_base, ce, child_ind)``: the first
-    conv layer is linear before its ReLU, so with a request-level
-    environment its output splits into a structure-only pre-activation
-    (``h1_base``, bias included and pre-masked, cached per bucket) plus the
-    environment's per-block weight contribution ``ce`` applied through the
-    child indicators (one ``(nodes, 3) @ (3, d_out)`` matvec, see
-    ``_forward_bucket``).  That replaces the widest gather and GEMM of the
-    forward — the full input encoding width — with three ops on the first
-    hidden width."""
+    ``x2`` holds the ``(batch * rows, d)`` input rows of conv layer
+    ``first`` and ``gather_idx`` their :func:`_combined_gather_index`.  The
+    quantization gate enters at layer 0 with dense feature rows; the serving
+    path enters at layer 1 with the activation it assembled from the
+    projection table (see ``CostInferenceService._forward_bucket``), so the
+    widest gather and GEMM of the network never run per request."""
     if packed is None:
         packed = snapshot.packed
-    batch, rows, dim = features.shape
-    dtype = features.dtype
+    batch, rows = mask.shape[:2]
     n = batch * rows
     mask2 = mask.reshape(n, 1)
-    if gather_idx is None:
-        gather_idx = _combined_gather_index(left, right)
 
     conv = packed.conv
-    first = 0
-    if layer1 is not None:
-        # ``h1_base`` is pre-masked and ``child_ind`` carries the mask in
-        # its self column, so padding rows come out exactly zero without a
-        # separate mask multiply.
-        h1_base, ce, child_ind = layer1
-        h = pool.empty((n, ce.shape[1]), dtype, "conv0:h")
-        np.matmul(child_ind, ce, out=h)
-        h += h1_base
-        np.maximum(h, 0.0, out=h)
-        x2 = h
-        first = 1
-    else:
-        x2 = features.reshape(n, dim)
     for li in range(first, len(conv)):
         _w3, wflat, bias = conv[li]
         d_in, d_out = x2.shape[1], wflat.shape[1]
-        gathered = pool.empty((3 * n, d_in), dtype, f"conv{li}:g")
+        gathered = pool.empty((3 * n, d_in), f"conv{li}:g")
         x2.take(gather_idx, axis=0, out=gathered)
-        h = pool.empty((n, d_out), dtype, f"conv{li}:h")
+        h = pool.empty((n, d_out), f"conv{li}:h")
         np.matmul(gathered.reshape(n, 3 * d_in), wflat, out=h)
         h += bias
         np.maximum(h, 0.0, out=h)
@@ -490,7 +417,7 @@ def _packed_forward(
     # to absorb the last-ulp differences different bucket compositions
     # introduce (padding changes pairwise-summation order), which is what
     # keeps e.g. warmed cache entries bitwise equal to fresh predictions.
-    contributions = pool.empty((batch * rows, 1), dtype, "node:z")
+    contributions = pool.empty((batch * rows, 1), "node:z")
     np.matmul(x2, packed.node_w, out=contributions)
     contributions += packed.node_b
     np.logaddexp(0.0, contributions, out=contributions)
@@ -522,12 +449,7 @@ class CostInferenceService:
     reference at snapshot-build time; otherwise the reference weights
     serve, bitwise identical to an unquantized service.
 
-    ``parallel_encode_threshold`` sets the request size at which encode
-    cache misses fan out across ``encode_processes`` workers via the
-    evaluation fork pool (serial below it, when only one worker
-    resolves, or in a daemonic process).
-
-    Caveat: base encodings are cached by *structural* fingerprint.  When
+    Caveat: plans are cached by *structural* fingerprint.  When
     ``env_features=None`` the per-node logged environments are read fresh
     from the plan on every request (so mutation of ``node.env`` is safe),
     but mutating any other encoder-visible attribute of a previously scored
@@ -547,8 +469,6 @@ class CostInferenceService:
         latency_window: int = 2048,
         quantize: str | bool | None = None,
         quantize_rtol: float = 1e-3,
-        parallel_encode_threshold: int = 64,
-        encode_processes: int | None = None,
     ) -> None:
         self.predictor = predictor
         self.encoder = predictor.encoder
@@ -561,26 +481,25 @@ class CostInferenceService:
             quantize = None
         self.quantize_mode: str | None = quantize
         self.quantize_rtol = quantize_rtol
-        self.parallel_encode_threshold = parallel_encode_threshold
-        self.encode_processes = encode_processes
         #: Representative environment restored by :meth:`from_checkpoint`
         #: (``None`` when constructed directly or the checkpoint had none).
         self.environment_features: tuple[float, float, float, float] | None = None
         self.encoding_cache = EncodingCache(encoding_cache_size)
         self.prediction_cache = PredictionCache(prediction_cache_size)
         self.enable_prediction_cache = enable_prediction_cache
-        self._buffers = _BufferPool()
-        # Assembled padded batches (features/mask/gather index) keyed by the
-        # bucket's fingerprint tuple: the env-sweep pattern scores the same
-        # candidate set under several environments back to back, and only the
-        # environment block differs between those forwards.  Entries are
-        # env-spliced in place per request; cleared with the encoding cache.
+        self._buffers = _BufferPool(self.dtype)
+        # Layer 1 of every node seen under the live weight set; replaced
+        # (with everything below that holds its ids or rows) when the pack
+        # changes or it outgrows ``serving.cache.TABLE_CAPACITY``.
+        self._table: ProjectionTable | None = None
+        # Assembled padded batches keyed by the bucket's fingerprint tuple:
+        # the env-sweep pattern scores the same candidate set under several
+        # environments back to back, and only the environment's layer-1
+        # contribution differs between those forwards.
         self._bucket_cache: "OrderedDict[tuple, _BucketEntry]" = OrderedDict()
         self._bucket_cache_cap = 128
-        # Per-environment layer-1 weight contributions (weight-scoped, not
-        # plan-scoped: validated against the live pack by identity, so a
-        # weight refresh or swap naturally invalidates entries).
-        self._ce_cache: dict[tuple, tuple] = {}
+        # Per-environment layer-1 weight contributions.
+        self._ce_cache: dict[tuple, np.ndarray] = {}
         self._snapshot: _WeightSnapshot | None = None
         self._batch_count = 0
         self._request_count = 0
@@ -590,7 +509,6 @@ class CostInferenceService:
         self._encode_seconds = 0.0
         self._forward_seconds = 0.0
         self._quantize_seconds = 0.0
-        self._parallel_encode_batches = 0
         self._warmed_plans = 0
         self._latencies: deque[float] = deque(maxlen=latency_window)
 
@@ -654,7 +572,7 @@ class CostInferenceService:
             # regrouping (and its per-member list rebuilds) entirely.
             if len(pending) <= self.small_request_threshold:
                 key = (tuple(pending_fps), max(n_nodes))
-                encoded: list[EncodedPlan] | None = None
+                encoded: list[np.ndarray] | None = None
                 if key not in self._bucket_cache:
                     encode_started = time.perf_counter()
                     with traced_section("serving.encode", n_plans=len(pending)):
@@ -662,7 +580,7 @@ class CostInferenceService:
                     self._encode_seconds += time.perf_counter() - encode_started
                 with traced_section("serving.forward", n_plans=len(pending)):
                     batch_out = self._forward_bucket(
-                        key, encoded, pending_plans, pending_fps, env_key, snapshot
+                        key, encoded, pending_plans, env_key, snapshot
                     )
                 out[pending] = batch_out
                 if use_pred_cache:
@@ -689,7 +607,6 @@ class CostInferenceService:
                             key,
                             None if encoded is None else [encoded[m] for m in members],
                             [pending_plans[m] for m in members],
-                            [pending_fps[m] for m in members],
                             env_key,
                             snapshot,
                         )
@@ -700,6 +617,7 @@ class CostInferenceService:
                                 self.prediction_cache.put(
                                     (fingerprints[i], env_key), float(value)
                                 )
+            self._bound_table()
 
         elapsed = time.perf_counter() - started
         self._request_count += 1
@@ -767,7 +685,7 @@ class CostInferenceService:
         if misses:
             self._prediction_misses += misses
             key = (tuple(fingerprints), max(len(fp) for fp in fingerprints))
-            encoded: list[EncodedPlan] | None = None
+            encoded: list[np.ndarray] | None = None
             if key not in self._bucket_cache:
                 encode_started = time.perf_counter()
                 with traced_section("serving.encode", n_plans=n_plans):
@@ -779,6 +697,7 @@ class CostInferenceService:
             # one batched forward beats per-miss bookkeeping at sweep sizes.
             with traced_section("serving.forward", n_plans=n_plans, n_envs=len(envs)):
                 values = self._forward_sweep(key, encoded, envs, snapshot)
+            self._bound_table()
             out[:] = values
             if use_pred_cache:
                 put = self.prediction_cache.put
@@ -839,7 +758,6 @@ class CostInferenceService:
             encode_seconds=self._encode_seconds,
             forward_seconds=self._forward_seconds,
             quantize_seconds=self._quantize_seconds,
-            parallel_encode_batches=self._parallel_encode_batches,
             warmed_plans=self._warmed_plans,
             quantized_active=bool(snapshot.quantized_active) if snapshot else False,
             quantize_gate_rel_err=float(snapshot.gate_rel_err) if snapshot else 0.0,
@@ -865,7 +783,6 @@ class CostInferenceService:
             "encode_seconds": self._encode_seconds,
             "forward_seconds": self._forward_seconds,
             "quantize_seconds": self._quantize_seconds,
-            "parallel_encode_batches": self._parallel_encode_batches,
             "warmed_plans": self._warmed_plans,
             "quantized_active": 1.0 if (snapshot and snapshot.quantized_active) else 0.0,
             "quantize_gate_rel_err": float(snapshot.gate_rel_err) if snapshot else 0.0,
@@ -880,13 +797,14 @@ class CostInferenceService:
         self._encode_seconds = 0.0
         self._forward_seconds = 0.0
         self._quantize_seconds = 0.0
-        self._parallel_encode_batches = 0
         self._warmed_plans = 0
         self._latencies.clear()
         self.encoding_cache.reset_counters()
         self.prediction_cache.reset_counters()
 
     def clear_caches(self) -> None:
+        """Drop every per-plan cache tier.  The projection table stays: its
+        rows are keyed by everything the encoder reads from a node."""
         self.encoding_cache.clear()
         self.prediction_cache.clear()
         self._bucket_cache.clear()
@@ -967,216 +885,131 @@ class CostInferenceService:
             snapshot.version = version
             self._quantize_seconds += snapshot.pack_seconds
             self.prediction_cache.clear()
+        if self._table is not None and self._table.packed is not snapshot.packed:
+            self._reset_projection()
+        if self._table is None:
+            self._table = ProjectionTable(self.encoder, snapshot.packed, self.dtype)
         return snapshot
 
-    def _encoded_base(self, plan: PhysicalPlan, fingerprint: tuple) -> EncodedPlan:
-        cached = self.encoding_cache.get(fingerprint)
-        if cached is not None:
-            return cached
-        encoded = self.encoder.encode_plan(
-            plan, env_override=_ZERO_ENV, node_keys=fingerprint
-        )
-        self.encoding_cache.put(fingerprint, encoded)
-        return encoded
+    def _reset_projection(self) -> None:
+        """Drop the projection table together with every cache holding its
+        row ids (plan cache) or sums of its rows (bucket and environment
+        contribution caches), so none of them can outlive it."""
+        self._table = None
+        self.encoding_cache.clear()
+        self._bucket_cache.clear()
+        self._ce_cache.clear()
 
-    def _encode_workers(self, n_plans: int) -> int:
-        import multiprocessing
-
-        from repro.evaluation.parallel import resolve_processes
-
-        if multiprocessing.current_process().daemon:
-            # A daemonic process (every fleet worker) may not have children:
-            # forking the encode pool there kills the worker.
-            return 1
-        try:
-            return resolve_processes(n_plans, self.encode_processes)
-        except ValueError:
-            return 1
+    def _bound_table(self) -> None:
+        """Enforce the table's capacity once a request's gathers are done —
+        never while ids it resolved are still in flight."""
+        if self._table.over_capacity():
+            self._reset_projection()
 
     def _encode_pending(
         self, plans: list[PhysicalPlan], fingerprints: list[tuple]
-    ) -> list[EncodedPlan]:
-        """Base encodings for the prediction-cache misses of one request:
-        serial get-or-encode below the parallel threshold, fork-pool fan-out
-        of the deduplicated cache misses above it."""
-        n = len(plans)
-        if n < self.parallel_encode_threshold:
-            return [self._encoded_base(p, fp) for p, fp in zip(plans, fingerprints)]
-        workers = self._encode_workers(n)
-        if workers <= 1:
-            return [self._encoded_base(p, fp) for p, fp in zip(plans, fingerprints)]
-
-        from repro.evaluation.parallel import EvalTask, run_tasks
-
-        encoded: list[EncodedPlan | None] = [None] * n
-        miss_positions: "OrderedDict[tuple, list[int]]" = OrderedDict()
-        for j, fp in enumerate(fingerprints):
-            cached = self.encoding_cache.get(fp)
-            if cached is not None:
-                encoded[j] = cached
-            else:
-                miss_positions.setdefault(fp, []).append(j)
-        if miss_positions:
-            unique_fps = list(miss_positions)
-            unique_plans = [plans[miss_positions[fp][0]] for fp in unique_fps]
-            workers = min(workers, len(unique_plans))
-            chunk_bounds = np.array_split(np.arange(len(unique_plans)), workers)
-            tasks = [
-                EvalTask(
-                    key=f"encode:{ci}",
-                    fn=_encode_chunk_task,
-                    args=(self.encoder, [unique_plans[k] for k in chunk]),
-                    seed=0,
-                )
-                for ci, chunk in enumerate(chunk_bounds)
-                if len(chunk)
-            ]
-            results = run_tasks(tasks, processes=workers)
-            for ci, chunk in enumerate(chunk_bounds):
-                if not len(chunk):
-                    continue
-                for k, (features, left, right) in zip(chunk, results[f"encode:{ci}"]):
-                    entry = EncodedPlan(features=features, left=left, right=right)
-                    fp = unique_fps[k]
-                    self.encoding_cache.put(fp, entry)
-                    for j in miss_positions[fp]:
-                        encoded[j] = entry
-            self._parallel_encode_batches += 1
-        return encoded  # type: ignore[return-value]
+    ) -> list[np.ndarray]:
+        """Integer encodings (``ProjectionTable.plan_ints``) for the
+        prediction-cache misses of one request, through the plan cache."""
+        plan_cache, table = self.encoding_cache, self._table
+        encoded = []
+        for plan, fingerprint in zip(plans, fingerprints):
+            ints = plan_cache.get(fingerprint)
+            if ints is None:
+                ints = table.plan_ints(plan, fingerprint)
+                plan_cache.put(fingerprint, ints)
+            encoded.append(ints)
+        return encoded
 
     def _bucket_entry(
-        self, key: tuple, encoded: list[EncodedPlan] | None, batch: int
+        self, key: tuple, encoded: list[np.ndarray] | None, batch: int
     ) -> _BucketEntry:
         """The cached padded-batch assembly for ``key = (fingerprint tuple,
         padded node count)``; assembled from ``encoded`` on a miss.  The
-        assembly (base features, mask, gather index) depends only on the
-        bucket's plan structures, so the env-sweep pattern — the same
-        candidate set scored under several environments back to back —
-        reuses one assembly and re-splices only the environment block."""
+        assembly depends only on the bucket's plan structures and the live
+        weights, so the env-sweep pattern — the same candidate set scored
+        under several environments back to back — reuses one assembly and
+        adds only the environment's layer-1 contribution."""
         entry = self._bucket_cache.get(key)
         if entry is None:
-            padded_nodes = key[1]
-            dim = self.encoder.dim
-            dtype = self.dtype
-            features = np.zeros((batch, padded_nodes + 1, dim), dtype)
-            left = np.zeros((batch, padded_nodes + 1), np.int64)
-            right = np.zeros((batch, padded_nodes + 1), np.int64)
-            mask = np.zeros((batch, padded_nodes + 1, 1), dtype)
-            for b, e in enumerate(encoded):
-                n = e.n_nodes
-                features[b, 1 : n + 1] = e.features
-                left[b, 1 : n + 1] = e.left
-                right[b, 1 : n + 1] = e.right
-                mask[b, 1 : n + 1, 0] = 1.0
-            # Self column carries the mask so the layer-1 fast path needs
-            # no separate mask multiply (see ``_packed_forward``).
-            child_ind = np.empty((batch * (padded_nodes + 1), 3), dtype)
-            child_ind[:, 0] = mask.reshape(-1)
-            child_ind[:, 1] = (left != 0).reshape(-1)
-            child_ind[:, 2] = (right != 0).reshape(-1)
-            gather_idx = _combined_gather_index(left, right)
-            real_rows = np.flatnonzero(mask.reshape(-1))
-            gather_real = np.ascontiguousarray(
-                gather_idx.reshape(-1, 3)[real_rows]
-            ).reshape(-1)
-            counts = np.asarray([e.n_nodes for e in encoded], dtype=np.int64)
-            seg_starts = np.zeros(batch, dtype=np.int64)
-            np.cumsum(counts[:-1], out=seg_starts[1:])
+            rows = key[1] + 1
+            n = batch * rows
+            ints = np.zeros((5, batch, rows), np.intp)
+            for b, plan_ints in enumerate(encoded):
+                ints[:, b, 1 : plan_ints.shape[1] + 1] = plan_ints
+            # Real rows are those with a table id; children are present
+            # where their ids are.  The self column carries the mask so
+            # adding the environment needs no separate mask multiply.
+            child_ind = np.empty((n, 3), self.dtype)
+            np.not_equal(ints[:3].reshape(3, n).T, 0, out=child_ind)
+            mask = np.ascontiguousarray(child_ind[:, :1])
             entry = _BucketEntry(
-                features, mask, gather_idx, child_ind,
-                real_rows, gather_real, seg_starts,
+                mask.reshape(batch, rows, 1),
+                _combined_gather_index(ints[3], ints[4]),
+                child_ind,
+                self._table.layer1(ints, mask),
             )
             if len(self._bucket_cache) >= self._bucket_cache_cap:
                 self._bucket_cache.popitem(last=False)
             self._bucket_cache[key] = entry
         return entry
 
-    def _ensure_h1(self, entry: _BucketEntry, packed: _PackedWeights) -> None:
-        """Build (or rebuild after a weight swap) the bucket's zero-env
-        layer-1 pre-activation ``h1_base`` — bias included, padding rows
-        pre-masked to zero."""
-        if entry.h1_packed is packed:
-            return
-        features = entry.features
-        shape = features.shape
-        n_rows = shape[0] * shape[1]
-        features[:, 1:, self.encoder.env_slice] = 0.0
-        x2 = features.reshape(n_rows, shape[2])
-        _w3, wflat, bias = packed.conv[0]
-        # Full padded-row GEMM, padding rows zeroed after.  (A real-rows
-        # GEMM + scatter is equivalent math but its shape varies with the
-        # pending-batch composition, which perturbs BLAS accumulation
-        # order enough to break the rollback bitwise-restore guarantee.)
-        gathered = self._buffers.empty((3 * n_rows, shape[2]), features.dtype, "h1:g")
-        x2.take(entry.gather_idx, axis=0, out=gathered)
-        h1 = np.matmul(gathered.reshape(n_rows, 3 * shape[2]), wflat)
-        h1 += bias
-        h1 *= entry.mask.reshape(n_rows, 1)
-        entry.h1_base = h1
-        entry.h1_packed = packed
-
-    def _env_contrib(
-        self, env_features: tuple, packed: _PackedWeights
-    ) -> np.ndarray:
+    def _env_contrib(self, env_features: tuple) -> np.ndarray:
         """The environment's layer-1 weight-slice contribution ``ce`` —
         one (3, d_out) matrix of per-self/left/right-block additions,
-        cached per environment tuple and validated against the live pack
-        by identity (a swap or quantization flip rebuilds it)."""
-        cached = self._ce_cache.get(env_features)
-        if cached is not None and cached[0] is packed:
-            return cached[1]
-        env_vec = np.asarray(env_features, dtype=self.dtype)
-        ce = np.ascontiguousarray(
-            np.matmul(env_vec, packed.conv[0][0][:, self.encoder.env_slice, :])
-        )
-        if len(self._ce_cache) >= 64:
-            self._ce_cache.clear()
-        self._ce_cache[env_features] = (packed, ce)
+        cached per environment tuple for the life of the projection table."""
+        ce = self._ce_cache.get(env_features)
+        if ce is None:
+            env_vec = np.asarray(env_features, dtype=self.dtype)
+            ce = np.matmul(env_vec, self._table.env_weights).reshape(3, -1)
+            if len(self._ce_cache) >= 64:
+                self._ce_cache.clear()
+            self._ce_cache[env_features] = ce
         return ce
 
     def _forward_bucket(
         self,
         key: tuple,
-        encoded: list[EncodedPlan] | None,
+        encoded: list[np.ndarray] | None,
         plans: list[PhysicalPlan],
-        fingerprints: list[tuple],
         env_features: tuple[float, float, float, float] | None,
         snapshot: _WeightSnapshot,
     ) -> np.ndarray:
         forward_started = time.perf_counter()
-        env_slice = self.encoder.env_slice
         entry = self._bucket_entry(key, encoded, len(plans))
-        features = entry.features
-        mask = entry.mask
-
-        # Env splice: the assembled base carries whatever environment block
-        # the previous request wrote, and every real node row is overwritten
-        # here.  Padding rows may keep a stale block, which is harmless: they
-        # are never gathered (child pointers only reference real rows or the
-        # zeroed sentinel) and their conv outputs are masked to zero.
-        layer1 = None
+        # The first conv layer is linear before its ReLU, so its output is
+        # the bucket's structure-only pre-activation plus the environment
+        # block's own weight-slice contribution.
+        h = self._buffers.empty(entry.h1_base.shape, "conv0:h")
         if env_features is None:
             # Per-node logged environments, read fresh on every request so
-            # mutation of ``node.env`` between requests is safe.
+            # mutation of ``node.env`` between requests is safe: project
+            # every node's block through the three weight slices at once,
+            # then add each row's own, left child's and right child's part.
+            batch, rows = entry.mask.shape[:2]
+            envs = np.zeros((batch, rows, 4), self.dtype)
             for b, plan in enumerate(plans):
-                features[b, 1 : len(fingerprints[b]) + 1, env_slice] = [
-                    node.env if node.env is not None else _NEUTRAL_ENV
-                    for node in plan_nodes(plan)
+                nodes = plan_nodes(plan)
+                envs[b, 1 : len(nodes) + 1] = [
+                    node.env if node.env is not None else _NEUTRAL_ENV for node in nodes
                 ]
+            parts = np.matmul(envs.reshape(batch * rows, 4), self._table.env_weights)
+            parts = parts.reshape(batch * rows, 3, -1)
+            children = entry.gather_idx.reshape(-1, 3)
+            np.add(entry.h1_base, parts[:, 0], out=h)
+            h += parts[children[:, 1], 1]
+            h += parts[children[:, 2], 2]
         else:
-            # Request-level environment: the first conv layer is linear in
-            # its input, so instead of splicing the block and re-running the
-            # full-width layer-1 gather+GEMM, reuse the bucket's cached
-            # zero-env pre-activation and add the environment's (tiny)
-            # weight-slice contribution per self/left/right block.
-            packed = snapshot.packed
-            self._ensure_h1(entry, packed)
-            ce = self._env_contrib(env_features, packed)
-            layer1 = (entry.h1_base, ce, entry.child_ind)
+            # Request-level environment: one (3, d_out) contribution applied
+            # through the child indicators.  ``h1_base`` is pre-masked and
+            # ``child_ind`` carries the mask in its self column, so padding
+            # rows come out exactly zero.
+            np.matmul(entry.child_ind, self._env_contrib(env_features), out=h)
+            h += entry.h1_base
+        np.maximum(h, 0.0, out=h)
         self._batch_count += 1
         out = _packed_forward(
-            features, None, None, mask, snapshot, self._buffers,
-            gather_idx=entry.gather_idx, layer1=layer1,
+            h, entry.gather_idx, entry.mask, snapshot, self._buffers, first=1
         )
         self._forward_seconds += time.perf_counter() - forward_started
         return out
@@ -1184,7 +1017,7 @@ class CostInferenceService:
     def _forward_sweep(
         self,
         key: tuple,
-        encoded: list[EncodedPlan] | None,
+        encoded: list[np.ndarray] | None,
         envs: list[tuple],
         snapshot: _WeightSnapshot,
     ) -> np.ndarray:
@@ -1199,29 +1032,29 @@ class CostInferenceService:
         forward_started = time.perf_counter()
         entry = self._bucket_entry(key, encoded, len(key[0]))
         packed = snapshot.packed
-        self._ensure_h1(entry, packed)
-        dtype = self.dtype
         pool = self._buffers
         conv = packed.conv
         trees, rows = entry.mask.shape[0], entry.mask.shape[1]
         n = trees * rows
-        n_real = entry.real_rows.shape[0]
         n_envs = len(envs)
 
         sweep = entry.sweep.get(n_envs)
         if sweep is None:
-            # The last conv layer and the node head run on real rows only:
-            # tile the real-row gather (into the padded, env-major layer
-            # activations) and each tree's segment start for the reduceat
-            # per-tree sum.  Middle layers of deeper models still need the
-            # padded tiles.
+            # The last conv layer and the node head run on real rows only
+            # (no padding FLOPs, no mask multiplies): the interleaved gather
+            # restricted to real rows and each tree's first position within
+            # the real-row order, tiled env-major.  Middle layers of deeper
+            # models still need the padded tiles.
+            mask_rows = entry.mask.reshape(trees, rows)
+            gather_real = entry.gather_idx.reshape(n, 3)[np.flatnonzero(mask_rows)]
+            n_real = gather_real.shape[0]
+            seg_starts = np.zeros(trees, dtype=np.int64)
+            np.cumsum(np.count_nonzero(mask_rows, axis=1)[:-1], out=seg_starts[1:])
             env_ids = np.arange(n_envs, dtype=np.int64)
-            gather_real_t = np.tile(entry.gather_real, n_envs) + np.repeat(
-                env_ids * n, entry.gather_real.shape[0]
+            gather_real_t = np.tile(gather_real.reshape(-1), n_envs) + np.repeat(
+                env_ids * n, 3 * n_real
             )
-            seg_t = np.tile(entry.seg_starts, n_envs) + np.repeat(
-                env_ids * n_real, trees
-            )
+            seg_t = np.tile(seg_starts, n_envs) + np.repeat(env_ids * n_real, trees)
             if len(conv) > 2:
                 pad_t = np.tile(entry.gather_idx, n_envs) + np.repeat(
                     env_ids * n, entry.gather_idx.shape[0]
@@ -1231,12 +1064,10 @@ class CostInferenceService:
                 )
             else:
                 pad_t = mask_flat = None
-            entry.sweep[n_envs] = sweep = (gather_real_t, seg_t, pad_t, mask_flat)
-        gather_real_t, seg_t, pad_t, mask_flat = sweep
+            entry.sweep[n_envs] = sweep = (gather_real_t, seg_t, pad_t, mask_flat, n_real)
+        gather_real_t, seg_t, pad_t, mask_flat, n_real = sweep
 
-        ce_cat = np.concatenate(
-            [self._env_contrib(env, packed) for env in envs], axis=1
-        )
+        ce_cat = np.concatenate([self._env_contrib(env) for env in envs], axis=1)
         d1 = ce_cat.shape[1] // n_envs
         t3 = np.matmul(entry.child_ind, ce_cat).reshape(n, n_envs, d1)
         t3 += entry.h1_base[:, None, :]
@@ -1247,25 +1078,24 @@ class CostInferenceService:
         for li in range(1, len(conv) - 1):
             _w3, wflat, bias = conv[li]
             d_in, d_out = x2.shape[1], wflat.shape[1]
-            gathered = pool.empty((3 * n_envs * n, d_in), dtype, f"sweep{li}:g")
+            gathered = pool.empty((3 * n_envs * n, d_in), f"sweep{li}:g")
             x2.take(pad_t, axis=0, out=gathered)
-            h = pool.empty((n_envs * n, d_out), dtype, f"sweep{li}:h")
+            h = pool.empty((n_envs * n, d_out), f"sweep{li}:h")
             np.matmul(gathered.reshape(n_envs * n, 3 * d_in), wflat, out=h)
             h += bias
             np.maximum(h, 0.0, out=h)
             h *= mask_flat
             x2 = h
-        # Last conv layer + node head, real rows only (no padding FLOPs,
-        # no mask multiplies).
+        # Last conv layer + node head, real rows only.
         _w3, wflat, bias = conv[-1]
         d_in = x2.shape[1]
-        gathered = pool.empty((3 * n_envs * n_real, d_in), dtype, "sweepL:g")
+        gathered = pool.empty((3 * n_envs * n_real, d_in), "sweepL:g")
         x2.take(gather_real_t, axis=0, out=gathered)
-        h = pool.empty((n_envs * n_real, wflat.shape[1]), dtype, "sweepL:h")
+        h = pool.empty((n_envs * n_real, wflat.shape[1]), "sweepL:h")
         np.matmul(gathered.reshape(n_envs * n_real, 3 * d_in), wflat, out=h)
         h += bias
         np.maximum(h, 0.0, out=h)
-        contributions = pool.empty((n_envs * n_real, 1), dtype, "sweep:z")
+        contributions = pool.empty((n_envs * n_real, 1), "sweep:z")
         np.matmul(h, packed.node_w, out=contributions)
         contributions += packed.node_b
         np.logaddexp(0.0, contributions, out=contributions)

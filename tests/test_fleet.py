@@ -247,7 +247,7 @@ def checkpointed(project_with_history, tmp_path_factory):
 
 
 def _long_warm_list(project, n=96):
-    """``n`` plans: past the service's default parallel_encode_threshold (64)."""
+    """``n`` plans: a warm list of the size that once forked an encode pool."""
     from repro.core.explorer import PlanExplorer
 
     explorer = PlanExplorer(project.optimizer)
@@ -337,8 +337,8 @@ class TestServingFleet:
     def test_promote_with_long_warm_list_keeps_workers_alive(
         self, checkpointed, project_with_history
     ):
-        # A warm list of >= parallel_encode_threshold (64) plans used to fork
-        # an encode pool inside the daemonic worker, which killed it.
+        # A warm list of >= 64 plans used to fork an encode pool inside the
+        # daemonic worker, which killed it; the service has no pool any more.
         path, predictor, _plans = checkpointed
         import copy
 
@@ -347,16 +347,13 @@ class TestServingFleet:
         candidate.weights_version = 9
         path3 = path.parent / "v3.npz"
         save_predictor(candidate, path3, environment_features=ENV)
-        with ServingFleet(
-            path, n_workers=2, service_kwargs={"encode_processes": 2}
-        ) as fleet:
+        with ServingFleet(path, n_workers=2) as fleet:
             acked = fleet.promote(path3, warm=[(p, ENV) for p in warm_plans])
             assert acked == {"shard-0": 9, "shard-1": 9}
             assert fleet.live_workers() == ["shard-0", "shard-1"]
             assert set(fleet.ping()) == {"shard-0", "shard-1"}
             for shard in fleet.stats()["shards"].values():
                 assert shard["gauges"]["serving_warmed_plans"] == 96
-                assert shard["gauges"]["serving_parallel_encode_batches"] == 0
 
     def test_worker_crash_sheds_remaps_and_keeps_serving(self, checkpointed):
         path, _predictor, plans = checkpointed
@@ -639,7 +636,7 @@ def _swap_with_warm_list(conn, path, plans):
     """Child-process body: hot swap with a warm list on a bare service."""
     from repro.core.serialization import load_predictor
 
-    service = CostInferenceService.from_checkpoint(path, encode_processes=2)
+    service = CostInferenceService.from_checkpoint(path)
     predictor, _env = load_predictor(path)
     service.swap_predictor(predictor, warm=[(p, ENV) for p in plans])
     conn.send(service.cache_counters())
@@ -667,7 +664,6 @@ def test_long_warm_list_in_daemonic_process_encodes_serially(
         child.join(30)
     assert child.exitcode == 0
     assert counters["warmed_plans"] == 96
-    assert counters["parallel_encode_batches"] == 0
 
 
 @needs_fork

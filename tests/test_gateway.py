@@ -786,7 +786,6 @@ class TestGatewayLearnedReal:
                 "serving_encode_seconds",
                 "serving_forward_seconds",
                 "serving_quantize_seconds",
-                "serving_parallel_encode_batches",
                 "serving_warmed_plans",
                 "serving_quantized_active",
                 "serving_quantize_gate_rel_err",

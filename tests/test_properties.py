@@ -108,3 +108,64 @@ class TestPlanInvariants:
         record_a = workload_a.executor.execute(plan_a, rng=np.random.default_rng(1))
         record_b = workload_b.executor.execute(plan_b, rng=np.random.default_rng(1))
         assert record_a.cpu_cost == pytest.approx(record_b.cpu_cost)
+
+
+# -- serving vs reference over random tree shapes -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def served(project_with_history):
+    """A small trained model, its corpus nodes, and one long-lived service
+    (so examples also meet warm plan, bucket and table state)."""
+    from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
+    from repro.serving import CostInferenceService
+
+    records = project_with_history.repository.records[:60]
+    plans = [r.plan for r in records]
+    predictor = AdaptiveCostPredictor(
+        config=PredictorConfig(epochs=2, hidden_dims=(16, 16), embedding_dim=8, adversarial=False)
+    )
+    predictor.fit(plans, [r.cpu_cost for r in records])
+    nodes = [node for plan in plans for node in plan.iter_nodes()]
+    return predictor, nodes, plans[0].query, CostInferenceService(predictor)
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
+_env_st = st.tuples(_unit, _unit, _unit, _unit)
+_pick = st.integers(min_value=0, max_value=10_000)
+#: A tree shape: (corpus node pick, logged env or None, child shapes).
+_shape_st = st.recursive(
+    st.tuples(_pick, st.none() | _env_st, st.just(())),
+    lambda children: st.tuples(
+        _pick, st.none() | _env_st, st.lists(children, min_size=1, max_size=2).map(tuple)
+    ),
+    max_leaves=12,
+)
+
+
+def _grow(shape, nodes):
+    pick, env, children = shape
+    source = nodes[pick % len(nodes)]
+    node = source.__class__(**source._ctor_kwargs())
+    node.env = env
+    node.children = [_grow(child, nodes) for child in children]
+    return node
+
+
+class TestServingDifferential:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(st.lists(_shape_st, min_size=1, max_size=5), st.none() | _env_st)
+    def test_service_matches_baseline_on_random_trees(self, served, shapes, env):
+        from repro.warehouse.plan import PhysicalPlan
+
+        predictor, nodes, query, service = served
+        plans = [PhysicalPlan(root=_grow(shape, nodes), query=query) for shape in shapes]
+        np.testing.assert_allclose(
+            service.predict(plans, env_features=env),
+            predictor.predict_baseline(plans, env_features=env),
+            rtol=1e-5,
+        )

@@ -2,7 +2,9 @@
 
 Covers the PR's equivalence guarantees:
 
-(a) env-spliced cached encodings are bitwise-equal to full re-encoding;
+(a) cached integer encodings describe the same tree and the same feature
+    rows as the reference encoder, and layer 1 looked up from the projection
+    table equals the dense layer-1 GEMM;
 (b) bucketed float32 batch predictions match the naive autodiff path within
     float32 tolerance (and a float64 service matches far tighter);
 (c) cache eviction and invalidation behave under LRU pressure;
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.encoding import PlanEncoder
+from repro.core.explorer import PlanExplorer
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.nn.tree_conv import TreeBatch
 from repro.serving import (
@@ -24,6 +27,11 @@ from repro.serving import (
     LRUCache,
     plan_fingerprint,
 )
+from repro.serving.cache import ProjectionTable
+from repro.serving.fingerprint import plan_nodes
+from repro.serving.service import _combined_gather_index
+from repro.warehouse.plan import PhysicalPlan
+from repro.warehouse.workload import generate_project
 
 TINY = PredictorConfig(epochs=2, hidden_dims=(16, 16), embedding_dim=8, adversarial=False)
 
@@ -38,23 +46,69 @@ def trained(project_with_history):
     return predictor, plans
 
 
-# -- (a) encode-once + env splice ------------------------------------------------
+@pytest.fixture(scope="module")
+def candidate_sets(small_profile):
+    """600 candidate sets from a project of this module's own (sampling
+    queries advances the project's rng, and the shared one is read-only)."""
+    project = generate_project(small_profile.with_name("servproj"))
+    explorer = PlanExplorer(project.optimizer)
+    sets = []
+    while len(sets) < 600:
+        plans = explorer.candidates(project.sample_query(0), top_k=5)
+        if len(plans) >= 2:
+            sets.append(plans)
+    return sets
+
+
+def _fresh_envs(n, seed=5):
+    rng = np.random.default_rng(seed)
+    return [tuple(row) for row in np.round(0.2 + 0.6 * rng.random((n, 4)), 6).tolist()]
+
+
+def _table(service) -> ProjectionTable:
+    service._current_snapshot()
+    return service._table
+
+
+def _chain(nodes, query) -> PhysicalPlan:
+    """Copies of ``nodes`` strung into a one-child-each plan, first on top."""
+    child = None
+    for node in reversed(nodes):
+        copy = node.__class__(**node._ctor_kwargs())
+        copy.children = [] if child is None else [child]
+        child = copy
+    return PhysicalPlan(root=child, query=query)
+
+
+# -- (a) plans as integers, layer 1 as a lookup -----------------------------------
 
 
 class TestEnvSpliceEquivalence:
     def test_spliced_cache_bitwise_equals_full_reencode(self, trained):
+        """What the plan cache holds, read back through the table, is the
+        reference encoding: same child pointers, and every node id stands
+        for the reference feature row with its environment block zeroed."""
         predictor, plans = trained
-        service = predictor.serving
+        service = CostInferenceService(predictor)
         encoder = predictor.encoder
-        env = (0.7, 0.02, 0.9, 0.4)
+        table = _table(service)
         for plan in plans[:10]:
-            base = service._encoded_base(plan, plan_fingerprint(plan))
-            spliced = base.features.copy()
-            spliced[:, encoder.env_slice] = env
-            reference = encoder.encode_plan_reference(plan, env_override=env)
-            assert (spliced == reference.features).all()
-            assert (base.left == reference.left).all()
-            assert (base.right == reference.right).all()
+            fingerprint = plan_fingerprint(plan)
+            (ints,) = service._encode_pending([plan], [fingerprint])
+            assert service.encoding_cache.get(fingerprint) is ints
+            assert ints.dtype.kind == "i"
+            reference = encoder.encode_plan_reference(plan, env_override=(0.7, 0.02, 0.9, 0.4))
+            assert (ints[3] == reference.left).all()
+            assert (ints[4] == reference.right).all()
+            # Child ids are the node ids read through the child pointers.
+            ids = np.concatenate(([0], ints[0]))
+            assert (ints[1] == ids[reference.left]).all()
+            assert (ints[2] == ids[reference.right]).all()
+            zeroed = reference.features.copy()
+            zeroed[:, encoder.env_slice] = 0.0
+            for i, (key, node) in enumerate(zip(fingerprint, plan_nodes(plan))):
+                assert table.ids[key] == ints[0, i]
+                assert (encoder.structural_row(node) == zeroed[i]).all()
 
     def test_vectorized_encoding_bitwise_equals_reference(self, trained):
         _, plans = trained
@@ -385,7 +439,7 @@ class TestSwapPredictor:
             service.swap_predictor(other)
 
 
-# -- cold-path acceleration (quantized packed forward, parallel encode, warming) --
+# -- cold-path acceleration (projection table, quantized packed forward, warming) --
 
 
 COLD_ENV = (0.5, 0.05, 0.5, 0.5)
@@ -402,39 +456,238 @@ def _fit_second_predictor(project_with_history, scale=40.0):
 
 class TestEncodeMemo:
     def test_node_keys_encoding_bitwise_equals_reference(self, trained):
-        _, plans = trained
+        predictor, plans = trained
         encoder = PlanEncoder()
+        table = ProjectionTable(encoder, _table(CostInferenceService(predictor)).packed, np.float32)
         for plan in plans[:10]:
             fingerprint = plan_fingerprint(plan)
-            # First pass exercises the memo-miss path, second the all-hit
-            # fast path (rows + child arrays reassembled from the memo).
-            for _ in range(2):
-                for env in (None, (0.25, 0.5, 0.75, 1.0)):
-                    fast = encoder.encode_plan(
-                        plan, env_override=env, node_keys=fingerprint
-                    )
-                    ref = encoder.encode_plan_reference(plan, env_override=env)
-                    assert (fast.features == ref.features).all()
-                    assert (fast.left == ref.left).all()
-                    assert (fast.right == ref.right).all()
+            reference = encoder.encode_plan_reference(plan, env_override=(0.0,) * 4)
+            # First pass fills the table, second finds every node key in it.
+            first = table.plan_ints(plan, fingerprint)
+            second = table.plan_ints(plan, fingerprint)
+            assert (first == second).all()
+            assert (first[3] == reference.left).all()
+            assert (first[4] == reference.right).all()
+            for node, row in zip(plan_nodes(plan), reference.features):
+                assert (encoder.structural_row(node) == row).all()
+        # One id per distinct node key, none of them the zero row.
+        assert sorted(table.ids.values()) == list(range(1, len(table) + 1))
 
     def test_memoized_arrays_are_not_aliased(self, trained):
-        _, plans = trained
-        encoder = PlanEncoder()
-        fingerprint = plan_fingerprint(plans[0])
-        first = encoder.encode_plan(plans[0], env_override=COLD_ENV, node_keys=fingerprint)
-        first.features.fill(-1.0)
-        first.left.fill(99)
-        second = encoder.encode_plan(plans[0], env_override=COLD_ENV, node_keys=fingerprint)
-        ref = encoder.encode_plan_reference(plans[0], env_override=COLD_ENV)
-        assert (second.features == ref.features).all()
-        assert (second.left == ref.left).all()
+        """The forward works in place on arena buffers; neither a bucket's
+        cached pre-activation nor the table rows behind it may be among
+        them, or the second scoring of a cached bucket would drift."""
+        predictor, plans = trained
+        service = CostInferenceService(predictor, enable_prediction_cache=False)
+        table = _table(service)
+        first = service.predict(plans[:6], env_features=COLD_ENV)
+        rows = table.rows[:, : len(table) + 1].copy()
+        (entry,) = service._bucket_cache.values()
+        h1_base = entry.h1_base.copy()
+        service.predict(plans[:6], env_features=(0.9, 0.1, 0.2, 0.8))
+        service.predict(plans[:6])
+        again = service.predict(plans[:6], env_features=COLD_ENV)
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(entry.h1_base, h1_base)
+        np.testing.assert_array_equal(table.rows[:, : len(table) + 1], rows)
 
-    def test_wrong_node_keys_length_rejected(self, trained):
-        _, plans = trained
-        encoder = PlanEncoder()
-        with pytest.raises(ValueError, match="node_keys length"):
-            encoder.encode_plan(plans[0], node_keys=())
+
+class TestProjectionTable:
+    def test_rows_are_structural_row_times_each_weight_block(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        service.predict(plans, env_features=COLD_ENV)
+        table = service._table
+        w3 = table.packed.conv[0][0]
+        assert not table.rows[:, 0].any()  # absent child / sentinel / padding
+        seen = set()
+        for plan in plans:
+            for key, node in zip(plan_fingerprint(plan), plan_nodes(plan)):
+                if key in seen:
+                    continue
+                seen.add(key)
+                row = predictor.encoder.structural_row(node).astype(np.float32)
+                for block in range(3):
+                    np.testing.assert_allclose(
+                        table.rows[block, table.ids[key]], row @ w3[block],
+                        rtol=1e-5, atol=1e-6,
+                    )
+        assert seen == set(table.ids)
+
+    def test_h1_base_equals_dense_layer1_gemm(self, trained):
+        predictor, plans = trained
+        encoder = predictor.encoder
+        service = CostInferenceService(predictor)
+        bucket = plans[:7]
+        fingerprints = [plan_fingerprint(p) for p in bucket]
+        service.predict(bucket, env_features=COLD_ENV)
+        ((key, entry),) = service._bucket_cache.items()
+        assert key[0] == tuple(fingerprints)
+        # The dense form the table replaces: zero-env feature rows, one
+        # interleaved self/left/right gather, one GEMM, bias, mask.
+        rows = key[1] + 1
+        features = np.zeros((len(bucket), rows, encoder.dim), np.float32)
+        left = np.zeros((len(bucket), rows), np.int64)
+        right = np.zeros((len(bucket), rows), np.int64)
+        for b, plan in enumerate(bucket):
+            ref = encoder.encode_plan_reference(plan, env_override=(0.0,) * 4)
+            features[b, 1 : ref.n_nodes + 1] = ref.features
+            left[b, 1 : ref.n_nodes + 1] = ref.left
+            right[b, 1 : ref.n_nodes + 1] = ref.right
+        gather_idx = _combined_gather_index(left, right)
+        _w3, wflat, bias = service._table.packed.conv[0]
+        gathered = features.reshape(-1, encoder.dim)[gather_idx]
+        dense = gathered.reshape(len(bucket) * rows, -1) @ wflat + bias
+        dense *= entry.mask.reshape(-1, 1)
+        assert (entry.gather_idx == gather_idx).all()
+        np.testing.assert_allclose(entry.h1_base, dense, rtol=1e-5, atol=1e-6)
+
+    def test_predict_matches_baseline_on_every_path(self, trained, candidate_sets):
+        predictor, _ = trained
+        service = CostInferenceService(predictor)
+        envs = _fresh_envs(3 * 40)
+        for i, plans in enumerate(candidate_sets[:40]):
+            env = envs[i]
+            np.testing.assert_allclose(
+                service.predict(plans, env_features=env),
+                predictor.predict_baseline(plans, env_features=env),
+                rtol=1e-5,
+            )
+            # Logged environments: None on fresh clones is the neutral
+            # block, and a mutated ``node.env`` is read at request time.
+            logged = [plan.clone() for plan in plans]
+            np.testing.assert_allclose(
+                service.predict(logged), predictor.predict_baseline(logged), rtol=1e-5
+            )
+            for k, node in enumerate(logged[0].iter_nodes()):
+                node.env = envs[(i + k) % len(envs)]
+            np.testing.assert_allclose(
+                service.predict(logged), predictor.predict_baseline(logged), rtol=1e-5
+            )
+            sweep = envs[40 + 2 * i : 43 + 2 * i]
+            swept = service.predict_sweep(plans, sweep)
+            for e, env in enumerate(sweep):
+                np.testing.assert_allclose(
+                    swept[e], predictor.predict_baseline(plans, env_features=env), rtol=1e-5
+                )
+
+    def test_float64_service_matches_at_1e9(self, trained, candidate_sets):
+        predictor, _ = trained
+        service = CostInferenceService(predictor, dtype=np.float64)
+        for plans, env in zip(candidate_sets[:20], _fresh_envs(20)):
+            for env_features in (env, None):
+                np.testing.assert_allclose(
+                    service.predict(plans, env_features=env_features),
+                    predictor.predict_baseline(plans, env_features=env_features),
+                    rtol=1e-9,
+                )
+
+    def test_row_is_independent_of_what_else_was_projected(
+        self, trained, candidate_sets, project_with_history
+    ):
+        """BLAS accumulation order varies with GEMM shape; a node's row must
+        be a function of (node row, weights) alone or no bitwise guarantee
+        (checkpoint, rollback, warm == cold) survives the table."""
+        predictor, _ = trained
+        other = _fit_second_predictor(project_with_history)
+        service = CostInferenceService(predictor)
+        query = candidate_sets[0][0].query
+        # Distinct nodes, each with one child when strung into a chain.
+        pool = {}
+        for plans in candidate_sets[:40]:
+            for plan in plans:
+                for node in plan_nodes(plan):
+                    pool.setdefault(plan_fingerprint(_chain([node], query))[0][:2], node)
+        target, *others = pool.values()
+        assert len(others) >= 40
+
+        def row_filled_with(n_others):
+            """The target's row after one plan's fill of a fresh table
+            projects it together with ``n_others`` other new nodes."""
+            service._reset_projection()
+            table = _table(service)
+            plan = _chain(others[:n_others] + [target], query)
+            fingerprint = plan_fingerprint(plan)
+            ints = table.plan_ints(plan, fingerprint)
+            assert len(table) == n_others + 1
+            return table.rows[:, ints[0, -1]].copy()
+
+        alone = row_filled_with(0)
+        for n_others in (1, 5, 40):
+            np.testing.assert_array_equal(row_filled_with(n_others), alone)
+        service.swap_predictor(other)
+        swapped = row_filled_with(0)
+        assert not np.array_equal(swapped, alone)
+        for n_others in (1, 5, 40):
+            np.testing.assert_array_equal(row_filled_with(n_others), swapped)
+        service.swap_predictor(predictor)
+        for n_others in (0, 1, 5, 40):
+            np.testing.assert_array_equal(row_filled_with(n_others), alone)
+
+    def test_table_full_clears_every_holder_of_its_ids(
+        self, trained, candidate_sets, monkeypatch
+    ):
+        from repro.serving import cache
+
+        monkeypatch.setattr(cache, "TABLE_CAPACITY", 64)
+        predictor, _ = trained
+        service = CostInferenceService(predictor)
+        envs = _fresh_envs(2 * len(candidate_sets))
+        clears = 0
+        for i, env in enumerate(envs):
+            plans = candidate_sets[i % len(candidate_sets)]
+            table = _table(service)
+            got = service.predict(plans, env_features=env)
+            # A request straddling the clear is answered against the table
+            # its ids were resolved in, and leaves nothing dangling behind.
+            np.testing.assert_allclose(
+                got, predictor.predict_baseline(plans, env_features=env), rtol=1e-5
+            )
+            if service._table is not table:
+                clears += 1
+                assert service._table is None
+                assert len(service.encoding_cache) == 0
+                assert len(service._bucket_cache) == 0
+            else:
+                assert len(table) <= 64
+        assert clears > 10
+        # Wide requests resolve many plans before their first gather.
+        wide = [p for plans in candidate_sets[:40] for p in plans]
+        np.testing.assert_allclose(
+            service.predict(wide, env_features=envs[0]),
+            predictor.predict_baseline(wide, env_features=envs[0]),
+            rtol=1e-5,
+        )
+        assert service._table is None or len(service._table) <= 64
+
+    def test_second_pass_builds_no_features(self, trained, candidate_sets, monkeypatch):
+        predictor, _ = trained
+        encoder = predictor.encoder
+        service = CostInferenceService(predictor)
+        sets = candidate_sets[:50]
+        for plans, env in zip(sets, _fresh_envs(50, seed=1)):
+            service.predict(plans, env_features=env)
+        calls = {"encode_plan": 0, "structural_row": 0}
+        for name in calls:
+            original = getattr(PlanEncoder, name)
+
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(PlanEncoder, name, counting)
+        for plans, env in zip(sets, _fresh_envs(50, seed=2)):
+            service.predict(plans, env_features=env)
+        assert calls == {"encode_plan": 0, "structural_row": 0}
+        assert service.stats().prediction_hits == 0  # every request ran its forward
+
+        cached = list(service.encoding_cache._store.values())
+        for entry in service._bucket_cache.values():
+            cached.extend(getattr(entry, slot) for slot in entry.__slots__)
+        arrays = [a for a in cached if isinstance(a, np.ndarray)]
+        assert len(arrays) > 4 * len(service._bucket_cache)
+        assert all(a.shape[-1] != encoder.dim for a in arrays)
+        assert all(a.dtype.kind == "i" for a in service.encoding_cache._store.values())
 
 
 class TestQuantizedForward:
@@ -516,34 +769,6 @@ class TestQuantizedForward:
             split_conv_weight(weight[:23])
 
 
-class TestParallelEncode:
-    def test_parallel_encode_bitwise_equals_serial(self, trained):
-        predictor, plans = trained
-        serial = CostInferenceService(predictor)
-        parallel = CostInferenceService(
-            predictor, parallel_encode_threshold=1, encode_processes=2
-        )
-        want = serial.predict(plans[:40], env_features=COLD_ENV)
-        got = parallel.predict(plans[:40], env_features=COLD_ENV)
-        np.testing.assert_array_equal(got, want)
-        assert parallel.stats().parallel_encode_batches >= 1
-        # The fork pool repopulated the parent's encoding cache.
-        assert len(parallel.encoding_cache) == len(serial.encoding_cache)
-        # A repeat request is all cache hits — no second fan-out.
-        batches_before = parallel.stats().parallel_encode_batches
-        parallel.clear_caches()  # keep the prediction tier out of the way
-        parallel.predict(plans[:40], env_features=COLD_ENV)
-        assert parallel.stats().parallel_encode_batches == batches_before + 1
-
-    def test_small_requests_stay_serial(self, trained):
-        predictor, plans = trained
-        service = CostInferenceService(
-            predictor, parallel_encode_threshold=64, encode_processes=2
-        )
-        service.predict(plans[:8], env_features=COLD_ENV)
-        assert service.stats().parallel_encode_batches == 0
-
-
 class TestWarming:
     def test_warm_caches_populates_both_tiers(self, trained):
         predictor, plans = trained
@@ -598,7 +823,6 @@ class TestColdPathStats:
             "encode_seconds",
             "forward_seconds",
             "quantize_seconds",
-            "parallel_encode_batches",
             "warmed_plans",
             "quantized_active",
             "quantize_gate_rel_err",
@@ -614,7 +838,6 @@ class TestColdPathStats:
             "encode_seconds",
             "forward_seconds",
             "quantize_seconds",
-            "parallel_encode_batches",
             "warmed_plans",
             "quantized_active",
             "quantize_gate_rel_err",

@@ -662,8 +662,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             with OptimizerGateway(direct) as local:
                 local_us = hot_us_per_request(
                     lambda: local.predict(hot, env_features=env))
+            stats = fleet.stats()
+            shards = stats["merged"]
+            shard_us = 1e6 * shards["histograms"]["request_latency_seconds"]["p50"]
             print(f"  hop cost, one caller, cached answers: {fleet_us:.0f} us per fleet "
-                  f"request vs {local_us:.0f} us through a local gateway")
+                  f"request ({shard_us:.0f} us of it inside the shard, its own "
+                  f"request_latency p50) vs {local_us:.0f} us through a local gateway")
+            sent = stats["fleet"]["counters"]["requests_total"]
+            check(shards["counters"]["inline_total"] == sent
+                  and shards["counters"]["learned_total"] == sent,
+                  f"all {sent:.0f} unbudgeted requests ran on their shard's pipe thread")
 
             print("\n[3] staged promote converges every shard, caches pre-warmed")
             candidate = copy.deepcopy(loam.predictor)

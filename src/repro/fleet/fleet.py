@@ -4,8 +4,10 @@ One :class:`~repro.gateway.gateway.OptimizerGateway` is GIL-capped — its
 coalescing worker thread and every caller share one interpreter, so adding
 client threads *degrades* throughput (``benchmarks/BENCH_gateway.json``).
 The fleet breaks that cap with processes: each shard is a forked child
-hosting a full private serving stack (checkpoint → ``CostInferenceService``
-→ ``OptimizerGateway``), and a consistent-hash router
+with a private ``CostInferenceService`` behind its own ``OptimizerGateway``
+guardrails, run by the shard's pipe loop (``predict_inline``: one frame at
+a time leaves nothing to coalesce, so no thread hand-off inside a worker
+unless the request carries a deadline), and a consistent-hash router
 (:mod:`repro.fleet.router`) pins every tenant to one shard so its
 encoding/prediction caches stay hot and the fleet's *aggregate* cache
 capacity is N× a single process's.
@@ -36,6 +38,7 @@ Parent-side responsibilities (this module):
 
 from __future__ import annotations
 
+import itertools
 import select
 import threading
 import time
@@ -132,8 +135,7 @@ class ServingFleet:
             "requests_total", "fleet requests received"
         )
         self._workers_alive = self.telemetry.gauge("workers_alive", "live fleet workers")
-        self._req_counter = 0
-        self._req_lock = threading.Lock()
+        self._req_ids = itertools.count(1)
         self._closed = False
         #: Observability (an :class:`repro.obs.ObsConfig`, or ``None`` for
         #: off): the parent mints ``fleet.request`` spans, ships their
@@ -214,9 +216,7 @@ class ServingFleet:
     # -- plumbing --------------------------------------------------------------
 
     def _next_req_id(self) -> int:
-        with self._req_lock:
-            self._req_counter += 1
-            return self._req_counter
+        return next(self._req_ids)  # atomic: one C call under the GIL
 
     def _exchange(self, handle: _WorkerHandle, message: tuple, span=NULL_SPAN):
         """Send ``message`` and return its reply; call under the handle's
@@ -360,8 +360,7 @@ class ServingFleet:
         # routing time retries on the shrunken ring (the survivors own the
         # dead shard's keyspace).
         for _attempt in range(max(1, len(self._workers))):
-            live = self.live_workers()
-            if self._closed or not live:
+            if self._closed or not len(self.router):
                 break
             shard = self.router.route(tenant)
             handle = self._workers[shard]

@@ -1,4 +1,5 @@
-"""The fleet worker process: one gateway + inference service per shard.
+"""The fleet worker process: one inference service behind one gateway's
+guardrails per shard, driven by the pipe loop itself.
 
 Each worker is a forked child running this module's :func:`fleet_worker_main`
 loop.  It reuses the evaluation pool's bootstrap (:mod:`repro.evaluation.
@@ -6,10 +7,14 @@ pool`) — BLAS threads pinned to one per process so N workers do not
 oversubscribe the machine N×BLAS ways, and a per-worker seed derived from
 ``(base_seed, "fleet-worker-<id>")`` via SHA-256 so any worker-local
 randomness is reproducible regardless of fleet size — then loads the
-promoted checkpoint and serves a full single-process stack:
-``load_predictor → CostInferenceService → OptimizerGateway``.  The parent
-talks to it over one duplex ``multiprocessing`` connection, one
-:mod:`repro.fleet.wire` frame per message in either direction:
+promoted checkpoint into ``CostInferenceService → OptimizerGateway``.  The
+pipe carries one frame at a time, so the loop is the gateway's only
+producer and calls ``predict_inline``: admission, breaker, pacer, telemetry
+and the learned batch all run on this thread, and only a request with a
+deadline budget is handed to the gateway's own thread (so the loop can
+answer from the fallback at the deadline).  The parent talks to the worker
+over one duplex ``multiprocessing`` connection, one :mod:`repro.fleet.wire`
+frame per message in either direction:
 
 ``("predict", req_id, plans_key, plans, envs, deadline_ms, trace_wire)``
     Score one candidate set under each environment of ``envs`` (batched
@@ -25,10 +30,10 @@ talks to it over one duplex ``multiprocessing`` connection, one
     stitching.  Each result's cost vector is raw ``float64`` bytes
     (:func:`~repro.fleet.wire.pack_costs`).
 ``("load", req_id, checkpoint_path, warm)``
-    Staged promote: load the checkpoint, hot-swap it into the service
-    (``swap_predictor(..., warm=...)`` re-scoring the warm list so the
-    first post-promote requests hit a warm cache), ack the new
-    ``weights_version``.  A checkpoint that fails to load (missing,
+    Staged promote: load the checkpoint, hot-swap it through the gateway
+    (``swap_predictor(..., warm=...)``: under the service lock, re-scoring
+    the warm list so the first post-promote requests hit a warm cache), ack
+    the new ``weights_version``.  A checkpoint that fails to load (missing,
     truncated) answers ``("error", req_id, repr(exc))`` and the worker keeps
     serving the incumbent — a bad promote must not cost a shard.
 ``("stats", req_id)`` / ``("ping", req_id)`` / ``("close", req_id)``
@@ -103,15 +108,12 @@ def _load(gateway, path, warm, service_kwargs) -> int:
 
     predictor, _env = load_predictor(path)
     if gateway.has_model:
-        gateway.service.swap_predictor(predictor, warm=warm or None)
-        gateway.notify_swap()
+        gateway.swap_predictor(predictor, warm=warm or None)
     else:
         from repro.serving.service import CostInferenceService
 
         service = CostInferenceService(predictor, **(service_kwargs or {}))
-        gateway.attach_service(service)
-        if warm:
-            service.warm_caches(warm)
+        gateway.attach_service(service, warm=warm)
     return gateway.service.predictor.weights_version
 
 
@@ -162,7 +164,7 @@ def fleet_worker_main(
                     parent_ctx = TraceContext.from_wire(trace_wire)
                 results = []
                 for env in envs:
-                    r = gateway.predict(
+                    r = gateway.predict_inline(
                         plans,
                         env_features=env,
                         deadline_ms=deadline_ms,

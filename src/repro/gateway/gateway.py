@@ -190,7 +190,8 @@ class _PendingRequest:
         self.env_features = env_features
         self.env_key = env_key
         self.enqueued_at = now
-        self.event = _Latch()
+        #: The waiting caller's latch (``None``: the caller runs the batch).
+        self.event: _Latch | None = None
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
         self.abandoned = False
@@ -237,6 +238,9 @@ class OptimizerGateway:
         self._plans_total = t.counter("plans_total", "plans scored")
         self._learned_total = t.counter("learned_total", "requests answered learned")
         self._batches_total = t.counter("batches_total", "learned batches executed")
+        self._inline_total = t.counter(
+            "inline_total", "requests run on the caller's thread"
+        )
         self._request_latency = t.histogram(
             "request_latency_seconds", "end-to-end request latency"
         )
@@ -280,10 +284,10 @@ class OptimizerGateway:
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._queue: deque[_PendingRequest] = deque()
-        #: Requests the worker has popped but not yet answered — tracked so
-        #: :meth:`close` can fail them over to the fallback if the worker is
-        #: stuck in the learned path past the join timeout.
-        self._inflight: list[_PendingRequest] = []
+        #: Requests an executor (the worker thread, or a ``predict_inline``
+        #: caller) holds but has not yet answered — tracked so :meth:`close`
+        #: can fail them over to the fallback if the learned path is stuck.
+        self._inflight: set[_PendingRequest] = set()
         self._service = service
         self._service_lock = threading.Lock()
         self._fault_budget = 0
@@ -307,19 +311,26 @@ class OptimizerGateway:
     def has_model(self) -> bool:
         return self._service is not None
 
-    def attach_service(self, service) -> None:
-        """Install (or replace) the learned path; resets the breaker."""
+    def attach_service(self, service, *, warm=None) -> None:
+        """Install (or replace) the learned path, warming its caches from
+        ``warm`` before any request can reach it; resets the breaker."""
         with self._service_lock:
             self._service = service
+            if warm:
+                service.warm_caches(warm)
         self.notify_swap()
 
-    def swap_predictor(self, predictor) -> None:
-        """Hot-swap the served model through the inference service and reset
-        the breaker (a promoted model starts with a clean record)."""
+    def swap_predictor(self, predictor, *, warm=None) -> None:
+        """Hot-swap the served model (and score the service's ``warm`` list)
+        under the service lock, never beneath a batch still computing, and
+        reset the breaker (a promoted model starts with a clean record)."""
         if self._service is None:
             raise RuntimeError("gateway has no inference service to swap into")
         with self._service_lock:
-            self._service.swap_predictor(predictor)
+            if warm is None:
+                self._service.swap_predictor(predictor)
+            else:
+                self._service.swap_predictor(predictor, warm=warm)
         self.notify_swap()
 
     def notify_swap(self) -> None:
@@ -351,52 +362,13 @@ class OptimizerGateway:
         :class:`~repro.obs.TraceContext` (e.g. from the fleet parent) so the
         request span joins the caller's trace instead of starting one."""
         started = time.monotonic()
-        self._requests_total.inc()
-        self._plans_total.inc(len(plans))
-        span = (
-            self.tracer.start_trace("gateway.request", parent=trace)
-            if self.tracer is not None
-            else NULL_SPAN
-        )
-        if span.sampled:
-            span.set_attrs(n_plans=len(plans))
-        if not len(plans):
-            return self._finish(
-                GatewayResult(np.zeros(0), "learned", "ok", 0.0, self._model_version()),
-                started,
-                span=span,
-            )
+        request, answered = self._admit(plans, env_features, started, trace)
+        if request is None:
+            return answered
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
-
-        if self._service is None:
-            return self._fallback_result(plans, env_features, "no-model", started, span=span)
-        if not self.breaker.allow():
-            return self._fallback_result(
-                plans, env_features, "circuit-open", started, span=span
-            )
-        if self.pacer is not None and not self.pacer.try_admit():
-            # The pipe (plus its state-dependent headroom) is already full:
-            # queueing this request would only buy it latency, not an
-            # answer in budget.  Shed at admission, BBR-style, with a
-            # Retry-After hint from the pacer's own schedule.
-            self.breaker.release_probe()
-            return self._fallback_result(
-                plans,
-                env_features,
-                "pacer-limit",
-                started,
-                retry_after=self.pacer.next_admit_eta(),
-                span=span,
-            )
-
-        env_key = (
-            tuple(float(v) for v in env_features) if env_features is not None else None
-        )
         deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
-        request = _PendingRequest(list(plans), env_features, env_key, started)
-        request.paced = self.pacer is not None
-        request.span = span
+        request.event = _Latch()
 
         refused = None
         with self._work:
@@ -408,9 +380,7 @@ class OptimizerGateway:
                 self._queue.append(request)
                 self._work.notify()
         if refused is not None:
-            self.breaker.release_probe()
-            self._pacer_release(request)
-            return self._fallback_result(plans, env_features, refused, started, span=span)
+            return self._refuse(request, refused, started)
 
         if deadline is None:
             done = request.event.wait()
@@ -425,8 +395,105 @@ class OptimizerGateway:
                 done = request.done
                 if not done:
                     request.abandoned = True
+        if done:
+            return self._answer(request, started)
+        self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
+        return self._fallback_result(
+            plans, env_features, "deadline", started, span=request.span
+        )
+
+    def predict_inline(
+        self, plans, *, env_features=None, deadline_ms=None, trace=None
+    ) -> GatewayResult:
+        """:meth:`predict` for an embedder that is this gateway's only
+        producer (a fleet worker's pipe loop): nobody is queued to coalesce
+        with, so the calling thread runs the learned batch itself — same
+        admission, same :meth:`_execute`, same answers, no thread hand-off
+        and no ``queue_wait_seconds`` sample.  A request with a budget goes
+        through :meth:`predict` unchanged: only a second thread lets its
+        caller walk away from a slow model at the deadline."""
+        if deadline_ms is not None or self.config.default_deadline_ms is not None:
+            return self.predict(
+                plans, env_features=env_features, deadline_ms=deadline_ms, trace=trace
+            )
+        started = time.monotonic()
+        request, answered = self._admit(plans, env_features, started, trace)
+        if request is None:
+            return answered
+        with self._lock:
+            running = self._running
+            if running:
+                self._inflight.add(request)
+        if not running:
+            return self._refuse(request, "closed", started)
+        self._inline_total.inc()
+        self._execute([request])
+        return self._answer(request, started)
+
+    def _admit(self, plans, env_features, started, trace):
+        """The admission head of both entries: count the request, open its
+        span, and pass it by every guardrail that needs no queue.  Returns
+        ``(request, None)`` for a request now holding its breaker grant and
+        pacer slot, or ``(None, result)`` when it was answered here."""
+        self._requests_total.inc()
+        self._plans_total.inc(len(plans))
+        span = (
+            self.tracer.start_trace("gateway.request", parent=trace)
+            if self.tracer is not None
+            else NULL_SPAN
+        )
+        if span.sampled:
+            span.set_attrs(n_plans=len(plans))
+        if not len(plans):
+            return None, self._finish(
+                GatewayResult(np.zeros(0), "learned", "ok", 0.0, self._model_version()),
+                started,
+                span=span,
+            )
+        if self._service is None:
+            return None, self._fallback_result(
+                plans, env_features, "no-model", started, span=span
+            )
+        if not self.breaker.allow():
+            return None, self._fallback_result(
+                plans, env_features, "circuit-open", started, span=span
+            )
+        if self.pacer is not None and not self.pacer.try_admit():
+            # The pipe (plus its state-dependent headroom) is already full:
+            # queueing this request would only buy it latency, not an
+            # answer in budget.  Shed at admission, BBR-style, with a
+            # Retry-After hint from the pacer's own schedule.
+            self.breaker.release_probe()
+            return None, self._fallback_result(
+                plans,
+                env_features,
+                "pacer-limit",
+                started,
+                retry_after=self.pacer.next_admit_eta(),
+                span=span,
+            )
+        env_key = (
+            tuple(float(v) for v in env_features) if env_features is not None else None
+        )
+        request = _PendingRequest(list(plans), env_features, env_key, started)
+        request.paced = self.pacer is not None
+        request.span = span
+        return request, None
+
+    def _refuse(self, request: _PendingRequest, reason: str, started) -> GatewayResult:
+        """Answer an admitted request that no executor will take (queue
+        full, gateway closed): hand back its probe and pacer slot first."""
+        self.breaker.release_probe()
+        self._pacer_release(request)
+        return self._fallback_result(
+            request.plans, request.env_features, reason, started, span=request.span
+        )
+
+    def _answer(self, request: _PendingRequest, started) -> GatewayResult:
+        """The answer tail of both entries, for a request :meth:`_execute`
+        or a :meth:`close` drain marked done."""
         error = request.error
-        if done and error is None:
+        if error is None:
             assert request.result is not None
             return self._finish(
                 GatewayResult(
@@ -437,13 +504,12 @@ class OptimizerGateway:
                     self._model_version(),
                 ),
                 started,
-                span=span,
+                span=request.span,
             )
-        if done:
-            reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
-            return self._fallback_result(plans, env_features, reason, started, span=span)
-        self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
-        return self._fallback_result(plans, env_features, "deadline", started, span=span)
+        reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
+        return self._fallback_result(
+            request.plans, request.env_features, reason, started, span=request.span
+        )
 
     def select_best_index(
         self,
@@ -610,7 +676,7 @@ class OptimizerGateway:
                     continue
                 abandoned_early = first.abandoned
                 if not abandoned_early:
-                    self._inflight.append(first)
+                    self._inflight.add(first)
             if abandoned_early:
                 # The caller already answered from the fallback; the learned
                 # path failed to schedule it in budget — a slow call.
@@ -653,7 +719,7 @@ class OptimizerGateway:
                 drained = nxt.done  # answered by a concurrent close() drain
                 skipped = drained or nxt.abandoned
                 if not skipped:
-                    self._inflight.append(nxt)
+                    self._inflight.add(nxt)
             if skipped:
                 self._pacer_release(nxt)
                 if not drained:
@@ -731,8 +797,9 @@ class OptimizerGateway:
         slots = 0
         verdicts: list[str | None] = []
         with self._lock:
-            self._inflight.clear()  # == group: all answered before the release
             for request in group:
+                # Only its own: another executor's batch may be in flight too.
+                self._inflight.discard(request)
                 n = len(request.plans)
                 slots += request.paced
                 request.paced = False
@@ -750,7 +817,8 @@ class OptimizerGateway:
                         request.error = error
                     else:
                         request.result = np.asarray(predictions[offset : offset + n])
-                    request.event.set()
+                    if request.event is not None:
+                        request.event.set()
                     verdicts.append("ok" if error is None else "error")
                 offset += n
         for request, verdict in zip(group, verdicts):
@@ -792,8 +860,7 @@ class OptimizerGateway:
                     f"serving_{name}",
                     "inference-service counter: cache hit/miss tallies plus the "
                     "cold-path attribution split (encode/forward/quantize "
-                    "seconds, parallel-encode batches, warmed plans, "
-                    "quantization gate state)",
+                    "seconds, warmed plans, quantization gate state)",
                 ).set(value)
         if self.slo is not None:
             self.slo.export(self.telemetry)
@@ -828,10 +895,11 @@ class OptimizerGateway:
         with reason ``"closed"``).  The worker keeps processing what was
         already admitted — those callers still get learned answers — and if
         it has not finished within ``timeout`` (a stuck learned path),
-        everything still queued *or in flight* is failed over so the waiting
-        callers answer from the fallback instead of blocking forever.  The
-        gateway's one invariant survives shutdown: every admitted request is
-        answered."""
+        everything still queued *or in flight on either executor* is failed
+        over so the callers answer from the fallback instead of blocking
+        forever (a ``predict_inline`` caller as soon as its batch returns).
+        The gateway's one invariant survives shutdown: every admitted
+        request is answered."""
         with self._work:
             self._running = False
             self._work.notify_all()
@@ -848,7 +916,8 @@ class OptimizerGateway:
                     continue
                 request.done = True
                 request.error = GatewayClosedError("gateway closed")
-                request.event.set()
+                if request.event is not None:
+                    request.event.set()
         if self.pacer is not None and released:
             self.pacer.release(released)
 

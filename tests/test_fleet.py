@@ -24,6 +24,7 @@ from repro.evaluation.parallel import EvalTask, run_tasks
 from repro.evaluation.pool import fork_available
 from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots, merged_to_prometheus
 from repro.fleet import fleet as fleet_module
+from repro.fleet import worker as worker_module
 from repro.fleet.worker import PLAN_CACHE_CAP
 from repro.gateway import OptimizerGateway
 from repro.obs import ObsConfig
@@ -219,12 +220,19 @@ class TestMergeSnapshots:
                 "p50": 0.0, "p95": 0.0, "p99": 0.0,
             }},
         }
-        merged = merge_snapshots([empty, self._sampled([1, 2, 3])])
-        hist = merged["histograms"]["lat"]
-        assert hist["count"] == 3
-        assert hist["p99"] == 2  # nearest rank: index int(0.99 * 2)
-        assert hist["max"] == 3
-        assert hist["samples"] == [1, 2, 3]
+        # What a shard serving inline ships for ``queue_wait_seconds``: no
+        # observation ever, and an empty reservoir riding along.
+        inline = copy.deepcopy(empty)
+        inline["histograms"]["lat"]["samples"] = []
+        for quiet in (empty, inline):
+            merged = merge_snapshots([quiet, self._sampled([1, 2, 3])])
+            hist = merged["histograms"]["lat"]
+            assert hist["count"] == 3
+            assert hist["p99"] == 2  # nearest rank: index int(0.99 * 2)
+            assert hist["max"] == 3
+            assert hist["samples"] == [1, 2, 3]
+        hist = merge_snapshots([inline, inline])["histograms"]["lat"]
+        assert (hist["count"], hist["p50"], hist["max"]) == (0, 0.0, 0.0)
 
 
 # -- the fleet itself -----------------------------------------------------------
@@ -255,6 +263,59 @@ def _long_warm_list(project, n=96):
     while len(plans) < n:
         plans.extend(explorer.candidates(project.sample_query(4), top_k=5))
     return plans[:n]
+
+
+class _BlockingService:
+    """Proxy over a real service: ``predict`` blocks until ``release`` is
+    set (``entered``: a batch is inside); ``swap_entered`` says when a swap
+    reached the service."""
+
+    def __init__(self, service) -> None:
+        self._service = service
+        self.release = threading.Event()
+        self.entered = threading.Event()
+        self.swap_entered = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._service, name)
+
+    def predict(self, plans, *, env_features=None):
+        self.entered.set()
+        self.release.wait(20.0)
+        return self._service.predict(plans, env_features=env_features)
+
+    def swap_predictor(self, predictor, *, warm=None):
+        self.swap_entered.set()
+        return self._service.swap_predictor(predictor, warm=warm)
+
+
+def test_worker_load_swaps_under_the_gateways_service_lock(checkpointed):
+    path, predictor, plans = checkpointed
+    service = _BlockingService(CostInferenceService.from_checkpoint(path))
+    gateway = OptimizerGateway(service)
+    versions: list = []
+    try:
+        # Abandoned at its deadline; its batch is still inside the service.
+        assert gateway.predict_inline(plans[:3], deadline_ms=5).reason == "deadline"
+        assert service.entered.wait(5.0)
+        loader = threading.Thread(
+            target=lambda: versions.append(
+                worker_module._load(gateway, path, [(p, ENV) for p in plans[:3]], None)
+            )
+        )
+        loader.start()
+        loader.join(timeout=0.2)
+        assert loader.is_alive() and not service.swap_entered.is_set()
+        service.release.set()
+        loader.join(timeout=30.0)
+        assert not loader.is_alive() and service.swap_entered.is_set()
+        assert versions == [predictor.weights_version + 1]
+        warmed = gateway.predict_inline(plans[:3], env_features=ENV)
+        assert warmed.source == "learned" and warmed.model_version == versions[0]
+        assert service.cache_counters()["warmed_plans"] == 3
+    finally:
+        service.release.set()
+        gateway.close()
 
 
 @needs_fork
@@ -575,6 +636,61 @@ class TestWire:
             # hop's parts (an empty poll slice would add one deadline check).
             assert clock["perf_counter"] == 0
             assert 4 * 200 <= clock["monotonic"] <= 4 * 200 + 4
+
+    def test_the_pipe_loop_runs_unbudgeted_requests_itself(self, checkpointed):
+        path, _predictor, plans = checkpointed
+        envs = [ENV, (0.2, 0.1, 0.3, 0.4), (0.9, 0.01, 0.1, 0.7)]
+
+        def served(fleet):
+            merged = fleet.stats()["merged"]
+            return (
+                merged["counters"]["inline_total"],
+                merged["histograms"]["queue_wait_seconds"]["count"],
+                merged["counters"]["learned_total"],
+            )
+
+        with ServingFleet(path, n_workers=2) as fleet:
+            for i in range(4):
+                fleet.predict(f"t{i}", plans[:6], env_features=ENV, plans_key="hot")
+            inline, queued, learned = served(fleet)
+            for i in range(200):
+                r = fleet.predict(f"t{i % 4}", plans[:6], env_features=ENV, plans_key="hot")
+                assert r.source == "learned"
+            assert served(fleet) == (inline + 200, queued, learned + 200)
+            # A sweep frame is one request per environment, none handed off.
+            assert len(fleet.predict_sweep("t0", plans[:6], envs, plans_key="hot")) == 3
+            assert served(fleet) == (inline + 203, queued, learned + 203)
+            # A budget is the one thing that takes the shard's queue.
+            for i in range(200):
+                r = fleet.predict(
+                    f"t{i % 4}", plans[:6], env_features=ENV, plans_key="hot", deadline_ms=200
+                )
+                assert r.source == "learned"
+            assert served(fleet) == (inline + 203, queued + 200, learned + 403)
+
+    def test_traced_request_keeps_its_chain_with_the_batch_on_the_pipe_thread(
+        self, checkpointed
+    ):
+        path, _predictor, plans = checkpointed
+        obs = ObsConfig(sample_rate=1.0, seed=5)
+        with ServingFleet(path, n_workers=2, obs=obs) as fleet:
+            for i in range(4):
+                result = fleet.predict(f"tenant-{i}", plans[i : i + 6], env_features=ENV)
+                assert result.source == "learned"
+                # Complete as soon as the reply is in: the batch span (and
+                # the serving spans under it) finished before the frame left.
+                tree = fleet.span_tree(result.trace_id)
+                assert tree.is_complete(), tree.as_dict()
+                by_name = {s["name"]: s for s in tree.spans}
+                chain = ["fleet.request", "gateway.request", "gateway.batch"]
+                for parent, child in zip(chain, chain[1:]):
+                    assert by_name[child]["parent_id"] == by_name[parent]["span_id"]
+                serving = [s for s in tree.spans if s["name"].startswith("serving.")]
+                assert {s["name"] for s in serving} >= {"serving.encode", "serving.forward"}
+                batch = by_name["gateway.batch"]
+                assert all(s["parent_id"] == batch["span_id"] for s in serving)
+                assert batch["duration_ms"] is not None
+                assert by_name["gateway.request"]["attrs"]["batch_span_id"] == batch["span_id"]
 
     def test_answers_are_bitwise_the_shards_own_gateway_answers(self, checkpointed):
         path, _predictor, plans = checkpointed

@@ -136,6 +136,46 @@ class _StuckService:
         return np.zeros(len(plans))
 
 
+class _ThreadService(_StubService):
+    """``_StubService`` that also records which thread ran each batch."""
+
+    def __init__(self, *, delay: float = 0.0) -> None:
+        super().__init__(delay=delay)
+        self.threads: list[int] = []
+
+    def predict(self, plans, *, env_features=None):
+        self.threads.append(threading.get_ident())
+        return super().predict(plans, env_features=env_features)
+
+
+class _GatedService:
+    """A learned path whose next ``n`` batches (after ``arm(n)``) each block
+    on their own gate; ``entered[i]`` says batch ``i`` is inside."""
+
+    def __init__(self) -> None:
+        self.predictor = _StubPredictor()
+        self._lock = threading.Lock()
+        self.arm(0)
+
+    def arm(self, n: int) -> None:
+        self.gates = [threading.Event() for _ in range(n)]
+        self.entered = [threading.Event() for _ in range(n)]
+        self._next = 0
+
+    def open(self) -> None:
+        for gate in self.gates:
+            gate.set()
+
+    def predict(self, plans, *, env_features=None):
+        with self._lock:
+            i = self._next
+            self._next += 1
+        if i < len(self.gates):
+            self.entered[i].set()
+            self.gates[i].wait(20.0)
+        return np.array([p.marker for p in plans], dtype=np.float64)
+
+
 def _settle(condition, timeout: float = 5.0) -> bool:
     """Poll until the worker's post-answer bookkeeping made ``condition()``
     true (a caller is woken before its batch is accounted)."""
@@ -1106,6 +1146,253 @@ class TestRequestPath:
         finally:
             gw.close()
         assert gw.pacer.inflight == 0
+
+
+# -- predict_inline: the caller's thread runs the batch ---------------------------
+
+
+class TestInlineEntry:
+    def test_answers_and_telemetry_match_predict(self, trained):
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        sets = [plans[k % 60 : k % 60 + 1 + k % 5] for k in range(50)]
+        with OptimizerGateway(service) as inline, OptimizerGateway(service) as queued:
+            for candidates in sets:
+                for env in (ENV, None):
+                    got = inline.predict_inline(candidates, env_features=env)
+                    want = queued.predict(candidates, env_features=env)
+                    assert np.array_equal(got.costs, want.costs)
+                    assert got.costs.dtype == want.costs.dtype
+                    assert (got.source, got.reason) == (want.source, want.reason) == ("learned", "ok")
+                    assert got.model_version == want.model_version
+            # A queued caller is woken before its batch is accounted.
+            assert _settle(
+                lambda: queued.telemetry.histogram("service_time_seconds").count == 100
+            )
+            a, b = inline.stats(), queued.stats()
+        assert a["counters"].pop("inline_total") == 100
+        assert b["counters"].pop("inline_total") == 0
+        assert a["counters"] == b["counters"]
+        assert a["counters"]["learned_total"] == a["counters"]["batches_total"] == 100
+        counts_a = {name: h["count"] for name, h in a["histograms"].items()}
+        counts_b = {name: h["count"] for name, h in b["histograms"].items()}
+        # An inline request did not wait: no sample, rather than a zero.
+        assert counts_a.pop("queue_wait_seconds") == 0
+        assert counts_b.pop("queue_wait_seconds") == 100
+        assert counts_a == counts_b
+        for name in ("service_time_seconds", "learned_batch_seconds", "batch_plans",
+                     "request_latency_seconds"):
+            assert counts_a[name] == 100
+
+    def test_caller_runs_the_batch_unless_the_request_has_a_budget(self):
+        service = _ThreadService()
+        with OptimizerGateway(service, fallback=_StubFallback()) as gw:
+            assert (gw.predict_inline(_marker_plans(1.0)).costs == [1.0]).all()
+            assert service.threads == [threading.get_ident()]
+            assert (gw.predict_inline(_marker_plans(2.0), deadline_ms=50).costs == [2.0]).all()
+            assert service.threads[-1] == gw._worker.ident
+            assert gw.telemetry.counter("inline_total").value == 1
+            assert gw.telemetry.histogram("queue_wait_seconds").count == 1
+        config = GatewayConfig(default_deadline_ms=50)
+        with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
+            assert gw.predict_inline(_marker_plans(3.0)).source == "learned"
+            assert service.threads[-1] == gw._worker.ident
+            assert gw.telemetry.counter("inline_total").value == 0
+        # ... which is what keeps a budgeted request abandonable.
+        service.delay = 0.4
+        for config, deadline_ms in ((None, 50), (GatewayConfig(default_deadline_ms=50), None)):
+            with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
+                started = time.monotonic()
+                result = gw.predict_inline(_marker_plans(4.0), deadline_ms=deadline_ms)
+                assert time.monotonic() - started < 0.3
+                assert result.reason == "deadline" and (result.costs == [-4.0]).all()
+                assert _settle(lambda: gw.breaker.slow_count == 1)
+
+    def test_guardrails_hold_on_the_callers_thread(self, native_plans):
+        clock = _FakeClock()
+        service = _StubService()
+        breaker = _breaker(clock, min_calls=3, half_open_probes=1)
+        pacer = AdmissionPacer(PacerConfig())
+        expected = NativeCostFallback().predict(native_plans, env_features=ENV)
+        gw = OptimizerGateway(service, breaker=breaker, pacer=pacer)
+        try:
+            gw.inject_faults(3)
+            for _ in range(3):
+                assert breaker.state == "closed"
+                result = gw.predict_inline(native_plans, env_features=ENV)
+                assert result.reason == "model-error"
+                assert (result.costs == expected).all()
+            assert breaker.state == "open" and breaker.trip_count == 1
+            result = gw.predict_inline(native_plans, env_features=ENV)
+            assert result.reason == "circuit-open"
+            assert (result.costs == expected).all()
+            # Half-open with one probe: every refusal hands the probe back.
+            clock.advance(10.0)
+            pacer.try_admit = lambda: False
+            pacer.next_admit_eta = lambda: 0.25
+            result = gw.predict_inline(native_plans, env_features=ENV)
+            assert result.reason == "pacer-limit" and result.retry_after == 0.25
+            assert breaker.allow()
+            breaker.release_probe()
+            del pacer.try_admit
+        finally:
+            gw.close()
+        assert gw.predict_inline(native_plans, env_features=ENV).reason == "closed"
+        assert breaker.allow()
+        assert pacer.inflight == 0 and gw._inflight == set()
+        assert service.calls == []  # no refusal ever reached the service
+        assert gw.telemetry.counter("inline_total").value == 3  # the injected faults
+        with OptimizerGateway(None) as empty:
+            assert empty.predict_inline(native_plans).reason == "no-model"
+            assert len(empty.predict_inline([])) == 0
+
+    def test_pacer_ledger_balances_across_both_executors(self):
+        service = _GatedService()
+        config = GatewayConfig(
+            pacer=PacerConfig(startup_full_rounds=10**9, min_cap=4),
+            breaker=BreakerConfig(min_calls=10**6),
+        )
+        gw = OptimizerGateway(service, config=config, fallback=_StubFallback())
+        results: list = []
+        try:
+            for i in range(5):
+                assert gw.predict_inline(_marker_plans(float(i))).source == "learned"
+            gw.inject_faults(2)
+            for _ in range(2):
+                assert gw.predict_inline(_marker_plans(1.0)).reason == "model-error"
+            # Budgeted, so queued: the first is abandoned inside its batch
+            # (computed late: still a delivery), the second before pickup.
+            service.arm(2)
+            assert gw.predict_inline(_marker_plans(1.0), deadline_ms=20).reason == "deadline"
+            assert service.entered[0].is_set()
+            assert gw.predict_inline(_marker_plans(2.0), deadline_ms=20).reason == "deadline"
+            assert gw.pacer.inflight == 2
+            service.gates[0].set()
+            assert _settle(lambda: gw.pacer.inflight == 0)
+            # Closed while in flight on the caller's own thread.
+            caller = threading.Thread(
+                target=lambda: results.append(gw.predict_inline(_marker_plans(3.0)))
+            )
+            caller.start()
+            assert service.entered[1].wait(5.0)
+            gw.close(timeout=0.1)
+            assert gw.pacer.inflight == 0
+        finally:
+            service.open()
+            gw.close()
+        caller.join(timeout=10.0)
+        assert not caller.is_alive()
+        assert results[0].reason == "closed" and (results[0].costs == [-3.0]).all()
+        ledger = gw.pacer.stats()
+        assert ledger["inflight"] == 0 and ledger["admitted_total"] == 10
+        # 2 errored + 1 abandoned before pickup + 1 drained by close().
+        assert ledger["admitted_total"] - ledger["delivered_total"] == 4
+
+    def test_a_finished_batch_clears_only_its_own_group(self):
+        service = _GatedService()
+        service.arm(2)
+        gw = OptimizerGateway(service, fallback=_StubFallback())
+        results: list = []
+        try:
+            assert gw.predict_inline(_marker_plans(1.0), deadline_ms=20).reason == "deadline"
+            caller = threading.Thread(
+                target=lambda: results.append(gw.predict_inline(_marker_plans(2.0)))
+            )
+            caller.start()
+            # The worker thread inside the abandoned batch, the caller
+            # waiting on the service lock with its own.
+            assert _settle(lambda: len(gw._inflight) == 2)
+            service.gates[0].set()
+            assert service.entered[1].wait(5.0)
+            assert _settle(lambda: len(gw._inflight) == 1)
+            assert [r.plans[0].marker for r in gw._inflight] == [2.0]
+            service.gates[1].set()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive()
+            assert results[0].source == "learned" and (results[0].costs == [2.0]).all()
+            assert gw._inflight == set()
+        finally:
+            service.open()
+            gw.close()
+
+    def test_close_answers_requests_in_flight_on_both_executors(self):
+        service = _GatedService()
+        service.arm(2)
+        pacer = AdmissionPacer(PacerConfig(min_cap=4))
+        returned: list[int] = []
+        release, on_delivered = pacer.release, pacer.on_delivered
+        pacer.release = lambda n=1: returned.append(n) or release(n)
+        pacer.on_delivered = lambda n=1, **kw: returned.append(n) or on_delivered(n, **kw)
+        gw = OptimizerGateway(service, pacer=pacer, fallback=_StubFallback())
+        results: list = []
+        try:
+            abandoned = gw.predict_inline(_marker_plans(1.0), deadline_ms=20)
+            assert abandoned.reason == "deadline"
+            caller = threading.Thread(
+                target=lambda: results.append(gw.predict_inline(_marker_plans(2.0)))
+            )
+            caller.start()
+            assert _settle(lambda: len(gw._inflight) == 2)
+            gw.close(timeout=0.1)
+            assert gw._inflight == set() and pacer.inflight == 0
+        finally:
+            service.open()
+        caller.join(timeout=10.0)
+        gw._worker.join(timeout=10.0)
+        assert not caller.is_alive() and not gw._worker.is_alive()
+        assert results[0].reason == "closed" and (results[0].costs == [-2.0]).all()
+        # Both executors came back to requests close() had answered: the
+        # two slots went back once, together, and never again.
+        assert returned == [2] and pacer.inflight == 0
+
+    def test_conservation_with_both_executors_under_contention(self):
+        service = _StubService(delay=0.002)
+        config = GatewayConfig(
+            pacer=PacerConfig(), breaker=BreakerConfig(min_calls=10**6)
+        )
+        deadlines = (None, 1.0, None, 50.0)
+        results: list = []
+        lock = threading.Lock()
+        gw = OptimizerGateway(service, config=config, fallback=_StubFallback())
+
+        def caller(k: int) -> None:
+            mine = [
+                (deadlines[(k + i) % 4], gw.predict_inline(
+                    _marker_plans(float(k), float(i)), deadline_ms=deadlines[(k + i) % 4]
+                ))
+                for i in range(60)
+            ]
+            with lock:
+                results.extend(mine)
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert _settle(lambda: gw.pacer.inflight == 0 and not gw._inflight)
+            counters = gw.stats()["counters"]
+            learned = sum(r.source == "learned" for _, r in results)
+            assert len(results) == 240 and 0 < learned < 240
+            assert counters["requests_total"] == 240
+            assert counters["learned_total"] == learned
+            assert counters.get("fallback_total", 0) == 240 - learned
+            # Every unbudgeted request the pacer admitted ran on its caller.
+            ran_inline = sum(d is None and r.reason == "ok" for d, r in results)
+            assert counters["inline_total"] == ran_inline > 0
+            ledger = gw.pacer.stats()
+            assert ledger["inflight"] == 0
+            assert ledger["admitted_total"] + ledger["denied_total"] == 240
+        finally:
+            gw.close()
+        assert gw.pacer.inflight == 0 and gw._inflight == set()
 
 
 # -- lifecycle wiring -----------------------------------------------------------

@@ -71,15 +71,19 @@ def test_fig9_overheads(benchmark, eval_projects, measured_candidates, trained_l
     # Section 7.2.1 extras: plan generation time and overhead fraction.
     project = eval_projects["project1"]
     explorer = PlanExplorer(project.workload.optimizer)
-    gen_times = []
-    for query in project.test_queries[:10]:
-        gen_times.append(explorer.explore(query, top_k=5).generation_seconds)
+    explored = [explorer.explore(query, top_k=5) for query in project.test_queries]
+    gen_times = [result.generation_seconds for result in explored]
     native_latency = float(
         np.mean([r.latency for r in project.train_records[:100]])
     )
     overhead = float(np.mean(gen_times)) + infer_time["loam"]["project1"]
     print_banner("Section 7.2.1 - optimization overhead")
-    print(f"plan generation: {np.mean(gen_times)*1e3:.1f} ms per query")
+    print(
+        f"plan generation: {np.mean(gen_times)*1e3:.2f} ms per query over {len(gen_times)} "
+        f"test queries (p50 {np.percentile(gen_times, 50)*1e3:.2f}, "
+        f"p99 {np.percentile(gen_times, 99)*1e3:.2f} ms; "
+        f"{np.mean([result.optimize_calls for result in explored]):.1f} optimize() calls each)"
+    )
     print(f"LOAM inference:  {infer_time['loam']['project1']*1e3:.1f} ms per query")
     print(
         f"total optimization overhead vs simulated query latency: "
@@ -104,5 +108,5 @@ def test_fig9_overheads(benchmark, eval_projects, measured_candidates, trained_l
             assert train_time[method][project] < 3600
             assert model_size[method][project] < 200
             assert infer_time[method][project] < 2.0
-    # Plan generation under 0.1 s, as the paper reports.
-    assert np.mean(gen_times) < 0.1
+    # Plan generation far under the paper's 0.1 s: ~1 ms here, 10x headroom.
+    assert np.mean(gen_times) < 0.01

@@ -247,7 +247,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     for plan in result.plans:
         print(f"--- {plan.provenance}")
         print(plan.pretty())
-    print(f"\n{len(result.plans)} candidate plans in {result.generation_seconds * 1e3:.1f} ms")
+    print(
+        f"\n{len(result.plans)} candidate plans from {result.optimize_calls} optimize() calls "
+        f"in {result.generation_seconds * 1e3:.1f} ms"
+    )
     return 0
 
 

@@ -31,6 +31,8 @@ class ExplorationResult:
 
     plans: list[PhysicalPlan]
     generation_seconds: float
+    #: Native-optimizer plannings behind ``plans`` (before deduplication).
+    optimize_calls: int = 0
 
     @property
     def default_plan(self) -> PhysicalPlan:
@@ -67,43 +69,44 @@ class PlanExplorer:
         self.cardinality_scales = cardinality_scales
         self.min_tables_for_scaling = min_tables_for_scaling
         self.flag_pairs = flag_pairs
+        # The knob settings are the same for every query (only the scaled
+        # ones depend on its size): built once, not once per explore().
+        default = OptimizerFlags()
+        self._flag_knobs = [("default", default, 1.0)]
+        self._flag_knobs += [(f"flag:{flag}", default.toggled(flag), 1.0) for flag in flags]
+        if flag_pairs:
+            for i, first in enumerate(flags):
+                for second in flags[i + 1 :]:
+                    self._flag_knobs.append(
+                        (f"flags:{first}+{second}", default.toggled(first).toggled(second), 1.0)
+                    )
+        self._scale_knobs = [(f"cardscale:{scale}", default, scale) for scale in cardinality_scales]
+
+    def _knobs(self, query: Query) -> list[tuple[str, OptimizerFlags, float]]:
+        """The ``(provenance, flags, cardinality scale)`` settings tried for
+        ``query``, the unsteered default first."""
+        if query.n_tables >= self.min_tables_for_scaling:
+            return self._flag_knobs + self._scale_knobs
+        return self._flag_knobs
 
     def explore(self, query: Query, *, top_k: int | None = None) -> ExplorationResult:
         """Produce deduplicated candidates; optionally prune to ``top_k``
-        (the default plan is never pruned)."""
+        (the default plan is never pruned).  All candidates come from one
+        planning context, so what no knob changes is computed once."""
         started = time.perf_counter()
-        plans = [self.optimizer.optimize(query, provenance="default")]
-        for flag in self.flags:
-            plans.append(
-                self.optimizer.optimize(
-                    query,
-                    flags=OptimizerFlags().toggled(flag),
-                    provenance=f"flag:{flag}",
-                )
-            )
-        if self.flag_pairs:
-            for i, first in enumerate(self.flags):
-                for second in self.flags[i + 1 :]:
-                    plans.append(
-                        self.optimizer.optimize(
-                            query,
-                            flags=OptimizerFlags().toggled(first).toggled(second),
-                            provenance=f"flags:{first}+{second}",
-                        )
-                    )
-        if query.n_tables >= self.min_tables_for_scaling:
-            for scale in self.cardinality_scales:
-                plans.append(
-                    self.optimizer.optimize(
-                        query,
-                        cardinality_scale=scale,
-                        provenance=f"cardscale:{scale}",
-                    )
-                )
-        plans = self._deduplicate(plans)
+        planner = self.optimizer.planner(query)
+        candidates = [
+            planner.optimize(flags=flags, cardinality_scale=scale, provenance=provenance)
+            for provenance, flags, scale in self._knobs(query)
+        ]
+        plans = self._deduplicate(candidates)
         if top_k is not None and len(plans) > top_k:
-            plans = self._prune(plans, top_k)
-        return ExplorationResult(plans=plans, generation_seconds=time.perf_counter() - started)
+            plans = self._prune(plans, top_k, planner.estimated_cost)
+        return ExplorationResult(
+            plans=plans,
+            generation_seconds=time.perf_counter() - started,
+            optimize_calls=len(candidates),
+        )
 
     def candidates(self, query: Query, *, top_k: int | None = None) -> list[PhysicalPlan]:
         return self.explore(query, top_k=top_k).plans
@@ -120,10 +123,11 @@ class PlanExplorer:
             unique.append(plan)
         return unique
 
-    def _prune(self, plans: list[PhysicalPlan], top_k: int) -> list[PhysicalPlan]:
+    @staticmethod
+    def _prune(plans: list[PhysicalPlan], top_k: int, estimated_cost) -> list[PhysicalPlan]:
         """Keep the default plan plus the (top_k - 1) candidates with the
         lowest native rough cost estimates."""
         default = [p for p in plans if p.is_default]
         steered = [p for p in plans if not p.is_default]
-        steered.sort(key=self.optimizer.estimated_cost)
+        steered.sort(key=estimated_cost)
         return default + steered[: max(0, top_k - len(default))]

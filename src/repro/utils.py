@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -69,8 +70,13 @@ def log_minmax_normalize(
     return float(min(1.0, max(0.0, (x - lo) / max(hi - lo, eps))))
 
 
+@functools.lru_cache(maxsize=4096)
 def harmonic_number(n: int, s: float) -> float:
-    """Generalized harmonic number ``H(n, s) = sum_{k=1..n} k^-s``."""
+    """Generalized harmonic number ``H(n, s) = sum_{k=1..n} k^-s``.
+
+    Memoized (bounded): every selectivity lookup on a Zipf column asks for
+    ``H(ndv, skew)`` again, and the sum is over ``ndv`` terms.
+    """
     if n <= 0:
         raise ValueError("harmonic_number requires n >= 1")
     ranks = np.arange(1, n + 1, dtype=np.float64)

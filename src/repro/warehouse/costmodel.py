@@ -41,6 +41,7 @@ from repro.warehouse.statistics import DEFAULT_SELECTIVITY, StatisticsView
 __all__ = [
     "CostConstants",
     "COST",
+    "PlanEstimates",
     "CardinalityModel",
     "TrueCardinalityModel",
     "EstimatedCardinalityModel",
@@ -86,12 +87,33 @@ def stage_parallelism(rows: float, constants: CostConstants = COST) -> int:
     return int(min(constants.max_instances, max(1, math.ceil(rows / constants.rows_per_instance))))
 
 
+class PlanEstimates:
+    """Estimation state of one plan, so a plan can be estimated as it grows.
+
+    ``nodes`` maps the ``node_id`` of every node already estimated to its
+    ``(rows, NDV map)``; :meth:`CardinalityModel.estimate` skips those
+    subtrees.  ``spools`` holds the result of each shared spool by
+    ``shared_id``.  One instance belongs to one plan and one model: never
+    share it between plans (spool ids) or between differently scaled models.
+    """
+
+    __slots__ = ("nodes", "spools")
+
+    def __init__(self) -> None:
+        self.nodes: dict[int, tuple[float, dict[str, float]]] = {}
+        self.spools: dict[str, tuple[float, dict[str, float]]] = {}
+
+
 class CardinalityModel:
     """Shared bottom-up cardinality propagation over a plan tree.
 
     Subclasses provide the selectivity of a predicate, table base rows, and
     column NDVs; the engine handles the operator algebra and NDV bookkeeping.
     """
+
+    #: Multiplier on the estimated output of joins over >= 3 base tables
+    #: (:class:`EstimatedCardinalityModel`'s steering knob; 1.0 = none).
+    cardinality_scale = 1.0
 
     def selectivity(self, predicate: Predicate) -> float:
         raise NotImplementedError
@@ -109,44 +131,39 @@ class CardinalityModel:
         of base tables in its subtree — which the Lero-style cardinality
         scaling consults (it applies to subqueries with >= 3 inputs only).
         """
-        ndv_memo: dict[int, dict[str, float]] = {}
-        spool_cache: dict[str, tuple[float, dict[str, float]]] = {}
-        rows = self._annotate_node(root, query, field, ndv_memo, spool_cache)
-        return rows
+        return self.estimate(root, query, field, PlanEstimates())
 
-    # -- engine -----------------------------------------------------------
-
-    def _annotate_node(
-        self,
-        node: PlanNode,
-        query: Query,
-        field: str,
-        ndv_memo: dict[int, dict[str, float]],
-        spool_cache: dict[str, tuple[float, dict[str, float]]],
-    ) -> float:
-        child_rows = [
-            self._annotate_node(child, query, field, ndv_memo, spool_cache)
-            for child in node.children
-        ]
+    def estimate(self, node: PlanNode, query: Query, field: str, known: PlanEstimates) -> float:
+        """:meth:`annotate` for a plan under construction: subtrees already
+        in ``known`` keep their annotations and are not visited, every other
+        node is estimated once and recorded.  The numbers are those a
+        from-scratch :meth:`annotate` of the finished tree would write."""
+        hit = known.nodes.get(node.node_id)
+        if hit is not None:
+            return hit[0]
+        child_rows = [self.estimate(child, query, field, known) for child in node.children]
         if isinstance(node, TableScanNode):
             node.n_base_tables = 1
         else:
             node.n_base_tables = sum(c.n_base_tables for c in node.children)
-        rows, ndvs = self._apply(node, query, child_rows, ndv_memo, spool_cache, field)
+        rows, ndvs = self._apply(node, query, child_rows, known, field)
         rows = max(rows, 1.0)
         setattr(node, field, rows)
-        ndv_memo[node.node_id] = ndvs
+        known.nodes[node.node_id] = (rows, ndvs)
         return rows
+
+    # -- engine -----------------------------------------------------------
 
     def _apply(
         self,
         node: PlanNode,
         query: Query,
         child_rows: list[float],
-        ndv_memo: dict[int, dict[str, float]],
-        spool_cache: dict[str, tuple[float, dict[str, float]]],
+        known: PlanEstimates,
         field: str,
     ) -> tuple[float, dict[str, float]]:
+        """Rows (before the >= 1 clamp) and NDV map of one node whose
+        children are already in ``known``."""
         if isinstance(node, TableScanNode):
             raw = self.base_rows(node.table) * query.partition_fraction(node.table)
             setattr(node, f"raw_{field}", max(raw, 1.0))
@@ -160,12 +177,12 @@ class CardinalityModel:
             rows = child_rows[0]
             for pred in node.predicates:
                 rows *= self.selectivity(pred)
-            return rows, dict(ndv_memo[node.children[0].node_id])
+            return rows, dict(known.nodes[node.children[0].node_id][1])
 
         if isinstance(node, JoinNode):
             left_rows, right_rows = child_rows[0], child_rows[1]
-            left_ndvs = ndv_memo[node.children[0].node_id]
-            right_ndvs = ndv_memo[node.children[1].node_id]
+            left_ndvs = known.nodes[node.children[0].node_id][1]
+            right_ndvs = known.nodes[node.children[1].node_id][1]
             lkey_ndv = min(left_ndvs.get(node.left_key, self.column_ndv(node.left_key)), left_rows)
             rkey_ndv = min(
                 right_ndvs.get(node.right_key, self.column_ndv(node.right_key)), right_rows
@@ -182,11 +199,16 @@ class CardinalityModel:
             ndvs = {col: min(ndv, rows) for col, ndv in ndvs.items()}
             ndvs[node.left_key] = min(lkey_ndv, rkey_ndv, rows)
             ndvs[node.right_key] = ndvs[node.left_key]
+            # Lero-style steering scales estimates only for subqueries with
+            # at least three inputs (Section 3), so the distortion does not
+            # compound through every join of a deep plan.
+            if node.n_base_tables >= 3:
+                rows *= self.cardinality_scale
             return rows, ndvs
 
         if isinstance(node, AggregateNode):
             rows_in = child_rows[0]
-            child_ndvs = ndv_memo[node.children[0].node_id]
+            child_ndvs = known.nodes[node.children[0].node_id][1]
             if not node.group_by:
                 return 1.0, {}
             groups = 1.0
@@ -203,18 +225,18 @@ class CardinalityModel:
 
         if isinstance(node, LimitNode):
             rows = min(child_rows[0], float(node.limit))
-            return rows, dict(ndv_memo[node.children[0].node_id])
+            return rows, dict(known.nodes[node.children[0].node_id][1])
 
         if isinstance(node, SpoolNode):
-            cached = spool_cache.get(node.shared_id)
+            cached = known.spools.get(node.shared_id)
             if cached is not None:
                 return cached
-            result = child_rows[0], dict(ndv_memo[node.children[0].node_id])
-            spool_cache[node.shared_id] = result
+            result = child_rows[0], dict(known.nodes[node.children[0].node_id][1])
+            known.spools[node.shared_id] = result
             return result
 
         if isinstance(node, (ProjectNode, SortNode, ExchangeNode)):
-            return child_rows[0], dict(ndv_memo[node.children[0].node_id])
+            return child_rows[0], dict(known.nodes[node.children[0].node_id][1])
 
         raise TypeError(f"unhandled plan node type {type(node).__name__}")
 
@@ -267,10 +289,24 @@ class EstimatedCardinalityModel(CardinalityModel):
             raise ValueError("cardinality_scale must be positive")
         self.stats = stats
         self.cardinality_scale = cardinality_scale
+        #: Selectivity per predicate seen by this model (a statistics view is
+        #: frozen at construction, so an estimate never goes stale).
+        self._selectivities: dict[Predicate, float] = {}
+
+    def rescaled(self, cardinality_scale: float) -> "EstimatedCardinalityModel":
+        """A model over the same statistics with another scale.  Selectivity
+        does not depend on the scale, so the two share what they computed."""
+        sibling = type(self)(self.stats, cardinality_scale=cardinality_scale)
+        sibling._selectivities = self._selectivities
+        return sibling
 
     def selectivity(self, predicate: Predicate) -> float:
-        column = self.stats.catalog.column(predicate.qualified_column)
-        return self.stats.estimate_selectivity(column, predicate.op, predicate.value)
+        selectivity = self._selectivities.get(predicate)
+        if selectivity is None:
+            column = self.stats.catalog.column(predicate.qualified_column)
+            selectivity = self.stats.estimate_selectivity(column, predicate.op, predicate.value)
+            self._selectivities[predicate] = selectivity
+        return selectivity
 
     def base_rows(self, table: str) -> float:
         return float(self.stats.estimated_rows(table))
@@ -284,15 +320,6 @@ class EstimatedCardinalityModel(CardinalityModel):
         # smaller side — the classic max-rows heuristic.  The engine takes
         # min(ndv, rows), so "infinite" NDV degrades to rows.
         return math.inf
-
-    def _apply(self, node, query, child_rows, ndv_memo, spool_cache, field):
-        rows, ndvs = super()._apply(node, query, child_rows, ndv_memo, spool_cache, field)
-        # Lero-style steering scales estimates only for subqueries with at
-        # least three inputs (Section 3), so the distortion does not compound
-        # through every join of a deep plan.
-        if isinstance(node, JoinNode) and getattr(node, "n_base_tables", 0) >= 3:
-            rows *= self.cardinality_scale
-        return rows, ndvs
 
 
 def annotate_true_cardinalities(root: PlanNode, query: Query, catalog: Catalog) -> float:

@@ -16,6 +16,7 @@ from repro.warehouse.costmodel import annotate_true_cardinalities, intrinsic_pla
 from repro.warehouse.operators import ExchangeNode, JoinNode, TableScanNode
 from repro.warehouse.stages import decompose_into_stages
 from repro.warehouse.workload import ProjectProfile, generate_project
+from tests.plan_checks import ALL_KNOBS, assert_annotated_as_from_scratch
 
 profile_st = st.builds(
     ProjectProfile,
@@ -108,6 +109,36 @@ class TestPlanInvariants:
         record_a = workload_a.executor.execute(plan_a, rng=np.random.default_rng(1))
         record_b = workload_b.executor.execute(plan_b, rng=np.random.default_rng(1))
         assert record_a.cpu_cost == pytest.approx(record_b.cpu_cost)
+
+    @_settings
+    @given(profile_st, st.sampled_from(ALL_KNOBS))
+    def test_carried_estimates_equal_from_scratch_annotation(self, profile, knobs):
+        """The optimizer estimates each node as it adds it; the result is
+        exactly (``==``) what ``annotate`` writes on the finished tree."""
+        workload = generate_project(profile)
+        flags, scale = knobs
+        for _ in range(3):
+            plan = workload.optimizer.optimize(
+                workload.sample_query(0), flags=flags, cardinality_scale=scale
+            )
+            assert_annotated_as_from_scratch(plan, workload.stats)
+
+    @_settings
+    @given(profile_st, st.booleans(), st.none() | st.integers(min_value=1, max_value=6))
+    def test_explored_plans_are_disjoint_and_as_planned_alone(self, profile, flag_pairs, top_k):
+        """Plans of one ``explore()`` share a planning context but no node,
+        and each carries the annotations of its own scale (unscaled once
+        ``_prune`` has costed it — see ``estimated_cost``)."""
+        workload = generate_project(profile)
+        explorer = PlanExplorer(workload.optimizer, flag_pairs=flag_pairs)
+        query = workload.sample_query(0)
+        unpruned = explorer.explore(query).plans
+        plans = explorer.explore(query, top_k=top_k).plans
+        nodes = [node for plan in plans for node in plan.iter_nodes()]
+        assert len({id(node) for node in nodes}) == len(nodes)
+        if top_k is None or len(unpruned) <= top_k:
+            for plan in plans:
+                assert_annotated_as_from_scratch(plan, workload.stats)
 
 
 # -- serving vs reference over random tree shapes -----------------------------------

@@ -96,8 +96,25 @@ class TestZipf:
         assert zipf_cdf(100, 20, 0.8) == pytest.approx(1.0)
 
     def test_harmonic_rejects_nonpositive(self):
+        for _ in range(2):  # an error is never served from the memo
+            with pytest.raises(ValueError):
+                harmonic_number(0, 1.0)
         with pytest.raises(ValueError):
-            harmonic_number(0, 1.0)
+            harmonic_number(-3, 0.5)
+
+    def test_harmonic_memo_returns_the_fresh_sum(self):
+        for n in (1, 2, 7, 100, 4096, 250_000):
+            for s in (0.0, 0.3, 1.0, 1.1, 2.5):
+                fresh = float(np.sum(np.arange(1, n + 1, dtype=np.float64) ** -s))
+                assert harmonic_number(n, s) == fresh  # first call
+                assert harmonic_number(n, s) == fresh  # from the memo
+
+    def test_harmonic_memo_is_bounded(self):
+        maxsize = harmonic_number.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, maxsize + 200):
+            harmonic_number(n, 0.75)
+        assert harmonic_number.cache_info().currsize <= maxsize
 
     @given(
         st.integers(min_value=1, max_value=200),

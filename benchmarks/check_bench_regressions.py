@@ -13,8 +13,9 @@ Two kinds of checks:
 ``correctness``
     Invariants that must hold in the FRESH artifact regardless of machine
     speed (chaos answered every request, the breaker tripped, quantization
-    stayed inside its error gate, trace trees stitched completely).  A
-    violation always fails the run.
+    stayed inside its error gate, trace trees stitched completely, the
+    drift scenario retrained and promoted exactly once and replayed to the
+    same digest).  A violation always fails the run.
 
 ``perf``
     Fresh throughput vs the committed baseline with a wide tolerance band
@@ -68,6 +69,9 @@ CORRECTNESS_SPECS = [
     ("BENCH_obs.json", "gateway_tracing.flight_dumps", ">=", 1.0),
     ("BENCH_obs.json", "fleet_tracing.trees_incomplete", "==", 0.0),
     ("BENCH_obs.json", "fleet_tracing.trees_cross_process", ">=", "@fleet_tracing.trees_complete"),
+    ("BENCH_scenarios.json", "rows.drift/gateway.retrains", "==", 1.0),
+    ("BENCH_scenarios.json", "rows.drift/gateway.promotes", "==", 1.0),
+    ("BENCH_scenarios.json", "determinism.outcome_digest_equal", "==", 1.0),
 ]
 
 _OPS = {
@@ -80,9 +84,16 @@ _OPS = {
 def lookup(artifact: dict, path: str):
     node = artifact
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+        if isinstance(node, list):
+            # BENCH_scenarios.json's rows: "<scenario>/<target>" names one.
+            node = next(
+                (r for r in node if f"{r.get('scenario')}/{r.get('target')}" == part),
+                None,
+            )
+        elif isinstance(node, dict) and part in node:
+            node = node[part]
+        else:
             return None
-        node = node[part]
     return node
 
 

@@ -215,11 +215,5 @@ class XGBoostCostPredictor(BaselineCostModel):
         z = self.model.predict(features)
         return np.maximum(np.expm1(z * self._log_std + self._log_mean), 0.0)
 
-    def _forward(self, encoded: list[EncodedPlan]) -> Tensor:  # pragma: no cover
-        raise NotImplementedError("XGBoost baseline does not use the neural path")
-
-    def _parameters(self) -> list[Tensor]:  # pragma: no cover
-        return []
-
     def size_bytes(self) -> int:
         return self.model.size_bytes()

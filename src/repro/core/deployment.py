@@ -24,7 +24,6 @@ from repro.core.deviance import DevianceEstimator
 from repro.core.explorer import PlanExplorer
 from repro.core.loam import LOAM, LOAMConfig, ValidationReport
 from repro.core.selector import FilterConfig, ProjectFilter, ProjectRanker
-from repro.gateway import GatewayConfig, GatewayResult, OptimizerGateway
 from repro.lifecycle import (
     CanaryConfig,
     CanaryReport,
@@ -56,9 +55,6 @@ class DeploymentConfig:
         holdout_fraction=0.5, min_holdout=2
     ))
     drift: DriftConfig = field(default_factory=DriftConfig)
-    #: Serving-front-end limits (queue depth, coalescing, deadlines,
-    #: breaker thresholds) applied to every project gateway.
-    gateway: GatewayConfig = field(default_factory=GatewayConfig)
     #: Where per-project model registries live.  ``None`` keeps each
     #: project's registry in an ephemeral temporary directory.
     registry_root: str | None = None
@@ -137,11 +133,6 @@ class FleetManager:
         #: Per-project model lifecycle (registry + feedback + drift + canary);
         #: created on a project's first validated deployment.
         self.lifecycles: dict[str, ModelLifecycle] = {}
-        #: Per-project serving gateway — the fleet's single entry point for
-        #: online cost requests (:meth:`steer`); created lazily alongside
-        #: the lifecycle and usable before any model is promoted (requests
-        #: answer from the native fallback, flagged ``"no-model"``).
-        self.gateways: dict[str, OptimizerGateway] = {}
         # The Ranker's growing training pool: (plan, catalog, cost, D(M_d)).
         self._ranker_pool: list[tuple[PhysicalPlan, object, float, float]] = []
 
@@ -157,39 +148,6 @@ class FleetManager:
             )
             self.lifecycles[name] = lifecycle
         return lifecycle
-
-    def gateway_for(self, name: str) -> OptimizerGateway:
-        """The project's serving gateway, created lazily over its lifecycle."""
-        gateway = self.gateways.get(name)
-        if gateway is None:
-            gateway = self.lifecycle_for(name).serve_through_gateway(
-                config=self.config.gateway
-            )
-            self.gateways[name] = gateway
-        return gateway
-
-    def steer(
-        self,
-        name: str,
-        plans: list[PhysicalPlan],
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-        deadline_ms: float | None = None,
-    ) -> GatewayResult:
-        """Online cost scoring for one project's candidate set through its
-        gateway — deadline-bounded and guarded, learned when a model is
-        deployed and healthy, native fallback otherwise.  The fleet's
-        single serving entry point."""
-        if env_features is None:
-            env_features = self.lifecycle_for(name).environment_features
-        return self.gateway_for(name).predict(
-            plans, env_features=env_features, deadline_ms=deadline_ms
-        )
-
-    def close(self) -> None:
-        """Stop every project gateway's worker thread."""
-        for gateway in self.gateways.values():
-            gateway.close()
 
     # -- ranker bootstrap / feedback ------------------------------------------
 

@@ -64,15 +64,6 @@ class LogNormalCost:
     def mean(self) -> float:
         return float(np.exp(self.mu + 0.5 * self.sigma**2))
 
-    @property
-    def median(self) -> float:
-        return float(np.exp(self.mu))
-
-    @property
-    def variance(self) -> float:
-        s2 = self.sigma**2
-        return float((np.exp(s2) - 1.0) * np.exp(2.0 * self.mu + s2))
-
     def pdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
@@ -190,9 +181,6 @@ class DevianceReport:
     @property
     def best_achievable_deviance(self) -> float:
         return self.per_plan_deviance[self.best_achievable_index]
-
-    def deviance_of(self, index: int) -> float:
-        return self.per_plan_deviance[index]
 
     def relative_deviance_of(self, index: int) -> float:
         return self.per_plan_deviance[index] / max(self.oracle_cost, 1e-12)

@@ -77,10 +77,6 @@ class OptimizationOutcome:
     exploration_seconds: float
     inference_seconds: float
 
-    @property
-    def chose_default(self) -> bool:
-        return self.chosen_plan.is_default
-
 
 class LOAM:
     """One-stop learned query optimizer for one project."""

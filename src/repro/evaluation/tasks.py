@@ -23,7 +23,6 @@ __all__ = [
     "train_loam_task",
     "evaluate_project_task",
     "training_size_improvement_task",
-    "adaptive_ablation_task",
     "lifecycle_adaptive_task",
 ]
 
@@ -176,32 +175,3 @@ def lifecycle_adaptive_task(
     }
     gateway.close()
     return results
-
-
-def adaptive_ablation_task(
-    project: EvaluationProject,
-    loam: LOAM,
-    config: LOAMConfig,
-    *,
-    first_day: int,
-    last_day: int,
-    measured: "list[QueryCandidates]",
-    seed: int,
-) -> "dict[str, MethodResult]":
-    """Figure 11 cell: train the non-adversarial ablation (LOAM-NA) and score
-    it against the given adversarially trained LOAM."""
-    na_config = _seeded(config, seed)
-    na_config = replace(
-        na_config, predictor=replace(na_config.predictor, adversarial=False)
-    )
-    loam_na = LOAM(project.workload, na_config)
-    loam_na.train(first_day=first_day, last_day=last_day)
-    return evaluate_methods(
-        project,
-        {"loam": loam.predictor, "loam-na": loam_na.predictor},
-        env_features={
-            "loam": loam.environment.features(),
-            "loam-na": loam_na.environment.features(),
-        },
-        measured=measured,
-    )

@@ -6,10 +6,11 @@ merge rules per instrument kind:
 
 * **counters** — summed: totals across the fleet are the sum of per-shard
   totals, exactly.
-* **gauges** — summed: the fleet-wide queue depth / cache sizes are sums
-  of per-shard ones.  (Per-shard state gauges like ``breaker_state`` stay
-  meaningful per shard; their sum reads as "number of degraded shards"
-  weighted by severity, which is the alarm an operator wants anyway.)
+* **gauges** — tallies (queue depth, pacer inflight, ``serving_*`` cache
+  counts) are summed.  ``*_version`` and ``*_state`` gauges are codes, not
+  amounts, and merge by **max**: the newest version any shard serves and
+  the worst state any shard is in (``breaker_state`` 2 means an open
+  breaker somewhere, never two half-open ones).
 * **histograms** — ``count``/``sum`` are summed exactly and ``min``/
   ``max`` combined exactly.  When every contributing shard ships its raw
   reservoir (``Telemetry.snapshot(include_samples=True)``, which the
@@ -58,7 +59,13 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
         for name, value in snap.get("counters", {}).items():
             merged["counters"][name] = merged["counters"].get(name, 0.0) + value
         for name, value in snap.get("gauges", {}).items():
-            merged["gauges"][name] = merged["gauges"].get(name, 0.0) + value
+            seen = merged["gauges"].get(name)
+            if seen is None:
+                merged["gauges"][name] = value
+            elif name.endswith(("_version", "_state")):
+                merged["gauges"][name] = max(seen, value)
+            else:
+                merged["gauges"][name] = seen + value
         for name, hist in snap.get("histograms", {}).items():
             samples, exact = reservoirs.get(name, ([], True))
             if hist["count"] and "samples" not in hist:

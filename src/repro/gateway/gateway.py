@@ -654,7 +654,7 @@ class OptimizerGateway:
 
     def inject_faults(self, n: int, error: BaseException | None = None) -> None:
         """Arm the learned path to raise on its next ``n`` batches.  This is
-        the supported chaos hook the ``gateway`` smoke CLI and CI use to
+        the supported chaos hook the tests and the gateway benchmark use to
         prove the fallback + breaker behaviour without reaching into
         internals."""
         with self._lock:

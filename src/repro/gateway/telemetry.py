@@ -176,12 +176,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    @property
-    def nonfinite(self) -> int:
-        """Observations rejected for being NaN/inf."""
-        with self._lock:
-            return self._nonfinite
-
     def quantile(self, q: float) -> float:
         """The ``q``-quantile (nearest-rank) of the recent window; 0.0 when
         nothing has been observed."""

@@ -56,15 +56,6 @@ class DriftReport:
     baseline_q_error: float = 0.0
     env_shift: float = 0.0
 
-    def summary(self) -> str:
-        state = "RETRAIN" if self.retrain else "ok"
-        why = f" ({', '.join(self.reasons)})" if self.reasons else ""
-        return (
-            f"drift: {state}{why} — recent q-err {self.recent_q_error:.2f} "
-            f"vs baseline {self.baseline_q_error:.2f}, env shift "
-            f"{self.env_shift:.3f}, n={self.n_samples}"
-        )
-
 
 def _mean_q_error(records: list[FeedbackRecord]) -> float:
     if not records:

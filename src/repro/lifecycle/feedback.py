@@ -135,11 +135,6 @@ class FeedbackLog:
     def records(self) -> list[FeedbackRecord]:
         return list(self._records)
 
-    def recent(self, n: int) -> list[FeedbackRecord]:
-        if n <= 0:
-            return []
-        return list(self._records)[-n:]
-
     # -- canary split --------------------------------------------------------
 
     def held_out(self, fraction: float = 0.25, *, min_records: int = 1) -> list[FeedbackRecord]:

@@ -37,9 +37,6 @@ class _Tree:
             active = self.feature[node] >= 0
         return self.value[node]
 
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
 
 @dataclass
 class GradientBoostedTrees:

@@ -49,13 +49,6 @@ class Module:
             module.training = False
         return self
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def size_bytes(self) -> int:
         """Model footprint: parameter bytes (Figure 9b reports MB)."""
         return sum(p.data.nbytes for p in self.parameters())

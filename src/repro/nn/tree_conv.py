@@ -122,14 +122,6 @@ class TreeBatch:
                     out.append((size, indices[start : start + max_batch]))
         return out
 
-    def subset(self, indices: np.ndarray) -> "TreeBatch":
-        return TreeBatch(
-            features=self.features[indices],
-            left=self.left[indices],
-            right=self.right[indices],
-            mask=self.mask[indices],
-        )
-
 
 class TreeConvEncoder(Module):
     """Stacked tree convolutions + dynamic pooling + FC embedding head.

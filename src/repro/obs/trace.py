@@ -360,9 +360,6 @@ class Tracer:
         n = next(self._counter)
         return format(_splitmix64(self._span_salt + n), "016x")
 
-    def _sample_decision(self, n):
-        return self._decisions[n & self._decision_mask]
-
     # -- span creation ---------------------------------------------------
 
     def start_trace(self, name, *, parent=None, attrs=None):

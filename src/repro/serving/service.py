@@ -712,16 +712,6 @@ class CostInferenceService:
         self._latencies.append(elapsed)
         return out
 
-    def select_best(
-        self,
-        plans: list[PhysicalPlan],
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-    ) -> tuple[PhysicalPlan, np.ndarray]:
-        """The steering decision: the candidate with least predicted cost."""
-        index, predictions = self.select_best_index(plans, env_features=env_features)
-        return plans[index], predictions
-
     def select_best_index(
         self,
         plans: list[PhysicalPlan],
@@ -808,12 +798,6 @@ class CostInferenceService:
         self.encoding_cache.clear()
         self.prediction_cache.clear()
         self._bucket_cache.clear()
-
-    def refresh_weights(self) -> None:
-        """Force a weight re-snapshot (normally automatic via
-        ``predictor.weights_version``)."""
-        self._snapshot = None
-        self.prediction_cache.clear()
 
     def warm_caches(self, entries) -> int:
         """Pre-populate both cache tiers from ``(plan, env_features)`` pairs

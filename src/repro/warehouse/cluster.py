@@ -149,9 +149,6 @@ class Cluster:
             raise ValueError("stage must be allocated at least one machine")
         return self._sample_rows(np.asarray(machine_indices))
 
-    def machine_environment(self, machine_index: int) -> EnvironmentSample:
-        return self._sample_rows(np.array([machine_index]))
-
     def cluster_environment(self) -> EnvironmentSample:
         """Cluster-wide average (what the LOAM-CE/CB baselines consume)."""
         return self._sample_rows(np.arange(self.n_machines))

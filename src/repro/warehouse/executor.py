@@ -85,10 +85,6 @@ class ExecutionRecord:
     stages: list[StageExecution] = field(default_factory=list)
 
     @property
-    def provenance(self) -> str:
-        return self.plan.provenance
-
-    @property
     def is_default(self) -> bool:
         return self.plan.is_default
 

@@ -52,9 +52,6 @@ class OptimizerFlags:
             raise ValueError(f"unknown optimizer flag {name!r}")
         return replace(self, **{name: not getattr(self, name)})
 
-    def enabled(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self) if getattr(self, f.name))
-
     def signature(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.utils import spawn_rng
 from repro.warehouse.catalog import Catalog
-from repro.warehouse.cluster import Cluster, EnvironmentSample
+from repro.warehouse.cluster import Cluster
 from repro.warehouse.executor import ExecutionRecord, Executor
 from repro.warehouse.plan import PhysicalPlan
 
@@ -68,9 +68,3 @@ class FlightingEnvironment:
         """Cost samples for distribution fitting (Appendix E.1)."""
         records = self.replay(plan, n_runs=n_samples)
         return np.array([r.cpu_cost for r in records])
-
-    def cost_under_environment(
-        self, plan: PhysicalPlan, env: EnvironmentSample, *, noise: float = 1.0
-    ) -> float:
-        """Deterministic C_{E=e}(P) for a pinned environment instance."""
-        return self.executor.cost_under_environment(plan, env, noise=noise)

@@ -40,10 +40,6 @@ class PhysicalPlan:
         return self.root.n_nodes()
 
     @property
-    def depth(self) -> int:
-        return self.root.depth()
-
-    @property
     def is_default(self) -> bool:
         return self.provenance == "default"
 

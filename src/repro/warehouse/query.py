@@ -9,7 +9,7 @@ predicate parameters and partition fractions, producing a :class:`Query`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,6 +209,3 @@ class QueryTemplate:
             partition_fractions=fractions,
             submit_day=submit_day,
         )
-
-    def with_weight(self, weight: float) -> "QueryTemplate":
-        return replace(self, weight=weight)

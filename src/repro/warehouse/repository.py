@@ -76,17 +76,3 @@ class QueryRepository:
 
     def queries_per_day(self) -> dict[int, int]:
         return dict(Counter(r.day for r in self._records))
-
-    def recurring_groups(self, *, min_runs: int = 2) -> dict[tuple, list[ExecutionRecord]]:
-        """Group repeated executions of structurally identical plans —
-        the recurring queries behind Figures 1, 5, and 15."""
-        groups: dict[tuple, list[ExecutionRecord]] = {}
-        for record in self._records:
-            key = (record.template_id, record.plan.structural_signature())
-            groups.setdefault(key, []).append(record)
-        return {k: v for k, v in groups.items() if len(v) >= min_runs}
-
-    def average_cpu_cost(self) -> float:
-        if not self._records:
-            return 0.0
-        return sum(r.cpu_cost for r in self._records) / len(self._records)

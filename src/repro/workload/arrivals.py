@@ -55,10 +55,6 @@ class ArrivalProcess:
     def sample(self, duration: float, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def mean_rate(self) -> float:
-        """Long-run average arrivals per second (for sizing replays)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
@@ -84,9 +80,6 @@ class PoissonArrivals(ArrivalProcess):
             t = float(chunk[-1])
         merged = np.concatenate(times)
         return merged[merged < duration]
-
-    def mean_rate(self) -> float:
-        return self.rate
 
 
 @dataclass(frozen=True)
@@ -123,9 +116,6 @@ class DiurnalArrivals(ArrivalProcess):
         candidates = PoissonArrivals(peak).sample(duration, rng)
         keep = rng.random(len(candidates)) < np.asarray(self.intensity(candidates)) / peak
         return candidates[keep]
-
-    def mean_rate(self) -> float:
-        return self.base_rate
 
 
 @dataclass(frozen=True)
@@ -194,12 +184,6 @@ class MarkovModulatedArrivals(ArrivalProcess):
         if not times:
             return np.zeros(0)
         return np.concatenate(times)
-
-    def mean_rate(self) -> float:
-        total = self.mean_on_seconds + self.mean_off_seconds
-        return (
-            self.on_rate * self.mean_on_seconds + self.off_rate * self.mean_off_seconds
-        ) / total
 
 
 def interarrival_cv(times: np.ndarray) -> float:

@@ -72,17 +72,6 @@ class RegimeEvent:
     def segment_label(self) -> str:
         return self.label if self.label is not None else self.kind
 
-    def as_dict(self) -> dict:
-        return {
-            "at": float(self.at),
-            "kind": self.kind,
-            "label": self.segment_label,
-            "cost_factor": float(self.cost_factor),
-            "env_delta": list(self.env_delta) if self.env_delta else None,
-            "day_jump": int(self.day_jump),
-            "mix": dict(self.mix) if self.mix else None,
-        }
-
 
 @dataclass
 class RegimeState:

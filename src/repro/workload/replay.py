@@ -363,9 +363,6 @@ class ServiceTarget:
         counters = getattr(self.service, "cache_counters", None)
         return {"cache": counters()} if counters is not None else {}
 
-    def close(self) -> None:
-        pass
-
 
 class GatewayTarget:
     """Drive one ``OptimizerGateway`` (all tenants share it)."""
@@ -385,9 +382,6 @@ class GatewayTarget:
 
     def stats(self) -> dict:
         return self.gateway.stats()
-
-    def close(self) -> None:
-        self.gateway.close()
 
 
 class FleetTarget:
@@ -411,9 +405,6 @@ class FleetTarget:
 
     def stats(self) -> dict:
         return self.fleet.stats()
-
-    def close(self) -> None:
-        self.fleet.close()
 
 
 # -- replay bookkeeping --------------------------------------------------------

@@ -153,9 +153,6 @@ class Scenario:
                 if unknown:
                     raise ValueError(f"event mix names unknown families: {unknown}")
 
-    def expected_requests(self) -> int:
-        return max(1, int(self.arrivals.mean_rate() * self.duration_seconds))
-
     def stream(
         self,
         pool_sizes: dict[str, int],

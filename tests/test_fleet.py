@@ -131,7 +131,11 @@ class TestMergeSnapshots:
     def _snap(self, reqs, p99, count):
         return {
             "counters": {"requests_total": reqs},
-            "gauges": {"queue_depth": 1.0},
+            "gauges": {
+                "queue_depth": 1.0,
+                "model_weights_version": float(reqs),
+                "breaker_state": 2.0 if count > 3 else 1.0,
+            },
             "histograms": {
                 "request_latency_seconds": {
                     "count": count, "sum": 0.1 * count, "min": 0.001 if count else 0.0,
@@ -146,6 +150,9 @@ class TestMergeSnapshots:
         assert merged["shards"] == 2
         assert merged["counters"]["requests_total"] == 17
         assert merged["gauges"]["queue_depth"] == 2.0
+        # Codes, not amounts: newest version, worst state — never a sum.
+        assert merged["gauges"]["model_weights_version"] == 10.0
+        assert merged["gauges"]["breaker_state"] == 2.0
         hist = merged["histograms"]["request_latency_seconds"]
         assert hist["count"] == 8
         assert hist["sum"] == pytest.approx(0.8)
@@ -412,7 +419,9 @@ class TestServingFleet:
             acked = fleet.promote(path3, warm=[(p, ENV) for p in warm_plans])
             assert acked == {"shard-0": 9, "shard-1": 9}
             assert fleet.live_workers() == ["shard-0", "shard-1"]
-            assert set(fleet.ping()) == {"shard-0", "shard-1"}
+            seeds = fleet.ping()
+            assert set(seeds) == {"shard-0", "shard-1"}
+            assert seeds["shard-0"] != seeds["shard-1"]  # derived per worker
             for shard in fleet.stats()["shards"].values():
                 assert shard["gauges"]["serving_warmed_plans"] == 96
 
@@ -424,6 +433,8 @@ class TestServingFleet:
             survivor_tenant = next(
                 f"t{i}" for i in range(50) if fleet.router.route(f"t{i}") != victim
             )
+            tenants = [victim_tenant] + [f"t{i}" for i in range(50)]
+            owners = fleet.router.assignment(tenants)
             fleet.crash_worker(victim)
             # The crashed shard's next request sheds to the parent fallback...
             shed = fleet.predict(victim_tenant, plans[:4], env_features=ENV)
@@ -433,9 +444,13 @@ class TestServingFleet:
             remapped = fleet.predict(victim_tenant, plans[:4], env_features=ENV)
             assert remapped.source == "learned"
             assert fleet.router.route(victim_tenant) != victim
-            # Other shards' tenants never noticed.
+            # Other shards' tenants never noticed: exactly the dead shard's moved.
             fine = fleet.predict(survivor_tenant, plans[:4], env_features=ENV)
             assert fine.source == "learned"
+            now = fleet.router.assignment(tenants)
+            assert {t for t in tenants if now[t] != owners[t]} == {
+                t for t in tenants if owners[t] == victim
+            }
             # The event is visible in fleet telemetry and the merged export.
             stats = fleet.stats()
             assert stats["workers_alive"] == 2
@@ -444,6 +459,7 @@ class TestServingFleet:
             assert victim not in stats["shards"]
             prom = fleet.to_prometheus()
             assert "repro_fleet_parent_worker_failures_total 1" in prom
+            assert "repro_fleet_shards 2" in prom  # the merge counts survivors
 
     def test_bad_checkpoint_fails_the_promote_not_the_shards(self, checkpointed, tmp_path):
         path, predictor, plans = checkpointed

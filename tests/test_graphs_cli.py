@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.cli import main as cli_main
-from repro.evaluation.pool import fork_available
 from repro.warehouse.graphs import (
     critical_stage_path,
     join_graph,
@@ -14,6 +13,7 @@ from repro.warehouse.graphs import (
     stage_graph_to_networkx,
 )
 from repro.warehouse.stages import decompose_into_stages
+from repro.workload import list_scenarios
 
 
 @pytest.fixture()
@@ -88,17 +88,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "projects pass the Filter" in out
 
-    @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
-    def test_fleet_command(self, capsys):
-        code = cli_main([
-            "--seed", "3", "fleet",
-            "--days", "4", "--epochs", "2", "--workers", "2", "--tenants", "8",
-        ])
+    def test_scenarios_list_names_every_registered_builder(self, capsys):
+        assert cli_main(["scenarios", "--list"]) == 0
+        out = capsys.readouterr().out
+        for name, _description in list_scenarios():
+            assert name in out
+
+    def test_scenarios_replays_one_scenario(self, capsys):
+        code = cli_main(["--seed", "3", "scenarios", "--scenario", "steady", "--epochs", "2"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "fleet round trip: all checks passed" in out
-        assert "FAIL" not in out
-        assert "repro_fleet_shards 1" in out  # one survivor after the chaos crash
+        assert "steady via gateway" in out
+        assert any(line.startswith("steady ") and "|" in line for line in out.splitlines())
+
+    def test_scenarios_needs_list_or_scenario(self):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["scenarios"])
+        assert exit_info.value.code == 2
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

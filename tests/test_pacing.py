@@ -418,12 +418,18 @@ class TestGatewayPacing:
             assert counters["sheds_total"] == 1
 
     def test_swap_resets_pacer_to_startup(self):
-        service = _StubService()
+        service = _StubService(delay=0.005)
         config = GatewayConfig(pacer=PacerConfig())
         with OptimizerGateway(service, config=config) as gw:
-            r = gw.predict(_marker_plans(1.0))
-            assert r.source == "learned"
-            assert gw.pacer.btl_rate() is not None
+            # A steady pipe plateaus the rate: live deliveries alone walk
+            # the pacer out of STARTUP with both estimates measured.
+            for _ in range(16):
+                r = gw.predict(_marker_plans(1.0))
+                assert r.source == "learned"
+            before = gw.pacer.stats()
+            assert before["state"] != STARTUP
+            assert before["btl_rate"] is not None
+            assert before["min_latency_seconds"] >= 0.005
             gw.swap_predictor(_StubPredictor(version=2))
             stats = gw.pacer.stats()
             assert stats["state"] == STARTUP

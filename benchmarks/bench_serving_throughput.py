@@ -17,25 +17,23 @@ Three paths are timed:
   round (``clear_caches`` keeps the weight-scoped projection table), same
   per-(set, environment) request shape as naive: plans resolved to table
   ids + size buckets + no-grad float32 packed forward;
-* **cold_quantized** — the cold path through a ``quantize="float16"``
-  service using the serving layer's natural entry point for this workload:
-  one ``predict_sweep(plans, ENVIRONMENTS)`` call per candidate set scores
-  the whole strategy sweep in a single batched forward (the env-linear
-  first layer expands to all environments in one GEMM).  Same total work,
-  same outputs (gated against naive below) — the request shape is the
-  serving API's, not the seed's;
+* **cold_sweep** — the cold path through the serving layer's natural entry
+  point for this workload: one ``predict_sweep(plans, ENVIRONMENTS)`` call
+  per candidate set scores the whole strategy sweep in a single batched
+  forward (the env-linear first layer expands to all environments in one
+  GEMM).  Same total work, same outputs (gated against naive below) — the
+  request shape is the serving API's, not the seed's;
 * **warm** — the steady-state service: encoding and prediction caches hot;
 * **warm_after_swap** — the first full pass served immediately after
   ``swap_predictor(..., warm=...)`` re-primed the caches from the feedback
   log's hottest plans (a promote must not serve a cold burst).
 
 Reported as plans/sec with p50/p99 per-request latency (per sweep call for
-the ``cold_quantized`` phase), written to the ``BENCH_serving.json``
-artifact (path override: ``BENCH_SERVING_OUT``) so successive PRs can
-track the trajectory.  Acceptance floors asserted here: warm ≥ 10× naive,
-cold ≥ 2× naive, cold_quantized ≥ 8× naive (smoke scale; 10× at full
-scale) with the quantization gate green and predictions within 1e-3 of the
-reference, fast-path predictions within 1e-5 relative tolerance of the
+the ``cold_sweep`` phase), written to the ``BENCH_serving.json`` artifact
+(path override: ``BENCH_SERVING_OUT``) so successive PRs can track the
+trajectory.  Acceptance floors asserted here: warm ≥ 10× naive, cold ≥ 2×
+naive, cold_sweep ≥ 8× naive (smoke scale; 10× at full scale), every
+fast-path prediction (sweep included) within 1e-5 relative tolerance of the
 naive path, and every post-swap request a prediction-cache hit.
 """
 
@@ -156,38 +154,23 @@ def _run_rounds(candidate_sets, rounds, predict_fn, *, before_round=None, sweep=
 def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
     predictor, candidate_sets = serving_setup
     service = CostInferenceService(predictor)
-    # The snapshot gate measures a deliberately adverse synthetic calibration
-    # batch (uniform-random features hit near-zero activations real plans
-    # avoid), so give the bench service a little headroom there; the binding
-    # accuracy check is the end-to-end rtol 1e-3 against naive below, on the
-    # actual workload.
-    quantized_service = CostInferenceService(
-        predictor, quantize="float16", quantize_rtol=2e-3
-    )
+    sweep_service = CostInferenceService(predictor)
     naive_predict = _naive_predict_fn(predictor)
 
     def service_predict(plans, env):
         return service.predict(plans, env_features=env)
 
-    def quantized_predict(plans, env):
-        return quantized_service.predict(plans, env_features=env)
-
-    # Correctness gates before timing anything: exact path within float32
-    # round-off of naive, quantized path within the 1e-3 gate tolerance.
+    # Correctness gate before timing anything: per-request and sweep paths
+    # within float32 round-off of naive.
     for plans in candidate_sets[:4]:
-        swept = quantized_service.predict_sweep(plans, ENVIRONMENTS)
+        swept = sweep_service.predict_sweep(plans, ENVIRONMENTS)
         for e, env in enumerate(ENVIRONMENTS):
             want = naive_predict(plans, env)
             np.testing.assert_allclose(service_predict(plans, env), want, rtol=1e-5)
-            np.testing.assert_allclose(quantized_predict(plans, env), want, rtol=1e-3)
-            np.testing.assert_allclose(swept[e], want, rtol=1e-3)
-    assert quantized_service.stats().quantized_active, (
-        "float16 weight quantization failed its rtol gate on this model"
-    )
+            np.testing.assert_allclose(swept[e], want, rtol=1e-5)
     service.clear_caches()
     service.reset_stats()
-    quantized_service.clear_caches()
-    quantized_service.reset_stats()
+    sweep_service.clear_caches()
 
     rounds = 2 if scale.name == "smoke" else 3
 
@@ -196,22 +179,21 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         cold = _run_rounds(
             candidate_sets, rounds, service_predict, before_round=service.clear_caches
         )
-        cold_quantized = _run_rounds(
+        cold_sweep = _run_rounds(
             candidate_sets,
             rounds,
-            lambda plans: quantized_service.predict_sweep(plans, ENVIRONMENTS),
-            before_round=quantized_service.clear_caches,
+            lambda plans: sweep_service.predict_sweep(plans, ENVIRONMENTS),
+            before_round=sweep_service.clear_caches,
             sweep=True,
         )
         # One priming pass, then measure the steady state.
         _run_rounds(candidate_sets, 1, service_predict)
         warm = _run_rounds(candidate_sets, rounds, service_predict)
-        return naive, cold, cold_quantized, warm
+        return naive, cold, cold_sweep, warm
 
-    naive, cold, cold_quantized, warm = benchmark.pedantic(run, rounds=1, iterations=1)
-    cold_quantized["request_shape"] = "strategy_sweep"
-    stats = service.stats()
-    quantized_stats = quantized_service.stats()
+    naive, cold, cold_sweep, warm = benchmark.pedantic(run, rounds=1, iterations=1)
+    cold_sweep["request_shape"] = "strategy_sweep"
+    counters = service.cache_counters()
 
     # Post-swap warming: promote a reloaded copy of the model with the
     # feedback log's hottest plans and serve the first post-promote pass.
@@ -229,7 +211,7 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         replacement, warm=feedback.hottest_plans(n_hot, default_env=ENVIRONMENTS[0])
     )
     swap_seconds = time.perf_counter() - swap_started
-    warmed_plans = service.stats().warmed_plans
+    warmed_plans = service.cache_counters()["warmed_plans"]
     service.reset_stats()  # count the first post-swap pass from zero
     post_latencies = []
     post_plans = 0
@@ -240,7 +222,7 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         post_latencies.append(time.perf_counter() - t0)
         post_plans += len(plans)
     post_total = time.perf_counter() - post_started
-    post_stats = service.stats()
+    post_counters = service.cache_counters()
     post_latencies.sort()
     warm_after_swap = {
         "plans_per_sec": post_plans / post_total,
@@ -250,8 +232,8 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         "plans_scored": post_plans,
         "swap_and_warm_seconds": swap_seconds,
         "warmed_plans": warmed_plans,
-        "prediction_hits": post_stats.prediction_hits,
-        "prediction_misses": post_stats.prediction_misses,
+        "prediction_hits": post_counters["prediction_cache_hits"],
+        "prediction_misses": post_counters["prediction_cache_misses"],
     }
 
     print_banner("Serving throughput - plans/sec and per-request latency")
@@ -261,27 +243,24 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         for name, m in (
             ("naive", naive),
             ("cold", cold),
-            ("cold_quantized", cold_quantized),
+            ("cold_sweep", cold_sweep),
             ("warm", warm),
             ("warm_after_swap", warm_after_swap),
         )
     ]
     print(format_table(["path", "plans/sec", "p50 ms", "p99 ms", "speedup"], rows))
     print(
-        f"cache: {stats.encode_hits} encode hits / {stats.encode_misses} misses, "
-        f"{stats.prediction_hits} prediction hits, {stats.batches} batches"
-    )
-    print(
-        f"quantize: mode=float16 active={quantized_stats.quantized_active} "
-        f"gate_rel_err={quantized_stats.quantize_gate_rel_err:.2e}; "
-        f"cold attribution: encode {quantized_stats.encode_seconds:.3f}s / "
-        f"forward {quantized_stats.forward_seconds:.3f}s / "
-        f"quantize {quantized_stats.quantize_seconds:.4f}s"
+        f"cache: {counters['encoding_cache_hits']} encode hits / "
+        f"{counters['encoding_cache_misses']} misses, "
+        f"{counters['prediction_cache_hits']} prediction hits, "
+        f"{counters['batches']} batches; cold attribution: encode "
+        f"{counters['encode_seconds']:.3f}s / forward {counters['forward_seconds']:.3f}s"
     )
     print(
         f"post-swap: {warmed_plans} plans warmed in "
         f"{swap_seconds * 1e3:.1f} ms, first pass "
-        f"{post_stats.prediction_hits} hits / {post_stats.prediction_misses} misses"
+        f"{warm_after_swap['prediction_hits']} hits / "
+        f"{warm_after_swap['prediction_misses']} misses"
     )
 
     artifact = {
@@ -290,20 +269,14 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         "environments": len(ENVIRONMENTS),
         "naive": naive,
         "cold": cold,
-        "cold_quantized": cold_quantized,
+        "cold_sweep": cold_sweep,
         "warm": warm,
         "warm_after_swap": warm_after_swap,
         "cold_speedup": cold["plans_per_sec"] / naive["plans_per_sec"],
-        "cold_quantized_speedup": cold_quantized["plans_per_sec"] / naive["plans_per_sec"],
+        "cold_sweep_speedup": cold_sweep["plans_per_sec"] / naive["plans_per_sec"],
+        "cold_sweep_floor": 10.0 if scale.name == "full" else 8.0,
         "warm_speedup": warm["plans_per_sec"] / naive["plans_per_sec"],
-        "quantize": {
-            "mode": "float16",
-            "active": bool(quantized_stats.quantized_active),
-            "gate_rel_err": float(quantized_stats.quantize_gate_rel_err),
-            "gate_rtol": quantized_service.quantize_rtol,
-        },
-        "serving_stats": stats.as_dict(),
-        "quantized_serving_stats": quantized_stats.as_dict(),
+        "serving_stats": counters,
     }
     out_path = os.environ.get("BENCH_SERVING_OUT", "BENCH_serving.json")
     with open(out_path, "w") as fh:
@@ -311,18 +284,16 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
     print(f"wrote {out_path}")
 
     # Acceptance floors: warm-cache repeat scoring >= 10x and cold batched
-    # scoring >= 2x the pre-serving predict path (ISSUE 1); the quantized
-    # cold path >= 10x at full scale and >= 8x below it (the ISSUE floors;
-    # sub-full scales use the smoke margin — their tiny candidate sets sit
-    # in the dispatch-bound regime where single-core timer noise swamps a
-    # 10x line the full-scale workload clears), and the post-swap warming
-    # pass must serve the entire first pass from the prediction cache
-    # (ISSUE 6).
+    # scoring >= 2x the pre-serving predict path; the cold sweep >= 10x at
+    # full scale and >= 8x below it (sub-full scales use the smoke margin —
+    # their tiny candidate sets sit in the dispatch-bound regime where
+    # single-core timer noise swamps a 10x line the full-scale workload
+    # clears), and the post-swap warming pass must serve the entire first
+    # pass from the prediction cache.
     assert artifact["warm_speedup"] >= 10.0, artifact["warm_speedup"]
     assert artifact["cold_speedup"] >= 2.0, artifact["cold_speedup"]
-    cold_quantized_floor = 10.0 if scale.name == "full" else 8.0
-    assert artifact["cold_quantized_speedup"] >= cold_quantized_floor, (
-        artifact["cold_quantized_speedup"]
+    assert artifact["cold_sweep_speedup"] >= artifact["cold_sweep_floor"], (
+        artifact["cold_sweep_speedup"]
     )
     assert warm_after_swap["prediction_hits"] == post_plans
     assert warm_after_swap["prediction_misses"] == 0

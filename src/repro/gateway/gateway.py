@@ -765,7 +765,7 @@ class OptimizerGateway:
                     )
             if batch_span.sampled:
                 # Activate so the serving layer's traced_sections (encode /
-                # forward / quantize) nest under this batch.
+                # forward) nest under this batch.
                 with self._service_lock, activate_span(batch_span):
                     predictions = self._service.predict(
                         all_plans, env_features=env_features
@@ -858,9 +858,9 @@ class OptimizerGateway:
             for name, value in counters().items():
                 self.telemetry.gauge(
                     f"serving_{name}",
-                    "inference-service counter: cache hit/miss tallies plus the "
-                    "cold-path attribution split (encode/forward/quantize "
-                    "seconds, warmed plans, quantization gate state)",
+                    "inference-service counter: cache hit/miss tallies, request "
+                    "tallies and the cold-path attribution split (encode/forward "
+                    "seconds, warmed plans)",
                 ).set(value)
         if self.slo is not None:
             self.slo.export(self.telemetry)

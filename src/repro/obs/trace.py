@@ -28,7 +28,7 @@ sink.
 
 ``traced_section`` attaches child spans to whatever span the current
 thread activated (a ``contextvars`` slot), which is how the serving layer
-gains encode/forward/quantize spans without threading a tracer through
+gains encode/forward spans without threading a tracer through
 ``CostInferenceService``.
 """
 

@@ -7,17 +7,12 @@ measured speedups.
 
 from repro.serving.cache import EncodingCache, LRUCache, PredictionCache
 from repro.serving.fingerprint import plan_fingerprint
-from repro.serving.quantize import QuantizedMatrix, quantize_matrix, split_conv_weight
-from repro.serving.service import CostInferenceService, ServingStats
+from repro.serving.service import CostInferenceService
 
 __all__ = [
     "CostInferenceService",
-    "ServingStats",
     "EncodingCache",
     "PredictionCache",
     "LRUCache",
     "plan_fingerprint",
-    "QuantizedMatrix",
-    "quantize_matrix",
-    "split_conv_weight",
 ]

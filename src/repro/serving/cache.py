@@ -15,8 +15,8 @@
   depend on mutable node annotations the key cannot see.
 
 The last two are bounded, insertion-ordered LRU maps with eviction
-counters, so cache pressure is observable from :class:`~repro.serving.
-service.CostInferenceService` stats.  The table is bounded by
+counters, so cache pressure is observable from :meth:`~repro.serving.
+service.CostInferenceService.cache_counters`.  The table is bounded by
 :data:`TABLE_CAPACITY`; the service clears it together with everything
 that holds its ids.
 """
@@ -74,10 +74,6 @@ class LRUCache(Generic[V]):
             store.popitem(last=False)
             self.evictions += 1
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present."""
-        return self._store.pop(key, None) is not None
-
     def clear(self) -> None:
         self._store.clear()
 
@@ -106,8 +102,8 @@ class ProjectionTable:
     children, the sentinel and padding.
 
     ``packed`` is the weight set the rows were projected through: the
-    service compares it by identity and replaces the table when a swap,
-    refit or quantization flip changes it."""
+    service compares it by identity and replaces the table when a swap or
+    refit changes it."""
 
     def __init__(self, encoder, packed, dtype) -> None:
         w3 = packed.conv[0][0]  # (3, d_in, d1)

@@ -25,16 +25,11 @@ round-off when ``dtype=float32``) while removing all of those costs:
    fingerprint tuple, and forward intermediates come from per-tag arenas
    reused across requests;
 3. **packed inference forward** — a raw-numpy mirror of
-   ``TreeConvEncoder``/``_PredictiveModule`` with per-layer weights split
-   into contiguous (self, left, right) blocks so the per-layer
+   ``TreeConvEncoder``/``_PredictiveModule`` over one weight pack per
+   ``weights_version``: each conv layer's flat ``(3·d_in, d_out)`` matrix
+   meets an interleaved self/left/right gather, so the per-layer
    ``(batch, nodes, 3·dim)`` concatenation disappears and every GEMM is
-   2-D;
-4. **gated weight quantization** — with ``quantize=`` set, the packed
-   weights are stored float16/int8 (per-channel scales) and rebuilt once
-   per ``weights_version`` inside ``_WeightSnapshot.refresh``; an rtol
-   gate against the float32 reference on a deterministic calibration
-   batch decides at build/swap time whether the quantized pack serves —
-   a failing gate falls back *bitwise* to the reference weights.
+   2-D.
 
 A second-tier prediction cache short-circuits exact repeats (same plan
 fingerprint, same environment override) without a forward pass, and
@@ -47,8 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict, deque
-from dataclasses import dataclass
+from collections import OrderedDict
 
 import numpy as np
 
@@ -57,228 +51,54 @@ from repro.nn.tree_conv import TreeBatch
 from repro.serving.cache import EncodingCache, PredictionCache, ProjectionTable
 from repro.serving.fingerprint import plan_fingerprint, plan_nodes
 from repro.obs.trace import traced_section
-from repro.serving.quantize import quantize_matrix, split_conv_weight
 from repro.warehouse.plan import PhysicalPlan
 
-__all__ = ["CostInferenceService", "ServingStats"]
-
-Env = "tuple[float, float, float, float]"
+__all__ = ["CostInferenceService"]
 
 #: What a model trained without environment features is served under.
 _ZERO_ENV = (0.0, 0.0, 0.0, 0.0)
 
-#: Seed for the deterministic calibration batch the quantization gate runs.
-_CALIBRATION_SEED = 0xC01D
+#: Requests of at most this many plans (one query's candidate set) skip
+#: size bucketing, and only they take the ``predict_sweep`` fast path.
+SMALL_REQUEST_PLANS = 8
+
+#: Largest bucket a wide request is split into.
+MAX_BATCH_PLANS = 256
 
 
-@dataclass(frozen=True)
-class ServingStats:
-    """A point-in-time snapshot of the service's counters."""
+class _WeightPack:
+    """What the forward pass and :class:`ProjectionTable` read of one
+    weight set, in the serving dtype.  Conv layers are ``(w3, wflat,
+    bias)``: ``wflat`` is the trained ``(3*d_in, d_out)`` matrix and ``w3``
+    its ``(3, d_in, d_out)`` (self, left, right) block view.  Immutable
+    once built; a new ``weights_version`` gets a new pack."""
 
-    requests: int
-    plans_scored: int
-    batches: int
-    encode_hits: int
-    encode_misses: int
-    encode_evictions: int
-    prediction_hits: int
-    prediction_misses: int
-    prediction_evictions: int
-    total_seconds: float
-    p50_latency_ms: float
-    p99_latency_ms: float
-    #: Cold-path attribution: seconds spent encoding (plan-cache probes +
-    #: projection-table lookups and fills), in the bucketed batch assembly +
-    #: forward, and building/gating packed (possibly quantized) weights.
-    encode_seconds: float = 0.0
-    forward_seconds: float = 0.0
-    quantize_seconds: float = 0.0
-    #: Plans pushed through :meth:`CostInferenceService.warm_caches` (the
-    #: post-swap warming pass).
-    warmed_plans: int = 0
-    #: Whether the quantized weight pack is serving (False: quantization
-    #: disabled, or the rtol gate rejected it and the float32 reference
-    #: weights serve instead).
-    quantized_active: bool = False
-    #: Worst relative error the quantization gate measured on its
-    #: calibration batch (0.0 when quantization is disabled).
-    quantize_gate_rel_err: float = 0.0
+    def __init__(self, module, dtype: np.dtype, version: int) -> None:
+        def own(array: np.ndarray) -> np.ndarray:
+            # A copy: training updates parameters in place, and a pack must
+            # not change under the caches built from it.
+            return np.array(array, dtype=dtype, order="C")
 
-    @property
-    def encode_hit_rate(self) -> float:
-        total = self.encode_hits + self.encode_misses
-        return self.encode_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "plans_scored": self.plans_scored,
-            "batches": self.batches,
-            "encode_hits": self.encode_hits,
-            "encode_misses": self.encode_misses,
-            "encode_evictions": self.encode_evictions,
-            "encode_hit_rate": self.encode_hit_rate,
-            "prediction_hits": self.prediction_hits,
-            "prediction_misses": self.prediction_misses,
-            "prediction_evictions": self.prediction_evictions,
-            "total_seconds": self.total_seconds,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "encode_seconds": self.encode_seconds,
-            "forward_seconds": self.forward_seconds,
-            "quantize_seconds": self.quantize_seconds,
-            "warmed_plans": self.warmed_plans,
-            "quantized_active": self.quantized_active,
-            "quantize_gate_rel_err": self.quantize_gate_rel_err,
-        }
-
-
-class _PackedWeights:
-    """The forward pass's view of one weight set: conv layers split into
-    contiguous (self, left, right) blocks plus the head matrices, all in
-    the serving dtype.  Built from either the float32 reference snapshot
-    or its quantized storage (see ``_WeightSnapshot.refresh``)."""
-
-    __slots__ = ("conv", "fc_w", "fc_b", "cost_w", "cost_b", "node_w", "node_b")
-
-    def __init__(self, conv, fc_w, fc_b, cost_w, cost_b, node_w, node_b) -> None:
-        self.conv = conv  # [(w3 (3, d_in, d_out), wflat (3*d_in, d_out) view, bias), ...]
-        self.fc_w = fc_w
-        self.fc_b = fc_b
-        self.cost_w = cost_w
-        self.cost_b = cost_b
-        self.node_w = node_w
-        self.node_b = node_b
-
-
-class _WeightSnapshot:
-    """Flat numpy copies of the trained module's parameters in serving dtype,
-    plus the packed (optionally quantized, rtol-gated) forward weights."""
-
-    def __init__(self, module, dtype: np.dtype, *, quantize: str | None = None,
-                 quantize_rtol: float = 1e-3) -> None:
-        self.version: int | None = None
-        self.dtype = dtype
-        self.quantize_mode = quantize
-        self.quantize_rtol = quantize_rtol
-        self.quantized_active = False
-        self.gate_rel_err = 0.0
-        self.pack_seconds = 0.0
-        self.stored_weight_bytes = 0
-        self.refresh(module)
-
-    def refresh(self, module) -> None:
-        dtype = self.dtype
+        self.version = version
         emb = module.plan_emb
-        self.conv = [
-            (layer.weight.data.astype(dtype), layer.bias.data.astype(dtype))
-            for layer in emb.conv_layers
-        ]
-        self.fc_w = emb.fc.weight.data.astype(dtype)
-        self.fc_b = emb.fc.bias.data.astype(dtype)
+        self.conv = []
+        for layer in emb.conv_layers:
+            # With the interleaved gather laying out [self_i, left_i,
+            # right_i] per node row, one plain GEMM against the flat matrix
+            # computes all three contributions *and* their sum.
+            wflat = own(layer.weight.data)
+            w3 = wflat.reshape(3, wflat.shape[0] // 3, wflat.shape[1])
+            self.conv.append((w3, wflat, own(layer.bias.data)))
+        self.fc_w, self.fc_b = own(emb.fc.weight.data), own(emb.fc.bias.data)
         self.pooling = emb.pooling
         self.cost_head = module.config.cost_head
-        self.cost_w = module.cost_pred.weight.data.astype(dtype)
-        self.cost_b = module.cost_pred.bias.data.astype(dtype)
-        self.node_w = module.node_head.weight.data.astype(dtype)
-        self.node_b = module.node_head.bias.data.astype(dtype)
+        self.cost_w = own(module.cost_pred.weight.data)
+        self.cost_b = own(module.cost_pred.bias.data)
+        self.node_w = own(module.node_head.weight.data)
+        self.node_b = own(module.node_head.bias.data)
         self.scale = float(np.exp(module.log_scale.data[0]))
         self.log_mean = module._log_mean
         self.log_std = module._log_std
-        self._build_packed(module)
-
-    # -- packing + quantization gate ------------------------------------------
-
-    def _build_packed(self, module) -> None:
-        """Pack the conv/head weights for the fast forward; when quantizing,
-        gate the quantized pack against the float32 reference pack and fall
-        back bitwise to the reference weights if it fails."""
-        started = time.perf_counter()
-        with traced_section("serving.quantize", mode=self.quantize_mode):
-            reference = self._pack(None, module)
-            self.packed = reference
-            self.quantized_active = False
-            self.gate_rel_err = 0.0
-            self.stored_weight_bytes = sum(
-                w3.nbytes + bias.nbytes for w3, _wflat, bias in reference.conv
-            ) + sum(m.nbytes for m in (reference.fc_w, reference.cost_w, reference.node_w))
-            if self.quantize_mode is not None:
-                quantized, stored_bytes = self._pack(self.quantize_mode, module)
-                ok, rel_err = self._gate(reference, quantized)
-                self.gate_rel_err = rel_err
-                if ok:
-                    self.packed = quantized
-                    self.quantized_active = True
-                    self.stored_weight_bytes = stored_bytes
-        self.pack_seconds = time.perf_counter() - started
-
-    def _pack(self, mode: str | None, module):
-        """One packed weight set.  ``mode=None`` packs the full-precision
-        reference; otherwise weights are round-tripped through float16/int8
-        storage first, and the second return value is the storage footprint."""
-        dtype = self.dtype
-        stored_bytes = 0
-
-        def matrix(raw: np.ndarray) -> np.ndarray:
-            nonlocal stored_bytes
-            if mode is None:
-                return np.ascontiguousarray(raw, dtype=dtype)
-            q = quantize_matrix(raw, mode, compute_dtype=dtype)
-            stored_bytes += q.stored_nbytes
-            return q.compute
-
-        conv = []
-        for layer in module.plan_emb.conv_layers:
-            # Stacked (3, d_in, d_out) plus its flat (3*d_in, d_out) view:
-            # with the interleaved gather laying out [self_i, left_i,
-            # right_i] per node row, one plain GEMM against the flat view
-            # computes all three contributions *and* their sum.
-            w3 = np.ascontiguousarray(np.stack(split_conv_weight(matrix(layer.weight.data))))
-            wflat = w3.reshape(3 * w3.shape[1], w3.shape[2])
-            conv.append((w3, wflat, layer.bias.data.astype(dtype)))
-        packed = _PackedWeights(
-            conv,
-            matrix(module.plan_emb.fc.weight.data),
-            self.fc_b,
-            matrix(module.cost_pred.weight.data),
-            self.cost_b,
-            matrix(module.node_head.weight.data),
-            self.node_b,
-        )
-        return packed if mode is None else (packed, stored_bytes)
-
-    def _gate(self, reference: _PackedWeights, quantized: _PackedWeights):
-        """rtol check of the quantized pack against the reference pack on a
-        deterministic synthetic calibration batch (uniform features, random
-        valid child pointers, varying tree sizes)."""
-        d_in = reference.conv[0][0].shape[1]  # w3 is stacked (3, d_in, d_out)
-        rng = np.random.default_rng(_CALIBRATION_SEED)
-        batch, padded = 8, 12
-        rows = padded + 1
-        features = np.zeros((batch, rows, d_in), dtype=self.dtype)
-        left = np.zeros((batch, rows), dtype=np.int64)
-        right = np.zeros((batch, rows), dtype=np.int64)
-        mask = np.zeros((batch, rows, 1), dtype=self.dtype)
-        for b in range(batch):
-            n = 3 + (b % (padded - 3))
-            features[b, 1 : n + 1] = rng.random((n, d_in), dtype=np.float32)
-            left[b, 1 : n + 1] = rng.integers(0, n + 1, size=n)
-            right[b, 1 : n + 1] = rng.integers(0, n + 1, size=n)
-            mask[b, 1 : n + 1, 0] = 1.0
-        pool = _BufferPool(self.dtype)
-        x2 = features.reshape(batch * rows, d_in)
-        gather_idx = _combined_gather_index(left, right)
-        want = _packed_forward(x2, gather_idx, mask, self, pool, packed=reference)
-        # Corrupted/overflowed quantized weights propagate non-finite values
-        # through this forward by design — the isfinite check below is the
-        # rejection, so numpy's warnings are noise here.
-        with np.errstate(all="ignore"):
-            got = _packed_forward(x2, gather_idx, mask, self, pool, packed=quantized)
-        if not np.all(np.isfinite(got)):
-            return False, float("inf")
-        denom = np.maximum(np.abs(want), 1e-9 * (1.0 + float(np.max(np.abs(want)))))
-        rel_err = float(np.max(np.abs(got - want) / denom))
-        return rel_err <= self.quantize_rtol, rel_err
 
 
 class _BufferPool:
@@ -354,35 +174,29 @@ def _packed_forward(
     x2: np.ndarray,
     gather_idx: np.ndarray,
     mask: np.ndarray,
-    snapshot: _WeightSnapshot,
+    pack: _WeightPack,
     pool: _BufferPool,
-    *,
-    packed: _PackedWeights | None = None,
-    first: int = 0,
 ) -> np.ndarray:
-    """Raw-numpy inference forward over packed weights: no ``Tensor``
+    """Raw-numpy inference forward from conv layer 1 on: no ``Tensor``
     wrappers, no autodiff bookkeeping, no per-layer concatenation — each
     conv layer is one interleaved self/left/right gather plus one plain
-    ``(nodes, 3*d_in) @ (3*d_in, d_out)`` GEMM (the flat weight view makes
+    ``(nodes, 3*d_in) @ (3*d_in, d_out)`` GEMM (the flat weight matrix makes
     the GEMM compute the three contributions and their sum at once), into
     arena buffers, with in-place bias/ReLU/mask.  At cold-path bucket sizes
     the arrays are tiny and Python-level numpy-call count is the real cost,
     so the layer body is exactly five calls.
 
-    ``x2`` holds the ``(batch * rows, d)`` input rows of conv layer
-    ``first`` and ``gather_idx`` their :func:`_combined_gather_index`.  The
-    quantization gate enters at layer 0 with dense feature rows; the serving
-    path enters at layer 1 with the activation it assembled from the
-    projection table (see ``CostInferenceService._forward_bucket``), so the
-    widest gather and GEMM of the network never run per request."""
-    if packed is None:
-        packed = snapshot.packed
+    ``x2`` holds the ``(batch * rows, d)`` layer-0 activation the service
+    assembled from the projection table (see
+    ``CostInferenceService._forward_bucket``) and ``gather_idx`` its
+    :func:`_combined_gather_index`, so the widest gather and GEMM of the
+    network never run per request."""
     batch, rows = mask.shape[:2]
     n = batch * rows
     mask2 = mask.reshape(n, 1)
 
-    conv = packed.conv
-    for li in range(first, len(conv)):
+    conv = pack.conv
+    for li in range(1, len(conv)):
         _w3, wflat, bias = conv[li]
         d_in, d_out = x2.shape[1], wflat.shape[1]
         gathered = pool.empty((3 * n, d_in), f"conv{li}:g")
@@ -394,20 +208,20 @@ def _packed_forward(
         h *= mask2  # hold sentinel and padding rows at zero
         x2 = h
 
-    if snapshot.cost_head == "pooled":
+    if pack.cost_head == "pooled":
         x = x2.reshape(batch, rows, -1)
         max_pool = x.max(axis=1)
-        if snapshot.pooling == "max":
+        if pack.pooling == "max":
             pooled = max_pool
         else:
             counts = np.maximum(mask.sum(axis=1), 1.0)
             mean_pool = x.sum(axis=1) / counts
             size_feature = np.log1p(counts) / math.log(64.0)
             pooled = np.concatenate((max_pool, mean_pool, size_feature), axis=-1)
-        embedding = pooled @ packed.fc_w + packed.fc_b
+        embedding = pooled @ pack.fc_w + pack.fc_b
         np.maximum(embedding, 0.0, out=embedding)
-        z = (embedding @ packed.cost_w + packed.cost_b).reshape(-1)
-        predicted = np.expm1(z.astype(np.float64) * snapshot.log_std + snapshot.log_mean)
+        z = (embedding @ pack.cost_w + pack.cost_b).reshape(-1)
+        predicted = np.expm1(z.astype(np.float64) * pack.log_std + pack.log_mean)
         return np.maximum(predicted, 0.0)
 
     # node_sum head: per-node softplus contributions, masked and summed.
@@ -418,36 +232,27 @@ def _packed_forward(
     # introduce (padding changes pairwise-summation order), which is what
     # keeps e.g. warmed cache entries bitwise equal to fresh predictions.
     contributions = pool.empty((batch * rows, 1), "node:z")
-    np.matmul(x2, packed.node_w, out=contributions)
-    contributions += packed.node_b
+    np.matmul(x2, pack.node_w, out=contributions)
+    contributions += pack.node_b
     np.logaddexp(0.0, contributions, out=contributions)
     # Masked per-tree sum as one batched dot: padding rows carry
     # softplus(bias) but their mask entry is zero.
     total = np.matmul(
         mask.reshape(batch, 1, rows), contributions.reshape(batch, rows, 1)
     ).reshape(batch)
-    cost = total * snapshot.scale
-    z = (np.log1p(cost) - snapshot.log_mean) / snapshot.log_std
-    predicted = np.expm1(z.astype(np.float64) * snapshot.log_std + snapshot.log_mean)
+    cost = total * pack.scale
+    z = (np.log1p(cost) - pack.log_mean) / pack.log_std
+    predicted = np.expm1(z.astype(np.float64) * pack.log_std + pack.log_mean)
     return np.maximum(predicted, 0.0)
 
 
 class CostInferenceService:
     """Online plan-cost scoring with caching, bucketing, and a no-autodiff
-    packed forward pass.  Semantics match ``AdaptiveCostPredictor.predict``
-    (exactly with ``quantize=None``; within the quantization gate's rtol
-    otherwise).
+    packed forward pass.  Semantics match ``AdaptiveCostPredictor.predict``.
 
     ``predictor`` is duck-typed: it must expose ``encoder``, ``module``,
     ``config`` and (optionally) a ``weights_version`` counter bumped on
-    refit, which invalidates the weight snapshot and prediction cache.
-
-    ``quantize`` selects the weight-storage mode for the packed forward:
-    ``None``/``False`` disables it, ``True`` means ``"float16"``, or pass
-    ``"float16"``/``"int8"`` explicitly.  The quantized pack only serves if
-    it passes an rtol gate (``quantize_rtol``) against the float32
-    reference at snapshot-build time; otherwise the reference weights
-    serve, bitwise identical to an unquantized service.
+    refit, which replaces the weight pack and drops the prediction cache.
 
     Caveat: plans are cached by *structural* fingerprint.  When
     ``env_features=None`` the per-node logged environments are read fresh
@@ -463,24 +268,11 @@ class CostInferenceService:
         encoding_cache_size: int = 1024,
         prediction_cache_size: int = 4096,
         dtype=np.float32,
-        max_batch: int = 256,
-        small_request_threshold: int = 8,
         enable_prediction_cache: bool = True,
-        latency_window: int = 2048,
-        quantize: str | bool | None = None,
-        quantize_rtol: float = 1e-3,
     ) -> None:
         self.predictor = predictor
         self.encoder = predictor.encoder
         self.dtype = np.dtype(dtype)
-        self.max_batch = max_batch
-        self.small_request_threshold = small_request_threshold
-        if quantize is True:
-            quantize = "float16"
-        elif quantize is False:
-            quantize = None
-        self.quantize_mode: str | None = quantize
-        self.quantize_rtol = quantize_rtol
         #: Representative environment restored by :meth:`from_checkpoint`
         #: (``None`` when constructed directly or the checkpoint had none).
         self.environment_features: tuple[float, float, float, float] | None = None
@@ -500,17 +292,8 @@ class CostInferenceService:
         self._bucket_cache_cap = 128
         # Per-environment layer-1 weight contributions.
         self._ce_cache: dict[tuple, np.ndarray] = {}
-        self._snapshot: _WeightSnapshot | None = None
-        self._batch_count = 0
-        self._request_count = 0
-        self._plans_scored = 0
-        self._prediction_misses = 0
-        self._total_seconds = 0.0
-        self._encode_seconds = 0.0
-        self._forward_seconds = 0.0
-        self._quantize_seconds = 0.0
-        self._warmed_plans = 0
-        self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._pack: _WeightPack | None = None
+        self.reset_stats()
 
     @classmethod
     def from_checkpoint(cls, path, **kwargs) -> "CostInferenceService":
@@ -536,7 +319,6 @@ class CostInferenceService:
         """Predicted CPU cost per plan; same contract as the predictor's
         ``predict`` (``env_features=None`` uses each node's logged stage
         environment)."""
-        started = time.perf_counter()
         out = np.zeros(len(plans))
         if not plans:
             return out
@@ -544,7 +326,7 @@ class CostInferenceService:
             env_features = _ZERO_ENV
         env_key = tuple(float(v) for v in env_features) if env_features is not None else None
 
-        snapshot = self._current_snapshot()
+        pack = self._current_pack()
         fingerprints = [plan_fingerprint(p) for p in plans]
         use_pred_cache = self.enable_prediction_cache and env_key is not None
 
@@ -556,7 +338,6 @@ class CostInferenceService:
                     out[i] = cached
                     continue
             pending.append(i)
-        self._prediction_misses += len(pending)
 
         if pending:
             pending_fps = [fingerprints[i] for i in pending]
@@ -570,7 +351,7 @@ class CostInferenceService:
             # of extra buckets outweighs the padding it saves.  The small
             # case is also the latency-critical one, so it skips the bucket
             # regrouping (and its per-member list rebuilds) entirely.
-            if len(pending) <= self.small_request_threshold:
+            if len(pending) <= SMALL_REQUEST_PLANS:
                 key = (tuple(pending_fps), max(n_nodes))
                 encoded: list[np.ndarray] | None = None
                 if key not in self._bucket_cache:
@@ -580,7 +361,7 @@ class CostInferenceService:
                     self._encode_seconds += time.perf_counter() - encode_started
                 with traced_section("serving.forward", n_plans=len(pending)):
                     batch_out = self._forward_bucket(
-                        key, encoded, pending_plans, env_key, snapshot
+                        key, encoded, pending_plans, env_key, pack
                     )
                 out[pending] = batch_out
                 if use_pred_cache:
@@ -588,7 +369,7 @@ class CostInferenceService:
                     for fp, value in zip(pending_fps, batch_out):
                         put((fp, env_key), float(value))
             else:
-                buckets = TreeBatch.bucket_indices(n_nodes, max_batch=self.max_batch)
+                buckets = TreeBatch.bucket_indices(n_nodes, max_batch=MAX_BATCH_PLANS)
                 keys = [
                     (tuple(pending_fps[m] for m in members), padded)
                     for padded, members in buckets
@@ -608,7 +389,7 @@ class CostInferenceService:
                             None if encoded is None else [encoded[m] for m in members],
                             [pending_plans[m] for m in members],
                             env_key,
-                            snapshot,
+                            pack,
                         )
                         for m, value in zip(members, batch_out):
                             i = pending[m]
@@ -619,11 +400,8 @@ class CostInferenceService:
                                 )
             self._bound_table()
 
-        elapsed = time.perf_counter() - started
         self._request_count += 1
         self._plans_scored += len(plans)
-        self._total_seconds += elapsed
-        self._latencies.append(elapsed)
         return out
 
     def predict_sweep(
@@ -644,7 +422,6 @@ class CostInferenceService:
         level environment vectors only; per-node logged environments
         (``env_features=None``) have no sweep form.
         """
-        started = time.perf_counter()
         envs = [tuple(float(v) for v in env) for env in env_sweep]
         n_plans = len(plans)
         out = np.zeros((len(envs), n_plans))
@@ -652,14 +429,14 @@ class CostInferenceService:
             return out
         if not getattr(self.predictor.config, "use_environment", True):
             envs = [_ZERO_ENV for _ in envs]
-        snapshot = self._current_snapshot()
+        pack = self._current_pack()
         # Wide requests, pooled-head models, and single-conv-layer models
         # (whose env-linear layer 1 is already the final embedding) take the
         # per-request path; the sweep fast path targets one candidate set.
         if (
-            n_plans > self.small_request_threshold
-            or snapshot.cost_head == "pooled"
-            or len(snapshot.packed.conv) < 2
+            n_plans > SMALL_REQUEST_PLANS
+            or pack.cost_head == "pooled"
+            or len(pack.conv) < 2
         ):
             for e, env in enumerate(envs):
                 out[e] = self.predict(plans, env_features=env)
@@ -669,7 +446,9 @@ class CostInferenceService:
         use_pred_cache = self.enable_prediction_cache
         misses = 0
         if use_pred_cache and not len(self.prediction_cache):
+            # Nothing to look up: every lookup skipped is a miss.
             misses = len(envs) * n_plans
+            self.prediction_cache.misses += misses
         elif use_pred_cache:
             get = self.prediction_cache.get
             for e, env in enumerate(envs):
@@ -683,7 +462,6 @@ class CostInferenceService:
         else:
             misses = len(envs) * n_plans
         if misses:
-            self._prediction_misses += misses
             key = (tuple(fingerprints), max(len(fp) for fp in fingerprints))
             encoded: list[np.ndarray] | None = None
             if key not in self._bucket_cache:
@@ -696,7 +474,7 @@ class CostInferenceService:
             # of cached ones (and the put below re-caches the sweep's), and
             # one batched forward beats per-miss bookkeeping at sweep sizes.
             with traced_section("serving.forward", n_plans=n_plans, n_envs=len(envs)):
-                values = self._forward_sweep(key, encoded, envs, snapshot)
+                values = self._forward_sweep(key, encoded, envs, pack)
             self._bound_table()
             out[:] = values
             if use_pred_cache:
@@ -705,11 +483,8 @@ class CostInferenceService:
                     row = values[e]
                     for i, fp in enumerate(fingerprints):
                         put((fp, env), float(row[i]))
-        elapsed = time.perf_counter() - started
         self._request_count += 1
         self._plans_scored += len(envs) * n_plans
-        self._total_seconds += elapsed
-        self._latencies.append(elapsed)
         return out
 
     def select_best_index(
@@ -718,47 +493,19 @@ class CostInferenceService:
         *,
         env_features: tuple[float, float, float, float] | None = None,
     ) -> tuple[int, np.ndarray]:
-        """Like :meth:`select_best` but returns the winning index (what the
-        figure benchmarks tabulate)."""
+        """The index of the cheapest predicted plan, plus every prediction
+        (what the figure benchmarks tabulate)."""
         if not plans:
             raise ValueError("select_best on an empty candidate list")
         predictions = self.predict(plans, env_features=env_features)
         return int(np.argmin(predictions)), predictions
 
-    def stats(self) -> ServingStats:
-        latencies = sorted(self._latencies)
-        p50 = p99 = 0.0
-        if latencies:
-            p50 = 1e3 * latencies[int(0.50 * (len(latencies) - 1))]
-            p99 = 1e3 * latencies[int(0.99 * (len(latencies) - 1))]
-        snapshot = self._snapshot
-        return ServingStats(
-            requests=self._request_count,
-            plans_scored=self._plans_scored,
-            batches=self._batch_count,
-            encode_hits=self.encoding_cache.hits,
-            encode_misses=self.encoding_cache.misses,
-            encode_evictions=self.encoding_cache.evictions,
-            prediction_hits=self.prediction_cache.hits,
-            prediction_misses=self._prediction_misses,
-            prediction_evictions=self.prediction_cache.evictions,
-            total_seconds=self._total_seconds,
-            p50_latency_ms=p50,
-            p99_latency_ms=p99,
-            encode_seconds=self._encode_seconds,
-            forward_seconds=self._forward_seconds,
-            quantize_seconds=self._quantize_seconds,
-            warmed_plans=self._warmed_plans,
-            quantized_active=bool(snapshot.quantized_active) if snapshot else False,
-            quantize_gate_rel_err=float(snapshot.gate_rel_err) if snapshot else 0.0,
-        )
-
     def cache_counters(self) -> dict[str, float]:
-        """Flat counters/gauges for both cache tiers plus the cold-path
-        timing attribution, in the shape the gateway publishes as
-        ``serving_*`` telemetry gauges (the caches and timings were
-        otherwise observable only through :meth:`stats`)."""
-        snapshot = self._snapshot
+        """The service's counters: both cache tiers, request tallies and the
+        cold-path timing attribution (seconds encoding — plan-cache probes
+        plus projection-table lookups and fills — and in bucket assembly
+        plus forward), flat, in the shape the gateway publishes as
+        ``serving_*`` telemetry gauges."""
         return {
             "encoding_cache_hits": self.encoding_cache.hits,
             "encoding_cache_misses": self.encoding_cache.misses,
@@ -772,23 +519,21 @@ class CostInferenceService:
             "prediction_cache_capacity": self.prediction_cache.capacity,
             "encode_seconds": self._encode_seconds,
             "forward_seconds": self._forward_seconds,
-            "quantize_seconds": self._quantize_seconds,
             "warmed_plans": self._warmed_plans,
-            "quantized_active": 1.0 if (snapshot and snapshot.quantized_active) else 0.0,
-            "quantize_gate_rel_err": float(snapshot.gate_rel_err) if snapshot else 0.0,
+            "requests": self._request_count,
+            "plans_scored": self._plans_scored,
+            "batches": self._batch_count,
         }
 
     def reset_stats(self) -> None:
+        """Zero every tally and timer :meth:`cache_counters` reports (cache
+        sizes and capacities are state, not tallies)."""
         self._batch_count = 0
         self._request_count = 0
         self._plans_scored = 0
-        self._prediction_misses = 0
-        self._total_seconds = 0.0
         self._encode_seconds = 0.0
         self._forward_seconds = 0.0
-        self._quantize_seconds = 0.0
         self._warmed_plans = 0
-        self._latencies.clear()
         self.encoding_cache.reset_counters()
         self.prediction_cache.reset_counters()
 
@@ -829,8 +574,7 @@ class CostInferenceService:
         ``warm`` optionally carries ``(plan, env_features)`` pairs to score
         immediately after the swap (see :meth:`warm_caches`), so the first
         post-promote requests for hot plans are served from cache instead
-        of hitting a fully cold path.  The quantization gate, when enabled,
-        re-runs as part of the new model's weight snapshot.
+        of hitting a fully cold path.
         """
         new_encoder = getattr(predictor, "encoder", None)
         if new_encoder is None or new_encoder.dim != self.encoder.dim:
@@ -844,36 +588,26 @@ class CostInferenceService:
             predictor.weights_version = incumbent_version + 1
         self.predictor = predictor
         self.encoder = new_encoder
-        self._snapshot = None
+        self._pack = None
         self.clear_caches()
         if warm:
             self.warm_caches(warm)
 
     # -- internals -----------------------------------------------------------
 
-    def _current_snapshot(self) -> _WeightSnapshot:
+    def _current_pack(self) -> _WeightPack:
+        """The live weight pack, rebuilt when ``weights_version`` moves (the
+        prediction cache goes with the old one), and its projection table."""
         version = getattr(self.predictor, "weights_version", 0)
-        snapshot = self._snapshot
-        if snapshot is None:
-            snapshot = _WeightSnapshot(
-                self.predictor.module,
-                self.dtype,
-                quantize=self.quantize_mode,
-                quantize_rtol=self.quantize_rtol,
-            )
-            snapshot.version = version
-            self._snapshot = snapshot
-            self._quantize_seconds += snapshot.pack_seconds
-        elif snapshot.version != version:
-            snapshot.refresh(self.predictor.module)
-            snapshot.version = version
-            self._quantize_seconds += snapshot.pack_seconds
+        pack = self._pack
+        if pack is None or pack.version != version:
+            pack = self._pack = _WeightPack(self.predictor.module, self.dtype, version)
             self.prediction_cache.clear()
-        if self._table is not None and self._table.packed is not snapshot.packed:
+        if self._table is not None and self._table.packed is not pack:
             self._reset_projection()
         if self._table is None:
-            self._table = ProjectionTable(self.encoder, snapshot.packed, self.dtype)
-        return snapshot
+            self._table = ProjectionTable(self.encoder, pack, self.dtype)
+        return pack
 
     def _reset_projection(self) -> None:
         """Drop the projection table together with every cache holding its
@@ -957,7 +691,7 @@ class CostInferenceService:
         encoded: list[np.ndarray] | None,
         plans: list[PhysicalPlan],
         env_features: tuple[float, float, float, float] | None,
-        snapshot: _WeightSnapshot,
+        pack: _WeightPack,
     ) -> np.ndarray:
         forward_started = time.perf_counter()
         entry = self._bucket_entry(key, encoded, len(plans))
@@ -993,7 +727,7 @@ class CostInferenceService:
         np.maximum(h, 0.0, out=h)
         self._batch_count += 1
         out = _packed_forward(
-            h, entry.gather_idx, entry.mask, snapshot, self._buffers, first=1
+            h, entry.gather_idx, entry.mask, pack, self._buffers
         )
         self._forward_seconds += time.perf_counter() - forward_started
         return out
@@ -1003,7 +737,7 @@ class CostInferenceService:
         key: tuple,
         encoded: list[np.ndarray] | None,
         envs: list[tuple],
-        snapshot: _WeightSnapshot,
+        pack: _WeightPack,
     ) -> np.ndarray:
         """One batched node-sum forward scoring a bucket under every
         environment of ``envs``.  Layer 1 expands through the env-linear
@@ -1015,9 +749,8 @@ class CostInferenceService:
         dispatch."""
         forward_started = time.perf_counter()
         entry = self._bucket_entry(key, encoded, len(key[0]))
-        packed = snapshot.packed
         pool = self._buffers
-        conv = packed.conv
+        conv = pack.conv
         trees, rows = entry.mask.shape[0], entry.mask.shape[1]
         n = trees * rows
         n_envs = len(envs)
@@ -1080,17 +813,17 @@ class CostInferenceService:
         h += bias
         np.maximum(h, 0.0, out=h)
         contributions = pool.empty((n_envs * n_real, 1), "sweep:z")
-        np.matmul(h, packed.node_w, out=contributions)
-        contributions += packed.node_b
+        np.matmul(h, pack.node_w, out=contributions)
+        contributions += pack.node_b
         np.logaddexp(0.0, contributions, out=contributions)
         total = np.add.reduceat(contributions.reshape(-1), seg_t)
         # Same serving-dtype z snap as ``_packed_forward`` — collapses the
         # env-tiled batch's accumulation-order differences so sweep results
         # stay within float32 round-off of per-request ones.
-        cost = total * snapshot.scale
-        z = (np.log1p(cost) - snapshot.log_mean) / snapshot.log_std
+        cost = total * pack.scale
+        z = (np.log1p(cost) - pack.log_mean) / pack.log_std
         predicted = np.expm1(
-            z.astype(np.float64) * snapshot.log_std + snapshot.log_mean
+            z.astype(np.float64) * pack.log_std + pack.log_mean
         )
         predicted = np.maximum(predicted, 0.0).reshape(n_envs, trees)
         self._batch_count += 1

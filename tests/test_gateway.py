@@ -825,15 +825,11 @@ class TestGatewayLearnedReal:
             for gauge in (
                 "serving_encode_seconds",
                 "serving_forward_seconds",
-                "serving_quantize_seconds",
                 "serving_warmed_plans",
-                "serving_quantized_active",
-                "serving_quantize_gate_rel_err",
             ):
                 assert gauge in gauges
             assert gauges["serving_encode_seconds"] > 0.0
             assert gauges["serving_forward_seconds"] > 0.0
-            assert gauges["serving_quantized_active"] == 0.0  # no quantize=
 
     def test_close_is_idempotent_and_answers_late_callers(self, trained):
         predictor, plans = trained

@@ -368,10 +368,10 @@ class TestLifecycleEndToEnd:
         # then re-warmed with the feedback log's hottest plans scored under
         # the *new* model (so nothing stale from the incumbent survives and
         # the cache holds at most the warming set).
-        stats = lifecycle.service.stats()
-        assert 0 < stats.warmed_plans <= lifecycle.warm_top_k
-        assert 0 < len(lifecycle.service.prediction_cache) <= stats.warmed_plans
-        assert 0 < len(lifecycle.service.encoding_cache) <= stats.warmed_plans
+        warmed = lifecycle.service.cache_counters()["warmed_plans"]
+        assert 0 < warmed <= lifecycle.warm_top_k
+        assert 0 < len(lifecycle.service.prediction_cache) <= warmed
+        assert 0 < len(lifecycle.service.encoding_cache) <= warmed
 
         # Post-swap predictions match a fresh service built from the new
         # checkpoint exactly.
@@ -402,9 +402,9 @@ class TestLifecycleEndToEnd:
         service = lifecycle.service
         service.reset_stats()
         got = service.predict([hot], env_features=ENV)
-        stats = service.stats()
-        assert stats.prediction_hits == 1
-        assert stats.prediction_misses == 0
+        counters = service.cache_counters()
+        assert counters["prediction_cache_hits"] == 1
+        assert counters["prediction_cache_misses"] == 0
         # ...and the warm value is the new model's prediction, not a stale one.
         fresh = CostInferenceService(predictor).predict([hot], env_features=ENV)
         np.testing.assert_array_equal(got, fresh)
@@ -422,7 +422,7 @@ class TestLifecycleEndToEnd:
             lifecycle.observe(plan, cost, env_features=ENV)
         report, _ = lifecycle.submit_candidate(predictor, environment_features=ENV)
         assert report.decision == "promote"
-        assert lifecycle.service.stats().warmed_plans == 0
+        assert lifecycle.service.cache_counters()["warmed_plans"] == 0
         assert len(lifecycle.service.prediction_cache) == 0
 
     def test_rollback_restores_previous_version_exactly(self, pool, tmp_path):

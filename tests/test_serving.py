@@ -29,7 +29,7 @@ from repro.serving import (
 )
 from repro.serving.cache import ProjectionTable
 from repro.serving.fingerprint import plan_nodes
-from repro.serving.service import _combined_gather_index
+from repro.serving.service import SMALL_REQUEST_PLANS, _combined_gather_index
 from repro.warehouse.plan import PhysicalPlan
 from repro.warehouse.workload import generate_project
 
@@ -66,7 +66,7 @@ def _fresh_envs(n, seed=5):
 
 
 def _table(service) -> ProjectionTable:
-    service._current_snapshot()
+    service._current_pack()
     return service._table
 
 
@@ -236,11 +236,15 @@ class TestCacheBehaviour:
         assert "b" not in cache
 
     def test_invalidate(self):
+        """``clear`` drops every entry and leaves the counters to
+        ``reset_counters``."""
         cache = LRUCache(capacity=4)
         cache.put("a", 1)
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
+        cache.put("b", 2)
+        cache.clear()
+        assert len(cache) == 0
         assert cache.get("a") is None
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 1, 0)
 
     def test_service_under_lru_pressure_stays_correct(self, trained):
         predictor, plans = trained
@@ -271,14 +275,11 @@ class TestCacheBehaviour:
         service = CostInferenceService(predictor)
         service.predict(plans[:6], env_features=(0.5, 0.05, 0.5, 0.5))
         service.predict(plans[:6], env_features=(0.5, 0.05, 0.5, 0.5))
-        stats = service.stats()
-        assert stats.requests == 2
-        assert stats.plans_scored == 12
-        assert stats.prediction_hits >= 6
-        assert stats.p50_latency_ms >= 0.0
-        assert stats.p99_latency_ms >= stats.p50_latency_ms
-        assert 0.0 <= stats.encode_hit_rate <= 1.0
-        assert stats.as_dict()["requests"] == 2
+        counters = service.cache_counters()
+        assert counters["requests"] == 2
+        assert counters["plans_scored"] == 12
+        assert counters["prediction_cache_hits"] >= 6
+        assert counters["prediction_cache_misses"] == 6
 
 
 # -- fingerprinting --------------------------------------------------------------
@@ -439,7 +440,7 @@ class TestSwapPredictor:
             service.swap_predictor(other)
 
 
-# -- cold-path acceleration (projection table, quantized packed forward, warming) --
+# -- cold-path acceleration (projection table, warming) ----------------------------
 
 
 COLD_ENV = (0.5, 0.05, 0.5, 0.5)
@@ -679,7 +680,8 @@ class TestProjectionTable:
         for plans, env in zip(sets, _fresh_envs(50, seed=2)):
             service.predict(plans, env_features=env)
         assert calls == {"encode_plan": 0, "structural_row": 0}
-        assert service.stats().prediction_hits == 0  # every request ran its forward
+        # Every request ran its forward.
+        assert service.cache_counters()["prediction_cache_hits"] == 0
 
         cached = list(service.encoding_cache._store.values())
         for entry in service._bucket_cache.values():
@@ -690,85 +692,6 @@ class TestProjectionTable:
         assert all(a.dtype.kind == "i" for a in service.encoding_cache._store.values())
 
 
-class TestQuantizedForward:
-    def test_float16_gate_passes_and_matches_reference(self, trained):
-        predictor, plans = trained
-        reference = CostInferenceService(predictor)
-        service = CostInferenceService(predictor, quantize="float16")
-        want = reference.predict(plans[:20], env_features=COLD_ENV)
-        got = service.predict(plans[:20], env_features=COLD_ENV)
-        stats = service.stats()
-        assert stats.quantized_active
-        assert 0.0 < stats.quantize_gate_rel_err <= 1e-3
-        np.testing.assert_allclose(got, want, rtol=1e-3)
-
-    def test_quantize_true_selects_float16(self, trained):
-        predictor, _ = trained
-        assert CostInferenceService(predictor, quantize=True).quantize_mode == "float16"
-        assert CostInferenceService(predictor, quantize=False).quantize_mode is None
-
-    def test_int8_gate_decides_activation(self, trained):
-        predictor, plans = trained
-        # Loose gate: int8 activates and stays within its own tolerance.
-        loose = CostInferenceService(predictor, quantize="int8", quantize_rtol=5e-2)
-        reference = CostInferenceService(predictor)
-        want = reference.predict(plans[:20], env_features=COLD_ENV)
-        got = loose.predict(plans[:20], env_features=COLD_ENV)
-        assert loose.stats().quantized_active
-        np.testing.assert_allclose(got, want, rtol=5e-2)
-
-    def test_strict_gate_falls_back_bitwise(self, trained):
-        predictor, plans = trained
-        # A gate no quantization can pass: the service must serve the
-        # float32 reference weights, bitwise equal to an unquantized service.
-        strict = CostInferenceService(predictor, quantize="float16", quantize_rtol=1e-12)
-        reference = CostInferenceService(predictor)
-        got = strict.predict(plans[:20], env_features=COLD_ENV)
-        want = reference.predict(plans[:20], env_features=COLD_ENV)
-        stats = strict.stats()
-        assert not stats.quantized_active
-        assert stats.quantize_gate_rel_err > 1e-12
-        np.testing.assert_array_equal(got, want)
-
-    def test_corrupted_weights_fail_gate_and_fall_back(self, trained, project_with_history):
-        _, plans = trained
-        corrupted = _fit_second_predictor(project_with_history)
-        # An outlier beyond float16 range becomes inf in quantized storage;
-        # the calibration forward goes non-finite and the gate must reject.
-        corrupted.module.plan_emb.conv_layers[0].weight.data[0, 0] = 1e9
-        quantized = CostInferenceService(corrupted, quantize="float16")
-        plain = CostInferenceService(corrupted)
-        got = quantized.predict(plans[:12], env_features=COLD_ENV)
-        want = plain.predict(plans[:12], env_features=COLD_ENV)
-        assert not quantized.stats().quantized_active
-        np.testing.assert_array_equal(got, want)
-        assert np.all(np.isfinite(got))
-
-    def test_quantize_matrix_roundtrip_and_split(self):
-        from repro.serving import quantize_matrix, split_conv_weight
-
-        rng = np.random.default_rng(7)
-        weight = rng.normal(scale=0.3, size=(24, 6))
-        weight[:, 2] *= 50.0  # a hot channel must not crush the others
-        half = quantize_matrix(weight, "float16")
-        assert half.stored.dtype == np.float16
-        assert half.max_weight_rel_err(weight) < 1e-3
-        q8 = quantize_matrix(weight, "int8")
-        assert q8.stored.dtype == np.int8
-        assert q8.scales.shape == (1, 6)
-        np.testing.assert_allclose(
-            q8.compute, q8.stored.astype(np.float32) * q8.scales.astype(np.float32)
-        )
-        assert q8.max_weight_rel_err(weight) < 1e-2
-        assert q8.stored_nbytes < half.stored_nbytes < weight.nbytes
-        with pytest.raises(ValueError, match="unknown quantize mode"):
-            quantize_matrix(weight, "int4")
-        w_self, w_left, w_right = split_conv_weight(weight)
-        np.testing.assert_array_equal(np.vstack((w_self, w_left, w_right)), weight)
-        with pytest.raises(ValueError, match="divisible by 3"):
-            split_conv_weight(weight[:23])
-
-
 class TestWarming:
     def test_warm_caches_populates_both_tiers(self, trained):
         predictor, plans = trained
@@ -777,12 +700,12 @@ class TestWarming:
         assert warmed == 10
         assert len(service.encoding_cache) > 0
         assert len(service.prediction_cache) > 0
-        assert service.stats().warmed_plans == 10
+        assert service.cache_counters()["warmed_plans"] == 10
         service.reset_stats()
         service.predict(plans[:10], env_features=COLD_ENV)
-        stats = service.stats()
-        assert stats.prediction_hits == 10
-        assert stats.prediction_misses == 0
+        counters = service.cache_counters()
+        assert counters["prediction_cache_hits"] == 10
+        assert counters["prediction_cache_misses"] == 0
 
     def test_warm_without_env_fills_encoding_tier_only(self, trained):
         predictor, plans = trained
@@ -801,9 +724,9 @@ class TestWarming:
         )
         service.reset_stats()
         got = service.predict(plans[:8], env_features=COLD_ENV)
-        stats = service.stats()
-        assert stats.prediction_hits == 8
-        assert stats.prediction_misses == 0
+        counters = service.cache_counters()
+        assert counters["prediction_cache_hits"] == 8
+        assert counters["prediction_cache_misses"] == 0
         # Warmed values come from the *new* model.
         fresh = CostInferenceService(replacement).predict(plans[:8], env_features=COLD_ENV)
         np.testing.assert_array_equal(got, fresh)
@@ -812,38 +735,23 @@ class TestWarming:
 class TestColdPathStats:
     def test_timing_attribution_accumulates(self, trained):
         predictor, plans = trained
-        service = CostInferenceService(predictor, quantize="float16")
+        service = CostInferenceService(predictor)
         service.predict(plans[:10], env_features=COLD_ENV)
-        stats = service.stats()
-        assert stats.encode_seconds > 0.0
-        assert stats.forward_seconds > 0.0
-        assert stats.quantize_seconds > 0.0
-        as_dict = stats.as_dict()
-        for key in (
-            "encode_seconds",
-            "forward_seconds",
-            "quantize_seconds",
-            "warmed_plans",
-            "quantized_active",
-            "quantize_gate_rel_err",
-        ):
-            assert key in as_dict
+        first = service.cache_counters()
+        assert first["encode_seconds"] > 0.0
+        assert first["forward_seconds"] > 0.0
+        service.predict(plans[10:20], env_features=COLD_ENV)
+        second = service.cache_counters()
+        assert second["encode_seconds"] > first["encode_seconds"]
+        assert second["forward_seconds"] > first["forward_seconds"]
 
     def test_cache_counters_export_cold_path_gauges(self, trained):
         predictor, plans = trained
         service = CostInferenceService(predictor)
         service.predict(plans[:5], env_features=COLD_ENV)
         counters = service.cache_counters()
-        for key in (
-            "encode_seconds",
-            "forward_seconds",
-            "quantize_seconds",
-            "warmed_plans",
-            "quantized_active",
-            "quantize_gate_rel_err",
-        ):
+        for key in ("encode_seconds", "forward_seconds", "warmed_plans"):
             assert key in counters
-        assert counters["quantized_active"] == 0.0
         assert counters["encode_seconds"] > 0.0
 
 
@@ -880,37 +788,39 @@ class TestPredictSweep:
             warm = service.predict(plans[:4], env_features=env)
             np.testing.assert_array_equal(warm, swept[e])
         assert service.prediction_cache.hits >= hits_before + 4 * len(SWEEP_ENVS)
-        assert service.stats().batches == 1  # the sweep's single forward
+        assert service.cache_counters()["batches"] == 1  # the sweep's single forward
 
     def test_sweep_serves_warm_rows_from_cache(self, trained):
         predictor, plans = trained
         service = CostInferenceService(predictor)
-        misses_after_first = None
         service.predict_sweep(plans[:3], SWEEP_ENVS)
-        misses_after_first = service.stats().prediction_misses
+        misses_after_first = service.cache_counters()["prediction_cache_misses"]
         service.predict_sweep(plans[:3], SWEEP_ENVS)
-        assert service.stats().prediction_misses == misses_after_first
+        assert service.cache_counters()["prediction_cache_misses"] == misses_after_first
+
+    def test_cold_sweep_counts_every_skipped_lookup_as_a_miss(self, trained):
+        """On an empty prediction cache the sweep skips its lookups; each
+        one still counts, so the miss gauge agrees with the hit gauge."""
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        service.predict_sweep(plans[:3], SWEEP_ENVS)
+        counters = service.cache_counters()
+        assert counters["prediction_cache_misses"] == 12
+        assert counters["prediction_cache_hits"] == 0
+        service.predict_sweep(plans[:3], SWEEP_ENVS)
+        counters = service.cache_counters()
+        assert counters["prediction_cache_misses"] == 12
+        assert counters["prediction_cache_hits"] == 12
 
     def test_wide_request_falls_back_to_per_request_path(self, trained):
         predictor, plans = trained
-        service = CostInferenceService(predictor, small_request_threshold=2)
+        service = CostInferenceService(predictor)
         reference = CostInferenceService(predictor)
-        wide = plans[:6]  # > threshold -> per-environment fallback loop
+        wide = plans[: SMALL_REQUEST_PLANS + 2]  # per-environment fallback loop
         swept = service.predict_sweep(wide, SWEEP_ENVS)
         for e, env in enumerate(SWEEP_ENVS):
             np.testing.assert_allclose(
                 swept[e], reference.predict(wide, env_features=env), rtol=1e-5
-            )
-
-    def test_quantized_sweep_within_gate_tolerance(self, trained):
-        predictor, plans = trained
-        quantized = CostInferenceService(predictor, quantize="float16")
-        reference = CostInferenceService(predictor)
-        swept = quantized.predict_sweep(plans[:4], SWEEP_ENVS)
-        assert quantized.stats().quantized_active
-        for e, env in enumerate(SWEEP_ENVS):
-            np.testing.assert_allclose(
-                swept[e], reference.predict(plans[:4], env_features=env), rtol=1e-3
             )
 
     def test_sweep_after_swap_uses_new_weights(self, trained, project_with_history):

@@ -1,7 +1,7 @@
 """Gateway serving throughput: concurrent callers through the front end.
 
 The workload mirrors ``bench_serving_throughput`` (candidate sets re-scored
-under the fig10 environment sweep) but drives it the way production steering
+under four fig10-shaped environments) but drives it the way production steering
 traffic arrives: many threads asking at once through the
 :class:`~repro.gateway.gateway.OptimizerGateway`, which coalesces compatible
 requests into learned micro-batches over the single-threaded inference
@@ -50,7 +50,7 @@ from repro.gateway import GatewayConfig, OptimizerGateway
 from repro.serving import CostInferenceService
 from repro.warehouse.workload import generate_project
 
-#: Environment sweep the candidate sets are re-scored under (fig10 shape).
+#: Environments the candidate sets are re-scored under (fig10 shape).
 ENVIRONMENTS = (
     (0.5, 0.05, 0.5, 0.5),
     (0.62, 0.03, 0.41, 0.55),

@@ -6,35 +6,27 @@ strategies, so the same plans are re-scored with only the 4-wide environment
 block changing — exactly the case the bucket cache and the env-linear first
 layer target.
 
-Three paths are timed:
+Four paths are timed:
 
 * **naive** — the pre-serving ``AdaptiveCostPredictor.predict``: full
   re-encode of every plan per request (per-node Python loop, cold hash
   memo), one padded batch, forward through the autodiff engine, called
-  once per (candidate set, environment) — the seed API has no sweep entry
-  point;
+  once per (candidate set, environment);
 * **cold** — ``CostInferenceService`` with caches cleared before every
   round (``clear_caches`` keeps the weight-scoped projection table), same
   per-(set, environment) request shape as naive: plans resolved to table
   ids + size buckets + no-grad float32 packed forward;
-* **cold_sweep** — the cold path through the serving layer's natural entry
-  point for this workload: one ``predict_sweep(plans, ENVIRONMENTS)`` call
-  per candidate set scores the whole strategy sweep in a single batched
-  forward (the env-linear first layer expands to all environments in one
-  GEMM).  Same total work, same outputs (gated against naive below) — the
-  request shape is the serving API's, not the seed's;
 * **warm** — the steady-state service: encoding and prediction caches hot;
 * **warm_after_swap** — the first full pass served immediately after
   ``swap_predictor(..., warm=...)`` re-primed the caches from the feedback
   log's hottest plans (a promote must not serve a cold burst).
 
-Reported as plans/sec with p50/p99 per-request latency (per sweep call for
-the ``cold_sweep`` phase), written to the ``BENCH_serving.json`` artifact
-(path override: ``BENCH_SERVING_OUT``) so successive PRs can track the
-trajectory.  Acceptance floors asserted here: warm ≥ 10× naive, cold ≥ 2×
-naive, cold_sweep ≥ 8× naive (smoke scale; 10× at full scale), every
-fast-path prediction (sweep included) within 1e-5 relative tolerance of the
-naive path, and every post-swap request a prediction-cache hit.
+Reported as plans/sec with p50/p99 per-request latency, written to the
+``BENCH_serving.json`` artifact (path override: ``BENCH_SERVING_OUT``) so
+successive PRs can track the trajectory.  Acceptance floors asserted here:
+warm ≥ 10× naive, cold ≥ 2× naive, every fast-path prediction within 1e-5
+relative tolerance of the naive path, and every post-swap request a
+prediction-cache hit.
 """
 
 from __future__ import annotations
@@ -56,7 +48,7 @@ from repro.serving import CostInferenceService
 from repro.warehouse.workload import generate_project
 
 #: Environments the same candidate sets are re-scored under (the fig10
-#: strategy sweep, abstracted to fixed feature vectors).
+#: strategies, abstracted to fixed feature vectors).
 ENVIRONMENTS = (
     (0.5, 0.05, 0.5, 0.5),
     (0.62, 0.03, 0.41, 0.55),
@@ -101,15 +93,9 @@ def _naive_predict_fn(predictor):
     return predict
 
 
-def _run_rounds(candidate_sets, rounds, predict_fn, *, before_round=None, sweep=False):
-    """Time ``predict_fn`` over the workload.
-
-    ``sweep=False`` issues one call per (candidate set, environment) — the
-    only shape the seed API supports.  ``sweep=True`` issues one call per
-    candidate set covering all of ``ENVIRONMENTS`` at once (the serving
-    layer's ``predict_sweep`` entry point); latencies are then per sweep
-    call, and plans_scored still counts every (plan, environment) pair so
-    plans/sec stays comparable across modes.
+def _run_rounds(candidate_sets, rounds, predict_fn, *, before_round=None):
+    """Time ``predict_fn`` over the workload: one call per (candidate set,
+    environment).
 
     ``plans_per_sec`` is taken from the *best* complete round — the
     standard noise-robust wall-time estimator on a shared single-core CI
@@ -126,17 +112,11 @@ def _run_rounds(candidate_sets, rounds, predict_fn, *, before_round=None, sweep=
         round_started = time.perf_counter()
         round_plans = 0
         for plans in candidate_sets:
-            if sweep:
+            for env in ENVIRONMENTS:
                 t0 = time.perf_counter()
-                predict_fn(plans)
+                predict_fn(plans, env)
                 latencies.append(time.perf_counter() - t0)
-                round_plans += len(plans) * len(ENVIRONMENTS)
-            else:
-                for env in ENVIRONMENTS:
-                    t0 = time.perf_counter()
-                    predict_fn(plans, env)
-                    latencies.append(time.perf_counter() - t0)
-                    round_plans += len(plans)
+                round_plans += len(plans)
         round_stats.append((time.perf_counter() - round_started, round_plans))
         plans_scored += round_plans
     total = time.perf_counter() - started
@@ -154,23 +134,20 @@ def _run_rounds(candidate_sets, rounds, predict_fn, *, before_round=None, sweep=
 def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
     predictor, candidate_sets = serving_setup
     service = CostInferenceService(predictor)
-    sweep_service = CostInferenceService(predictor)
     naive_predict = _naive_predict_fn(predictor)
 
     def service_predict(plans, env):
         return service.predict(plans, env_features=env)
 
-    # Correctness gate before timing anything: per-request and sweep paths
-    # within float32 round-off of naive.
+    # Correctness gate before timing anything: the service within float32
+    # round-off of naive.
     for plans in candidate_sets[:4]:
-        swept = sweep_service.predict_sweep(plans, ENVIRONMENTS)
-        for e, env in enumerate(ENVIRONMENTS):
-            want = naive_predict(plans, env)
-            np.testing.assert_allclose(service_predict(plans, env), want, rtol=1e-5)
-            np.testing.assert_allclose(swept[e], want, rtol=1e-5)
+        for env in ENVIRONMENTS:
+            np.testing.assert_allclose(
+                service_predict(plans, env), naive_predict(plans, env), rtol=1e-5
+            )
     service.clear_caches()
     service.reset_stats()
-    sweep_service.clear_caches()
 
     rounds = 2 if scale.name == "smoke" else 3
 
@@ -179,20 +156,12 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         cold = _run_rounds(
             candidate_sets, rounds, service_predict, before_round=service.clear_caches
         )
-        cold_sweep = _run_rounds(
-            candidate_sets,
-            rounds,
-            lambda plans: sweep_service.predict_sweep(plans, ENVIRONMENTS),
-            before_round=sweep_service.clear_caches,
-            sweep=True,
-        )
         # One priming pass, then measure the steady state.
         _run_rounds(candidate_sets, 1, service_predict)
         warm = _run_rounds(candidate_sets, rounds, service_predict)
-        return naive, cold, cold_sweep, warm
+        return naive, cold, warm
 
-    naive, cold, cold_sweep, warm = benchmark.pedantic(run, rounds=1, iterations=1)
-    cold_sweep["request_shape"] = "strategy_sweep"
+    naive, cold, warm = benchmark.pedantic(run, rounds=1, iterations=1)
     counters = service.cache_counters()
 
     # Post-swap warming: promote a reloaded copy of the model with the
@@ -243,7 +212,6 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         for name, m in (
             ("naive", naive),
             ("cold", cold),
-            ("cold_sweep", cold_sweep),
             ("warm", warm),
             ("warm_after_swap", warm_after_swap),
         )
@@ -269,12 +237,9 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
         "environments": len(ENVIRONMENTS),
         "naive": naive,
         "cold": cold,
-        "cold_sweep": cold_sweep,
         "warm": warm,
         "warm_after_swap": warm_after_swap,
         "cold_speedup": cold["plans_per_sec"] / naive["plans_per_sec"],
-        "cold_sweep_speedup": cold_sweep["plans_per_sec"] / naive["plans_per_sec"],
-        "cold_sweep_floor": 10.0 if scale.name == "full" else 8.0,
         "warm_speedup": warm["plans_per_sec"] / naive["plans_per_sec"],
         "serving_stats": counters,
     }
@@ -284,16 +249,9 @@ def test_serving_throughput(benchmark, serving_setup, scale, tmp_path):
     print(f"wrote {out_path}")
 
     # Acceptance floors: warm-cache repeat scoring >= 10x and cold batched
-    # scoring >= 2x the pre-serving predict path; the cold sweep >= 10x at
-    # full scale and >= 8x below it (sub-full scales use the smoke margin —
-    # their tiny candidate sets sit in the dispatch-bound regime where
-    # single-core timer noise swamps a 10x line the full-scale workload
-    # clears), and the post-swap warming pass must serve the entire first
-    # pass from the prediction cache.
+    # scoring >= 2x the pre-serving predict path, and the post-swap warming
+    # pass must serve the entire first pass from the prediction cache.
     assert artifact["warm_speedup"] >= 10.0, artifact["warm_speedup"]
     assert artifact["cold_speedup"] >= 2.0, artifact["cold_speedup"]
-    assert artifact["cold_sweep_speedup"] >= artifact["cold_sweep_floor"], (
-        artifact["cold_sweep_speedup"]
-    )
     assert warm_after_swap["prediction_hits"] == post_plans
     assert warm_after_swap["prediction_misses"] == 0

@@ -311,46 +311,23 @@ class ServingFleet:
         as ``OptimizerGateway.predict`` — always answers, flagging source
         and reason.  ``plans_key``, when stable across calls for the same
         candidate set, enables encode-once framing: the plan trees cross
-        the pipe only on the first request per worker."""
-        results = self.predict_sweep(
-            tenant,
-            plans,
-            [env_features],
-            deadline_ms=deadline_ms,
-            plans_key=plans_key,
-            trace=trace,
-        )
-        return results[0]
-
-    def predict_sweep(
-        self,
-        tenant: str,
-        plans,
-        env_sweep,
-        *,
-        deadline_ms: float | None = None,
-        plans_key=None,
-        trace=None,
-    ) -> list[GatewayResult]:
-        """Score one candidate set under every environment of ``env_sweep``
-        in a single round trip to the tenant's shard (batched framing).
-        With observability on, the parent's ``fleet.request`` span context
-        rides the framing into the worker, whose span records ride the
-        reply back — ``span_tree(result.trace_id)`` then reconstructs the
-        request across both processes.  ``trace`` joins an upstream trace
-        (e.g. a scenario replay's deterministic context)."""
+        the pipe only on the first request per worker, so a caller scoring
+        one set under several environments sends one frame per environment
+        and the plans once.  With observability on, the parent's
+        ``fleet.request`` span context rides the framing into the worker,
+        whose span records ride the reply back — ``span_tree(result.
+        trace_id)`` then reconstructs the request across both processes.
+        ``trace`` joins an upstream trace (e.g. a scenario replay's
+        deterministic context)."""
         started = time.monotonic()
         self._requests_total.inc()
-        envs = [
-            tuple(float(v) for v in env) if env is not None else None
-            for env in env_sweep
-        ]
+        env = tuple(float(v) for v in env_features) if env_features is not None else None
         plans = list(plans)
         span = (
             self.tracer.start_trace(
                 "fleet.request",
                 parent=trace,
-                attrs={"tenant": tenant, "n_plans": len(plans), "n_envs": len(envs)},
+                attrs={"tenant": tenant, "n_plans": len(plans)},
             )
             if self.tracer is not None
             else NULL_SPAN
@@ -372,7 +349,7 @@ class ServingFleet:
             if pacer is not None and not pacer.try_admit():
                 return self._shed(
                     plans,
-                    envs,
+                    env,
                     started,
                     reason="pacer-limit",
                     retry_after=pacer.next_admit_eta(),
@@ -386,7 +363,7 @@ class ServingFleet:
                     reply = self._exchange(
                         handle,
                         ("predict", self._next_req_id(), plans_key,
-                         None if known else plans, envs, deadline_ms, trace_wire),
+                         None if known else plans, env, deadline_ms, trace_wire),
                         span,
                     )
                     if reply[0] == "need-plans":
@@ -399,7 +376,7 @@ class ServingFleet:
                         reply = self._exchange(
                             handle,
                             ("predict", self._next_req_id(), plans_key, plans,
-                             envs, deadline_ms, trace_wire),
+                             env, deadline_ms, trace_wire),
                             span,
                         )
             except _PIPE_ERRORS as exc:
@@ -408,7 +385,7 @@ class ServingFleet:
                     # A crashed RPC measures nothing; hand back the slot.
                     pacer.release()
                 return self._shed(
-                    plans, envs, started, reason="worker-crash", span=span
+                    plans, env, started, reason="worker-crash", span=span
                 )
             if pacer is not None:
                 # The whole round trip (including a need-plans resend — that
@@ -421,31 +398,24 @@ class ServingFleet:
                 # Worker-side span records for this trace rode the reply;
                 # stitch them with the parent's own spans.
                 self.collector.add_many(reply[3])
-            results = [
-                GatewayResult(
-                    unpack_costs(costs),
-                    source,
-                    reason,
-                    latency_ms,
-                    version,
-                    trace_id=span.trace_id,
-                )
-                for costs, source, reason, version in reply[2]
-            ]
+            costs, source, reason, version = reply[2]
+            result = GatewayResult(
+                unpack_costs(costs),
+                source,
+                reason,
+                latency_ms,
+                version,
+                trace_id=span.trace_id,
+            )
             if self.slo is not None:
-                hit = all(r.reason != "deadline" for r in results)
-                self.slo.record(latency_ms / 1e3, deadline_hit=hit)
+                self.slo.record(latency_ms / 1e3, deadline_hit=reason != "deadline")
             if span.sampled:
-                span.set_attrs(
-                    source=results[0].source if results else None,
-                    reason=results[0].reason if results else None,
-                    weights_version=results[0].model_version if results else None,
-                )
+                span.set_attrs(source=source, reason=reason, weights_version=version)
                 span.finish()
-            return results
+            return result
         return self._shed(
             plans,
-            envs,
+            env,
             started,
             reason="closed" if self._closed else "no-workers",
             span=span,
@@ -454,14 +424,14 @@ class ServingFleet:
     def _shed(
         self,
         plans,
-        envs,
+        env,
         started,
         *,
         reason: str,
         retry_after: float | None = None,
         span=NULL_SPAN,
         pacer_state: str | None = None,
-    ) -> list[GatewayResult]:
+    ) -> GatewayResult:
         """Answer a request the fleet could not place from the parent-side
         native fallback — the fleet keeps the gateway's one invariant."""
         self.telemetry.counter(
@@ -491,18 +461,15 @@ class ServingFleet:
             if pacer_state is not None:
                 span.set_attr("pacer_state", pacer_state)
             span.finish()
-        return [
-            GatewayResult(
-                self.fallback.predict(plans, env_features=env),
-                "fallback",
-                reason,
-                latency_ms,
-                None,
-                retry_after=retry_after,
-                trace_id=span.trace_id,
-            )
-            for env in envs
-        ]
+        return GatewayResult(
+            self.fallback.predict(plans, env_features=env),
+            "fallback",
+            reason,
+            latency_ms,
+            None,
+            retry_after=retry_after,
+            trace_id=span.trace_id,
+        )
 
     # -- model rollout ---------------------------------------------------------
 

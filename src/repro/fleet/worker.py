@@ -16,18 +16,18 @@ answer from the fallback at the deadline).  The parent talks to the worker
 over one duplex ``multiprocessing`` connection, one :mod:`repro.fleet.wire`
 frame per message in either direction:
 
-``("predict", req_id, plans_key, plans, envs, deadline_ms, trace_wire)``
-    Score one candidate set under each environment of ``envs`` (batched
-    framing: a whole environment sweep rides one round trip).  ``plans``
-    may be ``None`` when ``plans_key`` was shipped before — the worker
-    keeps an LRU of recently seen candidate sets so steady-state traffic
-    never pickles plan trees across the pipe; an unknown key answers
-    ``("need-plans", req_id)`` and the client resends with plans attached.
-    ``trace_wire`` is the parent's serialized
-    :class:`~repro.obs.TraceContext` (or ``None``): the worker's gateway
-    spans join the parent's trace, and their finished records ride the
-    ``("ok", req_id, results, spans)`` reply back for cross-process
-    stitching.  Each result's cost vector is raw ``float64`` bytes
+``("predict", req_id, plans_key, plans, env, deadline_ms, trace_wire)``
+    Score one candidate set under one environment (``env`` is the
+    request's feature tuple, or ``None`` for each node's logged one): one
+    frame is one gateway request.  ``plans`` may be ``None`` when
+    ``plans_key`` was shipped before — the worker keeps an LRU of recently
+    seen candidate sets so steady-state traffic never pickles plan trees
+    across the pipe; an unknown key answers ``("need-plans", req_id)`` and
+    the client resends with plans attached.  ``trace_wire`` is the parent's
+    serialized :class:`~repro.obs.TraceContext` (or ``None``): the worker's
+    gateway spans join the parent's trace, and their finished records ride
+    the ``("ok", req_id, (costs, source, reason, version), spans)`` reply
+    back for cross-process stitching.  ``costs`` is raw ``float64`` bytes
     (:func:`~repro.fleet.wire.pack_costs`).
 ``("load", req_id, checkpoint_path, warm)``
     Staged promote: load the checkpoint, hot-swap it through the gateway
@@ -145,7 +145,7 @@ def fleet_worker_main(
             kind, req_id = message[0], message[1]
 
             if kind == "predict":
-                _, _, plans_key, plans, envs, deadline_ms, trace_wire = message
+                _, _, plans_key, plans, env, deadline_ms, trace_wire = message
                 if plans is None:
                     plans = plan_cache.get(plans_key)
                     if plans is None:
@@ -162,17 +162,10 @@ def fleet_worker_main(
                     from repro.obs import TraceContext
 
                     parent_ctx = TraceContext.from_wire(trace_wire)
-                results = []
-                for env in envs:
-                    r = gateway.predict_inline(
-                        plans,
-                        env_features=env,
-                        deadline_ms=deadline_ms,
-                        trace=parent_ctx,
-                    )
-                    results.append(
-                        (pack_costs(r.costs), r.source, r.reason, r.model_version)
-                    )
+                r = gateway.predict_inline(
+                    plans, env_features=env, deadline_ms=deadline_ms, trace=parent_ctx
+                )
+                result = (pack_costs(r.costs), r.source, r.reason, r.model_version)
                 # This worker's finished spans for the trace ride the reply
                 # back to the parent's collector (cross-process stitching).
                 spans = (
@@ -180,7 +173,7 @@ def fleet_worker_main(
                     if parent_ctx is not None
                     else []
                 )
-                send_frame(conn, ("ok", req_id, results, spans))
+                send_frame(conn, ("ok", req_id, result, spans))
 
             elif kind == "load":
                 _, _, path, warm = message

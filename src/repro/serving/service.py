@@ -5,7 +5,8 @@ ergonomics: it re-encodes every node in Python, pads every plan in the
 request to the largest plan's size, and runs the forward pass through the
 autodiff ``Tensor`` machinery even though no gradient is ever needed.
 Online steering calls it in the query optimizer's latency budget, often on
-plans it scored moments earlier under a different environment block.
+plans it scored moments earlier.  Every request is scored under one
+environment: the request's ``env_features``, or each node's logged one.
 
 :class:`CostInferenceService` keeps outputs identical (within float32
 round-off when ``dtype=float32``) while removing all of those costs:
@@ -59,7 +60,7 @@ __all__ = ["CostInferenceService"]
 _ZERO_ENV = (0.0, 0.0, 0.0, 0.0)
 
 #: Requests of at most this many plans (one query's candidate set) skip
-#: size bucketing, and only they take the ``predict_sweep`` fast path.
+#: size bucketing.
 SMALL_REQUEST_PLANS = 8
 
 #: Largest bucket a wide request is split into.
@@ -133,7 +134,7 @@ class _BucketEntry:
     pre-activation ``h1_base`` gathered from the projection table.  Bound
     to the table's weight set, so the bucket cache is cleared with it."""
 
-    __slots__ = ("mask", "gather_idx", "child_ind", "h1_base", "sweep")
+    __slots__ = ("mask", "gather_idx", "child_ind", "h1_base")
 
     def __init__(self, mask, gather_idx, child_ind, h1_base) -> None:
         self.mask = mask
@@ -143,9 +144,6 @@ class _BucketEntry:
         # env part of layer 1 for every row.
         self.child_ind = child_ind
         self.h1_base = h1_base  # bias included, padding rows masked to zero
-        # Weight-agnostic structural tiles for the environment-sweep
-        # forward, keyed by sweep width (see ``_forward_sweep``).
-        self.sweep: dict[int, tuple] = {}
 
 
 def _combined_gather_index(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -285,13 +283,11 @@ class CostInferenceService:
         # changes or it outgrows ``serving.cache.TABLE_CAPACITY``.
         self._table: ProjectionTable | None = None
         # Assembled padded batches keyed by the bucket's fingerprint tuple:
-        # the env-sweep pattern scores the same candidate set under several
-        # environments back to back, and only the environment's layer-1
-        # contribution differs between those forwards.
+        # a known candidate set re-scored under a new environment differs
+        # from its last forward only in the environment's layer-1
+        # contribution.
         self._bucket_cache: "OrderedDict[tuple, _BucketEntry]" = OrderedDict()
         self._bucket_cache_cap = 128
-        # Per-environment layer-1 weight contributions.
-        self._ce_cache: dict[tuple, np.ndarray] = {}
         self._pack: _WeightPack | None = None
         self.reset_stats()
 
@@ -402,89 +398,6 @@ class CostInferenceService:
 
         self._request_count += 1
         self._plans_scored += len(plans)
-        return out
-
-    def predict_sweep(
-        self,
-        plans: list[PhysicalPlan],
-        env_sweep,
-    ) -> np.ndarray:
-        """Score every plan under every environment of ``env_sweep`` in one
-        request — the steering pattern, where one candidate set is
-        evaluated under several environment strategies at once.
-
-        Returns shape ``(len(env_sweep), len(plans))``, row ``e`` equal to
-        ``predict(plans, env_features=env_sweep[e])``.  The whole sweep
-        shares one fingerprint pass, one bucket assembly, and one batched
-        forward: the env-linear first layer expands to every environment
-        with a single ``(nodes, 3) @ (3, S*d)`` GEMM, and deeper layers run
-        on an environment-tiled batch (see ``_forward_sweep``).  Request-
-        level environment vectors only; per-node logged environments
-        (``env_features=None``) have no sweep form.
-        """
-        envs = [tuple(float(v) for v in env) for env in env_sweep]
-        n_plans = len(plans)
-        out = np.zeros((len(envs), n_plans))
-        if not plans or not envs:
-            return out
-        if not getattr(self.predictor.config, "use_environment", True):
-            envs = [_ZERO_ENV for _ in envs]
-        pack = self._current_pack()
-        # Wide requests, pooled-head models, and single-conv-layer models
-        # (whose env-linear layer 1 is already the final embedding) take the
-        # per-request path; the sweep fast path targets one candidate set.
-        if (
-            n_plans > SMALL_REQUEST_PLANS
-            or pack.cost_head == "pooled"
-            or len(pack.conv) < 2
-        ):
-            for e, env in enumerate(envs):
-                out[e] = self.predict(plans, env_features=env)
-            return out
-
-        fingerprints = [plan_fingerprint(p) for p in plans]
-        use_pred_cache = self.enable_prediction_cache
-        misses = 0
-        if use_pred_cache and not len(self.prediction_cache):
-            # Nothing to look up: every lookup skipped is a miss.
-            misses = len(envs) * n_plans
-            self.prediction_cache.misses += misses
-        elif use_pred_cache:
-            get = self.prediction_cache.get
-            for e, env in enumerate(envs):
-                row = out[e]
-                for i, fp in enumerate(fingerprints):
-                    cached = get((fp, env))
-                    if cached is None:
-                        misses += 1
-                    else:
-                        row[i] = cached
-        else:
-            misses = len(envs) * n_plans
-        if misses:
-            key = (tuple(fingerprints), max(len(fp) for fp in fingerprints))
-            encoded: list[np.ndarray] | None = None
-            if key not in self._bucket_cache:
-                encode_started = time.perf_counter()
-                with traced_section("serving.encode", n_plans=n_plans):
-                    encoded = self._encode_pending(list(plans), fingerprints)
-                self._encode_seconds += time.perf_counter() - encode_started
-            # Recompute the full sweep even on partial hits: the serving-
-            # dtype z snap keeps recomputed values within float32 round-off
-            # of cached ones (and the put below re-caches the sweep's), and
-            # one batched forward beats per-miss bookkeeping at sweep sizes.
-            with traced_section("serving.forward", n_plans=n_plans, n_envs=len(envs)):
-                values = self._forward_sweep(key, encoded, envs, pack)
-            self._bound_table()
-            out[:] = values
-            if use_pred_cache:
-                put = self.prediction_cache.put
-                for e, env in enumerate(envs):
-                    row = values[e]
-                    for i, fp in enumerate(fingerprints):
-                        put((fp, env), float(row[i]))
-        self._request_count += 1
-        self._plans_scored += len(envs) * n_plans
         return out
 
     def select_best_index(
@@ -611,12 +524,11 @@ class CostInferenceService:
 
     def _reset_projection(self) -> None:
         """Drop the projection table together with every cache holding its
-        row ids (plan cache) or sums of its rows (bucket and environment
-        contribution caches), so none of them can outlive it."""
+        row ids (plan cache) or sums of its rows (bucket cache), so neither
+        can outlive it."""
         self._table = None
         self.encoding_cache.clear()
         self._bucket_cache.clear()
-        self._ce_cache.clear()
 
     def _bound_table(self) -> None:
         """Enforce the table's capacity once a request's gathers are done —
@@ -645,9 +557,8 @@ class CostInferenceService:
         """The cached padded-batch assembly for ``key = (fingerprint tuple,
         padded node count)``; assembled from ``encoded`` on a miss.  The
         assembly depends only on the bucket's plan structures and the live
-        weights, so the env-sweep pattern — the same candidate set scored
-        under several environments back to back — reuses one assembly and
-        adds only the environment's layer-1 contribution."""
+        weights, so a known candidate set re-scored under a new environment
+        reuses it and adds only that environment's layer-1 contribution."""
         entry = self._bucket_cache.get(key)
         if entry is None:
             rows = key[1] + 1
@@ -671,19 +582,6 @@ class CostInferenceService:
                 self._bucket_cache.popitem(last=False)
             self._bucket_cache[key] = entry
         return entry
-
-    def _env_contrib(self, env_features: tuple) -> np.ndarray:
-        """The environment's layer-1 weight-slice contribution ``ce`` —
-        one (3, d_out) matrix of per-self/left/right-block additions,
-        cached per environment tuple for the life of the projection table."""
-        ce = self._ce_cache.get(env_features)
-        if ce is None:
-            env_vec = np.asarray(env_features, dtype=self.dtype)
-            ce = np.matmul(env_vec, self._table.env_weights).reshape(3, -1)
-            if len(self._ce_cache) >= 64:
-                self._ce_cache.clear()
-            self._ce_cache[env_features] = ce
-        return ce
 
     def _forward_bucket(
         self,
@@ -722,7 +620,10 @@ class CostInferenceService:
             # through the child indicators.  ``h1_base`` is pre-masked and
             # ``child_ind`` carries the mask in its self column, so padding
             # rows come out exactly zero.
-            np.matmul(entry.child_ind, self._env_contrib(env_features), out=h)
+            contrib = np.matmul(
+                np.asarray(env_features, dtype=self.dtype), self._table.env_weights
+            )
+            np.matmul(entry.child_ind, contrib.reshape(3, -1), out=h)
             h += entry.h1_base
         np.maximum(h, 0.0, out=h)
         self._batch_count += 1
@@ -731,101 +632,3 @@ class CostInferenceService:
         )
         self._forward_seconds += time.perf_counter() - forward_started
         return out
-
-    def _forward_sweep(
-        self,
-        key: tuple,
-        encoded: list[np.ndarray] | None,
-        envs: list[tuple],
-        pack: _WeightPack,
-    ) -> np.ndarray:
-        """One batched node-sum forward scoring a bucket under every
-        environment of ``envs``.  Layer 1 expands through the env-linear
-        shortcut — ``child_ind @ [ce_0 | ce_1 | ...]`` computes every
-        environment's contribution in a single GEMM on top of the shared
-        zero-env pre-activation — and deeper layers plus the node head run
-        once on an environment-tiled batch, so the sweep costs one forward
-        of ``S×`` the rows instead of ``S`` forwards' worth of python/numpy
-        dispatch."""
-        forward_started = time.perf_counter()
-        entry = self._bucket_entry(key, encoded, len(key[0]))
-        pool = self._buffers
-        conv = pack.conv
-        trees, rows = entry.mask.shape[0], entry.mask.shape[1]
-        n = trees * rows
-        n_envs = len(envs)
-
-        sweep = entry.sweep.get(n_envs)
-        if sweep is None:
-            # The last conv layer and the node head run on real rows only
-            # (no padding FLOPs, no mask multiplies): the interleaved gather
-            # restricted to real rows and each tree's first position within
-            # the real-row order, tiled env-major.  Middle layers of deeper
-            # models still need the padded tiles.
-            mask_rows = entry.mask.reshape(trees, rows)
-            gather_real = entry.gather_idx.reshape(n, 3)[np.flatnonzero(mask_rows)]
-            n_real = gather_real.shape[0]
-            seg_starts = np.zeros(trees, dtype=np.int64)
-            np.cumsum(np.count_nonzero(mask_rows, axis=1)[:-1], out=seg_starts[1:])
-            env_ids = np.arange(n_envs, dtype=np.int64)
-            gather_real_t = np.tile(gather_real.reshape(-1), n_envs) + np.repeat(
-                env_ids * n, 3 * n_real
-            )
-            seg_t = np.tile(seg_starts, n_envs) + np.repeat(env_ids * n_real, trees)
-            if len(conv) > 2:
-                pad_t = np.tile(entry.gather_idx, n_envs) + np.repeat(
-                    env_ids * n, entry.gather_idx.shape[0]
-                )
-                mask_flat = np.ascontiguousarray(
-                    np.tile(entry.mask.reshape(-1), n_envs)[:, None]
-                )
-            else:
-                pad_t = mask_flat = None
-            entry.sweep[n_envs] = sweep = (gather_real_t, seg_t, pad_t, mask_flat, n_real)
-        gather_real_t, seg_t, pad_t, mask_flat, n_real = sweep
-
-        ce_cat = np.concatenate([self._env_contrib(env) for env in envs], axis=1)
-        d1 = ce_cat.shape[1] // n_envs
-        t3 = np.matmul(entry.child_ind, ce_cat).reshape(n, n_envs, d1)
-        t3 += entry.h1_base[:, None, :]
-        np.maximum(t3, 0.0, out=t3)
-        # Flatten env-major; the reshape of the transposed view copies into
-        # contiguous (S*n, d1) rows.
-        x2 = t3.transpose(1, 0, 2).reshape(n_envs * n, d1)
-        for li in range(1, len(conv) - 1):
-            _w3, wflat, bias = conv[li]
-            d_in, d_out = x2.shape[1], wflat.shape[1]
-            gathered = pool.empty((3 * n_envs * n, d_in), f"sweep{li}:g")
-            x2.take(pad_t, axis=0, out=gathered)
-            h = pool.empty((n_envs * n, d_out), f"sweep{li}:h")
-            np.matmul(gathered.reshape(n_envs * n, 3 * d_in), wflat, out=h)
-            h += bias
-            np.maximum(h, 0.0, out=h)
-            h *= mask_flat
-            x2 = h
-        # Last conv layer + node head, real rows only.
-        _w3, wflat, bias = conv[-1]
-        d_in = x2.shape[1]
-        gathered = pool.empty((3 * n_envs * n_real, d_in), "sweepL:g")
-        x2.take(gather_real_t, axis=0, out=gathered)
-        h = pool.empty((n_envs * n_real, wflat.shape[1]), "sweepL:h")
-        np.matmul(gathered.reshape(n_envs * n_real, 3 * d_in), wflat, out=h)
-        h += bias
-        np.maximum(h, 0.0, out=h)
-        contributions = pool.empty((n_envs * n_real, 1), "sweep:z")
-        np.matmul(h, pack.node_w, out=contributions)
-        contributions += pack.node_b
-        np.logaddexp(0.0, contributions, out=contributions)
-        total = np.add.reduceat(contributions.reshape(-1), seg_t)
-        # Same serving-dtype z snap as ``_packed_forward`` — collapses the
-        # env-tiled batch's accumulation-order differences so sweep results
-        # stay within float32 round-off of per-request ones.
-        cost = total * pack.scale
-        z = (np.log1p(cost) - pack.log_mean) / pack.log_std
-        predicted = np.expm1(
-            z.astype(np.float64) * pack.log_std + pack.log_mean
-        )
-        predicted = np.maximum(predicted, 0.0).reshape(n_envs, trees)
-        self._batch_count += 1
-        self._forward_seconds += time.perf_counter() - forward_started
-        return predicted

@@ -346,13 +346,10 @@ class TestServingFleet:
             first = fleet.predict("t0", plans[:6], env_features=ENV, plans_key="s0")
             again = fleet.predict("t0", plans[:6], env_features=ENV, plans_key="s0")
             np.testing.assert_allclose(again.costs, first.costs, rtol=1e-6)
-            # One round trip scores the whole environment sweep.
-            sweep = fleet.predict_sweep(
-                "t0", plans[:6], [ENV, env2], plans_key="s0"
-            )
-            assert len(sweep) == 2
+            # A second environment is a second request on the same key.
+            second = fleet.predict("t0", plans[:6], env_features=env2, plans_key="s0")
             np.testing.assert_allclose(
-                sweep[1].costs, direct.predict(plans[:6], env_features=env2),
+                second.costs, direct.predict(plans[:6], env_features=env2),
                 rtol=1e-5,
             )
             # Unknown key with plans=None triggers the need-plans resend:
@@ -673,8 +670,9 @@ class TestWire:
                 r = fleet.predict(f"t{i % 4}", plans[:6], env_features=ENV, plans_key="hot")
                 assert r.source == "learned"
             assert served(fleet) == (inline + 200, queued, learned + 200)
-            # A sweep frame is one request per environment, none handed off.
-            assert len(fleet.predict_sweep("t0", plans[:6], envs, plans_key="hot")) == 3
+            # One frame per environment, none handed off.
+            for env in envs:
+                fleet.predict("t0", plans[:6], env_features=env, plans_key="hot")
             assert served(fleet) == (inline + 203, queued, learned + 203)
             # A budget is the one thing that takes the shard's queue.
             for i in range(200):
@@ -708,16 +706,26 @@ class TestWire:
                 assert batch["duration_ms"] is not None
                 assert by_name["gateway.request"]["attrs"]["batch_span_id"] == batch["span_id"]
 
-    def test_answers_are_bitwise_the_shards_own_gateway_answers(self, checkpointed):
+    def test_answers_are_bitwise_the_shards_own_gateway_answers(
+        self, checkpointed, monkeypatch
+    ):
         path, _predictor, plans = checkpointed
         envs = [ENV, (0.2, 0.1, 0.3, 0.4), (0.9, 0.01, 0.1, 0.7)]
         with OptimizerGateway(CostInferenceService.from_checkpoint(path)) as local:
             want = [local.predict(plans[:8], env_features=env).costs for env in envs]
         with ServingFleet(path, n_workers=2) as fleet:
             one = fleet.predict("alpha", plans[:8], env_features=ENV)
-            sweep = fleet.predict_sweep("alpha", plans[:8], envs, plans_key="s")
-            again = fleet.predict_sweep("alpha", plans[:8], envs, plans_key="s")
-        for got, ref in zip([one] + sweep + again, [want[0]] + want + want):
+            calls = _CountingConnCalls(monkeypatch)
+            scored = [
+                fleet.predict("alpha", plans[:8], env_features=env, plans_key="s")
+                for _ in range(2)
+                for env in envs
+            ]
+            # The plan trees crossed the pipe once, with the first frame.
+            assert len(calls.sent) == 6
+            assert calls.sent[0] > 400 and max(calls.sent[1:]) < 400
+            assert "plans_resent_total" not in fleet.telemetry.snapshot()["counters"]
+        for got, ref in zip([one] + scored, [want[0]] + want + want):
             assert got.source == "learned"
             assert got.costs.dtype == ref.dtype == np.float64
             assert np.array_equal(got.costs, ref)

@@ -29,7 +29,7 @@ from repro.serving import (
 )
 from repro.serving.cache import ProjectionTable
 from repro.serving.fingerprint import plan_nodes
-from repro.serving.service import SMALL_REQUEST_PLANS, _combined_gather_index
+from repro.serving.service import _combined_gather_index
 from repro.warehouse.plan import PhysicalPlan
 from repro.warehouse.workload import generate_project
 
@@ -565,12 +565,6 @@ class TestProjectionTable:
             np.testing.assert_allclose(
                 service.predict(logged), predictor.predict_baseline(logged), rtol=1e-5
             )
-            sweep = envs[40 + 2 * i : 43 + 2 * i]
-            swept = service.predict_sweep(plans, sweep)
-            for e, env in enumerate(sweep):
-                np.testing.assert_allclose(
-                    swept[e], predictor.predict_baseline(plans, env_features=env), rtol=1e-5
-                )
 
     def test_float64_service_matches_at_1e9(self, trained, candidate_sets):
         predictor, _ = trained
@@ -753,92 +747,3 @@ class TestColdPathStats:
         for key in ("encode_seconds", "forward_seconds", "warmed_plans"):
             assert key in counters
         assert counters["encode_seconds"] > 0.0
-
-
-# -- (h) strategy-sweep requests -------------------------------------------------
-
-SWEEP_ENVS = (
-    (0.5, 0.05, 0.5, 0.5),
-    (0.62, 0.03, 0.41, 0.55),
-    (0.31, 0.12, 0.77, 0.69),
-    (0.0, 0.0, 0.0, 0.0),
-)
-
-
-class TestPredictSweep:
-    def test_sweep_matches_per_request_predictions(self, trained):
-        predictor, plans = trained
-        service = CostInferenceService(predictor)
-        reference = CostInferenceService(predictor)
-        swept = service.predict_sweep(plans[:4], SWEEP_ENVS)
-        assert swept.shape == (len(SWEEP_ENVS), 4)
-        for e, env in enumerate(SWEEP_ENVS):
-            want = reference.predict(plans[:4], env_features=env)
-            # The sweep batches every environment into one forward, so its
-            # float32 accumulation order differs from a per-request batch;
-            # the serving-dtype z snap keeps the residual at ulp scale.
-            np.testing.assert_allclose(swept[e], want, rtol=1e-5)
-
-    def test_sweep_fills_prediction_cache(self, trained):
-        predictor, plans = trained
-        service = CostInferenceService(predictor)
-        swept = service.predict_sweep(plans[:4], SWEEP_ENVS)
-        hits_before = service.prediction_cache.hits
-        for e, env in enumerate(SWEEP_ENVS):
-            warm = service.predict(plans[:4], env_features=env)
-            np.testing.assert_array_equal(warm, swept[e])
-        assert service.prediction_cache.hits >= hits_before + 4 * len(SWEEP_ENVS)
-        assert service.cache_counters()["batches"] == 1  # the sweep's single forward
-
-    def test_sweep_serves_warm_rows_from_cache(self, trained):
-        predictor, plans = trained
-        service = CostInferenceService(predictor)
-        service.predict_sweep(plans[:3], SWEEP_ENVS)
-        misses_after_first = service.cache_counters()["prediction_cache_misses"]
-        service.predict_sweep(plans[:3], SWEEP_ENVS)
-        assert service.cache_counters()["prediction_cache_misses"] == misses_after_first
-
-    def test_cold_sweep_counts_every_skipped_lookup_as_a_miss(self, trained):
-        """On an empty prediction cache the sweep skips its lookups; each
-        one still counts, so the miss gauge agrees with the hit gauge."""
-        predictor, plans = trained
-        service = CostInferenceService(predictor)
-        service.predict_sweep(plans[:3], SWEEP_ENVS)
-        counters = service.cache_counters()
-        assert counters["prediction_cache_misses"] == 12
-        assert counters["prediction_cache_hits"] == 0
-        service.predict_sweep(plans[:3], SWEEP_ENVS)
-        counters = service.cache_counters()
-        assert counters["prediction_cache_misses"] == 12
-        assert counters["prediction_cache_hits"] == 12
-
-    def test_wide_request_falls_back_to_per_request_path(self, trained):
-        predictor, plans = trained
-        service = CostInferenceService(predictor)
-        reference = CostInferenceService(predictor)
-        wide = plans[: SMALL_REQUEST_PLANS + 2]  # per-environment fallback loop
-        swept = service.predict_sweep(wide, SWEEP_ENVS)
-        for e, env in enumerate(SWEEP_ENVS):
-            np.testing.assert_allclose(
-                swept[e], reference.predict(wide, env_features=env), rtol=1e-5
-            )
-
-    def test_sweep_after_swap_uses_new_weights(self, trained, project_with_history):
-        predictor, plans = trained
-        service = CostInferenceService(predictor)
-        before = service.predict_sweep(plans[:4], SWEEP_ENVS)
-        replacement = _fit_second_predictor(project_with_history)
-        service.swap_predictor(replacement)
-        after = service.predict_sweep(plans[:4], SWEEP_ENVS)
-        reference = CostInferenceService(replacement)
-        assert not np.allclose(before, after)
-        for e, env in enumerate(SWEEP_ENVS):
-            np.testing.assert_allclose(
-                after[e], reference.predict(plans[:4], env_features=env), rtol=1e-5
-            )
-
-    def test_empty_sweep_shapes(self, trained):
-        predictor, plans = trained
-        service = CostInferenceService(predictor)
-        assert service.predict_sweep([], SWEEP_ENVS).shape == (len(SWEEP_ENVS), 0)
-        assert service.predict_sweep(plans[:2], []).shape == (0, 2)

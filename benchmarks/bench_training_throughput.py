@@ -14,9 +14,10 @@ execution strategy:
   for the domain loss.
 
 Because the math is identical, the loss trajectories must agree to float32
-round-off — asserted here at rtol 1e-4 alongside the ≥ 2× speedup floor.
-Results go to the ``BENCH_training.json`` artifact (override the path with
-``BENCH_TRAINING_OUT``) so successive PRs can track the trajectory.
+round-off — asserted here as a max relative error ≤ 1e-5 alongside the
+≥ 2× speedup floor.  Results go to the ``BENCH_training.json`` artifact
+(override the path with ``BENCH_TRAINING_OUT``).  Training has no
+``bench_e2e`` workload, so this bench is its only performance instrument.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def test_training_throughput(benchmark, training_setup, scale):
     # math mean the trajectories may differ only by float32 round-off.
     fast_traj = np.array(fast_rep.cost_losses + fast_rep.domain_losses)
     ref_traj = np.array(ref_rep.cost_losses + ref_rep.domain_losses)
-    np.testing.assert_allclose(fast_traj, ref_traj, rtol=1e-4)
+    traj_err = float(
+        np.max(np.abs(fast_traj - ref_traj) / np.maximum(np.abs(ref_traj), 1e-12))
+    )
+    assert traj_err <= 1e-5, traj_err
     assert fast_rep.n_batches == ref_rep.n_batches
     probe = plans[: min(64, len(plans))]
     np.testing.assert_allclose(
@@ -98,9 +102,6 @@ def test_training_throughput(benchmark, training_setup, scale):
 
     speedup = ref_s / fast_s
     n_epochs = len(fast_rep.cost_losses)
-    traj_err = float(
-        np.max(np.abs(fast_traj - ref_traj) / np.maximum(np.abs(ref_traj), 1e-12))
-    )
 
     print_banner("Training throughput - fast fit() path vs reference")
     rows = [

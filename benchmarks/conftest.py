@@ -169,25 +169,3 @@ def print_banner(title: str) -> None:
     print("=" * 78)
     print(title)
     print("=" * 78)
-
-
-def update_obs_artifact(section: str, payload: dict) -> None:
-    """Merge one section into the shared observability artifact
-    (``BENCH_obs.json``, path override ``BENCH_OBS_OUT``).  The gateway and
-    fleet benches each own a section, so the artifact is written
-    read-merge-write instead of overwrite."""
-    import json
-    import os
-
-    path = os.environ.get("BENCH_OBS_OUT", "BENCH_obs.json")
-    data: dict = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-    print(f"wrote {path} [{section}]")

@@ -381,8 +381,9 @@ class AdaptiveCostPredictor:
         env_features: tuple[float, float, float, float] | None = None,
     ) -> np.ndarray:
         """The naive inference path: full re-encode of every plan, one padded
-        batch, forward pass through the autodiff engine.  Kept for the
-        serving equivalence tests and throughput benchmarks."""
+        batch, forward pass through the autodiff engine.  Kept as the
+        serving equivalence tests' numerical oracle and as Figure 9c's
+        reference inference row."""
         if not plans:
             return np.zeros(0)
         if not self.config.use_environment:

@@ -2,12 +2,14 @@
 
 One :class:`~repro.gateway.gateway.OptimizerGateway` is GIL-capped — its
 coalescing worker thread and every caller share one interpreter, so adding
-client threads *degrades* throughput (``benchmarks/BENCH_gateway.json``).
-The fleet breaks that cap with processes: each shard is a forked child
-with a private ``CostInferenceService`` behind its own ``OptimizerGateway``
-guardrails, run by the shard's pipe loop (``predict_inline``: one frame at
-a time leaves nothing to coalesce, so no thread hand-off inside a worker
-unless the request carries a deadline), and a consistent-hash router
+client threads cannot add throughput.  The fleet breaks that cap with
+processes, given cores to spare (on one core, ``bench_e2e``'s
+``fleet_zipf`` workload measures what the process hop costs): each shard
+is a forked child with a private ``CostInferenceService`` behind its own
+``OptimizerGateway`` guardrails, run by the shard's pipe loop
+(``predict_inline``: one frame at a time leaves nothing to coalesce, so no
+thread hand-off inside a worker unless the request carries a deadline),
+and a consistent-hash router
 (:mod:`repro.fleet.router`) pins every tenant to one shard so its
 encoding/prediction caches stay hot and the fleet's *aggregate* cache
 capacity is N× a single process's.
@@ -112,13 +114,8 @@ class ServingFleet:
         checkpoint_path=None,
         *,
         n_workers: int = 4,
-        service_kwargs: dict | None = None,
         gateway_config=None,
-        replicas: int = 96,
-        base_seed: int = 0,
         rpc_timeout: float = 60.0,
-        fallback: NativeCostFallback | None = None,
-        telemetry: Telemetry | None = None,
         pacer_config: PacerConfig | None = None,
         obs=None,
     ) -> None:
@@ -129,8 +126,8 @@ class ServingFleet:
         import multiprocessing as mp
 
         self.rpc_timeout = rpc_timeout
-        self.fallback = fallback or NativeCostFallback()
-        self.telemetry = telemetry or Telemetry()
+        self.fallback = NativeCostFallback()
+        self.telemetry = Telemetry()
         self._requests_total = self.telemetry.counter(
             "requests_total", "fleet requests received"
         )
@@ -185,9 +182,7 @@ class ServingFleet:
                     "checkpoint_path": (
                         str(checkpoint_path) if checkpoint_path is not None else None
                     ),
-                    "service_kwargs": service_kwargs,
                     "gateway_config": gateway_config,
-                    "base_seed": base_seed,
                     "obs_config": obs,
                 },
                 name=f"fleet-{name}",
@@ -210,7 +205,7 @@ class ServingFleet:
                 )
                 for name in self._workers
             }
-        self.router = ConsistentHashRouter(self._workers, replicas=replicas)
+        self.router = ConsistentHashRouter(self._workers)
         self._workers_alive.set(n_workers)
 
     # -- plumbing --------------------------------------------------------------

@@ -5,7 +5,7 @@ Each worker is a forked child running this module's :func:`fleet_worker_main`
 loop.  It reuses the evaluation pool's bootstrap (:mod:`repro.evaluation.
 pool`) — BLAS threads pinned to one per process so N workers do not
 oversubscribe the machine N×BLAS ways, and a per-worker seed derived from
-``(base_seed, "fleet-worker-<id>")`` via SHA-256 so any worker-local
+``(0, "fleet-<id>")`` via SHA-256 so any worker-local
 randomness is reproducible regardless of fleet size — then loads the
 promoted checkpoint into ``CostInferenceService → OptimizerGateway``.  The
 pipe carries one frame at a time, so the loop is the gateway's only
@@ -59,7 +59,7 @@ __all__ = ["PLAN_CACHE_CAP", "fleet_worker_main"]
 PLAN_CACHE_CAP = 512
 
 
-def _build_obs(obs_config, worker_id, base_seed):
+def _build_obs(obs_config, worker_id):
     """Per-worker tracer + recorder from the fleet's shared obs config.
     The tracer's seed is derived per worker so seeded fleets mint
     deterministic — and never colliding — span ids across shards."""
@@ -84,22 +84,20 @@ def _build_obs(obs_config, worker_id, base_seed):
     return tracer, recorder, slo
 
 
-def _build_gateway(checkpoint_path, service_kwargs, gateway_config, obs=(None, None, None)):
+def _build_gateway(checkpoint_path, gateway_config, obs=(None, None, None)):
     from repro.gateway import OptimizerGateway
     from repro.serving.service import CostInferenceService
 
     service = None
     if checkpoint_path is not None:
-        service = CostInferenceService.from_checkpoint(
-            checkpoint_path, **(service_kwargs or {})
-        )
+        service = CostInferenceService.from_checkpoint(checkpoint_path)
     tracer, recorder, slo = obs
     return OptimizerGateway(
         service, config=gateway_config, tracer=tracer, recorder=recorder, slo=slo
     )
 
 
-def _load(gateway, path, warm, service_kwargs) -> int:
+def _load(gateway, path, warm) -> int:
     """Load ``path`` and hot-swap it into ``gateway``'s service (attaching
     one if the worker booted model-less); returns the served
     ``weights_version``.  Raises before anything is swapped when the file
@@ -112,8 +110,7 @@ def _load(gateway, path, warm, service_kwargs) -> int:
     else:
         from repro.serving.service import CostInferenceService
 
-        service = CostInferenceService(predictor, **(service_kwargs or {}))
-        gateway.attach_service(service, warm=warm)
+        gateway.attach_service(CostInferenceService(predictor), warm=warm)
     return gateway.service.predictor.weights_version
 
 
@@ -122,18 +119,14 @@ def fleet_worker_main(
     *,
     worker_id: str,
     checkpoint_path=None,
-    service_kwargs: dict | None = None,
     gateway_config=None,
-    base_seed: int = 0,
     obs_config=None,
 ) -> None:
     """Entry point of one forked fleet worker (blocks until ``close``)."""
     pin_blas_threads()
-    seed = derive_seed(base_seed, f"fleet-{worker_id}")
-    tracer, recorder, slo = _build_obs(obs_config, worker_id, base_seed)
-    gateway = _build_gateway(
-        checkpoint_path, service_kwargs, gateway_config, obs=(tracer, recorder, slo)
-    )
+    seed = derive_seed(0, f"fleet-{worker_id}")
+    tracer, recorder, slo = _build_obs(obs_config, worker_id)
+    gateway = _build_gateway(checkpoint_path, gateway_config, obs=(tracer, recorder, slo))
     plan_cache: "OrderedDict[object, list]" = OrderedDict()
 
     try:
@@ -178,7 +171,7 @@ def fleet_worker_main(
             elif kind == "load":
                 _, _, path, warm = message
                 try:
-                    version = _load(gateway, path, warm, service_kwargs)
+                    version = _load(gateway, path, warm)
                 except Exception as exc:  # noqa: BLE001 — reported to the parent
                     # Missing/truncated/incompatible checkpoint: the shard
                     # keeps serving; the parent's promote raises the cause.

@@ -11,8 +11,8 @@ a learned model that can be slow, broken, or mid-replacement.  The
   request is *shed* and answered from the fallback immediately instead of
   growing an unbounded backlog;
 * **micro-batch coalescing** — one worker thread drains the queue, merging
-  compatible requests (same environment override) into a single learned
-  batch within a small linger window, so concurrent callers ride the
+  the compatible requests already queued (same environment override) into
+  a single learned batch, so concurrent callers ride the
   serving layer's size-bucketed batching instead of serializing one
   candidate set at a time;
 * **deadline budgets** — every request carries a deadline; a caller whose
@@ -68,18 +68,10 @@ class GatewayConfig:
 
     #: Pending requests admitted before load shedding kicks in.
     max_queue_depth: int = 64
-    #: Upper bound on plans merged into one learned batch.
+    #: Upper bound on plans merged into one learned batch.  The worker
+    #: merges only what is already queued: concurrent bursts still merge,
+    #: because requests pile up while the previous batch executes.
     max_coalesce_plans: int = 256
-    #: How long the worker lingers for more compatible requests once it has
-    #: one in hand.  Zero (the default) coalesces only what is already
-    #: queued — concurrent bursts still merge, because requests pile up
-    #: while the previous batch executes; a nonzero window additionally
-    #: catches near-simultaneous arrivals, at the cost of adding the full
-    #: window to every idle-path request.
-    coalesce_window_ms: float = 0.0
-    #: Deadline applied when the caller does not pass one.  ``None`` means
-    #: requests without an explicit deadline wait for the learned answer.
-    default_deadline_ms: float | None = None
     #: Circuit-breaker thresholds for the learned path.
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: BBR-style admission pacing (:mod:`repro.pacing`); ``None`` (the
@@ -365,8 +357,6 @@ class OptimizerGateway:
         request, answered = self._admit(plans, env_features, started, trace)
         if request is None:
             return answered
-        if deadline_ms is None:
-            deadline_ms = self.config.default_deadline_ms
         deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
         request.event = _Latch()
 
@@ -412,7 +402,7 @@ class OptimizerGateway:
         and no ``queue_wait_seconds`` sample.  A request with a budget goes
         through :meth:`predict` unchanged: only a second thread lets its
         caller walk away from a slow model at the deadline."""
-        if deadline_ms is not None or self.config.default_deadline_ms is not None:
+        if deadline_ms is not None:
             return self.predict(
                 plans, env_features=env_features, deadline_ms=deadline_ms, trace=trace
             )
@@ -653,10 +643,9 @@ class OptimizerGateway:
     # -- fault injection (smoke tests / chaos drills) --------------------------
 
     def inject_faults(self, n: int, error: BaseException | None = None) -> None:
-        """Arm the learned path to raise on its next ``n`` batches.  This is
-        the supported chaos hook the tests and the gateway benchmark use to
-        prove the fallback + breaker behaviour without reaching into
-        internals."""
+        """Arm the learned path to raise on its next ``n`` batches: the
+        supported chaos hook that proves the fallback + breaker behaviour
+        without reaching into internals."""
         with self._lock:
             self._fault_budget = int(n)
             self._fault_error = error
@@ -695,19 +684,12 @@ class OptimizerGateway:
         return request
 
     def _coalesce(self, first: _PendingRequest) -> list[_PendingRequest]:
-        """Merge queued requests with the same environment key into one
-        learned batch, lingering up to ``coalesce_window_ms`` for more."""
+        """Merge the requests already queued behind ``first`` with the same
+        environment key into one learned batch."""
         group = [first]
         total = len(first.plans)
-        linger_until = time.monotonic() + self.config.coalesce_window_ms / 1e3
         while total < self.config.max_coalesce_plans:
             with self._work:
-                while (
-                    self._running
-                    and not self._queue
-                    and time.monotonic() < linger_until
-                ):
-                    self._work.wait(timeout=max(1e-4, linger_until - time.monotonic()))
                 if not self._queue:
                     break
                 nxt = self._queue[0]

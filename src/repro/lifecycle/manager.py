@@ -46,7 +46,6 @@ class ModelLifecycle:
         feedback: FeedbackLog | None = None,
         drift: DriftMonitor | DriftConfig | None = None,
         canary: CanaryController | CanaryConfig | None = None,
-        service_kwargs: dict | None = None,
         warm_top_k: int = 32,
         recorder=None,
     ) -> None:
@@ -62,7 +61,6 @@ class ModelLifecycle:
         self.feedback = feedback or FeedbackLog()
         self.drift_monitor = drift if isinstance(drift, DriftMonitor) else DriftMonitor(drift)
         self.canary = canary if isinstance(canary, CanaryController) else CanaryController(canary)
-        self._service_kwargs = service_kwargs or {}
         #: How many of the feedback log's hottest plans to re-score right
         #: after a hot swap (0 disables the post-promote warming pass).
         self.warm_top_k = warm_top_k
@@ -129,7 +127,7 @@ class ModelLifecycle:
         )
         if self._service is None:
             self._predictor = predictor
-            self._service = CostInferenceService(predictor, **self._service_kwargs)
+            self._service = CostInferenceService(predictor)
             for gateway in self._gateways:
                 gateway.attach_service(self._service)
         else:

@@ -28,6 +28,7 @@ from repro.fleet import worker as worker_module
 from repro.fleet.worker import PLAN_CACHE_CAP
 from repro.gateway import OptimizerGateway
 from repro.obs import ObsConfig
+from repro.serving.fingerprint import plan_fingerprint
 from repro.serving.service import CostInferenceService
 
 TINY = PredictorConfig(hidden_dims=(16, 12), embedding_dim=8, epochs=2, batch_size=16)
@@ -307,7 +308,7 @@ def test_worker_load_swaps_under_the_gateways_service_lock(checkpointed):
         assert service.entered.wait(5.0)
         loader = threading.Thread(
             target=lambda: versions.append(
-                worker_module._load(gateway, path, [(p, ENV) for p in plans[:3]], None)
+                worker_module._load(gateway, path, [(p, ENV) for p in plans[:3]])
             )
         )
         loader.start()
@@ -570,6 +571,30 @@ class TestServingFleet:
             assert not errors
             merged = fleet.stats()["merged"]
             assert merged["counters"]["requests_total"] >= 40
+
+    def test_tenants_partition_the_prediction_cache_across_shards(self, checkpointed):
+        # Each tenant scores its own candidate sets under its own environment,
+        # twice over: every (plan, env) key is cached on exactly one shard,
+        # so the fleet's cache holds N shards' worth of distinct keys.
+        path, _predictor, plans = checkpointed
+        tenants = [f"tenant-{i}" for i in range(12)]
+        envs = {t: (0.3 + 0.05 * i, 0.05, 0.5, 0.5) for i, t in enumerate(tenants)}
+        stream = [
+            (t, plans[(5 * i + k) % 60 : (5 * i + k) % 60 + 5])
+            for i, t in enumerate(tenants)
+            for k in range(3)
+        ]
+        keys = {(plan_fingerprint(p), envs[t]) for t, ps in stream for p in ps}
+        with ServingFleet(path, n_workers=2) as fleet:
+            for _ in range(2):
+                for t, ps in stream:
+                    assert fleet.predict(t, ps, env_features=envs[t]).source == "learned"
+            sizes = [
+                shard["gauges"]["serving_prediction_cache_size"]
+                for shard in fleet.stats()["shards"].values()
+            ]
+        assert len(sizes) == 2 and min(sizes) > 0
+        assert sum(sizes) == len(keys)
 
     def test_close_is_idempotent_and_refuses_after(self, checkpointed):
         path, _predictor, plans = checkpointed

@@ -554,16 +554,9 @@ class TestGatewayFallbackPaths:
                 time.sleep(0.01)
             assert gw.breaker.slow_count == 1
 
-    def test_default_deadline_from_config(self, native_plans):
-        service = _StubService(delay=0.5)
-        config = GatewayConfig(default_deadline_ms=30)
-        with OptimizerGateway(service, config=config) as gw:
-            result = gw.predict(native_plans, env_features=ENV)
-            assert result.reason == "deadline"
-
     def test_shed_when_queue_full(self, native_plans):
         service = _StubService(delay=0.25)
-        config = GatewayConfig(max_queue_depth=1, coalesce_window_ms=0.0)
+        config = GatewayConfig(max_queue_depth=1)
         with OptimizerGateway(service, config=config) as gw:
             results = {}
 
@@ -614,27 +607,32 @@ class TestGatewayFallbackPaths:
             assert "sheds_total" not in gw.stats()["counters"]
 
     def test_coalesces_compatible_requests(self):
-        service = _StubService(delay=0.08)
-        config = GatewayConfig(coalesce_window_ms=25.0)
-        with OptimizerGateway(service, config=config) as gw:
+        service = _GatedService()
+        service.arm(1)
+        with OptimizerGateway(service) as gw:
             results = [None] * 8
 
             def call(i):
                 results[i] = gw.predict(_marker_plans(float(i), float(i) + 0.5))
 
             threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
-            for th in threads:
+            # Hold the first batch so the other seven queue up behind it.
+            threads[0].start()
+            assert service.entered[0].wait(5.0)
+            for th in threads[1:]:
                 th.start()
+            assert _settle(lambda: len(gw._queue) == 7)
+            service.open()
             for th in threads:
-                th.join()
+                th.join(timeout=10.0)
+            assert not any(th.is_alive() for th in threads)
             # every caller got exactly its own slice of the merged batches.
             for i, result in enumerate(results):
                 assert result.source == "learned"
                 assert (result.costs == [float(i), float(i) + 0.5]).all()
-            # 16 plans went through in fewer batches than callers.
-            assert sum(n for n, _ in service.calls) == 16
-            assert len(service.calls) < 8
-            assert max(n for n, _ in service.calls) > 2
+            # The held batch, then the seven queued requests as one.
+            assert gw.telemetry.counter("batches_total").value == 2
+            assert gw.telemetry.histogram("batch_plans").snapshot()["max"] == 14
 
     def test_mixed_environments_never_merge(self):
         service = _StubService(delay=0.05)
@@ -1189,20 +1187,14 @@ class TestInlineEntry:
             assert service.threads[-1] == gw._worker.ident
             assert gw.telemetry.counter("inline_total").value == 1
             assert gw.telemetry.histogram("queue_wait_seconds").count == 1
-        config = GatewayConfig(default_deadline_ms=50)
-        with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
-            assert gw.predict_inline(_marker_plans(3.0)).source == "learned"
-            assert service.threads[-1] == gw._worker.ident
-            assert gw.telemetry.counter("inline_total").value == 0
         # ... which is what keeps a budgeted request abandonable.
         service.delay = 0.4
-        for config, deadline_ms in ((None, 50), (GatewayConfig(default_deadline_ms=50), None)):
-            with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
-                started = time.monotonic()
-                result = gw.predict_inline(_marker_plans(4.0), deadline_ms=deadline_ms)
-                assert time.monotonic() - started < 0.3
-                assert result.reason == "deadline" and (result.costs == [-4.0]).all()
-                assert _settle(lambda: gw.breaker.slow_count == 1)
+        with OptimizerGateway(service, fallback=_StubFallback()) as gw:
+            started = time.monotonic()
+            result = gw.predict_inline(_marker_plans(4.0), deadline_ms=50)
+            assert time.monotonic() - started < 0.3
+            assert result.reason == "deadline" and (result.costs == [-4.0]).all()
+            assert _settle(lambda: gw.breaker.slow_count == 1)
 
     def test_guardrails_hold_on_the_callers_thread(self, native_plans):
         clock = _FakeClock()

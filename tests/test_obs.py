@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.core.serialization import save_predictor
 from repro.evaluation.pool import fork_available
 from repro.gateway import OptimizerGateway, Telemetry
+from repro.gateway import gateway as gateway_module
 from repro.gateway.telemetry import escape_help_text, escape_label_value
+from repro.obs import trace as trace_module
 from repro.obs import (
     FlightRecorder,
     ObsConfig,
@@ -358,6 +362,64 @@ class TestGatewayTracing:
             gw.predict(["p1"], env_features=ENV)
             snapshot = gw.stats()
         assert snapshot["tracing"]["spans_started"] >= 2
+
+    def test_only_sampled_requests_build_spans_or_read_span_clocks(self, monkeypatch):
+        """The tracing tax is the sampled requests': at 1/16 the gateway
+        builds exactly the spans its seeded decision table samples, and an
+        unsampled request reads the span clocks no more than an untraced one."""
+        built = []
+
+        class CountingSpan(trace_module.Span):
+            __slots__ = ()
+
+            def __init__(self, tracer, name, *args):
+                built.append(name)
+                super().__init__(tracer, name, *args)
+
+        monkeypatch.setattr(trace_module, "Span", CountingSpan)
+        reads = []
+
+        def counting(name):
+            real = getattr(time, name)
+            return lambda: reads.append(name) or real()
+
+        clocks = types.SimpleNamespace(
+            monotonic=time.monotonic,
+            perf_counter=counting("perf_counter"),
+            time=counting("time"),
+        )
+        for module in (trace_module, gateway_module):
+            monkeypatch.setattr(module, "time", clocks)
+
+        def run(tracer):
+            """Per request: (sampled, span-clock reads while it ran)."""
+            out = []
+            with OptimizerGateway(
+                _StubService(), fallback=_StubFallback(), tracer=tracer
+            ) as gw:
+                for _ in range(256):
+                    before = len(reads)
+                    result = gw.predict(["p1", "p2"], env_features=ENV)
+                    assert result.source == "learned"
+                    out.append((result.trace_id is not None, len(reads) - before))
+            return out
+
+        untraced = run(None)
+        tracer = Tracer(1 / 16, seed=0)
+        traced = run(tracer)
+        # Walk the table: a sampled request also mints its request and its
+        # batch span ids from the same counter.
+        expected, n = [], 0
+        for _ in range(256):
+            sampled = tracer._decisions[n & tracer._decision_mask]
+            expected.append(sampled)
+            n += 3 if sampled else 1
+        assert [sampled for sampled, _ in traced] == expected
+        assert sum(expected) >= 1
+        assert built == ["gateway.request", "gateway.batch"] * sum(expected)
+        assert all(n_reads > 0 for sampled, n_reads in traced if sampled)
+        unsampled = [n_reads for sampled, n_reads in traced if not sampled]
+        assert sum(unsampled) <= sum(n_reads for _, n_reads in untraced[: len(unsampled)])
 
     def test_breaker_trip_dumps_flight_recorder(self, tmp_path):
         recorder = FlightRecorder(dump_dir=str(tmp_path), process_label="gw-test")

@@ -440,6 +440,60 @@ class TestGatewayPacing:
             assert r.source == "learned"
             assert gw.pacer.btl_rate() is not None
 
+    def test_pacer_beats_the_deep_queue_under_open_loop_overload(self):
+        """3x a known 5 ms pipe, open loop, budget 2.5x the service time.
+        The deep queue turns the overload into deadline sheds of work it
+        queued; the pacer refuses the excess at admission (``pacer-limit``)
+        and so answers more requests from the learned path."""
+        delay, n_threads, seconds = 0.005, 12, 0.5
+        rate, deadline_ms = 3.0 / delay, 2.5 * delay * 1e3
+        paced_config = PacerConfig(
+            cwnd_gain=1.5,
+            initial_cap=2,
+            probe_rtt_duration_seconds=0.1,
+            pace_admissions=True,
+            pacing_margin=0.99,
+        )
+
+        def overload(pacer):
+            # One request per learned batch, so the pipe's capacity is 1/delay;
+            # a breaker that never trips, so only admission differs.
+            config = GatewayConfig(
+                max_coalesce_plans=1,
+                breaker=BreakerConfig(min_calls=10**6),
+                pacer=pacer,
+            )
+            n = int(rate * seconds)
+            cursor = iter(range(n))
+            results = [None] * n
+            with OptimizerGateway(
+                _StubService(delay=delay), config=config, fallback=_StubFallback()
+            ) as gw:
+                start = time.perf_counter() + 0.02
+
+                def caller():
+                    for i in cursor:
+                        wait = start + i / rate - time.perf_counter()
+                        if wait > 0:
+                            time.sleep(wait)
+                        results[i] = gw.predict(_marker_plans(1.0), deadline_ms=deadline_ms)
+
+                threads = [threading.Thread(target=caller) for _ in range(n_threads)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=10.0)
+                assert not any(th.is_alive() for th in threads)
+                counters = gw.stats()["counters"]
+            assert all(r is not None and np.isfinite(r.costs).all() for r in results)
+            return sum(r.source == "learned" for r in results), counters
+
+        deep_learned, deep = overload(None)
+        paced_learned, paced = overload(paced_config)
+        assert paced_learned > deep_learned
+        assert paced["shed_pacer_limit_total"] > paced["sheds_total"] / 2
+        assert deep["shed_deadline_total"] > deep["sheds_total"] / 2
+
     def test_abandoned_inflight_request_still_measures_the_pipe(self):
         service = _StubService(delay=0.3)
         config = GatewayConfig(pacer=PacerConfig())

@@ -43,7 +43,7 @@ from repro.evaluation.pool import fork_available
 from repro.evaluation.reporting import format_table
 from repro.fleet import ServingFleet
 from repro.gateway import GatewayConfig, OptimizerGateway
-from repro.pacing import PacerConfig
+from repro.pacing import AdmissionPacer, PacerConfig
 from repro.serving import CostInferenceService
 from repro.workload import (
     FleetTarget,
@@ -194,8 +194,8 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
 
         # -- gateway: timed traffic rows through the slow, paced pipe ---------
         slow = _SlowService(CostInferenceService(incumbent), SERVICE_DELAY_S)
-        config = GatewayConfig(pacer=PACER, max_coalesce_plans=max_set)
-        with OptimizerGateway(slow, config=config) as gw:
+        config = GatewayConfig(max_coalesce_plans=max_set)
+        with OptimizerGateway(slow, config=config, pacer=AdmissionPacer(PACER)) as gw:
             target = GatewayTarget(gw)
             queue_free = _queue_free_ms(runtime, target)
             capacity = 1e3 / queue_free

@@ -78,14 +78,9 @@ ALLOW: dict[str, str] = {
     "workload/replay.py::ReplayEvent.as_dict": "BENCH_scenarios.json's drift rows "
     "(benchmarks/bench_scenario_matrix.py serialises each report's lifecycle "
     "events); tier-1 serialises only a report without any",
-    "workload/replay.py::FleetTarget": "`python -m repro scenarios --target fleet` "
-    "and the fleet rows of benchmarks/bench_scenario_matrix.py",
     "workload/replay.py::ReplayEngine._run_timed": "timed (open-loop, wall-clock) "
     "mode: every traffic row of benchmarks/bench_scenario_matrix.py; tier-1 "
     "replays in logical mode to stay deterministic",
-    "workload/replay.py::current_checkpoint_path": "boots a fleet from a "
-    "lifecycle's current model: `scenarios --target fleet` and the fleet drift row "
-    "of benchmarks/bench_scenario_matrix.py",
     "workload/replay.py::VirtualClock.__call__": "read half of the injectable "
     "clock: what a breaker, pacer or SLO monitor built with `clock=engine.clock` "
     "sees; no tier-1 replay injects it",

@@ -33,6 +33,10 @@ Parent-side responsibilities (this module):
   its tenants remap to the survivors (~1/N of the keyspace);
   the event is visible in fleet telemetry (``worker_failures_total``,
   ``workers_alive``);
+* one answer path — the parent counts, sheds, answers and traces a
+  request through the gateway's own :class:`~repro.gateway.gateway.
+  AnswerPath`, so a fleet answer leaves the audit trail a gateway answer
+  does;
 * merged observability — per-shard gateway snapshots plus fleet-level
   counters, merged into one JSON/Prometheus export
   (:mod:`repro.fleet.telemetry`).
@@ -51,9 +55,9 @@ from repro.fleet.router import ConsistentHashRouter
 from repro.fleet.telemetry import merge_snapshots, merged_to_prometheus
 from repro.fleet.wire import recv_frame, send_frame, unpack_costs
 from repro.fleet.worker import PLAN_CACHE_CAP, fleet_worker_main
-from repro.gateway import GatewayResult, NativeCostFallback, Telemetry
-from repro.gateway.telemetry import SHED_REASONS
-from repro.obs import FlightRecorder, SLOMonitor, SpanCollector, Tracer
+from repro.gateway import GatewayResult, Telemetry
+from repro.gateway.gateway import AnswerPath
+from repro.obs import SpanCollector
 from repro.obs.trace import NULL_SPAN
 from repro.pacing import AdmissionPacer, PacerConfig
 
@@ -99,7 +103,7 @@ class _WorkerHandle:
         return known
 
 
-class ServingFleet:
+class ServingFleet(AnswerPath):
     """N sharded gateway workers behind a consistent-hash tenant router.
 
     ``checkpoint_path`` is the promoted model every worker loads at boot
@@ -108,6 +112,8 @@ class ServingFleet:
     Requires a platform with ``fork`` (POSIX); construction raises
     otherwise rather than serving a silently single-process fleet.
     """
+
+    span_name = "fleet.request"
 
     def __init__(
         self,
@@ -126,49 +132,24 @@ class ServingFleet:
         import multiprocessing as mp
 
         self.rpc_timeout = rpc_timeout
-        self.fallback = NativeCostFallback()
-        self.telemetry = Telemetry()
-        self._requests_total = self.telemetry.counter(
-            "requests_total", "fleet requests received"
-        )
-        self._workers_alive = self.telemetry.gauge("workers_alive", "live fleet workers")
-        self._req_ids = itertools.count(1)
-        self._closed = False
         #: Observability (an :class:`repro.obs.ObsConfig`, or ``None`` for
         #: off): the parent mints ``fleet.request`` spans, ships their
         #: contexts over the RPC framing, and stitches worker-returned span
         #: records into complete per-trace trees via the collector; each
-        #: worker builds its own tracer/recorder from the same config with
-        #: a per-worker derived seed.
+        #: worker builds its own tracer/recorder from the same config.
         self.obs = obs
         self.collector = SpanCollector() if obs is not None else None
-        self.recorder = (
-            FlightRecorder(
-                obs.recorder_capacity,
-                dump_dir=obs.dump_dir,
-                process_label="fleet-parent",
-            )
+        tracer, recorder, slo = (
+            obs.build("fleet-parent", collector=self.collector)
             if obs is not None
-            else None
+            else (None, None, None)
         )
-        self.tracer = (
-            Tracer(
-                obs.sample_rate,
-                seed=obs.seed,
-                export_path=obs.export_path,
-                max_export_per_sec=obs.max_export_per_sec,
-                collector=self.collector,
-                process_label="fleet-parent",
-            )
-            if obs is not None
-            else None
+        super().__init__(
+            Telemetry("repro_fleet_parent"), tracer=tracer, recorder=recorder, slo=slo
         )
-        self.slo = (
-            SLOMonitor(obs.slo) if obs is not None and obs.slo is not None else None
-        )
-        if self.slo is not None:
-            # SLO window gauges are computed when parent telemetry is read.
-            self.telemetry.add_collector(lambda: self.slo.export(self.telemetry))
+        self._workers_alive = self.telemetry.gauge("workers_alive", "live fleet workers")
+        self._req_ids = itertools.count(1)
+        self._closed = False
         ctx = mp.get_context("fork")
         self._workers: dict[str, _WorkerHandle] = {}
         for i in range(n_workers):
@@ -315,19 +296,13 @@ class ServingFleet:
         ``trace`` joins an upstream trace (e.g. a scenario replay's
         deterministic context)."""
         started = time.monotonic()
-        self._requests_total.inc()
         env = tuple(float(v) for v in env_features) if env_features is not None else None
         plans = list(plans)
-        span = (
-            self.tracer.start_trace(
-                "fleet.request",
-                parent=trace,
-                attrs={"tenant": tenant, "n_plans": len(plans)},
-            )
-            if self.tracer is not None
-            else NULL_SPAN
-        )
-        trace_wire = span.context.to_wire() if span.sampled else None
+        span = self._open(trace, len(plans))
+        trace_wire = None
+        if span.sampled:
+            span.set_attr("tenant", tenant)
+            trace_wire = span.context.to_wire()
         # A crash mid-request sheds to the fallback; a crash detected at
         # routing time retries on the shrunken ring (the survivors own the
         # dead shard's keyspace).
@@ -342,14 +317,9 @@ class ServingFleet:
                 span.set_attr("shard", shard)
             pacer = self._pacers.get(shard)
             if pacer is not None and not pacer.try_admit():
-                return self._shed(
-                    plans,
-                    env,
-                    started,
-                    reason="pacer-limit",
-                    retry_after=pacer.next_admit_eta(),
-                    span=span,
-                    pacer_state=pacer.state,
+                return self._fallback_result(
+                    plans, env, "pacer-limit", started,
+                    retry_after=pacer.next_admit_eta(), span=span, pacer=pacer,
                 )
             rpc_started = time.monotonic()
             try:
@@ -379,9 +349,7 @@ class ServingFleet:
                 if pacer is not None:
                     # A crashed RPC measures nothing; hand back the slot.
                     pacer.release()
-                return self._shed(
-                    plans, env, started, reason="worker-crash", span=span
-                )
+                return self._fallback_result(plans, env, "worker-crash", started, span=span)
             if pacer is not None:
                 # The whole round trip (including a need-plans resend — that
                 # cost is real admission cost) is one delivery sample.
@@ -394,77 +362,13 @@ class ServingFleet:
                 # stitch them with the parent's own spans.
                 self.collector.add_many(reply[3])
             costs, source, reason, version = reply[2]
-            result = GatewayResult(
-                unpack_costs(costs),
-                source,
-                reason,
-                latency_ms,
-                version,
-                trace_id=span.trace_id,
+            return self._finish(
+                GatewayResult(unpack_costs(costs), source, reason, latency_ms, version),
+                span=span,
+                pacer=pacer,
             )
-            if self.slo is not None:
-                self.slo.record(latency_ms / 1e3, deadline_hit=reason != "deadline")
-            if span.sampled:
-                span.set_attrs(source=source, reason=reason, weights_version=version)
-                span.finish()
-            return result
-        return self._shed(
-            plans,
-            env,
-            started,
-            reason="closed" if self._closed else "no-workers",
-            span=span,
-        )
-
-    def _shed(
-        self,
-        plans,
-        env,
-        started,
-        *,
-        reason: str,
-        retry_after: float | None = None,
-        span=NULL_SPAN,
-        pacer_state: str | None = None,
-    ) -> GatewayResult:
-        """Answer a request the fleet could not place from the parent-side
-        native fallback — the fleet keeps the gateway's one invariant."""
-        self.telemetry.counter(
-            "fallback_total", "fleet requests answered by the parent fallback"
-        ).inc()
-        self.telemetry.counter(
-            f"fallback_{reason.replace('-', '_')}_total", f"fleet fallbacks: {reason}"
-        ).inc()
-        if reason in SHED_REASONS:
-            self.telemetry.record_shed(reason)
-            if self.recorder is not None:
-                self.recorder.note_shed(reason)
-        if retry_after is not None:
-            self.telemetry.histogram(
-                "retry_after_seconds",
-                "Retry-After hints attached to per-shard pacer-limit sheds",
-            ).observe(float(retry_after))
-        latency_ms = 1e3 * (time.monotonic() - started)
-        if self.slo is not None:
-            self.slo.record(latency_ms / 1e3, deadline_hit=reason != "deadline")
-        if span.sampled:
-            span.set_attrs(source="fallback", reason=reason)
-            if reason in SHED_REASONS:
-                span.set_attr("shed_reason", reason)
-            if retry_after is not None:
-                span.set_attr("retry_after", retry_after)
-            if pacer_state is not None:
-                span.set_attr("pacer_state", pacer_state)
-            span.finish()
-        return GatewayResult(
-            self.fallback.predict(plans, env_features=env),
-            "fallback",
-            reason,
-            latency_ms,
-            None,
-            retry_after=retry_after,
-            trace_id=span.trace_id,
-        )
+        reason = "closed" if self._closed else "no-workers"
+        return self._fallback_result(plans, env, reason, started, span=span)
 
     # -- model rollout ---------------------------------------------------------
 
@@ -584,16 +488,8 @@ class ServingFleet:
 
     def to_prometheus(self) -> str:
         """One text exposition: merged per-shard metrics under
-        ``repro_fleet`` plus parent-side counters under ``repro_fleet_parent``."""
-        stats = self.stats()
-        parent = self.telemetry
-        parent_ns = parent.namespace
-        try:
-            parent.namespace = "repro_fleet_parent"
-            parent_text = parent.to_prometheus()
-        finally:
-            parent.namespace = parent_ns
-        return merged_to_prometheus(stats["merged"]) + parent_text
+        ``repro_fleet`` plus parent-side metrics under ``repro_fleet_parent``."""
+        return merged_to_prometheus(self.stats()["merged"]) + self.telemetry.to_prometheus()
 
     # -- shutdown --------------------------------------------------------------
 

@@ -29,11 +29,9 @@ under the ``repro_fleet`` namespace.
 
 from __future__ import annotations
 
-from repro.gateway.telemetry import QUANTILES, _sanitize, escape_label_value
+from repro.gateway.telemetry import QUANTILE_KEYS, QUANTILES, render_prometheus
 
 __all__ = ["merge_snapshots", "merged_to_prometheus"]
-
-_QUANTILE_KEYS = tuple(f"p{int(q * 100)}" for q in QUANTILES)
 
 
 def merge_snapshots(snapshots: list[dict]) -> dict:
@@ -86,14 +84,14 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
             out["count"] += hist["count"]
             out["sum"] += hist["sum"]
             out["nonfinite"] = out.get("nonfinite", 0) + hist.get("nonfinite", 0)
-            for key in _QUANTILE_KEYS:
+            for key in QUANTILE_KEYS:
                 out[key] = max(out[key], hist[key])
             out["mean"] = out["sum"] / out["count"] if out["count"] else 0.0
     for name, (samples, exact) in reservoirs.items():
         out = merged["histograms"][name]
         if exact and samples:
             ordered = sorted(samples)
-            for q, key in zip(QUANTILES, _QUANTILE_KEYS):
+            for q, key in zip(QUANTILES, QUANTILE_KEYS):
                 out[key] = ordered[int(q * (len(ordered) - 1))]
             out["samples"] = ordered
         else:
@@ -102,27 +100,9 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
 
 
 def merged_to_prometheus(merged: dict, *, namespace: str = "repro_fleet") -> str:
-    """Prometheus text exposition of a merged snapshot (same conventions as
-    ``Telemetry.to_prometheus``: counters/gauges verbatim, histograms as
-    summaries with quantile labels — merged quantiles are upper bounds)."""
-    ns = _sanitize(namespace)
-    lines: list[str] = []
-    lines.append(f"# TYPE {ns}_shards gauge")
-    lines.append(f"{ns}_shards {merged.get('shards', 0):.10g}")
-    for name, value in merged.get("counters", {}).items():
-        metric = f"{ns}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value:.10g}")
-    for name, value in merged.get("gauges", {}).items():
-        metric = f"{ns}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value:.10g}")
-    for name, hist in merged.get("histograms", {}).items():
-        metric = f"{ns}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} summary")
-        for q, key in zip(QUANTILES, _QUANTILE_KEYS):
-            label = escape_label_value(f"{q:g}")
-            lines.append(f'{metric}{{quantile="{label}"}} {hist[key]:.10g}')
-        lines.append(f"{metric}_sum {hist['sum']:.10g}")
-        lines.append(f"{metric}_count {hist['count']}")
-    return "\n".join(lines) + "\n"
+    """Prometheus text exposition of a merged snapshot, rendered as a single
+    registry's (:func:`~repro.gateway.telemetry.render_prometheus`) plus a
+    ``shards`` gauge.  Merged quantiles are exact when every shard shipped
+    its samples, the max-across-shards bound otherwise."""
+    gauges = {"shards": merged.get("shards", 0), **merged.get("gauges", {})}
+    return render_prometheus({**merged, "gauges": gauges}, namespace)

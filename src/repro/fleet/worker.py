@@ -51,50 +51,14 @@ from collections import OrderedDict
 
 from repro.evaluation.pool import derive_seed, pin_blas_threads
 from repro.fleet.wire import pack_costs, recv_frame, send_frame
+from repro.gateway import OptimizerGateway
+from repro.serving.service import CostInferenceService
 
 __all__ = ["PLAN_CACHE_CAP", "fleet_worker_main"]
 
 #: Candidate sets remembered per worker (keyed by the client's plans_key);
 #: the parent mirrors this LRU per shard to know which frames need plans.
 PLAN_CACHE_CAP = 512
-
-
-def _build_obs(obs_config, worker_id):
-    """Per-worker tracer + recorder from the fleet's shared obs config.
-    The tracer's seed is derived per worker so seeded fleets mint
-    deterministic — and never colliding — span ids across shards."""
-    if obs_config is None:
-        return None, None, None
-    from repro.obs import FlightRecorder, SLOMonitor, Tracer
-
-    seed = (
-        derive_seed(obs_config.seed, f"trace-{worker_id}")
-        if obs_config.seed is not None
-        else None
-    )
-    tracer = Tracer(
-        obs_config.sample_rate, seed=seed, process_label=worker_id
-    )
-    recorder = FlightRecorder(
-        obs_config.recorder_capacity,
-        dump_dir=obs_config.dump_dir,
-        process_label=worker_id,
-    )
-    slo = SLOMonitor(obs_config.slo) if obs_config.slo is not None else None
-    return tracer, recorder, slo
-
-
-def _build_gateway(checkpoint_path, gateway_config, obs=(None, None, None)):
-    from repro.gateway import OptimizerGateway
-    from repro.serving.service import CostInferenceService
-
-    service = None
-    if checkpoint_path is not None:
-        service = CostInferenceService.from_checkpoint(checkpoint_path)
-    tracer, recorder, slo = obs
-    return OptimizerGateway(
-        service, config=gateway_config, tracer=tracer, recorder=recorder, slo=slo
-    )
 
 
 def _load(gateway, path, warm) -> int:
@@ -108,8 +72,6 @@ def _load(gateway, path, warm) -> int:
     if gateway.has_model:
         gateway.swap_predictor(predictor, warm=warm or None)
     else:
-        from repro.serving.service import CostInferenceService
-
         gateway.attach_service(CostInferenceService(predictor), warm=warm)
     return gateway.service.predictor.weights_version
 
@@ -125,8 +87,17 @@ def fleet_worker_main(
     """Entry point of one forked fleet worker (blocks until ``close``)."""
     pin_blas_threads()
     seed = derive_seed(0, f"fleet-{worker_id}")
-    tracer, recorder, slo = _build_obs(obs_config, worker_id)
-    gateway = _build_gateway(checkpoint_path, gateway_config, obs=(tracer, recorder, slo))
+    tracer, recorder, slo = (
+        obs_config.build(worker_id) if obs_config is not None else (None, None, None)
+    )
+    service = (
+        CostInferenceService.from_checkpoint(checkpoint_path)
+        if checkpoint_path is not None
+        else None
+    )
+    gateway = OptimizerGateway(
+        service, config=gateway_config, tracer=tracer, recorder=recorder, slo=slo
+    )
     plan_cache: "OrderedDict[object, list]" = OrderedDict()
 
     try:

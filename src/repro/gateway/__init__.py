@@ -6,7 +6,7 @@ deadline budgets, a per-model-version circuit breaker, a deterministic
 native-cost fallback, and built-in telemetry.
 """
 
-from repro.gateway.breaker import BreakerConfig, BreakerOpenError, CircuitBreaker
+from repro.gateway.breaker import BreakerConfig, CircuitBreaker
 from repro.gateway.fallback import NativeCostFallback, environment_factor_from_features
 from repro.gateway.gateway import (
     GatewayClosedError,
@@ -18,7 +18,6 @@ from repro.gateway.telemetry import Counter, Gauge, Histogram, Telemetry
 
 __all__ = [
     "BreakerConfig",
-    "BreakerOpenError",
     "CircuitBreaker",
     "Counter",
     "Gauge",

@@ -34,15 +34,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["BreakerConfig", "BreakerOpenError", "CircuitBreaker"]
+__all__ = ["BreakerConfig", "CircuitBreaker"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class BreakerOpenError(RuntimeError):
-    """Raised by :meth:`CircuitBreaker.check` when the learned path is off."""
 
 
 @dataclass(frozen=True)
@@ -122,11 +118,6 @@ class CircuitBreaker:
                 self._probes_issued += 1
                 return True
             return False
-
-    def check(self) -> None:
-        """``allow`` in exception form (for call sites without a fallback)."""
-        if not self.allow():
-            raise BreakerOpenError("circuit breaker is open: learned path disabled")
 
     # -- outcomes -------------------------------------------------------------
 

@@ -82,14 +82,3 @@ class NativeCostFallback:
         if env_features is not None and self.use_environment:
             costs *= environment_factor_from_features(env_features)
         return costs
-
-    def select_best_index(
-        self,
-        plans: list[PhysicalPlan],
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-    ) -> tuple[int, np.ndarray]:
-        if not plans:
-            raise ValueError("select_best_index on an empty candidate list")
-        predictions = self.predict(plans, env_features=env_features)
-        return int(np.argmin(predictions)), predictions

@@ -33,7 +33,10 @@ a learned model that can be slow, broken, or mid-replacement.  The
   cache-tier hit/miss/eviction counters.
 
 Every request is answered with a cost vector, whatever happens to the
-learned path — the gateway's one invariant.
+learned path — the gateway's one invariant.  :class:`AnswerPath` is the
+part of it the fleet parent (:class:`~repro.fleet.fleet.ServingFleet`)
+shares: how a request is counted and traced, how a refusal is answered
+from the fallback, and how every answer is recorded.
 """
 
 from __future__ import annotations
@@ -41,15 +44,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gateway.breaker import BreakerConfig, CircuitBreaker
+from repro.gateway.breaker import CircuitBreaker
 from repro.gateway.fallback import NativeCostFallback
 from repro.gateway.telemetry import Telemetry
 from repro.obs.trace import NULL_SPAN, activate_span
-from repro.pacing import AdmissionPacer, PacerConfig
+from repro.pacing import AdmissionPacer
 
 __all__ = ["GatewayClosedError", "GatewayConfig", "GatewayResult", "OptimizerGateway"]
 
@@ -72,15 +75,6 @@ class GatewayConfig:
     #: merges only what is already queued: concurrent bursts still merge,
     #: because requests pile up while the previous batch executes.
     max_coalesce_plans: int = 256
-    #: Circuit-breaker thresholds for the learned path.
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    #: BBR-style admission pacing (:mod:`repro.pacing`); ``None`` (the
-    #: default) disables pacing and overload handling falls back to the
-    #: blunt bounded queue alone.  With a config set, requests past the
-    #: pacer's BDP-derived inflight cap shed immediately with reason
-    #: ``"pacer-limit"`` instead of queueing into latency their deadline
-    #: budget cannot afford.
-    pacer: PacerConfig | None = None
 
 
 class GatewayResult:
@@ -196,7 +190,123 @@ class _PendingRequest:
         self.span = NULL_SPAN
 
 
-class OptimizerGateway:
+#: Fallback reasons that are *shed* decisions (load-based refusals of a
+#: healthy path), mapped onto the telemetry split in
+#: :data:`repro.gateway.telemetry.SHED_REASONS`.  ``no-model`` /
+#: ``circuit-open`` / ``model-error`` / ``worker-crash`` are health events,
+#: not sheds.
+_SHED_REASONS = {
+    "shed": "queue-full",
+    "pacer-limit": "pacer-limit",
+    "deadline": "deadline",
+    "closed": "closed",
+}
+
+
+class AnswerPath:
+    """The answer path both front ends run — :class:`OptimizerGateway` and
+    the fleet parent: count a request and open its span, answer a refusal
+    from the native fallback, and record every answer the same way
+    (``learned_total``, ``request_latency_seconds``, an SLO sample, the
+    span's outcome attributes), so a request leaves one audit trail
+    whichever front end answered it.
+
+    Observability is optional and ~free when absent: a
+    :class:`repro.obs.Tracer` minting request spans, a
+    :class:`repro.obs.FlightRecorder` fed incident events (sheds feed its
+    storm detector), and a :class:`repro.obs.SLOMonitor` fed every answer.
+    """
+
+    #: Name of the span one request opens.
+    span_name = "gateway.request"
+    #: The pacer whose state a finished span records when the caller names
+    #: none (a gateway's own; the fleet names a shard's).
+    pacer: AdmissionPacer | None = None
+
+    def __init__(
+        self, telemetry: Telemetry, *, fallback=None, tracer=None, recorder=None, slo=None
+    ) -> None:
+        self.telemetry = telemetry
+        self.fallback = fallback or NativeCostFallback()
+        self.tracer = tracer
+        self.recorder = recorder
+        self.slo = slo
+        self._requests_total = telemetry.counter("requests_total", "requests received")
+        self._learned_total = telemetry.counter("learned_total", "requests answered learned")
+        self._request_latency = telemetry.histogram(
+            "request_latency_seconds", "end-to-end request latency"
+        )
+        if slo is not None:
+            # SLO window gauges are computed when telemetry is read.
+            telemetry.add_collector(lambda: slo.export(telemetry))
+
+    def _open(self, trace, n_plans: int):
+        """Count one request and open its span (joining ``trace``, an
+        upstream :class:`~repro.obs.TraceContext`, when given)."""
+        self._requests_total.inc()
+        if self.tracer is None:
+            return NULL_SPAN
+        span = self.tracer.start_trace(self.span_name, parent=trace)
+        if span.sampled:
+            span.set_attr("n_plans", n_plans)
+        return span
+
+    def _fallback_result(
+        self, plans, env_features, reason, started, *, retry_after=None,
+        span=NULL_SPAN, pacer=None,
+    ) -> GatewayResult:
+        """Answer a request the learned path will not (or did not) serve
+        from the native fallback, counted by reason and, for a shed, in the
+        shed split and the flight recorder's storm detector."""
+        costs = self.fallback.predict(list(plans), env_features=env_features)
+        self.telemetry.counter("fallback_total", "requests answered by fallback").inc()
+        self.telemetry.counter(
+            f"fallback_{reason.replace('-', '_')}_total", f"fallbacks: {reason}"
+        ).inc()
+        shed_reason = _SHED_REASONS.get(reason)
+        if shed_reason is not None:
+            self.telemetry.record_shed(shed_reason)
+            if self.recorder is not None:
+                self.recorder.note_shed(shed_reason)
+        if retry_after is not None:
+            self.telemetry.histogram(
+                "retry_after_seconds",
+                "Retry-After hints attached to pacer-limit sheds",
+            ).observe(float(retry_after))
+        latency_ms = 1e3 * (time.monotonic() - started)
+        return self._finish(
+            GatewayResult(costs, "fallback", reason, latency_ms, None, retry_after=retry_after),
+            span=span,
+            pacer=pacer,
+        )
+
+    def _finish(self, result: GatewayResult, *, span=NULL_SPAN, pacer=None):
+        """Record one answer, whose ``latency_ms`` is the request's end to
+        end, and close its span with the outcome and ``pacer``'s state."""
+        if result.source == "learned":
+            self._learned_total.inc()
+        latency = result.latency_ms / 1e3
+        self._request_latency.observe(latency)
+        if self.slo is not None:
+            self.slo.record(latency, deadline_hit=result.reason != "deadline")
+        if span.sampled:
+            span.set_attrs(
+                source=result.source, reason=result.reason, weights_version=result.model_version
+            )
+            shed_reason = _SHED_REASONS.get(result.reason)
+            if shed_reason is not None:
+                span.set_attr("shed_reason", shed_reason)
+            if result.retry_after is not None:
+                span.set_attr("retry_after", result.retry_after)
+            pacer = self.pacer if pacer is None else pacer
+            if pacer is not None:
+                span.set_attr("pacer_state", pacer.state)
+            result.trace_id = span.trace_id
+            span.finish()
+        return result
+
+
+class OptimizerGateway(AnswerPath):
     """Concurrent serving front end over one inference service.
 
     ``service`` may be ``None`` (a project before its first promoted model):
@@ -221,20 +331,16 @@ class OptimizerGateway:
         recorder=None,
         slo=None,
     ) -> None:
+        super().__init__(
+            telemetry or Telemetry(), fallback=fallback, tracer=tracer, recorder=recorder, slo=slo
+        )
         self.config = config or GatewayConfig()
-        self.fallback = fallback or NativeCostFallback()
-        self.telemetry = telemetry or Telemetry()
         # The instruments every learned request updates, resolved once.
         t = self.telemetry
-        self._requests_total = t.counter("requests_total", "requests received")
         self._plans_total = t.counter("plans_total", "plans scored")
-        self._learned_total = t.counter("learned_total", "requests answered learned")
         self._batches_total = t.counter("batches_total", "learned batches executed")
         self._inline_total = t.counter(
             "inline_total", "requests run on the caller's thread"
-        )
-        self._request_latency = t.histogram(
-            "request_latency_seconds", "end-to-end request latency"
         )
         self._queue_wait = t.histogram(
             "queue_wait_seconds", "request wait from admission to worker pickup"
@@ -249,20 +355,14 @@ class OptimizerGateway:
             "batch's execution time; queue_wait_seconds holds the other half)",
         )
         self._on_trip = on_trip
-        #: Observability (all optional, all ~free when absent): a
-        #: :class:`repro.obs.Tracer` minting request spans at admission, a
-        #: :class:`repro.obs.FlightRecorder` fed incident events (breaker
-        #: trips auto-dump; sheds feed its storm detector), and a
-        #: :class:`repro.obs.SLOMonitor` fed every finished request.
-        self.tracer = tracer
-        self.recorder = recorder
-        self.slo = slo
-        self.breaker = breaker or CircuitBreaker(self.config.breaker)
-        if pacer is None and self.config.pacer is not None:
-            pacer = AdmissionPacer(self.config.pacer)
+        self.breaker = breaker or CircuitBreaker()
+        #: BBR-style admission pacing (:mod:`repro.pacing`), off when
+        #: ``None``: requests past its BDP-derived inflight cap shed at once
+        #: with reason ``"pacer-limit"`` instead of queueing into latency
+        #: their deadline budget cannot afford.
         self.pacer = pacer
-        if self.pacer is not None and self.pacer.telemetry is None:
-            self.pacer.telemetry = self.telemetry
+        if pacer is not None and pacer.telemetry is None:
+            pacer.attach(self.telemetry)
         # Chain, don't clobber: a caller-provided breaker may carry its own
         # trip hook; the gateway adds telemetry + the lifecycle signal.
         self._user_breaker_trip = self.breaker.on_trip
@@ -285,8 +385,8 @@ class OptimizerGateway:
         self._fault_budget = 0
         self._fault_error: BaseException | None = None
         self._running = True
-        # Gauges mirroring the service, breaker, pacer and SLO monitor are
-        # set when telemetry is read, not once per batch.
+        # Gauges mirroring the service and breaker are set when telemetry
+        # is read, not once per batch.
         self.telemetry.add_collector(self._sync_gauges)
         self._worker = threading.Thread(
             target=self._worker_loop, name="optimizer-gateway", daemon=True
@@ -425,19 +525,11 @@ class OptimizerGateway:
         span, and pass it by every guardrail that needs no queue.  Returns
         ``(request, None)`` for a request now holding its breaker grant and
         pacer slot, or ``(None, result)`` when it was answered here."""
-        self._requests_total.inc()
+        span = self._open(trace, len(plans))
         self._plans_total.inc(len(plans))
-        span = (
-            self.tracer.start_trace("gateway.request", parent=trace)
-            if self.tracer is not None
-            else NULL_SPAN
-        )
-        if span.sampled:
-            span.set_attrs(n_plans=len(plans))
         if not len(plans):
             return None, self._finish(
                 GatewayResult(np.zeros(0), "learned", "ok", 0.0, self._model_version()),
-                started,
                 span=span,
             )
         if self._service is None:
@@ -493,7 +585,6 @@ class OptimizerGateway:
                     1e3 * (time.monotonic() - started),
                     self._model_version(),
                 ),
-                started,
                 span=request.span,
             )
         reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
@@ -501,101 +592,7 @@ class OptimizerGateway:
             request.plans, request.env_features, reason, started, span=request.span
         )
 
-    def select_best_index(
-        self,
-        plans,
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-        deadline_ms: float | None = None,
-    ) -> tuple[int, np.ndarray]:
-        """The steering decision with the serving layer's contract: the
-        winning candidate index plus the full prediction vector."""
-        if not len(plans):
-            raise ValueError("select_best_index on an empty candidate list")
-        result = self.predict(plans, env_features=env_features, deadline_ms=deadline_ms)
-        return int(np.argmin(result.costs)), result.costs
-
-    def select_best(
-        self,
-        plans,
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-        deadline_ms: float | None = None,
-    ):
-        index, predictions = self.select_best_index(
-            plans, env_features=env_features, deadline_ms=deadline_ms
-        )
-        return plans[index], predictions
-
-    # -- fallback + bookkeeping ------------------------------------------------
-
-    #: Fallback reasons that are *shed* decisions (load-based refusals of a
-    #: healthy path), mapped onto the telemetry split in
-    #: :data:`repro.gateway.telemetry.SHED_REASONS`.  ``no-model`` /
-    #: ``circuit-open`` / ``model-error`` are health events, not sheds.
-    _SHED_REASONS = {
-        "shed": "queue-full",
-        "pacer-limit": "pacer-limit",
-        "deadline": "deadline",
-        "closed": "closed",
-    }
-
-    def _fallback_result(
-        self, plans, env_features, reason, started, *, retry_after=None, span=NULL_SPAN
-    ) -> GatewayResult:
-        costs = self.fallback.predict(list(plans), env_features=env_features)
-        self.telemetry.counter("fallback_total", "requests answered by fallback").inc()
-        self.telemetry.counter(
-            f"fallback_{reason.replace('-', '_')}_total", f"fallbacks: {reason}"
-        ).inc()
-        shed_reason = self._SHED_REASONS.get(reason)
-        if shed_reason is not None:
-            self.telemetry.record_shed(shed_reason)
-            if self.recorder is not None:
-                self.recorder.note_shed(shed_reason)
-        if retry_after is not None:
-            self.telemetry.histogram(
-                "retry_after_seconds",
-                "Retry-After hints attached to pacer-limit sheds",
-            ).observe(float(retry_after))
-        return self._finish(
-            GatewayResult(
-                costs,
-                "fallback",
-                reason,
-                1e3 * (time.monotonic() - started),
-                None,
-                retry_after=retry_after,
-            ),
-            started,
-            span=span,
-        )
-
-    def _finish(
-        self, result: GatewayResult, started: float, *, span=NULL_SPAN
-    ) -> GatewayResult:
-        if result.source == "learned":
-            self._learned_total.inc()
-        latency = time.monotonic() - started
-        self._request_latency.observe(latency)
-        if self.slo is not None:
-            self.slo.record(latency, deadline_hit=result.reason != "deadline")
-        if span.sampled:
-            span.set_attrs(
-                source=result.source,
-                reason=result.reason,
-                weights_version=result.model_version,
-            )
-            shed_reason = self._SHED_REASONS.get(result.reason)
-            if shed_reason is not None:
-                span.set_attr("shed_reason", shed_reason)
-            if result.retry_after is not None:
-                span.set_attr("retry_after", result.retry_after)
-            if self.pacer is not None:
-                span.set_attr("pacer_state", self.pacer.state)
-            result.trace_id = span.trace_id
-            span.finish()
-        return result
+    # -- guardrail hooks -------------------------------------------------------
 
     def _breaker_tripped(self, breaker) -> None:
         self.telemetry.counter(
@@ -827,8 +824,6 @@ class OptimizerGateway:
         self.telemetry.gauge("breaker_state", "0 closed, 1 half-open, 2 open").set(
             _BREAKER_STATE_CODES[self.breaker.state]
         )
-        if self.pacer is not None:
-            self.pacer.sync_gauges(self.telemetry)
         version = self._model_version()
         if version is not None:
             self.telemetry.gauge(
@@ -844,8 +839,6 @@ class OptimizerGateway:
                     "tallies and the cold-path attribution split (encode/forward "
                     "seconds, warmed plans)",
                 ).set(value)
-        if self.slo is not None:
-            self.slo.export(self.telemetry)
 
     def stats(self, *, include_samples: bool = False) -> dict:
         """JSON-able operational snapshot: telemetry, breaker, pacer, queue.

@@ -11,10 +11,11 @@ Three instrument kinds, one registry:
   count/sum/min/max over the full lifetime.
 
 A :class:`Telemetry` registry creates instruments on first use (get-or-
-create, so instrumented code never needs registration boilerplate), times
-code blocks via :meth:`Telemetry.span`, and exports everything as a JSON
-document or Prometheus text exposition (counters, gauges, and summaries
-with quantile labels).  All instruments are safe to update from multiple
+create, so instrumented code never needs registration boilerplate) and
+exports everything as a JSON-able snapshot or Prometheus text exposition
+(counters, gauges, and summaries with quantile labels; one renderer,
+:func:`render_prometheus`, serves a registry and a merged fleet snapshot
+alike).  All instruments are safe to update from multiple
 threads; exports take a consistent per-instrument snapshot.  Hot paths hold
 their instruments as attributes (one lookup, not one per update); gauges that
 mirror another object are set by collectors when an export is read.
@@ -22,12 +23,9 @@ mirror another object are set by collectors when an export is read.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
-import time
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 
 __all__ = [
     "Counter",
@@ -37,10 +35,13 @@ __all__ = [
     "Telemetry",
     "escape_label_value",
     "escape_help_text",
+    "render_prometheus",
 ]
 
 #: Quantiles reported for every histogram, in export order.
 QUANTILES = (0.50, 0.95, 0.99)
+#: The snapshot keys those quantiles are reported under.
+QUANTILE_KEYS = tuple(f"p{int(q * 100)}" for q in QUANTILES)
 
 #: The admission decisions that count as *shedding* — refusing a request
 #: the learned path will never see, for load (not health) reasons.  Each
@@ -198,8 +199,8 @@ class Histogram:
             lo, hi = self._min, self._max
             nonfinite = self._nonfinite
         quantiles = {
-            f"p{int(q * 100)}": (window[int(q * (len(window) - 1))] if window else 0.0)
-            for q in QUANTILES
+            key: (window[int(q * (len(window) - 1))] if window else 0.0)
+            for q, key in zip(QUANTILES, QUANTILE_KEYS)
         }
         out = {
             "count": count,
@@ -281,19 +282,6 @@ class Telemetry:
             f"shed_{reason.replace('-', '_')}_total", f"requests shed: {reason}"
         ).inc()
 
-    @contextmanager
-    def span(self, name: str):
-        """Time a code block: ``<name>_total`` counts entries and
-        ``<name>_seconds`` records the duration histogram."""
-        counter = self.counter(f"{name}_total", f"entries into span {name}")
-        histogram = self.histogram(f"{name}_seconds", f"duration of span {name}")
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            histogram.observe(time.perf_counter() - started)
-            counter.inc()
-
     # -- export ---------------------------------------------------------------
 
     def snapshot(self, *, include_samples: bool = False) -> dict:
@@ -310,32 +298,36 @@ class Telemetry:
             out[f"{instrument.kind}s"][instrument.name] = snap
         return out
 
-    def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
     def to_prometheus(self) -> str:
-        """Prometheus text exposition: counters as ``_total``-suffixed
-        counters, gauges verbatim, histograms as summaries with quantile
-        labels plus ``_count``/``_sum``."""
-        instruments = self._collected()
-        lines: list[str] = []
-        for instrument in instruments:
-            metric = f"{self.namespace}_{_sanitize(instrument.name)}"
-            if instrument.help:
-                lines.append(f"# HELP {metric} {escape_help_text(instrument.help)}")
-            if isinstance(instrument, Counter):
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {instrument.value:.10g}")
-            elif isinstance(instrument, Gauge):
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {instrument.value:.10g}")
-            else:
-                snap = instrument.snapshot()
-                lines.append(f"# TYPE {metric} summary")
-                for q in QUANTILES:
-                    value = snap[f"p{int(q * 100)}"]
-                    label = escape_label_value(f"{q:g}")
-                    lines.append(f'{metric}{{quantile="{label}"}} {value:.10g}')
-                lines.append(f"{metric}_sum {snap['sum']:.10g}")
-                lines.append(f"{metric}_count {snap['count']}")
-        return "\n".join(lines) + "\n"
+        """Prometheus text exposition of :meth:`snapshot`, with each
+        instrument's help text."""
+        snapshot = self.snapshot()
+        with self._lock:
+            helps = {name: i.help for name, i in self._instruments.items() if i.help}
+        return render_prometheus(snapshot, self.namespace, helps=helps)
+
+
+def render_prometheus(snapshot: dict, namespace: str, *, helps=None) -> str:
+    """Prometheus text exposition of a snapshot-shaped dict (a registry's
+    :meth:`Telemetry.snapshot`, or a merged fleet snapshot): counters and
+    gauges verbatim, histograms as summaries with quantile labels plus
+    ``_count``/``_sum``.  ``helps`` maps instrument names to HELP text."""
+    ns = _sanitize(namespace)
+    helps = helps or {}
+    lines: list[str] = []
+    kinds = (("counters", "counter"), ("gauges", "gauge"), ("histograms", "summary"))
+    for kind, type_ in kinds:
+        for name, value in snapshot.get(kind, {}).items():
+            metric = f"{ns}_{_sanitize(name)}"
+            if name in helps:
+                lines.append(f"# HELP {metric} {escape_help_text(helps[name])}")
+            lines.append(f"# TYPE {metric} {type_}")
+            if type_ != "summary":
+                lines.append(f"{metric} {value:.10g}")
+                continue
+            for q, key in zip(QUANTILES, QUANTILE_KEYS):
+                label = escape_label_value(f"{q:g}")
+                lines.append(f'{metric}{{quantile="{label}"}} {value[key]:.10g}')
+            lines.append(f"{metric}_sum {value['sum']:.10g}")
+            lines.append(f"{metric}_count {value['count']}")
+    return "\n".join(lines) + "\n"

@@ -170,14 +170,7 @@ class ModelLifecycle:
         if current is not None:
             fleet.promote(self.registry.root / current.path, warm=warm or None)
 
-    def serve_through_gateway(
-        self,
-        *,
-        fallback=None,
-        config=None,
-        breaker=None,
-        telemetry=None,
-    ):
+    def serve_through_gateway(self, *, breaker=None):
         """Build an :class:`~repro.gateway.gateway.OptimizerGateway` fronting
         this lifecycle's inference service — the entry point concurrent
         callers should use instead of touching :attr:`service` directly.
@@ -194,6 +187,8 @@ class ModelLifecycle:
 
         Works before the first promotion too: the gateway answers from the
         native fallback (reason ``"no-model"``) until a model is attached.
+        ``breaker`` replaces the gateway's default circuit breaker (e.g. one
+        on an injected clock).
         """
         from repro.gateway import OptimizerGateway
 
@@ -202,14 +197,7 @@ class ModelLifecycle:
             suffix = f":v{version.version}" if version is not None else ""
             self.drift_monitor.flag(f"circuit-breaker-trip{suffix}")
 
-        gateway = OptimizerGateway(
-            self._service,
-            fallback=fallback,
-            config=config,
-            breaker=breaker,
-            telemetry=telemetry,
-            on_trip=_flag_drift,
-        )
+        gateway = OptimizerGateway(self._service, breaker=breaker, on_trip=_flag_drift)
         self._gateways.append(gateway)
         return gateway
 

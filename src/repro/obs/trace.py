@@ -606,7 +606,8 @@ class SpanCollector:
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Observability wiring for a fleet: how workers build their tracers.
+    """Observability wiring for a fleet: what each process builds
+    (:meth:`build`).
 
     ``sample_rate``/``seed`` parameterize each process's tracer (worker
     seeds are derived per worker id so ids never collide across shards);
@@ -621,3 +622,33 @@ class ObsConfig:
     max_export_per_sec: float = 200.0
     recorder_capacity: int = 4096
     slo: object | None = field(default=None, compare=False)
+
+    def build(self, process_label, *, collector=None):
+        """One process's ``(tracer, recorder, slo)``, the tracer feeding
+        the recorder so an incident dump holds the sampled spans before it
+        (``slo`` is ``None`` without an ``slo`` config).  The process given
+        the ``collector`` is the fleet parent: it mints ids from ``seed``
+        and owns the JSONL export.  A worker derives its seed from its
+        ``process_label`` and exports nothing: its spans ride the replies
+        to the parent's collector."""
+        from repro.evaluation.pool import derive_seed
+        from repro.obs.recorder import FlightRecorder
+        from repro.obs.slo import SLOMonitor
+
+        parent = collector is not None
+        seed = self.seed
+        if seed is not None and not parent:
+            seed = derive_seed(seed, f"trace-{process_label}")
+        recorder = FlightRecorder(
+            self.recorder_capacity, dump_dir=self.dump_dir, process_label=process_label
+        )
+        tracer = Tracer(
+            self.sample_rate,
+            seed=seed,
+            export_path=self.export_path if parent else None,
+            max_export_per_sec=self.max_export_per_sec,
+            collector=collector,
+            recorder=recorder,
+            process_label=process_label,
+        )
+        return tracer, recorder, SLOMonitor(self.slo) if self.slo is not None else None

@@ -154,7 +154,7 @@ class AdmissionPacer:
     ) -> None:
         self.config = config or PacerConfig()
         self.clock = clock
-        self.telemetry = telemetry
+        self.telemetry = None
         self.name = name
         self._lock = threading.Lock()
         self._rate = WindowedMax(self.config.rate_window_seconds)
@@ -182,6 +182,13 @@ class AdmissionPacer:
             )
             for state in PACER_STATE_CODES
         }
+        if telemetry is not None:
+            self.attach(telemetry)
+
+    def attach(self, telemetry) -> None:
+        """Report dwell times and, when it is read, gauges to ``telemetry``."""
+        self.telemetry = telemetry
+        telemetry.add_collector(self.sync_gauges)
 
     # -- estimates -------------------------------------------------------------
 
@@ -426,11 +433,10 @@ class AdmissionPacer:
 
     # -- reporting -------------------------------------------------------------
 
-    def sync_gauges(self, telemetry=None) -> None:
-        """Write the operating point into gauges (state, estimates, cap)."""
-        telemetry = telemetry or self.telemetry
-        if telemetry is None:
-            return
+    def sync_gauges(self) -> None:
+        """Write the operating point into the attached registry's gauges
+        (state, estimates, cap): its collector, run when it is read."""
+        telemetry = self.telemetry
         now = self.clock()
         with self._lock:
             self._advance_locked(now)

@@ -28,6 +28,7 @@ from repro.fleet import worker as worker_module
 from repro.fleet.worker import PLAN_CACHE_CAP
 from repro.gateway import OptimizerGateway
 from repro.obs import ObsConfig
+from repro.pacing import PACER_STATE_CODES, AdmissionPacer, PacerConfig
 from repro.serving.fingerprint import plan_fingerprint
 from repro.serving.service import CostInferenceService
 
@@ -604,6 +605,79 @@ class TestServingFleet:
         fleet.close()
         late = fleet.predict("t", plans[:3], env_features=ENV)
         assert late.source == "fallback" and late.reason == "closed"
+
+    def test_parent_exports_its_shard_pacers_gauges(self, checkpointed):
+        path, _predictor, plans = checkpointed
+        # Held in STARTUP, so the gauges and stats() read one operating point.
+        config = PacerConfig(startup_full_rounds=10**9)
+        with ServingFleet(path, n_workers=1, pacer_config=config) as fleet:
+            for i in range(8):
+                assert fleet.predict(f"t{i}", plans[:4], env_features=ENV).source == "learned"
+            stats = fleet.stats()
+            gauges, pacer = stats["fleet"]["gauges"], stats["pacers"]["shard-0"]
+            assert gauges["pacer_shard_0_state"] == PACER_STATE_CODES[pacer["state"]]
+            assert gauges["pacer_shard_0_inflight"] == pacer["inflight"] == 0
+            assert gauges["pacer_shard_0_inflight_cap"] == pacer["inflight_cap"]
+            assert gauges["pacer_shard_0_btl_rate"] == pacer["btl_rate"] > 0.0
+            assert gauges["pacer_shard_0_min_latency_seconds"] == pacer["min_latency_seconds"]
+            assert "\nrepro_fleet_parent_pacer_shard_0_state " in fleet.to_prometheus()
+
+    def test_both_front_ends_answer_refusals_alike(self, checkpointed):
+        """A pacer-limit shed and a closed refusal give the same answer and
+        the same counter increments through a gateway and through the fleet
+        parent; a learned fleet answer is recorded as a gateway's is."""
+        path, _predictor, plans = checkpointed
+
+        def refusal(front, predict, pacer=None):
+            held = 0
+            while pacer is not None and pacer.try_admit():
+                held += 1  # fill the pipe: the next request is refused
+            before = front.telemetry.snapshot()["counters"]
+            result = predict()
+            after = front.telemetry.snapshot()["counters"]
+            if held:
+                pacer.release(held)
+            delta = {
+                name: value - before.get(name, 0.0)
+                for name, value in after.items()
+                if value != before.get(name, 0.0)
+            }
+            delta.pop("plans_total", None)  # the gateway's own admission tally
+            return (result.source, result.reason, result.retry_after is None), delta
+
+        gateway = OptimizerGateway(
+            CostInferenceService.from_checkpoint(path), pacer=AdmissionPacer(PacerConfig())
+        )
+        fleet = ServingFleet(path, n_workers=1, pacer_config=PacerConfig())
+
+        def ask_gateway():
+            return gateway.predict(plans[:4], env_features=ENV)
+
+        def ask_fleet():
+            return fleet.predict("t", plans[:4], env_features=ENV)
+
+        try:
+            for _ in range(3):  # measured pacers: their sheds carry Retry-After
+                assert ask_gateway().source == ask_fleet().source == "learned"
+            shed = refusal(gateway, ask_gateway, gateway.pacer)
+            assert shed[0] == ("fallback", "pacer-limit", False)
+            assert refusal(fleet, ask_fleet, fleet._pacers["shard-0"]) == shed
+
+            before = fleet.telemetry.snapshot()
+            assert ask_fleet().source == "learned"
+            after = fleet.telemetry.snapshot()
+            assert after["counters"]["learned_total"] == before["counters"]["learned_total"] + 1
+            latency = "request_latency_seconds"
+            assert after["histograms"][latency]["count"] == before["histograms"][latency]["count"] + 1
+
+            gateway.close()
+            fleet.close()
+            closed = refusal(gateway, ask_gateway)
+            assert closed[0] == ("fallback", "closed", True)
+            assert refusal(fleet, ask_fleet) == closed
+        finally:
+            gateway.close()
+            fleet.close()
 
 
 class _CountingConnCalls:

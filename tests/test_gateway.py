@@ -31,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.gateway import (
     BreakerConfig,
-    BreakerOpenError,
     CircuitBreaker,
     GatewayConfig,
     NativeCostFallback,
@@ -250,19 +249,12 @@ class TestTelemetry:
         assert snap["mean"] == pytest.approx(3.0)
         assert snap["min"] == 2.0 and snap["max"] == 4.0
 
-    def test_span_records_count_and_duration(self):
-        t = Telemetry()
-        with t.span("encode"):
-            pass
-        assert t.counter("encode_total").value == 1
-        assert t.histogram("encode_seconds").count == 1
-
     def test_json_round_trip(self):
         t = Telemetry()
         t.counter("reqs").inc(3)
         t.gauge("depth").set(2)
         t.histogram("lat").observe(0.5)
-        doc = json.loads(t.to_json())
+        doc = json.loads(json.dumps(t.snapshot()))
         assert doc["counters"]["reqs"] == 3
         assert doc["gauges"]["depth"] == 2
         assert doc["histograms"]["lat"]["count"] == 1
@@ -332,8 +324,6 @@ class TestCircuitBreaker:
         assert b.state == "open"
         assert not b.allow()
         assert b.trip_count == 1
-        with pytest.raises(BreakerOpenError):
-            b.check()
 
     def test_successes_keep_it_closed(self):
         b = _breaker(_FakeClock())
@@ -483,12 +473,6 @@ class TestNativeCostFallback:
         # shared factor: candidate ranking is unchanged.
         assert np.argsort(busy).tolist() == np.argsort(base).tolist()
 
-    def test_select_best_index_is_argmin(self, native_plans):
-        fb = NativeCostFallback()
-        index, predictions = fb.select_best_index(native_plans, env_features=ENV)
-        assert index == int(np.argmin(predictions))
-        with pytest.raises(ValueError):
-            fb.select_best_index([])
 
 
 # -- gateway guardrail paths (stub service) -------------------------------------
@@ -762,9 +746,6 @@ class TestGatewayLearnedReal:
             result = gw.predict(plans[:16], env_features=ENV)
             assert result.source == "learned"
             np.testing.assert_allclose(result.costs, direct, rtol=1e-5)
-            index, predictions = gw.select_best_index(plans[:16], env_features=ENV)
-            assert index == int(np.argmin(direct))
-            np.testing.assert_allclose(predictions, direct, rtol=1e-5)
 
     def test_logged_env_requests_match_direct_service(self, trained):
         predictor, plans = trained
@@ -797,14 +778,6 @@ class TestGatewayLearnedReal:
             for got, want in zip(results, serial):
                 assert got.source == "learned"
                 np.testing.assert_allclose(got.costs, want, rtol=1e-5)
-
-    def test_select_best_returns_plan_and_predictions(self, trained):
-        predictor, plans = trained
-        with OptimizerGateway(CostInferenceService(predictor)) as gw:
-            best, predictions = gw.select_best(plans[:6], env_features=ENV)
-            assert best is plans[int(np.argmin(predictions))]
-            with pytest.raises(ValueError):
-                gw.select_best_index([])
 
     def test_cache_counters_surfaced_as_gauges(self, trained):
         predictor, plans = trained
@@ -903,8 +876,8 @@ class TestGatewayClose:
         answers ``closed`` (never ``deadline``), never blocks, and the
         pacer slot comes back exactly once."""
         stuck = _StuckService()
-        config = GatewayConfig(pacer=PacerConfig())
-        gw = OptimizerGateway(stuck, config=config, fallback=_StubFallback())
+        pacer = AdmissionPacer(PacerConfig())
+        gw = OptimizerGateway(stuck, pacer=pacer, fallback=_StubFallback())
         done: list = []
 
         def caller() -> None:
@@ -929,8 +902,8 @@ class TestGatewayClose:
         ``deadline`` immediately, and the close() that follows releases the
         stranded request's pacer slot instead of leaking it."""
         stuck = _StuckService()
-        config = GatewayConfig(pacer=PacerConfig())
-        gw = OptimizerGateway(stuck, config=config, fallback=_StubFallback())
+        pacer = AdmissionPacer(PacerConfig())
+        gw = OptimizerGateway(stuck, pacer=pacer, fallback=_StubFallback())
         result = gw.predict(_marker_plans(1.0), deadline_ms=30)
         assert result.fallback and result.reason == "deadline"
         assert gw.pacer.inflight == 1  # the stuck batch still holds it
@@ -986,8 +959,8 @@ class TestRequestPath:
         service.cache_counters = lambda: counter_reads.append(1) or cache_counters()
         # startup_full_rounds: the pacer stays in STARTUP, so the dwell
         # histogram (one lookup per state change) stays out of the count.
-        config = GatewayConfig(pacer=PacerConfig(startup_full_rounds=10**9))
-        with OptimizerGateway(service, config=config) as gw:
+        pacer = AdmissionPacer(PacerConfig(startup_full_rounds=10**9))
+        with OptimizerGateway(service, pacer=pacer) as gw:
             for _ in range(3):
                 gw.predict(plans[:6], env_features=ENV)
             assert _settle(lambda: gw.pacer.inflight == 0)
@@ -1101,11 +1074,11 @@ class TestRequestPath:
 
     def test_conservation_under_concurrent_mixed_deadlines(self):
         service = _StubService(delay=0.002)
-        config = GatewayConfig(pacer=PacerConfig())
+        pacer = AdmissionPacer(PacerConfig())
         deadlines = (None, 1.0, 4.0, 50.0)
         results: list = []
         lock = threading.Lock()
-        gw = OptimizerGateway(service, config=config, fallback=_StubFallback())
+        gw = OptimizerGateway(service, pacer=pacer, fallback=_StubFallback())
 
         def caller(k: int) -> None:
             mine = [
@@ -1236,11 +1209,12 @@ class TestInlineEntry:
 
     def test_pacer_ledger_balances_across_both_executors(self):
         service = _GatedService()
-        config = GatewayConfig(
-            pacer=PacerConfig(startup_full_rounds=10**9, min_cap=4),
-            breaker=BreakerConfig(min_calls=10**6),
+        gw = OptimizerGateway(
+            service,
+            pacer=AdmissionPacer(PacerConfig(startup_full_rounds=10**9, min_cap=4)),
+            breaker=CircuitBreaker(BreakerConfig(min_calls=10**6)),
+            fallback=_StubFallback(),
         )
-        gw = OptimizerGateway(service, config=config, fallback=_StubFallback())
         results: list = []
         try:
             for i in range(5):
@@ -1335,13 +1309,15 @@ class TestInlineEntry:
 
     def test_conservation_with_both_executors_under_contention(self):
         service = _StubService(delay=0.002)
-        config = GatewayConfig(
-            pacer=PacerConfig(), breaker=BreakerConfig(min_calls=10**6)
-        )
         deadlines = (None, 1.0, None, 50.0)
         results: list = []
         lock = threading.Lock()
-        gw = OptimizerGateway(service, config=config, fallback=_StubFallback())
+        gw = OptimizerGateway(
+            service,
+            pacer=AdmissionPacer(PacerConfig()),
+            breaker=CircuitBreaker(BreakerConfig(min_calls=10**6)),
+            fallback=_StubFallback(),
+        )
 
         def caller(k: int) -> None:
             mine = [

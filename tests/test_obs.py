@@ -683,6 +683,9 @@ class TestFleetTracing:
         path, plans = checkpointed
         obs = ObsConfig(sample_rate=1.0, seed=78, dump_dir=str(tmp_path))
         with ServingFleet(path, n_workers=2, obs=obs) as fleet:
+            # Sampled traffic before the incident: its spans are in the dump.
+            for i in range(4):
+                fleet.predict(f"warm-{i}", plans[:4], env_features=ENV)
             fleet.crash_worker(fleet.live_workers()[0])
             # Some tenant routes to the dead shard; its request observes the
             # death, sheds to the fallback, and records the crash incident.
@@ -692,6 +695,14 @@ class TestFleetTracing:
         assert dumps, "expected a worker-crash flight dump"
         crash_dumps = [f for f in dumps if "worker-crash" in f]
         assert crash_dumps
+        records = [
+            json.loads(line)
+            for name in crash_dumps
+            for line in (tmp_path / name).read_text().splitlines()
+        ]
+        assert any(
+            r["type"] == "span" and r["name"] == "fleet.request" for r in records
+        )
 
 
 # -- replay determinism ---------------------------------------------------------

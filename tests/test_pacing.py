@@ -382,8 +382,8 @@ class TestPacerStateMachine:
 class TestGatewayPacing:
     def test_pacer_limit_sheds_and_splits_counters(self, native_plans):
         service = _StubService(delay=0.25)
-        config = GatewayConfig(pacer=PacerConfig(initial_cap=2))
-        with OptimizerGateway(service, config=config) as gw:
+        pacer = AdmissionPacer(PacerConfig(initial_cap=2))
+        with OptimizerGateway(service, pacer=pacer) as gw:
             results = {}
 
             def call(key):
@@ -419,8 +419,7 @@ class TestGatewayPacing:
 
     def test_swap_resets_pacer_to_startup(self):
         service = _StubService(delay=0.005)
-        config = GatewayConfig(pacer=PacerConfig())
-        with OptimizerGateway(service, config=config) as gw:
+        with OptimizerGateway(service, pacer=AdmissionPacer(PacerConfig())) as gw:
             # A steady pipe plateaus the rate: live deliveries alone walk
             # the pacer out of STARTUP with both estimates measured.
             for _ in range(16):
@@ -458,16 +457,15 @@ class TestGatewayPacing:
         def overload(pacer):
             # One request per learned batch, so the pipe's capacity is 1/delay;
             # a breaker that never trips, so only admission differs.
-            config = GatewayConfig(
-                max_coalesce_plans=1,
-                breaker=BreakerConfig(min_calls=10**6),
-                pacer=pacer,
-            )
             n = int(rate * seconds)
             cursor = iter(range(n))
             results = [None] * n
             with OptimizerGateway(
-                _StubService(delay=delay), config=config, fallback=_StubFallback()
+                _StubService(delay=delay),
+                config=GatewayConfig(max_coalesce_plans=1),
+                breaker=CircuitBreaker(BreakerConfig(min_calls=10**6)),
+                pacer=AdmissionPacer(pacer) if pacer is not None else None,
+                fallback=_StubFallback(),
             ) as gw:
                 start = time.perf_counter() + 0.02
 
@@ -496,8 +494,8 @@ class TestGatewayPacing:
 
     def test_abandoned_inflight_request_still_measures_the_pipe(self):
         service = _StubService(delay=0.3)
-        config = GatewayConfig(pacer=PacerConfig())
-        with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
+        pacer = AdmissionPacer(PacerConfig())
+        with OptimizerGateway(service, pacer=pacer, fallback=_StubFallback()) as gw:
             r = gw.predict(_marker_plans(1.0), deadline_ms=30)
             assert r.reason == "deadline"
             # The worker is still computing the abandoned batch; when it
@@ -512,8 +510,8 @@ class TestGatewayPacing:
 
     def test_abandoned_before_pickup_releases_without_sample(self):
         service = _StubService(delay=0.3)
-        config = GatewayConfig(pacer=PacerConfig())
-        with OptimizerGateway(service, config=config, fallback=_StubFallback()) as gw:
+        pacer = AdmissionPacer(PacerConfig())
+        with OptimizerGateway(service, pacer=pacer, fallback=_StubFallback()) as gw:
             blocker = threading.Thread(
                 target=lambda: gw.predict(_marker_plans(1.0))
             )
@@ -752,10 +750,8 @@ class TestNextAdmitEta:
 class TestRetryAfterSurfacing:
     def test_gateway_pacer_limit_shed_carries_retry_after(self):
         service = _StubService()
-        config = GatewayConfig(pacer=PacerConfig(initial_cap=2))
-        with OptimizerGateway(
-            service, config=config, fallback=_StubFallback()
-        ) as gw:
+        pacer = AdmissionPacer(PacerConfig(initial_cap=2))
+        with OptimizerGateway(service, pacer=pacer, fallback=_StubFallback()) as gw:
             ok = gw.predict(_marker_plans(1.0, 2.0))
             assert ok.source == "learned" and ok.retry_after is None
             taken = 0

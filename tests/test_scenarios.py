@@ -19,9 +19,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.evaluation.pool import fork_available
 from repro.workload import (
     DiurnalArrivals,
     FamilySpec,
+    FleetTarget,
     GatewayTarget,
     MarkovModulatedArrivals,
     PoissonArrivals,
@@ -35,12 +37,14 @@ from repro.workload import (
     ZipfTenants,
     build_lifecycle,
     build_scenario,
+    current_checkpoint_path,
     interarrival_cv,
     list_scenarios,
     scenario_steady,
 )
 
 POOLS = {"scan": 5, "join": 5, "report": 5}
+needs_fork = pytest.mark.skipif(not fork_available(), reason="requires fork")
 ENV = (0.5, 0.1, 0.4, 0.5)
 
 
@@ -290,21 +294,32 @@ class TestReplayEngine:
         assert reports[0].stream_digest == reports[1].stream_digest
         assert reports[0].n_requests == len(scenario.stream(POOLS, env=runtime.env_r))
 
+    @pytest.mark.parametrize("front_end", ["gateway", pytest.param("fleet", marks=needs_fork)])
     def test_drift_scenario_retrains_and_promotes_exactly_once(
-        self, runtime, incumbent
+        self, runtime, incumbent, front_end
     ):
+        def serve(lifecycle):
+            if front_end == "gateway":
+                gateway = lifecycle.serve_through_gateway()
+                return GatewayTarget(gateway), gateway.close
+            from repro.fleet import ServingFleet
+
+            fleet = ServingFleet(current_checkpoint_path(lifecycle), n_workers=2)
+            lifecycle.attach_fleet(fleet)
+            return FleetTarget(fleet), fleet.close
+
         def replay():
             lifecycle = build_lifecycle(runtime, incumbent)
-            gateway = lifecycle.serve_through_gateway()
+            target, close = serve(lifecycle)
             try:
                 engine = ReplayEngine(
                     runtime, lifecycle=lifecycle, config=ReplayConfig(mode="logical")
                 )
                 version_before = lifecycle.registry.current.version
-                report = engine.run(build_scenario("drift"), GatewayTarget(gateway))
+                report = engine.run(build_scenario("drift"), target)
                 return report, lifecycle.registry.current.version - version_before
             finally:
-                gateway.close()
+                close()
 
         report, versions_added = replay()
         assert report.retrains == 1
@@ -316,7 +331,7 @@ class TestReplayEngine:
         assert flagged.at >= 3.0  # the drift is injected at t=3
         assert promoted.at > flagged.at
         assert versions_added == 1
-        # The promote is visible to the serving path: the gateway now
+        # The promote is visible to the serving path: the front end now
         # reports the candidate's weights version.
         assert report.segments["drifted"]["learned"] > 0
         # The retrain is part of the replay: a fresh lifecycle and gateway

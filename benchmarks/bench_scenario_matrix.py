@@ -243,7 +243,6 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
                 current_checkpoint_path(lifecycle),
                 n_workers=2,
                 pacer_config=PACER,
-                gateway_config=GatewayConfig(max_queue_depth=16),
             ) as fleet:
                 target = FleetTarget(fleet)
                 fleet_queue_free = _queue_free_ms(runtime, target)

@@ -1,51 +1,44 @@
 """The sharded serving fleet: N worker processes behind one tenant router.
 
-One :class:`~repro.gateway.gateway.OptimizerGateway` is GIL-capped — its
-coalescing worker thread and every caller share one interpreter, so adding
-client threads cannot add throughput.  The fleet breaks that cap with
-processes, given cores to spare (on one core, ``bench_e2e``'s
-``fleet_zipf`` workload measures what the process hop costs): each shard
-is a forked child with a private ``CostInferenceService`` behind its own
-``OptimizerGateway`` guardrails, run by the shard's pipe loop
-(``predict_inline``: one frame at a time leaves nothing to coalesce, so no
-thread hand-off inside a worker unless the request carries a deadline),
-and a consistent-hash router
-(:mod:`repro.fleet.router`) pins every tenant to one shard so its
-encoding/prediction caches stay hot and the fleet's *aggregate* cache
-capacity is N× a single process's.
+One in-process gateway (:mod:`repro.gateway`) is GIL-capped: its
+coalescing thread and every caller share one interpreter.  The fleet
+breaks that cap with processes, given cores to spare (on one core,
+``bench_e2e``'s ``fleet_zipf`` measures what the process hop costs).
+Each shard is a forked bare scorer (:mod:`repro.fleet.worker`: read a
+frame, ``service.predict``, write a frame), and a consistent-hash router
+(:mod:`repro.fleet.router`) pins every tenant to one shard, so its caches
+stay hot and the fleet's aggregate cache capacity is N× one process's.
 
-Parent-side responsibilities (this module):
+This module is the one place a fleet request is admitted and answered:
+route → the shard's :class:`~repro.gateway.breaker.CircuitBreaker` → the
+shard's admission pacer → one exchange on the shard's socket → the
+gateway's own :class:`~repro.gateway.gateway.AnswerPath`, so a fleet
+answer leaves the audit trail a gateway answer does.  A ``deadline_ms``
+covers the wait for the shard's lock, for a reply the shard still owes a
+caller that gave up, and for the caller's own reply.  On expiry the
+caller answers ``deadline`` and records one slow call; if its request was
+sent, the shard owes the reply, which the next exchange on that shard
+reads (checking its id) and discards first, and the pacer slot stays
+taken until then.
 
-* process lifecycle — fork workers (reusing the evaluation pool's
-  bootstrap: BLAS pinned to one thread per worker, seeds derived per
-  worker), graceful drain on :meth:`ServingFleet.close`;
-* routing + framing — per-worker duplex pipes carrying one
-  :mod:`repro.fleet.wire` frame per message, one lock and one registered
-  poller per pipe (callers to *different* shards never serialize on each
-  other), encode-once plan shipping via a per-worker ``plans_key`` LRU
-  that mirrors the worker's, with ``need-plans`` resend as the backstop;
-* staged promotes — :meth:`promote` walks live workers one at a time,
-  each loading the checkpoint and warming its caches before the next
-  starts, so the fleet never has every shard cold simultaneously;
-* crash containment — a dead (or stalled past ``rpc_timeout``) worker
-  sheds only its own in-flight request to the parent's native fallback
-  (reason ``"worker-crash"``), is killed and reaped, leaves the ring, and
-  its tenants remap to the survivors (~1/N of the keyspace);
-  the event is visible in fleet telemetry (``worker_failures_total``,
-  ``workers_alive``);
-* one answer path — the parent counts, sheds, answers and traces a
-  request through the gateway's own :class:`~repro.gateway.gateway.
-  AnswerPath`, so a fleet answer leaves the audit trail a gateway answer
-  does;
-* merged observability — per-shard gateway snapshots plus fleet-level
-  counters, merged into one JSON/Prometheus export
-  (:mod:`repro.fleet.telemetry`).
+Around that path: forked workers reuse the evaluation pool's bootstrap
+(BLAS pinned to one thread, seeds derived per worker); one
+``socket.socketpair`` and one lock per shard carry :mod:`repro.fleet.wire`
+frames, with plan trees shipped once per shard by ``plans_key`` (the
+parent mirrors the worker's LRU; ``need-plans`` is the backstop);
+:meth:`ServingFleet.promote` stages a checkpoint shard by shard and
+resets each shard's breaker and pacer; a worker that died (its socket
+reads end-of-file), stayed silent past ``rpc_timeout`` or replied out of
+step sheds only its in-flight request (``"worker-crash"``), is killed,
+and its tenants remap to the survivors; :meth:`ServingFleet.stats` merges
+the shards' telemetry with the parent's (:mod:`repro.fleet.telemetry`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import select
+import socket
 import threading
 import time
 from collections import OrderedDict
@@ -53,42 +46,49 @@ from collections import OrderedDict
 from repro.evaluation.pool import fork_available
 from repro.fleet.router import ConsistentHashRouter
 from repro.fleet.telemetry import merge_snapshots, merged_to_prometheus
-from repro.fleet.wire import recv_frame, send_frame, unpack_costs
+from repro.fleet.wire import Channel, unpack_costs
 from repro.fleet.worker import PLAN_CACHE_CAP, fleet_worker_main
-from repro.gateway import GatewayResult, Telemetry
-from repro.gateway.gateway import AnswerPath
+from repro.gateway import CircuitBreaker, GatewayResult, Telemetry
+from repro.gateway.gateway import BREAKER_STATE_CODES, AnswerPath
 from repro.obs import SpanCollector
 from repro.obs.trace import NULL_SPAN
 from repro.pacing import AdmissionPacer, PacerConfig
 
 __all__ = ["ServingFleet", "WorkerCrashError"]
 
+#: Seconds one blocking read waits before the parent checks that the
+#: worker is alive and within ``rpc_timeout``.
+_SLICE = 0.05
+
 
 class WorkerCrashError(RuntimeError):
-    """A worker died mid-conversation (pipe broke or process exited)."""
+    """A worker died mid-conversation (socket closed or process exited)."""
 
 
-#: What a broken, hung-up or closed pipe raises (``BrokenPipeError`` and
+#: What a broken, hung-up or closed socket raises (``BrokenPipeError`` and
 #: ``ConnectionError`` are ``OSError``\ s).
 _PIPE_ERRORS = (WorkerCrashError, EOFError, OSError)
 
+#: What :meth:`ServingFleet._exchange` returns when a budget ran out before
+#: the request was sent, or after (the shard owes its reply); reply-shaped.
+_UNSENT, _OWED = ("unsent",), ("owed",)
+
 
 class _WorkerHandle:
-    """Parent-side state for one shard: process, pipe, pipe lock, a poller
-    registered on the pipe once, and a mirror of the worker's LRU of
-    candidate-set keys."""
+    """Parent-side state for one shard: process, socket, socket lock, a
+    mirror of the worker's LRU of candidate-set keys, and the id of the
+    reply the shard owes a caller that gave up (at most one)."""
 
-    __slots__ = ("name", "process", "conn", "lock", "alive", "sent_keys", "poller")
+    __slots__ = ("name", "process", "channel", "lock", "alive", "sent_keys", "owed")
 
-    def __init__(self, name, process, conn) -> None:
+    def __init__(self, name, process, channel) -> None:
         self.name = name
         self.process = process
-        self.conn = conn
+        self.channel = channel
         self.lock = threading.Lock()
         self.alive = True
         self.sent_keys: OrderedDict = OrderedDict()
-        self.poller = select.poll()
-        self.poller.register(conn.fileno(), select.POLLIN)
+        self.owed: int | None = None
 
     def remember(self, plans_key) -> bool:
         """Whether the worker already holds ``plans_key``'s plans — touching
@@ -104,10 +104,10 @@ class _WorkerHandle:
 
 
 class ServingFleet(AnswerPath):
-    """N sharded gateway workers behind a consistent-hash tenant router.
+    """N remote scorers behind a consistent-hash tenant router.
 
     ``checkpoint_path`` is the promoted model every worker loads at boot
-    (``None`` starts the fleet model-less: every shard answers from its
+    (``None`` starts the fleet model-less: every request answers from the
     native fallback with reason ``"no-model"`` until :meth:`promote`).
     Requires a platform with ``fork`` (POSIX); construction raises
     otherwise rather than serving a silently single-process fleet.
@@ -120,7 +120,6 @@ class ServingFleet(AnswerPath):
         checkpoint_path=None,
         *,
         n_workers: int = 4,
-        gateway_config=None,
         rpc_timeout: float = 60.0,
         pacer_config: PacerConfig | None = None,
         obs=None,
@@ -134,7 +133,7 @@ class ServingFleet(AnswerPath):
         self.rpc_timeout = rpc_timeout
         #: Observability (an :class:`repro.obs.ObsConfig`, or ``None`` for
         #: off): the parent mints ``fleet.request`` spans, ships their
-        #: contexts over the RPC framing, and stitches worker-returned span
+        #: contexts over the framing, and stitches worker-returned span
         #: records into complete per-trace trees via the collector; each
         #: worker builds its own tracer/recorder from the same config.
         self.obs = obs
@@ -154,28 +153,31 @@ class ServingFleet(AnswerPath):
         self._workers: dict[str, _WorkerHandle] = {}
         for i in range(n_workers):
             name = f"shard-{i}"
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            parent_sock, child_sock = socket.socketpair()
             process = ctx.Process(
                 target=fleet_worker_main,
-                args=(child_conn,),
+                args=(child_sock,),
                 kwargs={
                     "worker_id": name,
                     "checkpoint_path": (
                         str(checkpoint_path) if checkpoint_path is not None else None
                     ),
-                    "gateway_config": gateway_config,
                     "obs_config": obs,
                 },
                 name=f"fleet-{name}",
                 daemon=True,
             )
             process.start()
-            child_conn.close()
-            self._workers[name] = _WorkerHandle(name, process, parent_conn)
-        # One admission pacer per shard (parent side): each shard is its own
-        # pipe with its own capacity, so each gets its own BBR estimators.
-        # A crash remaps tenants to survivors whose pacers keep their learned
-        # estimates; a staged promote resets every pacer back to STARTUP.
+            child_sock.close()
+            self._workers[name] = _WorkerHandle(name, process, Channel(parent_sock, _SLICE))
+        # One breaker and (optionally) one admission pacer per shard, in the
+        # parent: each shard is its own path with its own health and
+        # capacity.  A crash remaps tenants to survivors whose pacers keep
+        # their learned estimates; a staged promote resets both.
+        self._breakers = {
+            name: CircuitBreaker(on_trip=functools.partial(self._record_trip, name))
+            for name in self._workers
+        }
         self._pacers: dict[str, AdmissionPacer] = {}
         if pacer_config is not None:
             self._pacers = {
@@ -186,6 +188,7 @@ class ServingFleet(AnswerPath):
                 )
                 for name in self._workers
             }
+        self.telemetry.add_collector(self._sync_breaker_gauges)
         self.router = ConsistentHashRouter(self._workers)
         self._workers_alive.set(n_workers)
 
@@ -194,26 +197,63 @@ class ServingFleet(AnswerPath):
     def _next_req_id(self) -> int:
         return next(self._req_ids)  # atomic: one C call under the GIL
 
-    def _exchange(self, handle: _WorkerHandle, message: tuple, span=NULL_SPAN):
-        """Send ``message`` and return its reply; call under the handle's
-        lock (the pipe is request-response, so replies cannot interleave).
-        The wait is sliced so a worker that died or stalled surfaces as
-        :class:`WorkerCrashError` instead of a hang; a hang-up makes the
-        pipe readable, and the read then raises ``EOFError`` at once.  A
-        sampled ``span`` gets the hop's parts (unsampled requests read no
-        clock for them)."""
+    def _read(self, handle: _WorkerHandle, req_id: int, until: float | None = None):
+        """The reply to ``req_id``, ``(reply, byte count)``, or ``None`` once
+        ``until`` (a budget's end, monotonic seconds) passed.  Waits in 50 ms
+        receive slices, reading no clock while a frame arrives within one:
+        a dead worker's socket reads end-of-file at once; one silent for
+        ``rpc_timeout`` after the first empty slice, or replying to another
+        id, raises :class:`WorkerCrashError`."""
+        channel = handle.channel
+        stall_at = None
+        try:
+            while True:
+                if until is not None:
+                    left = until - time.monotonic()
+                    if left <= 0.0:
+                        return None
+                    channel.set_timeout(min(_SLICE, left))
+                got = channel.recv()
+                if got is not None:
+                    if got[0][1] != req_id:
+                        raise WorkerCrashError(
+                            f"{handle.name}: protocol desync (reply {got[0][1]}, "
+                            f"expected {req_id})"
+                        )
+                    return got
+                if not handle.process.is_alive():
+                    raise WorkerCrashError(f"{handle.name}: worker process died")
+                now = time.monotonic()
+                if stall_at is None:
+                    stall_at = now + self.rpc_timeout
+                elif now > stall_at:
+                    raise WorkerCrashError(f"{handle.name}: rpc timed out")
+        finally:
+            if until is not None:
+                channel.set_timeout(_SLICE)
+
+    def _exchange(self, handle: _WorkerHandle, message: tuple, span=NULL_SPAN, until=None):
+        """Send ``message`` and return its reply, first reading and
+        discarding a reply the shard still owes; call under the handle's
+        lock.  With a budget (``until``), returns :data:`_UNSENT` if it ran
+        out before the request left, :data:`_OWED` after.  A sampled
+        ``span`` gets the hop's parts (unsampled ones read no clock)."""
+        if handle.owed is not None:
+            if self._read(handle, handle.owed, until) is None:
+                return _UNSENT
+            handle.owed = None
+            if handle.name in self._pacers:
+                self._pacers[handle.name].release()  # the abandoned request's slot
         timed = span.sampled
         t0 = time.perf_counter() if timed else 0.0
-        sent = send_frame(handle.conn, message)
+        sent = handle.channel.send(message)
         t1 = time.perf_counter() if timed else 0.0
-        deadline = time.monotonic() + self.rpc_timeout
-        while not handle.poller.poll(50):
-            if not handle.process.is_alive():
-                raise WorkerCrashError(f"{handle.name}: worker process died")
-            if time.monotonic() > deadline:
-                raise WorkerCrashError(f"{handle.name}: rpc timed out")
+        got = self._read(handle, message[1], until)
+        if got is None:
+            handle.owed = message[1]
+            return _OWED
         t2 = time.perf_counter() if timed else 0.0
-        reply, received = recv_frame(handle.conn)
+        reply, received = got
         if timed:
             span.set_attrs(
                 rpc_send_us=1e6 * (t1 - t0),
@@ -221,11 +261,6 @@ class ServingFleet(AnswerPath):
                 rpc_decode_us=1e6 * (time.perf_counter() - t2),
                 frame_bytes_out=sent,
                 frame_bytes_in=received,
-            )
-        if reply[1] != message[1]:
-            raise WorkerCrashError(
-                f"{handle.name}: protocol desync (reply {reply[1]}, "
-                f"expected {message[1]})"
             )
         return reply
 
@@ -241,6 +276,8 @@ class ServingFleet(AnswerPath):
         if not handle.alive:
             return
         handle.alive = False
+        if handle.owed is not None and handle.name in self._pacers:
+            self._pacers[handle.name].release()  # no reply will come for it
         try:
             self.router.remove_shard(handle.name)
         except KeyError:
@@ -259,7 +296,7 @@ class ServingFleet(AnswerPath):
                 workers_alive=len(self.live_workers()),
             )
         try:
-            handle.conn.close()
+            handle.channel.close()
         except OSError:
             pass
         # The parent has given up on this worker, but it may only be stalled
@@ -284,18 +321,16 @@ class ServingFleet(AnswerPath):
         trace=None,
     ) -> GatewayResult:
         """Score ``plans`` for ``tenant`` on its pinned shard.  Same contract
-        as ``OptimizerGateway.predict`` — always answers, flagging source
-        and reason.  ``plans_key``, when stable across calls for the same
-        candidate set, enables encode-once framing: the plan trees cross
-        the pipe only on the first request per worker, so a caller scoring
-        one set under several environments sends one frame per environment
-        and the plans once.  With observability on, the parent's
-        ``fleet.request`` span context rides the framing into the worker,
-        whose span records ride the reply back — ``span_tree(result.
-        trace_id)`` then reconstructs the request across both processes.
-        ``trace`` joins an upstream trace (e.g. a scenario replay's
-        deterministic context)."""
+        as the gateway's ``predict`` — always answers, flagging source and
+        reason — with ``deadline_ms`` bounding the whole call.  A stable
+        ``plans_key`` per candidate set ships the plan trees once per
+        shard, so scoring one set under k environments sends k small
+        frames.  A sampled ``fleet.request`` span's context rides the frame
+        and the shard's span records ride the reply, so
+        ``span_tree(result.trace_id)`` spans both processes; ``trace`` joins
+        an upstream trace (e.g. a scenario replay's)."""
         started = time.monotonic()
+        until = started + deadline_ms / 1e3 if deadline_ms is not None else None
         env = tuple(float(v) for v in env_features) if env_features is not None else None
         plans = list(plans)
         span = self._open(trace, len(plans))
@@ -303,9 +338,8 @@ class ServingFleet(AnswerPath):
         if span.sampled:
             span.set_attr("tenant", tenant)
             trace_wire = span.context.to_wire()
-        # A crash mid-request sheds to the fallback; a crash detected at
-        # routing time retries on the shrunken ring (the survivors own the
-        # dead shard's keyspace).
+        # A crash mid-request sheds to the fallback; a shard found dead at
+        # routing time retries on the shrunken ring.
         for _attempt in range(max(1, len(self._workers))):
             if self._closed or not len(self.router):
                 break
@@ -315,60 +349,86 @@ class ServingFleet(AnswerPath):
                 continue
             if span.sampled:
                 span.set_attr("shard", shard)
+            breaker = self._breakers[shard]
+            if not breaker.allow():
+                return self._fallback_result(plans, env, "circuit-open", started, span=span)
             pacer = self._pacers.get(shard)
             if pacer is not None and not pacer.try_admit():
+                breaker.release_probe()
                 return self._fallback_result(
                     plans, env, "pacer-limit", started,
                     retry_after=pacer.next_admit_eta(), span=span, pacer=pacer,
                 )
-            rpc_started = time.monotonic()
+            rpc_started = time.monotonic() if pacer is not None else 0.0
             try:
-                with handle.lock:
-                    known = plans_key is not None and handle.remember(plans_key)
-                    reply = self._exchange(
-                        handle,
-                        ("predict", self._next_req_id(), plans_key,
-                         None if known else plans, env, deadline_ms, trace_wire),
-                        span,
-                    )
-                    if reply[0] == "need-plans":
-                        # The mirror was wrong (the worker never saw this
-                        # key, or evicted it); resend with plans inline.
-                        self.telemetry.counter(
-                            "plans_resent_total",
-                            "predict frames refused with need-plans and resent",
-                        ).inc()
-                        reply = self._exchange(
-                            handle,
-                            ("predict", self._next_req_id(), plans_key, plans,
-                             env, deadline_ms, trace_wire),
-                            span,
-                        )
+                reply = self._score(handle, plans_key, plans, env, trace_wire, span, until)
             except _PIPE_ERRORS as exc:
                 self._mark_dead(handle, exc)
+                breaker.release_probe()
                 if pacer is not None:
-                    # A crashed RPC measures nothing; hand back the slot.
-                    pacer.release()
+                    pacer.release()  # a crashed exchange measures nothing
                 return self._fallback_result(plans, env, "worker-crash", started, span=span)
-            if pacer is not None:
-                # The whole round trip (including a need-plans resend — that
-                # cost is real admission cost) is one delivery sample.
-                pacer.on_delivered(
-                    1, elapsed_seconds=time.monotonic() - rpc_started
+            if reply is _UNSENT or reply is _OWED:
+                if reply is _UNSENT and pacer is not None:
+                    pacer.release()  # an owed reply keeps the slot until it is read
+                breaker.record_failure(kind="slow")
+                self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
+                return self._fallback_result(plans, env, "deadline", started, span=span)
+            if self.collector is not None:
+                self.collector.add_many(reply[3])  # the shard's span records
+            kind = reply[0]
+            if kind == "ok":
+                done = time.monotonic()
+                if pacer is not None:
+                    # The round trip, need-plans resend included, is one
+                    # delivery sample.
+                    pacer.on_delivered(1, elapsed_seconds=done - rpc_started)
+                breaker.record_success(done - started)
+                costs, version = reply[2]
+                latency_ms = 1e3 * (done - started)
+                return self._finish(
+                    GatewayResult(unpack_costs(costs), "learned", "ok", latency_ms, version),
+                    span=span,
+                    pacer=pacer,
                 )
-            latency_ms = 1e3 * (time.monotonic() - started)
-            if self.collector is not None and len(reply) > 3:
-                # Worker-side span records for this trace rode the reply;
-                # stitch them with the parent's own spans.
-                self.collector.add_many(reply[3])
-            costs, source, reason, version = reply[2]
-            return self._finish(
-                GatewayResult(unpack_costs(costs), source, reason, latency_ms, version),
-                span=span,
-                pacer=pacer,
-            )
+            if pacer is not None:
+                pacer.release()
+            if kind == "no-model":
+                breaker.release_probe()
+                return self._fallback_result(plans, env, "no-model", started, span=span)
+            breaker.record_failure()
+            return self._fallback_result(plans, env, "model-error", started, span=span)
         reason = "closed" if self._closed else "no-workers"
         return self._fallback_result(plans, env, reason, started, span=span)
+
+    def _score(self, handle, plans_key, plans, env, trace_wire, span, until):
+        """One request's exchange with its shard, within ``until`` when the
+        request has a budget: the reply, or :data:`_UNSENT` / :data:`_OWED`."""
+        if until is None:
+            handle.lock.acquire()
+        else:
+            left = until - time.monotonic()
+            if left <= 0.0 or not handle.lock.acquire(timeout=left):
+                return _UNSENT
+        try:
+            if not handle.alive:
+                raise WorkerCrashError(f"{handle.name}: lost while this request waited")
+            def frame(ship_plans):
+                return ("predict", self._next_req_id(), plans_key,
+                        plans if ship_plans else None, env, trace_wire)
+
+            known = plans_key is not None and handle.remember(plans_key)
+            reply = self._exchange(handle, frame(not known), span, until)
+            if reply[0] == "need-plans":
+                # The mirror was wrong (the worker never saw this key, or
+                # evicted it); resend with plans inline.
+                self.telemetry.counter(
+                    "plans_resent_total", "predict frames refused with need-plans and resent"
+                ).inc()
+                reply = self._exchange(handle, frame(True), span, until)
+            return reply
+        finally:
+            handle.lock.release()
 
     # -- model rollout ---------------------------------------------------------
 
@@ -389,10 +449,7 @@ class ServingFleet(AnswerPath):
             handle = self._workers[name]
             if not handle.alive:
                 continue
-            req_id = self._next_req_id()
-            reply = self._rpc(
-                handle, ("load", req_id, str(checkpoint_path), warm)
-            )
+            reply = self._rpc(handle, ("load", self._next_req_id(), str(checkpoint_path), warm))
             if reply[0] == "error":
                 # The shard refused the checkpoint and kept its incumbent;
                 # stop here rather than stage a file known to be bad.
@@ -404,11 +461,12 @@ class ServingFleet(AnswerPath):
             raise RuntimeError("promote with no live workers")
         if len(set(acked.values())) != 1:
             raise RuntimeError(f"fleet diverged after promote: {acked}")
-        # Every shard is now serving a different model — its old delivery
-        # rate / latency estimates describe a path that no longer exists.
-        # Re-enter STARTUP and re-learn the pipe, exactly as BBR re-probes
-        # after a route change.
+        # Every shard is now serving a different model: its breaker record
+        # and its pacer's delivery rate / latency estimates describe a path
+        # that no longer exists.  Start both clean and re-learn the pipe
+        # from STARTUP, exactly as BBR re-probes after a route change.
         for name in acked:
+            self._breakers[name].reset()
             pacer = self._pacers.get(name)
             if pacer is not None:
                 pacer.reset()
@@ -428,20 +486,23 @@ class ServingFleet(AnswerPath):
         if not handle.alive:
             raise KeyError(f"{shard} is already dead")
         with handle.lock:
-            send_frame(handle.conn, ("crash", self._next_req_id()))
+            handle.channel.send(("crash", self._next_req_id()))
+
+    def _ask_all(self, kind: str) -> dict[str, tuple]:
+        """``{shard: reply}`` to a ``(kind, req_id)`` message, from every
+        live worker (one lost on the way is left out)."""
+        replies = {}
+        for name, handle in self._workers.items():
+            if handle.alive:
+                try:
+                    replies[name] = self._rpc(handle, (kind, self._next_req_id()))
+                except WorkerCrashError:
+                    pass
+        return replies
 
     def ping(self) -> dict[str, int]:
         """Liveness probe of every live worker: ``{shard: derived seed}``."""
-        out = {}
-        for name, handle in self._workers.items():
-            if not handle.alive:
-                continue
-            try:
-                reply = self._rpc(handle, ("ping", self._next_req_id()))
-            except WorkerCrashError:
-                continue
-            out[name] = reply[3]
-        return out
+        return {name: reply[3] for name, reply in self._ask_all("ping").items()}
 
     def span_tree(self, trace_id):
         """The stitched cross-process span tree for one traced request
@@ -450,32 +511,29 @@ class ServingFleet(AnswerPath):
             raise RuntimeError("span_tree requires the fleet's obs config")
         return self.collector.tree(trace_id)
 
+    def _sync_breaker_gauges(self) -> None:
+        """The telemetry collector of the per-shard breakers' states."""
+        for name, breaker in self._breakers.items():
+            self.telemetry.gauge(
+                f"breaker_{name.replace('-', '_')}_state", "0 closed, 1 half-open, 2 open"
+            ).set(BREAKER_STATE_CODES[breaker.state])
+
     def stats(self) -> dict:
-        """Fleet-wide operational snapshot: per-shard gateway telemetry,
-        the merged view, and the parent's fleet-level counters."""
-        shards: dict[str, dict] = {}
-        for name, handle in self._workers.items():
-            if not handle.alive:
-                continue
-            try:
-                reply = self._rpc(handle, ("stats", self._next_req_id()))
-            except WorkerCrashError:
-                continue
-            shards[name] = reply[2]
-        merged = merge_snapshots(list(shards.values()))
+        """Fleet-wide operational snapshot: per-shard telemetry, the merged
+        view, the parent's fleet-level counters, and each live shard's
+        breaker (and pacer)."""
+        shards = {name: reply[2] for name, reply in self._ask_all("stats").items()}
+        live = self.live_workers()
         out = {
-            "workers_alive": len(self.live_workers()),
+            "workers_alive": len(live),
             "workers_total": len(self._workers),
             "fleet": self.telemetry.snapshot(),
             "shards": shards,
-            "merged": merged,
+            "merged": merge_snapshots(list(shards.values())),
+            "breakers": {name: self._breakers[name].stats() for name in live},
         }
         if self._pacers:
-            out["pacers"] = {
-                name: pacer.stats()
-                for name, pacer in self._pacers.items()
-                if self._workers[name].alive
-            }
+            out["pacers"] = {name: self._pacers[name].stats() for name in live}
         if self.tracer is not None:
             out["tracing"] = self.tracer.stats()
         if self.collector is not None:
@@ -494,30 +552,21 @@ class ServingFleet(AnswerPath):
     # -- shutdown --------------------------------------------------------------
 
     def close(self, *, timeout: float = 10.0) -> None:
-        """Drain and stop every worker (idempotent).  Each worker's own
-        gateway drains its admitted requests before exiting; workers that
-        fail to exit in ``timeout`` are terminated."""
+        """Stop every worker (idempotent); workers that fail to exit in
+        ``timeout`` are terminated."""
         if self._closed:
             return
         self._closed = True
-        for handle in self._workers.values():
-            if not handle.alive:
-                continue
-            try:
-                self._rpc(handle, ("close", self._next_req_id()))
-            except WorkerCrashError:
-                continue
+        self._ask_all("close")
         deadline = time.monotonic() + timeout
         for handle in self._workers.values():
             handle.process.join(max(0.1, deadline - time.monotonic()))
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(5.0)
-            handle.alive = False
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            if handle.alive:
+                handle.alive = False
+                handle.channel.close()
         self._workers_alive.set(0)
 
     def __enter__(self) -> "ServingFleet":

@@ -1,7 +1,9 @@
 """Fleet-level telemetry: merging per-worker snapshots into one export.
 
-Each fleet worker owns a full :class:`~repro.gateway.telemetry.Telemetry`
-registry in its own process; operators want one dashboard, not N.  The
+Each fleet worker owns a small :class:`~repro.gateway.telemetry.Telemetry`
+registry in its own process (what only the shard can measure: its
+``service.predict`` calls and cache counters); operators want one
+dashboard, not N.  The
 merge rules per instrument kind:
 
 * **counters** — summed: totals across the fleet are the sum of per-shard

@@ -1,39 +1,93 @@
 """The fleet's wire format: one frame per message, the same in both directions.
 
-A frame is the message pickled once (``HIGHEST_PROTOCOL``) and handed to
-``Connection.send_bytes`` — on the pipe, a 4-byte length and the payload.
-``Connection.send``/``recv`` carry the same bytes but build a
-``ForkingPickler``, a ``BytesIO`` and a dispatch-table copy per message;
-on the request path that was a third of the hop.  Cost vectors cross as
-raw ``float64`` bytes (:func:`pack_costs`/:func:`unpack_costs`): an
-``ndarray`` pickled through ``__reduce__`` cost ≈ 12 µs per reply to
-rebuild in the parent.
-
-Only the fleet parent and the workers it forked write to these pipes, so
-unpickling what arrives is unpickling our own bytes.
+A frame is a 4-byte big-endian length and the message pickled once
+(``HIGHEST_PROTOCOL``), carried over one end of a ``socket.socketpair``
+(:class:`Channel`): one ``sendall`` out, and ``recv_into`` a buffer the
+channel reuses in, so a small frame is one system call each way.  The
+parent's end carries ``SO_RCVTIMEO``: a blocking read returns
+empty-handed after that long, keeping any part of a frame it read for the
+next call.  Cost vectors cross as raw ``float64`` bytes
+(:func:`pack_costs`/:func:`unpack_costs`): an ``ndarray`` pickled through
+``__reduce__`` cost ≈ 12 µs per reply to rebuild.  Only the fleet parent
+and the workers it forked write to these sockets, so unpickling what
+arrives is unpickling our own bytes.
 """
 
 from __future__ import annotations
 
 import pickle
+import socket
+import struct
 
 import numpy as np
 
-__all__ = ["pack_costs", "recv_frame", "send_frame", "unpack_costs"]
+__all__ = ["Channel", "pack_costs", "unpack_costs"]
+
+_HEADER = struct.Struct("!I")
 
 
-def send_frame(conn, message) -> int:
-    """Write ``message`` as one frame; returns the payload's byte count."""
-    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    conn.send_bytes(payload)
-    return len(payload)
+class Channel:
+    """One end of a fleet socket: frames out, frames in."""
 
+    __slots__ = ("sock", "timeout", "_buf", "_view", "_have")
 
-def recv_frame(conn):
-    """Read one frame: ``(message, payload byte count)``.  Blocks until a
-    frame arrives; ``EOFError`` when the other end is gone."""
-    payload = conn.recv_bytes()
-    return pickle.loads(payload), len(payload)
+    def __init__(self, sock: socket.socket, timeout: float | None = None) -> None:
+        self.sock = sock
+        #: The receive timeout in seconds (``None``: block until a frame).
+        self.timeout: float | None = None
+        self._buf = bytearray(1 << 16)
+        self._view = memoryview(self._buf)
+        self._have = 0  # bytes of the next frame(s) already read
+        if timeout is not None:
+            self.set_timeout(timeout)
+
+    def send(self, message) -> int:
+        """Write ``message`` as one frame; returns the payload's byte count."""
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        self.sock.sendall(_HEADER.pack(len(payload)) + payload)
+        return len(payload)
+
+    def set_timeout(self, seconds: float) -> None:
+        """Make a read give up after ``seconds`` (``SO_RCVTIMEO``; no system
+        call when it is already set to that)."""
+        if seconds != self.timeout:
+            whole = int(seconds)
+            self.sock.setsockopt(
+                socket.SOL_SOCKET,
+                socket.SO_RCVTIMEO,
+                struct.pack("ll", whole, max(1, int(1e6 * (seconds - whole)))),
+            )
+            self.timeout = seconds
+
+    def recv(self):
+        """The next frame, ``(message, payload byte count)``, or ``None`` when
+        the receive timeout passed first.  ``EOFError`` when the peer is gone."""
+        have, need = self._have, _HEADER.size
+        while True:
+            if have >= _HEADER.size:
+                need = _HEADER.size + _HEADER.unpack_from(self._buf)[0]
+                if have >= need:
+                    break
+                if need > len(self._buf):
+                    self._view.release()
+                    self._buf.extend(bytes(need - len(self._buf)))
+                    self._view = memoryview(self._buf)
+            try:
+                n = self.sock.recv_into(self._view[have:])
+            except BlockingIOError:  # SO_RCVTIMEO passed
+                self._have = have
+                return None
+            if not n:
+                raise EOFError("fleet socket closed by its peer")
+            have += n
+        message = pickle.loads(self._view[_HEADER.size : need])
+        self._have = have - need
+        if self._have:
+            self._buf[: self._have] = self._buf[need:have]
+        return message, need - _HEADER.size
+
+    def close(self) -> None:
+        self.sock.close()
 
 
 def pack_costs(costs) -> bytes:

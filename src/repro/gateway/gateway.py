@@ -61,8 +61,9 @@ class GatewayClosedError(RuntimeError):
     """Marks a request that was drained because the gateway shut down; the
     waiting caller answers it from the fallback with reason ``"closed"``."""
 
-#: Breaker-state gauge encoding (``breaker_state`` telemetry gauge).
-_BREAKER_STATE_CODES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
+#: Breaker-state gauge encoding (``breaker_state`` telemetry gauge; the
+#: fleet parent's ``breaker_shard_<k>_state``).
+BREAKER_STATE_CODES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ class _PendingRequest:
         self.env_features = env_features
         self.env_key = env_key
         self.enqueued_at = now
-        #: The waiting caller's latch (``None``: the caller runs the batch).
-        self.event: _Latch | None = None
+        #: The waiting caller's latch.
+        self.event = _Latch()
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
         self.abandoned = False
@@ -201,6 +202,24 @@ _SHED_REASONS = {
     "deadline": "deadline",
     "closed": "closed",
 }
+
+
+def mirror_service_gauges(telemetry: Telemetry, service) -> None:
+    """Mirror ``service``'s served ``weights_version`` and cache counters
+    into ``telemetry``'s gauges: a collector's work, run when telemetry is
+    read (a gateway's, and a fleet shard's)."""
+    version = getattr(getattr(service, "predictor", None), "weights_version", None)
+    if version is not None:
+        telemetry.gauge("model_weights_version", "served weights_version").set(version)
+    counters = getattr(service, "cache_counters", None)
+    if counters is not None:
+        for name, value in counters().items():
+            telemetry.gauge(
+                f"serving_{name}",
+                "inference-service counter: cache hit/miss tallies, request "
+                "tallies and the cold-path attribution split (encode/forward "
+                "seconds, warmed plans)",
+            ).set(value)
 
 
 class AnswerPath:
@@ -280,6 +299,23 @@ class AnswerPath:
             pacer=pacer,
         )
 
+    def _record_trip(self, where: str, breaker, **attrs) -> None:
+        """Count a breaker trip and record it as an incident: the recorder
+        snapshots its ring so the spans and sheds leading up to the trip
+        survive for reconstruction.  ``where`` names the breaker's path
+        (``"gateway"``, or the fleet shard it guards)."""
+        self.telemetry.counter("breaker_trips_total", "circuit breaker trips").inc()
+        if self.recorder is not None:
+            breaker_stats = breaker.stats()
+            self.recorder.record(
+                "breaker-trip",
+                where,
+                trip_count=breaker_stats["trip_count"],
+                failure_count=breaker_stats["failure_count"],
+                slow_count=breaker_stats["slow_count"],
+                **attrs,
+            )
+
     def _finish(self, result: GatewayResult, *, span=NULL_SPAN, pacer=None):
         """Record one answer, whose ``latency_ms`` is the request's end to
         end, and close its span with the outcome and ``pacer``'s state."""
@@ -339,9 +375,6 @@ class OptimizerGateway(AnswerPath):
         t = self.telemetry
         self._plans_total = t.counter("plans_total", "plans scored")
         self._batches_total = t.counter("batches_total", "learned batches executed")
-        self._inline_total = t.counter(
-            "inline_total", "requests run on the caller's thread"
-        )
         self._queue_wait = t.histogram(
             "queue_wait_seconds", "request wait from admission to worker pickup"
         )
@@ -376,9 +409,9 @@ class OptimizerGateway(AnswerPath):
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._queue: deque[_PendingRequest] = deque()
-        #: Requests an executor (the worker thread, or a ``predict_inline``
-        #: caller) holds but has not yet answered — tracked so :meth:`close`
-        #: can fail them over to the fallback if the learned path is stuck.
+        #: Requests the worker thread holds but has not yet answered —
+        #: tracked so :meth:`close` can fail them over to the fallback if
+        #: the learned path is stuck.
         self._inflight: set[_PendingRequest] = set()
         self._service = service
         self._service_lock = threading.Lock()
@@ -403,26 +436,20 @@ class OptimizerGateway(AnswerPath):
     def has_model(self) -> bool:
         return self._service is not None
 
-    def attach_service(self, service, *, warm=None) -> None:
-        """Install (or replace) the learned path, warming its caches from
-        ``warm`` before any request can reach it; resets the breaker."""
+    def attach_service(self, service) -> None:
+        """Install (or replace) the learned path; resets the breaker."""
         with self._service_lock:
             self._service = service
-            if warm:
-                service.warm_caches(warm)
         self.notify_swap()
 
-    def swap_predictor(self, predictor, *, warm=None) -> None:
-        """Hot-swap the served model (and score the service's ``warm`` list)
-        under the service lock, never beneath a batch still computing, and
-        reset the breaker (a promoted model starts with a clean record)."""
+    def swap_predictor(self, predictor) -> None:
+        """Hot-swap the served model under the service lock, never beneath a
+        batch still computing, and reset the breaker (a promoted model
+        starts with a clean record)."""
         if self._service is None:
             raise RuntimeError("gateway has no inference service to swap into")
         with self._service_lock:
-            if warm is None:
-                self._service.swap_predictor(predictor)
-            else:
-                self._service.swap_predictor(predictor, warm=warm)
+            self._service.swap_predictor(predictor)
         self.notify_swap()
 
     def notify_swap(self) -> None:
@@ -454,11 +481,38 @@ class OptimizerGateway(AnswerPath):
         :class:`~repro.obs.TraceContext` (e.g. from the fleet parent) so the
         request span joins the caller's trace instead of starting one."""
         started = time.monotonic()
-        request, answered = self._admit(plans, env_features, started, trace)
-        if request is None:
-            return answered
+        span = self._open(trace, len(plans))
+        self._plans_total.inc(len(plans))
+        if not len(plans):
+            return self._finish(
+                GatewayResult(np.zeros(0), "learned", "ok", 0.0, self._model_version()),
+                span=span,
+            )
+        if self._service is None:
+            return self._fallback_result(plans, env_features, "no-model", started, span=span)
+        if not self.breaker.allow():
+            return self._fallback_result(plans, env_features, "circuit-open", started, span=span)
+        if self.pacer is not None and not self.pacer.try_admit():
+            # The pipe (plus its state-dependent headroom) is already full:
+            # queueing this request would only buy it latency, not an
+            # answer in budget.  Shed at admission, BBR-style, with a
+            # Retry-After hint from the pacer's own schedule.
+            self.breaker.release_probe()
+            return self._fallback_result(
+                plans,
+                env_features,
+                "pacer-limit",
+                started,
+                retry_after=self.pacer.next_admit_eta(),
+                span=span,
+            )
+        env_key = (
+            tuple(float(v) for v in env_features) if env_features is not None else None
+        )
+        request = _PendingRequest(list(plans), env_features, env_key, started)
+        request.paced = self.pacer is not None
+        request.span = span
         deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
-        request.event = _Latch()
 
         refused = None
         with self._work:
@@ -470,7 +524,11 @@ class OptimizerGateway(AnswerPath):
                 self._queue.append(request)
                 self._work.notify()
         if refused is not None:
-            return self._refuse(request, refused, started)
+            # Admitted, but the worker will not take it: hand back its probe
+            # and pacer slot first.
+            self.breaker.release_probe()
+            self._pacer_release(request)
+            return self._fallback_result(plans, env_features, refused, started, span=span)
 
         if deadline is None:
             done = request.event.wait()
@@ -485,131 +543,24 @@ class OptimizerGateway(AnswerPath):
                 done = request.done
                 if not done:
                     request.abandoned = True
-        if done:
-            return self._answer(request, started)
-        self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
-        return self._fallback_result(
-            plans, env_features, "deadline", started, span=request.span
-        )
-
-    def predict_inline(
-        self, plans, *, env_features=None, deadline_ms=None, trace=None
-    ) -> GatewayResult:
-        """:meth:`predict` for an embedder that is this gateway's only
-        producer (a fleet worker's pipe loop): nobody is queued to coalesce
-        with, so the calling thread runs the learned batch itself — same
-        admission, same :meth:`_execute`, same answers, no thread hand-off
-        and no ``queue_wait_seconds`` sample.  A request with a budget goes
-        through :meth:`predict` unchanged: only a second thread lets its
-        caller walk away from a slow model at the deadline."""
-        if deadline_ms is not None:
-            return self.predict(
-                plans, env_features=env_features, deadline_ms=deadline_ms, trace=trace
-            )
-        started = time.monotonic()
-        request, answered = self._admit(plans, env_features, started, trace)
-        if request is None:
-            return answered
-        with self._lock:
-            running = self._running
-            if running:
-                self._inflight.add(request)
-        if not running:
-            return self._refuse(request, "closed", started)
-        self._inline_total.inc()
-        self._execute([request])
-        return self._answer(request, started)
-
-    def _admit(self, plans, env_features, started, trace):
-        """The admission head of both entries: count the request, open its
-        span, and pass it by every guardrail that needs no queue.  Returns
-        ``(request, None)`` for a request now holding its breaker grant and
-        pacer slot, or ``(None, result)`` when it was answered here."""
-        span = self._open(trace, len(plans))
-        self._plans_total.inc(len(plans))
-        if not len(plans):
-            return None, self._finish(
-                GatewayResult(np.zeros(0), "learned", "ok", 0.0, self._model_version()),
-                span=span,
-            )
-        if self._service is None:
-            return None, self._fallback_result(
-                plans, env_features, "no-model", started, span=span
-            )
-        if not self.breaker.allow():
-            return None, self._fallback_result(
-                plans, env_features, "circuit-open", started, span=span
-            )
-        if self.pacer is not None and not self.pacer.try_admit():
-            # The pipe (plus its state-dependent headroom) is already full:
-            # queueing this request would only buy it latency, not an
-            # answer in budget.  Shed at admission, BBR-style, with a
-            # Retry-After hint from the pacer's own schedule.
-            self.breaker.release_probe()
-            return None, self._fallback_result(
-                plans,
-                env_features,
-                "pacer-limit",
-                started,
-                retry_after=self.pacer.next_admit_eta(),
-                span=span,
-            )
-        env_key = (
-            tuple(float(v) for v in env_features) if env_features is not None else None
-        )
-        request = _PendingRequest(list(plans), env_features, env_key, started)
-        request.paced = self.pacer is not None
-        request.span = span
-        return request, None
-
-    def _refuse(self, request: _PendingRequest, reason: str, started) -> GatewayResult:
-        """Answer an admitted request that no executor will take (queue
-        full, gateway closed): hand back its probe and pacer slot first."""
-        self.breaker.release_probe()
-        self._pacer_release(request)
-        return self._fallback_result(
-            request.plans, request.env_features, reason, started, span=request.span
-        )
-
-    def _answer(self, request: _PendingRequest, started) -> GatewayResult:
-        """The answer tail of both entries, for a request :meth:`_execute`
-        or a :meth:`close` drain marked done."""
+        if not done:
+            self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
+            return self._fallback_result(plans, env_features, "deadline", started, span=span)
+        # Marked done by _execute, or by a close() drain.
         error = request.error
         if error is None:
-            assert request.result is not None
+            latency_ms = 1e3 * (time.monotonic() - started)
             return self._finish(
-                GatewayResult(
-                    request.result,
-                    "learned",
-                    "ok",
-                    1e3 * (time.monotonic() - started),
-                    self._model_version(),
-                ),
-                span=request.span,
+                GatewayResult(request.result, "learned", "ok", latency_ms, self._model_version()),
+                span=span,
             )
         reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
-        return self._fallback_result(
-            request.plans, request.env_features, reason, started, span=request.span
-        )
+        return self._fallback_result(plans, env_features, reason, started, span=span)
 
     # -- guardrail hooks -------------------------------------------------------
 
     def _breaker_tripped(self, breaker) -> None:
-        self.telemetry.counter(
-            "breaker_trips_total", "circuit breaker trips"
-        ).inc()
-        if self.recorder is not None:
-            # Incident kind: the recorder snapshots its ring so the spans
-            # and sheds leading up to the trip survive for reconstruction.
-            breaker_stats = breaker.stats()
-            self.recorder.record(
-                "breaker-trip",
-                "gateway",
-                weights_version=self._model_version(),
-                trip_count=breaker_stats["trip_count"],
-                failure_count=breaker_stats["failure_count"],
-                slow_count=breaker_stats["slow_count"],
-            )
+        self._record_trip("gateway", breaker, weights_version=self._model_version())
         if self._user_breaker_trip is not None:
             self._user_breaker_trip(breaker)
         if self._on_trip is not None:
@@ -760,9 +711,9 @@ class OptimizerGateway(AnswerPath):
         if batch_span.sampled:
             if error is not None:
                 batch_span.set_attr("error", repr(error))
-            # Finish before any caller's event fires: when a fleet worker
-            # drains spans for a trace right after predict() returns, the
-            # batch (and nested serving) spans are already buffered.
+            # Finish before any caller's event fires: a caller that drains
+            # spans for its trace right after predict() returns finds the
+            # batch (and nested serving) spans already buffered.
             batch_span.finish()
         self._batches_total.inc()
         self._learned_batch.observe(elapsed)
@@ -777,7 +728,6 @@ class OptimizerGateway(AnswerPath):
         verdicts: list[str | None] = []
         with self._lock:
             for request in group:
-                # Only its own: another executor's batch may be in flight too.
                 self._inflight.discard(request)
                 n = len(request.plans)
                 slots += request.paced
@@ -796,8 +746,7 @@ class OptimizerGateway(AnswerPath):
                         request.error = error
                     else:
                         request.result = np.asarray(predictions[offset : offset + n])
-                    if request.event is not None:
-                        request.event.set()
+                    request.event.set()
                     verdicts.append("ok" if error is None else "error")
                 offset += n
         for request, verdict in zip(group, verdicts):
@@ -822,29 +771,13 @@ class OptimizerGateway(AnswerPath):
         """The telemetry collector: mirror the live objects into gauges."""
         self.telemetry.gauge("queue_depth", "pending requests").set(len(self._queue))
         self.telemetry.gauge("breaker_state", "0 closed, 1 half-open, 2 open").set(
-            _BREAKER_STATE_CODES[self.breaker.state]
+            BREAKER_STATE_CODES[self.breaker.state]
         )
-        version = self._model_version()
-        if version is not None:
-            self.telemetry.gauge(
-                "model_weights_version", "served weights_version"
-            ).set(version)
-        service = self._service
-        counters = getattr(service, "cache_counters", None)
-        if counters is not None:
-            for name, value in counters().items():
-                self.telemetry.gauge(
-                    f"serving_{name}",
-                    "inference-service counter: cache hit/miss tallies, request "
-                    "tallies and the cold-path attribution split (encode/forward "
-                    "seconds, warmed plans)",
-                ).set(value)
+        mirror_service_gauges(self.telemetry, self._service)
 
-    def stats(self, *, include_samples: bool = False) -> dict:
-        """JSON-able operational snapshot: telemetry, breaker, pacer, queue.
-        ``include_samples`` attaches raw histogram reservoirs so fleet-level
-        merges can compute exact quantiles."""
-        snapshot = self.telemetry.snapshot(include_samples=include_samples)
+    def stats(self) -> dict:
+        """JSON-able operational snapshot: telemetry, breaker, pacer, queue."""
+        snapshot = self.telemetry.snapshot()
         snapshot["breaker"] = self.breaker.stats()
         if self.pacer is not None:
             snapshot["pacer"] = self.pacer.stats()
@@ -870,9 +803,8 @@ class OptimizerGateway(AnswerPath):
         with reason ``"closed"``).  The worker keeps processing what was
         already admitted — those callers still get learned answers — and if
         it has not finished within ``timeout`` (a stuck learned path),
-        everything still queued *or in flight on either executor* is failed
-        over so the callers answer from the fallback instead of blocking
-        forever (a ``predict_inline`` caller as soon as its batch returns).
+        everything still queued *or in flight* is failed over so the
+        callers answer from the fallback instead of blocking forever.
         The gateway's one invariant survives shutdown: every admitted
         request is answered."""
         with self._work:
@@ -891,8 +823,7 @@ class OptimizerGateway(AnswerPath):
                     continue
                 request.done = True
                 request.error = GatewayClosedError("gateway closed")
-                if request.event is not None:
-                    request.event.set()
+                request.event.set()
         if self.pacer is not None and released:
             self.pacer.release(released)
 

@@ -7,10 +7,10 @@ without ``fork``; router and telemetry-merge tests run everywhere.
 from __future__ import annotations
 
 import copy
-import multiprocessing.connection
 import os
-import pickle
+import select
 import signal
+import sys
 import threading
 import time
 import types
@@ -24,9 +24,8 @@ from repro.evaluation.parallel import EvalTask, run_tasks
 from repro.evaluation.pool import fork_available
 from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots, merged_to_prometheus
 from repro.fleet import fleet as fleet_module
-from repro.fleet import worker as worker_module
 from repro.fleet.worker import PLAN_CACHE_CAP
-from repro.gateway import OptimizerGateway
+from repro.gateway import NativeCostFallback, OptimizerGateway
 from repro.obs import ObsConfig
 from repro.pacing import PACER_STATE_CODES, AdmissionPacer, PacerConfig
 from repro.serving.fingerprint import plan_fingerprint
@@ -229,18 +228,18 @@ class TestMergeSnapshots:
                 "p50": 0.0, "p95": 0.0, "p99": 0.0,
             }},
         }
-        # What a shard serving inline ships for ``queue_wait_seconds``: no
-        # observation ever, and an empty reservoir riding along.
-        inline = copy.deepcopy(empty)
-        inline["histograms"]["lat"]["samples"] = []
-        for quiet in (empty, inline):
+        # A histogram no request ever observed, its empty reservoir riding
+        # along.
+        unobserved = copy.deepcopy(empty)
+        unobserved["histograms"]["lat"]["samples"] = []
+        for quiet in (empty, unobserved):
             merged = merge_snapshots([quiet, self._sampled([1, 2, 3])])
             hist = merged["histograms"]["lat"]
             assert hist["count"] == 3
             assert hist["p99"] == 2  # nearest rank: index int(0.99 * 2)
             assert hist["max"] == 3
             assert hist["samples"] == [1, 2, 3]
-        hist = merge_snapshots([inline, inline])["histograms"]["lat"]
+        hist = merge_snapshots([unobserved, unobserved])["histograms"]["lat"]
         assert (hist["count"], hist["p50"], hist["max"]) == (0, 0.0, 0.0)
 
 
@@ -272,59 +271,6 @@ def _long_warm_list(project, n=96):
     while len(plans) < n:
         plans.extend(explorer.candidates(project.sample_query(4), top_k=5))
     return plans[:n]
-
-
-class _BlockingService:
-    """Proxy over a real service: ``predict`` blocks until ``release`` is
-    set (``entered``: a batch is inside); ``swap_entered`` says when a swap
-    reached the service."""
-
-    def __init__(self, service) -> None:
-        self._service = service
-        self.release = threading.Event()
-        self.entered = threading.Event()
-        self.swap_entered = threading.Event()
-
-    def __getattr__(self, name):
-        return getattr(self._service, name)
-
-    def predict(self, plans, *, env_features=None):
-        self.entered.set()
-        self.release.wait(20.0)
-        return self._service.predict(plans, env_features=env_features)
-
-    def swap_predictor(self, predictor, *, warm=None):
-        self.swap_entered.set()
-        return self._service.swap_predictor(predictor, warm=warm)
-
-
-def test_worker_load_swaps_under_the_gateways_service_lock(checkpointed):
-    path, predictor, plans = checkpointed
-    service = _BlockingService(CostInferenceService.from_checkpoint(path))
-    gateway = OptimizerGateway(service)
-    versions: list = []
-    try:
-        # Abandoned at its deadline; its batch is still inside the service.
-        assert gateway.predict_inline(plans[:3], deadline_ms=5).reason == "deadline"
-        assert service.entered.wait(5.0)
-        loader = threading.Thread(
-            target=lambda: versions.append(
-                worker_module._load(gateway, path, [(p, ENV) for p in plans[:3]])
-            )
-        )
-        loader.start()
-        loader.join(timeout=0.2)
-        assert loader.is_alive() and not service.swap_entered.is_set()
-        service.release.set()
-        loader.join(timeout=30.0)
-        assert not loader.is_alive() and service.swap_entered.is_set()
-        assert versions == [predictor.weights_version + 1]
-        warmed = gateway.predict_inline(plans[:3], env_features=ENV)
-        assert warmed.source == "learned" and warmed.model_version == versions[0]
-        assert service.cache_counters()["warmed_plans"] == 3
-    finally:
-        service.release.set()
-        gateway.close()
 
 
 @needs_fork
@@ -535,17 +481,13 @@ class TestServingFleet:
         with ServingFleet(path, n_workers=2) as fleet:
             tenant = "crashy"
             handle = fleet._workers[fleet.router.route(tenant)]
-            polls: list = []
-            poller = handle.poller
-            handle.poller = types.SimpleNamespace(
-                poll=lambda ms: polls.append(poller.poll(ms)) or polls[-1]
-            )
+            frames = _CountingSocket.install(fleet)
             fleet.crash_worker(handle.name)
             # Straight after the crash frame: the request is usually written
-            # before the worker dies, and the hang-up ends the wait.
+            # before the worker dies, and the hang-up ends the read at once.
             shed = fleet.predict(tenant, plans[:4], env_features=ENV)
             assert shed.source == "fallback" and shed.reason == "worker-crash"
-            assert all(events for events in polls), "an empty 50 ms slice was waited out"
+            assert frames.empty_slices == 0, "an empty 50 ms slice was waited out"
             assert not handle.process.is_alive()
 
     def test_concurrent_tenants_across_shards(self, checkpointed):
@@ -680,35 +622,71 @@ class TestServingFleet:
             fleet.close()
 
 
-class _CountingConnCalls:
-    """Counts the parent's ``Connection`` traffic and what would mean the old
-    wire path is back (``connection.wait`` is what ``Connection.poll`` runs)."""
+class _CountingSocket:
+    """Stands in for a shard socket on the parent's side: counts the frames
+    written (one ``sendall`` each), the reads that returned bytes, and the
+    reads that came back empty at the end of a receive slice."""
 
-    def __init__(self, monkeypatch) -> None:
-        self.sent: list[int] = []
-        self.received: list[int] = []
-        self.waits = 0
-        connection = multiprocessing.connection
-        send_bytes = connection.Connection.send_bytes
-        recv_bytes = connection.Connection.recv_bytes
-        wait = connection.wait
+    def __init__(self, sock, tally) -> None:
+        self._sock = sock
+        self._tally = tally
 
-        def counting_send(conn, buf, *args):
-            self.sent.append(len(buf))
-            return send_bytes(conn, buf, *args)
+    @classmethod
+    def install(cls, fleet) -> types.SimpleNamespace:
+        """Wrap every live shard's socket; returns the shared tally."""
+        tally = types.SimpleNamespace(sent=[], reads=0, empty_slices=0)
+        for handle in fleet._workers.values():
+            if handle.alive:
+                handle.channel.sock = cls(handle.channel.sock, tally)
+        return tally
 
-        def counting_recv(conn, *args):
-            payload = recv_bytes(conn, *args)
-            self.received.append(len(payload))
-            return payload
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
 
-        def counting_wait(*args, **kwargs):
-            self.waits += 1
-            return wait(*args, **kwargs)
+    def sendall(self, data) -> None:
+        self._tally.sent.append(len(data) - 4)  # the payload, as frame_bytes_out
+        self._sock.sendall(data)
 
-        monkeypatch.setattr(connection.Connection, "send_bytes", counting_send)
-        monkeypatch.setattr(connection.Connection, "recv_bytes", counting_recv)
-        monkeypatch.setattr(connection, "wait", counting_wait)
+    def recv_into(self, buffer) -> int:
+        try:
+            n = self._sock.recv_into(buffer)
+        except BlockingIOError:
+            self._tally.empty_slices += 1
+            raise
+        self._tally.reads += 1
+        return n
+
+
+#: Marker environments the patched ``CostInferenceService.predict`` of the
+#: guardrail tests treats specially (inherited by the forked workers).
+SLOW_ENV = (0.25, 0.03, 0.25, 0.25)
+BROKEN_ENV = (0.75, 0.07, 0.75, 0.75)
+
+
+@pytest.fixture()
+def marked_service(monkeypatch):
+    """``CostInferenceService.predict`` sleeps 200 ms under ``SLOW_ENV`` and
+    raises under ``BROKEN_ENV``; patched before a fleet forks, so its
+    workers run it."""
+    predict = CostInferenceService.predict
+
+    def marked(self, plans, *, env_features=None):
+        if env_features == SLOW_ENV:
+            time.sleep(0.2)
+        elif env_features == BROKEN_ENV:
+            raise RuntimeError("injected model fault")
+        return predict(self, plans, env_features=env_features)
+
+    monkeypatch.setattr(CostInferenceService, "predict", marked)
+
+
+def _tenant_on(fleet, shard, exclude=False) -> str:
+    """A tenant the router pins to ``shard`` (or, with ``exclude``, to
+    any other shard)."""
+    return next(
+        t for t in (f"t{i}" for i in range(1000))
+        if (fleet.router.route(t) == shard) != exclude
+    )
 
 
 @needs_fork
@@ -721,65 +699,76 @@ class TestWire:
         with ServingFleet(path, n_workers=2, obs=ObsConfig(sample_rate=0.0)) as fleet:
             for i in range(4):
                 fleet.predict(f"t{i}", plans[:6], env_features=ENV, plans_key="hot")
-            calls = _CountingConnCalls(monkeypatch)
-            clock = {"monotonic": 0, "perf_counter": 0}
+            frames = _CountingSocket.install(fleet)
+            calls = {"monotonic": 0, "perf_counter": 0, "poll": 0, "select": 0}
 
-            def counting(name):
-                def read():
-                    clock[name] += 1
-                    return getattr(time, name)()
-                return read
+            def counting(module, name):
+                real = getattr(module, name)
+
+                def call(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                return call
 
             monkeypatch.setattr(
                 fleet_module,
                 "time",
                 types.SimpleNamespace(
-                    monotonic=counting("monotonic"), perf_counter=counting("perf_counter")
+                    monotonic=counting(time, "monotonic"),
+                    perf_counter=counting(time, "perf_counter"),
                 ),
             )
+            monkeypatch.setattr(select, "poll", counting(select, "poll"))
+            monkeypatch.setattr(select, "select", counting(select, "select"))
             for i in range(200):
                 r = fleet.predict(f"t{i % 4}", plans[:6], env_features=ENV, plans_key="hot")
                 assert r.source == "learned" and r.trace_id is None
-            assert len(calls.sent) == 200 and len(calls.received) == 200
-            assert calls.waits == 0
+            assert len(frames.sent) == 200 and frames.reads == 200
+            assert frames.empty_slices == 0
             # No plan tree crossed: every request frame is a few hundred bytes.
-            assert max(calls.sent) < 400
-            # Start, rpc start, rpc deadline, latency — and nothing for the
-            # hop's parts (an empty poll slice would add one deadline check).
-            assert clock["perf_counter"] == 0
-            assert 4 * 200 <= clock["monotonic"] <= 4 * 200 + 4
+            assert max(frames.sent) < 400
+            # Start and answer; nothing for the hop's parts.
+            assert calls["perf_counter"] == 0
+            assert calls["monotonic"] <= 4 * 200
+            # A blocking socket: the read waits in the kernel, not in a poller
+            # (a Python-level timeout would poll inside every recv).
+            assert calls["poll"] == calls["select"] == 0
+            for handle in fleet._workers.values():
+                assert handle.channel.sock.gettimeout() is None
 
-    def test_the_pipe_loop_runs_unbudgeted_requests_itself(self, checkpointed):
+    def test_every_request_is_one_frame_and_one_service_predict(self, checkpointed):
         path, _predictor, plans = checkpointed
         envs = [ENV, (0.2, 0.1, 0.3, 0.4), (0.9, 0.01, 0.1, 0.7)]
 
         def served(fleet):
             merged = fleet.stats()["merged"]
+            counters = merged["counters"]
+            assert "queue_wait_seconds" not in merged["histograms"]  # no queue in a shard
             return (
-                merged["counters"]["inline_total"],
-                merged["histograms"]["queue_wait_seconds"]["count"],
-                merged["counters"]["learned_total"],
+                counters["requests_total"],
+                counters["batches_total"],
+                merged["histograms"]["learned_batch_seconds"]["count"],
+                counters["learned_total"],
             )
 
         with ServingFleet(path, n_workers=2) as fleet:
             for i in range(4):
                 fleet.predict(f"t{i}", plans[:6], env_features=ENV, plans_key="hot")
-            inline, queued, learned = served(fleet)
+            before = served(fleet)
+            frames = _CountingSocket.install(fleet)
             for i in range(200):
                 r = fleet.predict(f"t{i % 4}", plans[:6], env_features=ENV, plans_key="hot")
                 assert r.source == "learned"
-            assert served(fleet) == (inline + 200, queued, learned + 200)
-            # One frame per environment, none handed off.
             for env in envs:
-                fleet.predict("t0", plans[:6], env_features=env, plans_key="hot")
-            assert served(fleet) == (inline + 203, queued, learned + 203)
-            # A budget is the one thing that takes the shard's queue.
+                assert fleet.predict("t0", plans[:6], env_features=env, plans_key="hot").source == "learned"
+            # A budget changes nothing in the shard: the parent keeps it.
             for i in range(200):
                 r = fleet.predict(
                     f"t{i % 4}", plans[:6], env_features=ENV, plans_key="hot", deadline_ms=200
                 )
                 assert r.source == "learned"
-            assert served(fleet) == (inline + 203, queued + 200, learned + 403)
+            assert len(frames.sent) == frames.reads == 403
+            assert served(fleet) == tuple(n + 403 for n in before)
 
     def test_traced_request_keeps_its_chain_with_the_batch_on_the_pipe_thread(
         self, checkpointed
@@ -790,85 +779,249 @@ class TestWire:
             for i in range(4):
                 result = fleet.predict(f"tenant-{i}", plans[i : i + 6], env_features=ENV)
                 assert result.source == "learned"
-                # Complete as soon as the reply is in: the batch span (and
+                # Complete as soon as the reply is in: the shard's span (and
                 # the serving spans under it) finished before the frame left.
                 tree = fleet.span_tree(result.trace_id)
                 assert tree.is_complete(), tree.as_dict()
                 by_name = {s["name"]: s for s in tree.spans}
-                chain = ["fleet.request", "gateway.request", "gateway.batch"]
-                for parent, child in zip(chain, chain[1:]):
-                    assert by_name[child]["parent_id"] == by_name[parent]["span_id"]
+                shard = by_name["fleet.shard"]
+                assert shard["parent_id"] == by_name["fleet.request"]["span_id"]
+                assert shard["attrs"] == {"n_plans": 6, "outcome": "ok"}
+                assert shard["duration_ms"] is not None
                 serving = [s for s in tree.spans if s["name"].startswith("serving.")]
                 assert {s["name"] for s in serving} >= {"serving.encode", "serving.forward"}
-                batch = by_name["gateway.batch"]
-                assert all(s["parent_id"] == batch["span_id"] for s in serving)
-                assert batch["duration_ms"] is not None
-                assert by_name["gateway.request"]["attrs"]["batch_span_id"] == batch["span_id"]
+                assert all(s["parent_id"] == shard["span_id"] for s in serving)
+                assert {s["name"] for s in tree.spans} - {s["name"] for s in serving} == {
+                    "fleet.request", "fleet.shard"
+                }
 
-    def test_answers_are_bitwise_the_shards_own_gateway_answers(
-        self, checkpointed, monkeypatch
-    ):
+    def test_answers_are_bitwise_a_local_services_answers(self, checkpointed):
         path, _predictor, plans = checkpointed
         envs = [ENV, (0.2, 0.1, 0.3, 0.4), (0.9, 0.01, 0.1, 0.7)]
-        with OptimizerGateway(CostInferenceService.from_checkpoint(path)) as local:
-            want = [local.predict(plans[:8], env_features=env).costs for env in envs]
+        local = CostInferenceService.from_checkpoint(path)
+        want = [local.predict(plans[:8], env_features=env) for env in envs]
         with ServingFleet(path, n_workers=2) as fleet:
             one = fleet.predict("alpha", plans[:8], env_features=ENV)
-            calls = _CountingConnCalls(monkeypatch)
+            frames = _CountingSocket.install(fleet)
             scored = [
                 fleet.predict("alpha", plans[:8], env_features=env, plans_key="s")
                 for _ in range(2)
                 for env in envs
             ]
-            # The plan trees crossed the pipe once, with the first frame.
-            assert len(calls.sent) == 6
-            assert calls.sent[0] > 400 and max(calls.sent[1:]) < 400
+            # The plan trees crossed the socket once, with the first frame.
+            assert len(frames.sent) == 6
+            assert frames.sent[0] > 400 and max(frames.sent[1:]) < 400
             assert "plans_resent_total" not in fleet.telemetry.snapshot()["counters"]
-        for got, ref in zip([one] + scored, [want[0]] + want + want):
+            # The need-plans resend answers the same bits.
+            fleet._workers[fleet.router.route("alpha")].sent_keys["ghost"] = None
+            resent = fleet.predict("alpha", plans[:8], env_features=ENV, plans_key="ghost")
+            assert fleet.telemetry.snapshot()["counters"]["plans_resent_total"] == 1
+        for got, ref in zip([one] + scored + [resent], [want[0]] + want + want + [want[0]]):
             assert got.source == "learned"
             assert got.costs.dtype == ref.dtype == np.float64
             assert np.array_equal(got.costs, ref)
-            assert got.costs.flags.writeable == ref.flags.writeable
+            assert got.costs.flags.writeable and ref.flags.writeable
 
-    def test_reply_with_wrong_req_id_marks_the_shard_dead(self, checkpointed):
+    def test_reply_with_wrong_req_id_marks_the_shard_dead(self, checkpointed, marked_service):
         path, _predictor, plans = checkpointed
         with ServingFleet(path, n_workers=2) as fleet:
             tenant = "desync"
             handle = fleet._workers[fleet.router.route(tenant)]
-            conn = handle.conn
+            channel = handle.channel
 
             class StaleReply:
                 def __getattr__(self, name):
-                    return getattr(conn, name)
+                    return getattr(channel, name)
 
-                def recv_bytes(self):
-                    kind, req_id, *rest = pickle.loads(conn.recv_bytes())
-                    return pickle.dumps((kind, req_id - 1, *rest))
+                def recv(self):
+                    (kind, req_id, *rest), size = channel.recv()
+                    return (kind, req_id - 1, *rest), size
 
-            handle.conn = StaleReply()
+            handle.channel = StaleReply()
             shed = fleet.predict(tenant, plans[:4], env_features=ENV)
             assert shed.source == "fallback" and shed.reason == "worker-crash"
             assert not handle.alive and not handle.process.is_alive()
             assert handle.name not in fleet.live_workers()
             assert fleet.predict(tenant, plans[:4], env_features=ENV).source == "learned"
 
-    def test_megabyte_load_and_sampled_stats_ride_the_same_frame(
-        self, checkpointed, monkeypatch
-    ):
+            # An owed reply is checked as well: one whose id is not the id
+            # owed is a desync, and that shard goes the same way.
+            tenant = "owing"
+            handle = fleet._workers[fleet.router.route(tenant)]
+            late = fleet.predict(tenant, plans[:4], env_features=SLOW_ENV, deadline_ms=20)
+            assert late.reason == "deadline" and handle.owed is not None
+            handle.owed += 1
+            shed = fleet.predict(tenant, plans[:4], env_features=ENV)
+            assert shed.source == "fallback" and shed.reason == "worker-crash"
+            assert not handle.alive and not handle.process.is_alive()
+            assert fleet.live_workers() == []
+
+    def test_megabyte_load_and_sampled_stats_ride_the_same_frame(self, checkpointed):
         path, predictor, plans = checkpointed
         warm = [(copy.deepcopy(p), ENV) for p in plans[:60] * 24]
         with ServingFleet(path, n_workers=1) as fleet:
             for _ in range(5):
                 fleet.predict("t", plans[:6], env_features=ENV)
-            calls = _CountingConnCalls(monkeypatch)
+            frames = _CountingSocket.install(fleet)
             acked = fleet.promote(path, warm=warm)
             assert acked == {"shard-0": predictor.weights_version + 1}
-            assert max(calls.sent) >= 1 << 20
+            assert max(frames.sent) >= 1 << 20
             shard = fleet.stats()["shards"]["shard-0"]
             assert shard["gauges"]["serving_warmed_plans"] == len(warm)
             latency = shard["histograms"]["request_latency_seconds"]
             assert len(latency["samples"]) == latency["count"] == 5
-            assert len(calls.sent) == len(calls.received) == 2 and calls.waits == 0
+            assert len(frames.sent) == 2  # the load and the stats request
+
+
+@needs_fork
+class TestParentGuardrails:
+    def test_budget_holds_in_the_parent_and_the_owed_reply_is_drained(
+        self, checkpointed, marked_service
+    ):
+        path, _predictor, plans = checkpointed
+        local = CostInferenceService.from_checkpoint(path)
+        native = NativeCostFallback().predict(plans[:4], env_features=SLOW_ENV)
+        with ServingFleet(path, n_workers=2, pacer_config=PacerConfig()) as fleet:
+            tenant = "slow"
+            shard = fleet.router.route(tenant)
+            handle, pacer, breaker = (
+                fleet._workers[shard], fleet._pacers[shard], fleet._breakers[shard]
+            )
+            assert fleet.predict(tenant, plans[:4], env_features=ENV).source == "learned"
+            started = time.monotonic()
+            late = fleet.predict(tenant, plans[:4], env_features=SLOW_ENV, deadline_ms=50)
+            assert time.monotonic() - started < 0.060
+            assert (late.source, late.reason) == ("fallback", "deadline")
+            assert np.array_equal(late.costs, native)
+            # The request left, so the shard owes its reply, which keeps
+            # the request's pacer slot until someone reads it.
+            assert handle.owed is not None and pacer.inflight == 1
+            drained = fleet.predict(tenant, plans[:4], env_features=ENV)
+            assert drained.source == "learned"
+            assert np.array_equal(drained.costs, local.predict(plans[:4], env_features=ENV))
+            assert handle.owed is None and pacer.inflight == 0
+            assert breaker.stats()["slow_count"] == 1
+            counters = fleet.telemetry.snapshot()["counters"]
+            assert counters["deadline_miss_total"] == counters["shed_deadline_total"] == 1
+
+            # A budget also bounds the wait for the shard's lock: a request
+            # that never got to send owes nothing and hands its slot back.
+            slow = threading.Thread(
+                target=fleet.predict, args=(tenant, plans[:4]), kwargs={"env_features": SLOW_ENV}
+            )
+            slow.start()
+            assert _settle(lambda: handle.lock.locked())
+            started = time.monotonic()
+            queued = fleet.predict(tenant, plans[:4], env_features=ENV, deadline_ms=50)
+            assert time.monotonic() - started < 0.060
+            assert queued.reason == "deadline" and handle.owed is None
+            assert pacer.inflight == 1  # the slow request's own slot
+            slow.join(timeout=10.0)
+            assert pacer.inflight == 0 and breaker.stats()["slow_count"] == 2
+            assert fleet.live_workers() == ["shard-0", "shard-1"]
+
+    def test_model_errors_trip_only_their_shards_breaker(
+        self, checkpointed, marked_service, tmp_path
+    ):
+        path, _predictor, plans = checkpointed
+        native = NativeCostFallback().predict(plans[:4], env_features=BROKEN_ENV)
+        obs = ObsConfig(sample_rate=0.0, dump_dir=str(tmp_path))
+        with ServingFleet(path, n_workers=2, obs=obs) as fleet:
+            broken = "shard-0"
+            tenant, other = _tenant_on(fleet, broken), _tenant_on(fleet, broken, exclude=True)
+            for _ in range(8):  # BreakerConfig().min_calls
+                r = fleet.predict(tenant, plans[:4], env_features=BROKEN_ENV)
+                assert (r.source, r.reason) == ("fallback", "model-error")
+                assert np.array_equal(r.costs, native)
+            assert fleet.predict(tenant, plans[:4], env_features=ENV).reason == "circuit-open"
+            assert fleet.predict(other, plans[:4], env_features=ENV).source == "learned"
+            stats = fleet.stats()
+            assert stats["fleet"]["counters"]["breaker_trips_total"] == 1
+            assert stats["fleet"]["counters"]["fallback_model_error_total"] == 8
+            assert {name: b["state"] for name, b in stats["breakers"].items()} == {
+                "shard-0": "open", "shard-1": "closed"
+            }
+            assert stats["fleet"]["gauges"]["breaker_shard_0_state"] == 2.0
+            assert stats["fleet"]["gauges"]["breaker_shard_1_state"] == 0.0
+            trips = [e for e in fleet.recorder.entries() if e.get("kind") == "breaker-trip"]
+            assert [(e["name"], e["attrs"]["failure_count"]) for e in trips] == [(broken, 8)]
+            assert any("breaker-trip" in f for f in os.listdir(tmp_path))
+            # The shard counted the requests it scored; the refused one
+            # never reached it.
+            assert stats["shards"][broken]["counters"] == {
+                "requests_total": 8, "batches_total": 8, "learned_total": 0
+            }
+
+            fleet.promote(path)
+            assert fleet.stats()["breakers"][broken]["state"] == "closed"
+            assert fleet.predict(tenant, plans[:4], env_features=ENV).source == "learned"
+
+
+    def test_slots_and_owed_replies_balance_under_concurrent_mixed_budgets(
+        self, checkpointed, marked_service
+    ):
+        path, _predictor, plans = checkpointed
+        deadlines = (None, 2.0, 50.0, 8.0)
+        results: list = []
+        lock = threading.Lock()
+        with ServingFleet(path, n_workers=2, pacer_config=PacerConfig()) as fleet:
+            returned = {shard: [] for shard in fleet._pacers}
+            for shard, pacer in fleet._pacers.items():
+                release, on_delivered = pacer.release, pacer.on_delivered
+                pacer.release = (
+                    lambda n=1, r=release, out=returned[shard]: out.append(n) or r(n)
+                )
+                pacer.on_delivered = (
+                    lambda n=1, d=on_delivered, out=returned[shard], **kw: out.append(n) or d(n, **kw)
+                )
+
+            def caller(k: int) -> None:
+                mine = [
+                    fleet.predict(
+                        f"t{(7 * k + i) % 16}", plans[:4],
+                        env_features=SLOW_ENV if (k + i) % 40 == 0 else ENV,
+                        deadline_ms=deadlines[(k + i) % 4],
+                    )
+                    for i in range(40)
+                ]
+                with lock:
+                    results.extend(mine)
+
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            # The stats exchange reads whatever each shard still owes (the
+            # breakers may have tripped on the missed budgets by now).
+            stats = fleet.stats()
+            assert fleet.live_workers() == ["shard-0", "shard-1"]
+            learned = sum(r.source == "learned" for r in results)
+            assert len(results) == 240 and 0 < learned < 240
+            counters = stats["fleet"]["counters"]
+            assert counters["requests_total"] == 240
+            assert counters["learned_total"] == learned
+            assert counters["fallback_total"] == 240 - learned
+            assert counters["deadline_miss_total"] == sum(r.reason == "deadline" for r in results)
+            for shard, pacer in fleet._pacers.items():
+                # Every slot the pacer handed out came back exactly once.
+                assert fleet._workers[shard].owed is None and pacer.inflight == 0
+                assert sum(returned[shard]) == pacer.admitted_total
+
+
+def _settle(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.002)
+    return predicate()
 
 
 def _swap_with_warm_list(conn, path, plans):

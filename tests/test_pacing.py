@@ -23,6 +23,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.core.serialization import save_predictor
@@ -809,3 +817,68 @@ class TestRetryAfterSurfacing:
             snapshot = fleet.telemetry.snapshot()
             assert snapshot["histograms"]["retry_after_seconds"]["count"] == 1
             pacer.release(taken)
+
+
+# -- the slot ledger as a state machine ------------------------------------------
+
+
+class PacerSlotLedger(RuleBasedStateMachine):
+    """Admit, deliver, release, reset and move time in any order: the pacer's
+    inflight count is always the slots its callers hold, its window never
+    closes completely, and a reset always lands in a fresh STARTUP."""
+
+    @initialize(pace=st.booleans(), initial_cap=st.integers(1, 6))
+    def build(self, pace, initial_cap):
+        self.clock = _FakeClock()
+        self.pacer = _pacer(self.clock, pace_admissions=pace, initial_cap=initial_cap)
+        self.held = 0
+        self.just_reset = False
+
+    @rule()
+    def admit(self):
+        self.held += self.pacer.try_admit()
+        self.just_reset = False
+
+    @precondition(lambda self: self.held > 0)
+    @rule(n=st.integers(1, 4), elapsed=st.floats(1e-4, 0.5))
+    def deliver(self, n, elapsed):
+        n = min(n, self.held)
+        self.pacer.on_delivered(n, elapsed_seconds=elapsed)
+        self.held -= n
+        self.just_reset = False
+
+    @precondition(lambda self: self.held > 0)
+    @rule(n=st.integers(1, 4))
+    def release(self, n):
+        n = min(n, self.held)
+        self.pacer.release(n)
+        self.held -= n
+
+    @rule()
+    def reset(self):
+        self.pacer.reset()
+        self.just_reset = True
+
+    @rule(dt=st.floats(0.0, 6.0))
+    def advance(self, dt):
+        self.clock.advance(dt)
+
+    @invariant()
+    def ledger_balances(self):
+        pacer = self.pacer
+        assert pacer.inflight == self.held
+        assert pacer.inflight_cap() >= 1
+        assert pacer.state in PACER_STATE_CODES
+        eta = pacer.next_admit_eta()
+        assert eta is None or eta >= 0.0
+        if self.just_reset:
+            # Nothing but a release or time has happened since: still the
+            # fresh STARTUP the reset entered, with nothing measured.
+            assert pacer.state == STARTUP
+            assert pacer.btl_rate() is None and pacer.min_latency() is None
+
+
+PacerSlotLedger.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None
+)
+TestPacerSlotLedger = PacerSlotLedger.TestCase

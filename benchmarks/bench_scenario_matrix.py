@@ -54,7 +54,6 @@ from repro.workload import (
     ScenarioRuntime,
     build_lifecycle,
     build_scenario,
-    current_checkpoint_path,
 )
 
 #: Fixed learned-path delay per gateway batch: the pipe's known bottleneck.
@@ -148,7 +147,6 @@ def _row(report, *, queue_free_ms: float) -> dict:
     out["mean_retry_after_seconds"] = (
         sum(retry_hints) / len(retry_hints) if retry_hints else None
     )
-    out.pop("target_stats", None)
     return out
 
 
@@ -239,11 +237,8 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
         fleet_drift_row = None
         if fork_available():
             lifecycle = build_lifecycle(runtime, incumbent)
-            with ServingFleet(
-                current_checkpoint_path(lifecycle),
-                n_workers=2,
-                pacer_config=PACER,
-            ) as fleet:
+            with ServingFleet(n_workers=2, pacer_config=PACER) as fleet:
+                lifecycle.attach_fleet(fleet)  # ships the incumbent
                 target = FleetTarget(fleet)
                 fleet_queue_free = _queue_free_ms(runtime, target)
                 # Two shards serve in parallel; clamp the offered-rate base
@@ -275,10 +270,8 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
             # Drift through the lifecycle-attached (unpaced) fleet: the
             # retrain→canary→promote broadcast must reach the shards.
             def fleet_factory(lifecycle):
-                fleet = ServingFleet(
-                    current_checkpoint_path(lifecycle), n_workers=2
-                )
-                lifecycle.attach_fleet(fleet)
+                fleet = ServingFleet(n_workers=2)
+                lifecycle.attach_fleet(fleet)  # ships the incumbent
                 return FleetTarget(fleet), fleet.close
 
             fleet_drift_row, _ = _drift_row(runtime, incumbent, fleet_factory)

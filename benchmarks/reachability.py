@@ -81,9 +81,6 @@ ALLOW: dict[str, str] = {
     "workload/replay.py::ReplayEngine._run_timed": "timed (open-loop, wall-clock) "
     "mode: every traffic row of benchmarks/bench_scenario_matrix.py; tier-1 "
     "replays in logical mode to stay deterministic",
-    "workload/replay.py::VirtualClock.__call__": "read half of the injectable "
-    "clock: what a breaker, pacer or SLO monitor built with `clock=engine.clock` "
-    "sees; no tier-1 replay injects it",
 }
 
 

@@ -136,9 +136,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     lifecycle = build_lifecycle(runtime, runtime.train_incumbent(epochs=args.epochs))
     if args.target == "fleet":
         from repro.fleet import ServingFleet
-        from repro.workload import current_checkpoint_path
 
-        fleet = ServingFleet(current_checkpoint_path(lifecycle), n_workers=2)
+        fleet = ServingFleet(n_workers=2)  # attach_fleet ships the model
         lifecycle.attach_fleet(fleet)
         target, closer = FleetTarget(fleet), fleet.close
     else:

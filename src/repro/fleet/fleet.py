@@ -10,9 +10,9 @@ frame, ``service.predict``, write a frame), and a consistent-hash router
 stay hot and the fleet's aggregate cache capacity is N× one process's.
 
 This module is the one place a fleet request is admitted and answered:
-route → the shard's :class:`~repro.gateway.breaker.CircuitBreaker` → the
-shard's admission pacer → one exchange on the shard's socket → the
-gateway's own :class:`~repro.gateway.gateway.AnswerPath`, so a fleet
+route → the shard's :class:`~repro.gateway.gateway.Guard` (its circuit
+breaker, then its admission pacer) → one exchange on the shard's socket →
+the gateway's own :class:`~repro.gateway.gateway.AnswerPath`, so a fleet
 answer leaves the audit trail a gateway answer does.  A ``deadline_ms``
 covers the wait for the shard's lock, for a reply the shard still owes a
 caller that gave up, and for the caller's own reply.  On expiry the
@@ -27,7 +27,7 @@ Around that path: forked workers reuse the evaluation pool's bootstrap
 frames, with plan trees shipped once per shard by ``plans_key`` (the
 parent mirrors the worker's LRU; ``need-plans`` is the backstop);
 :meth:`ServingFleet.promote` stages a checkpoint shard by shard and
-resets each shard's breaker and pacer; a worker that died (its socket
+resets each shard's guard as it loads; a worker that died (its socket
 reads end-of-file), stayed silent past ``rpc_timeout`` or replied out of
 step sheds only its in-flight request (``"worker-crash"``), is killed,
 and its tenants remap to the survivors; :meth:`ServingFleet.stats` merges
@@ -48,8 +48,8 @@ from repro.fleet.router import ConsistentHashRouter
 from repro.fleet.telemetry import merge_snapshots, merged_to_prometheus
 from repro.fleet.wire import Channel, unpack_costs
 from repro.fleet.worker import PLAN_CACHE_CAP, fleet_worker_main
-from repro.gateway import CircuitBreaker, GatewayResult, Telemetry
-from repro.gateway.gateway import BREAKER_STATE_CODES, AnswerPath
+from repro.gateway import GatewayResult, Telemetry
+from repro.gateway.gateway import AnswerPath, Guard
 from repro.obs import SpanCollector
 from repro.obs.trace import NULL_SPAN
 from repro.pacing import AdmissionPacer, PacerConfig
@@ -75,16 +75,17 @@ _UNSENT, _OWED = ("unsent",), ("owed",)
 
 
 class _WorkerHandle:
-    """Parent-side state for one shard: process, socket, socket lock, a
-    mirror of the worker's LRU of candidate-set keys, and the id of the
-    reply the shard owes a caller that gave up (at most one)."""
+    """Parent-side state for one shard: process, socket, socket lock, the
+    shard's guard, a mirror of the worker's LRU of candidate-set keys, and
+    the id of the reply the shard owes a caller that gave up (at most one)."""
 
-    __slots__ = ("name", "process", "channel", "lock", "alive", "sent_keys", "owed")
+    __slots__ = ("name", "process", "channel", "guard", "lock", "alive", "sent_keys", "owed")
 
-    def __init__(self, name, process, channel) -> None:
+    def __init__(self, name, process, channel, guard) -> None:
         self.name = name
         self.process = process
         self.channel = channel
+        self.guard = guard
         self.lock = threading.Lock()
         self.alive = True
         self.sent_keys: OrderedDict = OrderedDict()
@@ -169,26 +170,24 @@ class ServingFleet(AnswerPath):
             )
             process.start()
             child_sock.close()
-            self._workers[name] = _WorkerHandle(name, process, Channel(parent_sock, _SLICE))
-        # One breaker and (optionally) one admission pacer per shard, in the
-        # parent: each shard is its own path with its own health and
-        # capacity.  A crash remaps tenants to survivors whose pacers keep
-        # their learned estimates; a staged promote resets both.
-        self._breakers = {
-            name: CircuitBreaker(on_trip=functools.partial(self._record_trip, name))
-            for name in self._workers
-        }
-        self._pacers: dict[str, AdmissionPacer] = {}
-        if pacer_config is not None:
-            self._pacers = {
-                name: AdmissionPacer(
-                    pacer_config,
-                    telemetry=self.telemetry,
-                    name=f"pacer_{name.replace('-', '_')}",
-                )
-                for name in self._workers
-            }
-        self.telemetry.add_collector(self._sync_breaker_gauges)
+            # One guard per shard, in the parent: each shard is its own path
+            # with its own health and capacity.  A crash remaps tenants to
+            # survivors whose pacers keep their learned estimates; a staged
+            # promote resets each shard's guard.
+            key = name.replace("-", "_")
+            pacer = (
+                AdmissionPacer(pacer_config, telemetry=self.telemetry, name=f"pacer_{key}")
+                if pacer_config is not None
+                else None
+            )
+            guard = Guard(
+                self.telemetry, pacer=pacer, gauge=f"breaker_{key}_state",
+                on_trip=functools.partial(self._tripped, name),
+            )
+            self._workers[name] = _WorkerHandle(
+                name, process, Channel(parent_sock, _SLICE), guard
+            )
+        self._paced = pacer_config is not None
         self.router = ConsistentHashRouter(self._workers)
         self._workers_alive.set(n_workers)
 
@@ -242,8 +241,8 @@ class ServingFleet(AnswerPath):
             if self._read(handle, handle.owed, until) is None:
                 return _UNSENT
             handle.owed = None
-            if handle.name in self._pacers:
-                self._pacers[handle.name].release()  # the abandoned request's slot
+            if handle.guard.pacer is not None:
+                handle.guard.pacer.release()  # the abandoned request's slot
         timed = span.sampled
         t0 = time.perf_counter() if timed else 0.0
         sent = handle.channel.send(message)
@@ -276,8 +275,8 @@ class ServingFleet(AnswerPath):
         if not handle.alive:
             return
         handle.alive = False
-        if handle.owed is not None and handle.name in self._pacers:
-            self._pacers[handle.name].release()  # no reply will come for it
+        if handle.owed is not None and handle.guard.pacer is not None:
+            handle.guard.pacer.release()  # no reply will come for it
         try:
             self.router.remove_shard(handle.name)
         except KeyError:
@@ -349,24 +348,17 @@ class ServingFleet(AnswerPath):
                 continue
             if span.sampled:
                 span.set_attr("shard", shard)
-            breaker = self._breakers[shard]
-            if not breaker.allow():
-                return self._fallback_result(plans, env, "circuit-open", started, span=span)
-            pacer = self._pacers.get(shard)
-            if pacer is not None and not pacer.try_admit():
-                breaker.release_probe()
-                return self._fallback_result(
-                    plans, env, "pacer-limit", started,
-                    retry_after=pacer.next_admit_eta(), span=span, pacer=pacer,
-                )
+            guard = handle.guard
+            refused = self._admit(guard, plans, env, started, span)
+            if refused is not None:
+                return refused
+            breaker, pacer = guard.breaker, guard.pacer
             rpc_started = time.monotonic() if pacer is not None else 0.0
             try:
                 reply = self._score(handle, plans_key, plans, env, trace_wire, span, until)
             except _PIPE_ERRORS as exc:
                 self._mark_dead(handle, exc)
-                breaker.release_probe()
-                if pacer is not None:
-                    pacer.release()  # a crashed exchange measures nothing
+                guard.refund()  # a crashed exchange measures nothing
                 return self._fallback_result(plans, env, "worker-crash", started, span=span)
             if reply is _UNSENT or reply is _OWED:
                 if reply is _UNSENT and pacer is not None:
@@ -391,11 +383,11 @@ class ServingFleet(AnswerPath):
                     span=span,
                     pacer=pacer,
                 )
+            if kind == "no-model":
+                guard.refund()
+                return self._fallback_result(plans, env, "no-model", started, span=span)
             if pacer is not None:
                 pacer.release()
-            if kind == "no-model":
-                breaker.release_probe()
-                return self._fallback_result(plans, env, "no-model", started, span=span)
             breaker.record_failure()
             return self._fallback_result(plans, env, "model-error", started, span=span)
         reason = "closed" if self._closed else "no-workers"
@@ -437,7 +429,8 @@ class ServingFleet(AnswerPath):
 
         Each live worker loads the checkpoint, hot-swaps it into its
         service, and warms its caches from ``warm`` (``(plan,
-        env_features)`` pairs, e.g. the feedback log's hottest plans)
+        env_features)`` pairs, e.g. the feedback log's hottest plans), and
+        its guard resets (:meth:`~repro.gateway.gateway.Guard.reset`)
         before the next worker begins — a rolling restart of the model,
         never of the processes.  Returns ``{shard: weights_version}`` for
         every worker that converged; raises ``RuntimeError`` naming the
@@ -457,19 +450,11 @@ class ServingFleet(AnswerPath):
                     f"promote of {checkpoint_path} failed on {name}: {reply[2]}"
                 )
             acked[name] = int(reply[2])
+            handle.guard.reset()
         if not acked:
             raise RuntimeError("promote with no live workers")
         if len(set(acked.values())) != 1:
             raise RuntimeError(f"fleet diverged after promote: {acked}")
-        # Every shard is now serving a different model: its breaker record
-        # and its pacer's delivery rate / latency estimates describe a path
-        # that no longer exists.  Start both clean and re-learn the pipe
-        # from STARTUP, exactly as BBR re-probes after a route change.
-        for name in acked:
-            self._breakers[name].reset()
-            pacer = self._pacers.get(name)
-            if pacer is not None:
-                pacer.reset()
         self.telemetry.counter("promotes_total", "staged fleet promotes").inc()
         self.telemetry.gauge(
             "model_weights_version", "weights_version every shard converged to"
@@ -511,38 +496,25 @@ class ServingFleet(AnswerPath):
             raise RuntimeError("span_tree requires the fleet's obs config")
         return self.collector.tree(trace_id)
 
-    def _sync_breaker_gauges(self) -> None:
-        """The telemetry collector of the per-shard breakers' states."""
-        for name, breaker in self._breakers.items():
-            self.telemetry.gauge(
-                f"breaker_{name.replace('-', '_')}_state", "0 closed, 1 half-open, 2 open"
-            ).set(BREAKER_STATE_CODES[breaker.state])
-
     def stats(self) -> dict:
         """Fleet-wide operational snapshot: per-shard telemetry, the merged
         view, the parent's fleet-level counters, and each live shard's
         breaker (and pacer)."""
         shards = {name: reply[2] for name, reply in self._ask_all("stats").items()}
-        live = self.live_workers()
+        guards = {name: self._workers[name].guard.stats() for name in self.live_workers()}
         out = {
-            "workers_alive": len(live),
+            "workers_alive": len(guards),
             "workers_total": len(self._workers),
             "fleet": self.telemetry.snapshot(),
             "shards": shards,
             "merged": merge_snapshots(list(shards.values())),
-            "breakers": {name: self._breakers[name].stats() for name in live},
+            "breakers": {name: g["breaker"] for name, g in guards.items()},
         }
-        if self._pacers:
-            out["pacers"] = {name: self._pacers[name].stats() for name in live}
-        if self.tracer is not None:
-            out["tracing"] = self.tracer.stats()
+        if self._paced:
+            out["pacers"] = {name: g["pacer"] for name, g in guards.items()}
         if self.collector is not None:
             out["collector"] = self.collector.stats()
-        if self.recorder is not None:
-            out["flight_recorder"] = self.recorder.stats()
-        if self.slo is not None:
-            out["slo"] = self.slo.snapshot()
-        return out
+        return self._obs_stats(out)
 
     def to_prometheus(self) -> str:
         """One text exposition: merged per-shard metrics under
@@ -568,9 +540,3 @@ class ServingFleet(AnswerPath):
                 handle.alive = False
                 handle.channel.close()
         self._workers_alive.set(0)
-
-    def __enter__(self) -> "ServingFleet":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

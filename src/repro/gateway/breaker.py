@@ -19,8 +19,9 @@ outcome window:
 path that answers correctly but blows its deadline budget is just as
 unusable online (the paper's guardrail stance: never let the learned
 component hold the optimizer hostage).  ``reset`` returns to closed
-unconditionally; the gateway calls it on every ``swap_predictor`` so a
-freshly promoted model is never punished for its predecessor's record.
+unconditionally; the gateway's and each fleet shard's guard call it on
+every model swap so a freshly promoted model is never punished for its
+predecessor's record.
 
 The clock is injectable (monotonic seconds) so trip/cooldown/probe
 transitions are unit-testable without sleeping.
@@ -69,12 +70,10 @@ class CircuitBreaker:
         *,
         clock: Callable[[], float] = time.monotonic,
         on_trip: Callable[["CircuitBreaker"], None] | None = None,
-        on_reset: Callable[["CircuitBreaker"], None] | None = None,
     ) -> None:
         self.config = config or BreakerConfig()
         self.clock = clock
         self.on_trip = on_trip
-        self.on_reset = on_reset
         self._lock = threading.Lock()
         self._state = CLOSED
         self._outcomes: deque[bool] = deque(maxlen=self.config.window)  # True == bad
@@ -191,20 +190,19 @@ class CircuitBreaker:
         self._probe_successes = 0
 
     def release_probe(self) -> None:
-        """Return an unused half-open probe slot (the gateway grants a probe
-        at admission; if the request is then shed before reaching the
-        learned path, the slot must not leak or half-open could stall)."""
+        """Return an unused half-open probe slot (a guard grants a probe at
+        admission; if the request is then shed before reaching the learned
+        path, the slot must not leak or half-open could stall)."""
         with self._lock:
             if self._state == HALF_OPEN and self._probes_issued > 0:
                 self._probes_issued -= 1
 
     def reset(self) -> None:
-        """Unconditionally close (the ``swap_predictor`` hook): a new model
-        version starts with a clean record."""
+        """Unconditionally close (on a model swap, through
+        :meth:`repro.gateway.gateway.Guard.reset`): a new model version
+        starts with a clean record."""
         with self._lock:
             self._close_locked()
-        if self.on_reset is not None:
-            self.on_reset(self)
 
     # -- reporting ------------------------------------------------------------
 

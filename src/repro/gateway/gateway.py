@@ -33,10 +33,11 @@ a learned model that can be slow, broken, or mid-replacement.  The
   cache-tier hit/miss/eviction counters.
 
 Every request is answered with a cost vector, whatever happens to the
-learned path — the gateway's one invariant.  :class:`AnswerPath` is the
-part of it the fleet parent (:class:`~repro.fleet.fleet.ServingFleet`)
-shares: how a request is counted and traced, how a refusal is answered
-from the fallback, and how every answer is recorded.
+learned path — the gateway's one invariant.  :class:`Guard` and
+:class:`AnswerPath` are the part of it the fleet parent
+(:class:`~repro.fleet.fleet.ServingFleet`) shares: admission and refunds,
+how a request is counted and traced, how a refusal is answered from the
+fallback, and how every answer and breaker trip is recorded.
 """
 
 from __future__ import annotations
@@ -64,6 +65,70 @@ class GatewayClosedError(RuntimeError):
 #: Breaker-state gauge encoding (``breaker_state`` telemetry gauge; the
 #: fleet parent's ``breaker_shard_<k>_state``).
 BREAKER_STATE_CODES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
+
+
+class Guard:
+    """One learned path's admission policy, its :class:`CircuitBreaker` then
+    its optional :class:`~repro.pacing.AdmissionPacer`: C3's hand-back to
+    the native optimizer, written once.  A gateway holds one, the fleet
+    parent one per shard; each settles what it scored (the gateway per
+    coalesced batch, the fleet per exchange).  ``on_trip`` becomes the
+    breaker's trip hook; ``gauge`` names its state gauge."""
+
+    __slots__ = ("breaker", "pacer")
+
+    def __init__(
+        self, telemetry: Telemetry, breaker=None, pacer=None, *, gauge="breaker_state",
+        on_trip=None,
+    ) -> None:
+        self.breaker = breaker or CircuitBreaker()
+        self.breaker.on_trip = on_trip
+        self.pacer = pacer
+        if pacer is not None and pacer.telemetry is None:
+            pacer.attach(telemetry)
+        telemetry.add_collector(
+            lambda: telemetry.gauge(gauge, "0 closed, 1 half-open, 2 open").set(
+                BREAKER_STATE_CODES[self.breaker.state]
+            )
+        )
+
+    def admit(self) -> tuple[str, float | None] | None:
+        """``None`` when the request may take the learned path (holding a
+        half-open probe, if the breaker is probing, and a pacer slot), else
+        ``(reason, retry_after)``.  A full pipe refuses with the pacer's
+        Retry-After eta and takes no probe: queueing would only buy the
+        request latency, not an answer in budget."""
+        if not self.breaker.allow():
+            return "circuit-open", None
+        if self.pacer is not None and not self.pacer.try_admit():
+            self.breaker.release_probe()
+            return "pacer-limit", self.pacer.next_admit_eta()
+        return None
+
+    def refund(self) -> None:
+        """Hand back the probe and the pacer slot of an admitted request
+        that was never scored (refused after admission, no model behind
+        the path, a shard lost mid-request)."""
+        self.breaker.release_probe()
+        if self.pacer is not None:
+            self.pacer.release()
+
+    def reset(self) -> None:
+        """The path serves a new model (a hot swap or a promote): the
+        breaker closes and the pacer re-probes from STARTUP, as BBR does
+        after a route change, since the old record and capacity estimates
+        describe a model that is gone.  Nothing else resets: a half-open
+        recovery or a trip leaves the same model behind the path."""
+        self.breaker.reset()
+        if self.pacer is not None:
+            self.pacer.reset()
+
+    def stats(self) -> dict:
+        """``{"breaker": ..., "pacer": ...}`` (no ``pacer`` when unpaced)."""
+        out = {"breaker": self.breaker.stats()}
+        if self.pacer is not None:
+            out["pacer"] = self.pacer.stats()
+        return out
 
 
 @dataclass(frozen=True)
@@ -241,6 +306,10 @@ class AnswerPath:
     #: The pacer whose state a finished span records when the caller names
     #: none (a gateway's own; the fleet names a shard's).
     pacer: AdmissionPacer | None = None
+    #: Called with this front end after any of its breakers trips: the
+    #: lifecycle sets it (``serve_through_gateway``, ``attach_fleet``) so a
+    #: misbehaving model is a retrain signal, not just an availability event.
+    on_trip = None
 
     def __init__(
         self, telemetry: Telemetry, *, fallback=None, tracer=None, recorder=None, slo=None
@@ -269,6 +338,18 @@ class AnswerPath:
         if span.sampled:
             span.set_attr("n_plans", n_plans)
         return span
+
+    def _admit(self, guard: Guard, plans, env_features, started, span):
+        """``None`` when ``guard`` admits the request, else its answer: the
+        refusal (``circuit-open``, ``pacer-limit``) from the fallback."""
+        refused = guard.admit()
+        if refused is None:
+            return None
+        reason, retry_after = refused
+        return self._fallback_result(
+            plans, env_features, reason, started, retry_after=retry_after, span=span,
+            pacer=guard.pacer,
+        )
 
     def _fallback_result(
         self, plans, env_features, reason, started, *, retry_after=None,
@@ -299,11 +380,12 @@ class AnswerPath:
             pacer=pacer,
         )
 
-    def _record_trip(self, where: str, breaker, **attrs) -> None:
-        """Count a breaker trip and record it as an incident: the recorder
+    def _tripped(self, where: str, breaker, **attrs) -> None:
+        """A breaker trip: count it, record it as an incident (the recorder
         snapshots its ring so the spans and sheds leading up to the trip
-        survive for reconstruction.  ``where`` names the breaker's path
-        (``"gateway"``, or the fleet shard it guards)."""
+        survive for reconstruction) and hand it to :attr:`on_trip`.
+        ``where`` names the breaker's path (``"gateway"``, or the fleet
+        shard it guards)."""
         self.telemetry.counter("breaker_trips_total", "circuit breaker trips").inc()
         if self.recorder is not None:
             breaker_stats = breaker.stats()
@@ -315,6 +397,8 @@ class AnswerPath:
                 slow_count=breaker_stats["slow_count"],
                 **attrs,
             )
+        if self.on_trip is not None:
+            self.on_trip(self)
 
     def _finish(self, result: GatewayResult, *, span=NULL_SPAN, pacer=None):
         """Record one answer, whose ``latency_ms`` is the request's end to
@@ -341,6 +425,23 @@ class AnswerPath:
             span.finish()
         return result
 
+    def _obs_stats(self, out: dict) -> dict:
+        """Add the configured tracer's, flight recorder's and SLO monitor's
+        snapshots to a ``stats()`` dict."""
+        if self.tracer is not None:
+            out["tracing"] = self.tracer.stats()
+        if self.recorder is not None:
+            out["flight_recorder"] = self.recorder.stats()
+        if self.slo is not None:
+            out["slo"] = self.slo.snapshot()
+        return out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 class OptimizerGateway(AnswerPath):
     """Concurrent serving front end over one inference service.
@@ -361,7 +462,6 @@ class OptimizerGateway(AnswerPath):
         config: GatewayConfig | None = None,
         breaker: CircuitBreaker | None = None,
         telemetry: Telemetry | None = None,
-        on_trip=None,
         pacer: AdmissionPacer | None = None,
         tracer=None,
         recorder=None,
@@ -387,25 +487,14 @@ class OptimizerGateway(AnswerPath):
             "learned-path compute share of request latency (per request, its "
             "batch's execution time; queue_wait_seconds holds the other half)",
         )
-        self._on_trip = on_trip
-        self.breaker = breaker or CircuitBreaker()
-        #: BBR-style admission pacing (:mod:`repro.pacing`), off when
-        #: ``None``: requests past its BDP-derived inflight cap shed at once
-        #: with reason ``"pacer-limit"`` instead of queueing into latency
-        #: their deadline budget cannot afford.
-        self.pacer = pacer
-        if pacer is not None and pacer.telemetry is None:
-            pacer.attach(self.telemetry)
-        # Chain, don't clobber: a caller-provided breaker may carry its own
-        # trip hook; the gateway adds telemetry + the lifecycle signal.
-        self._user_breaker_trip = self.breaker.on_trip
-        self.breaker.on_trip = self._breaker_tripped
-        # A breaker reset means the learned path changed (hot swap) or just
-        # recovered from a broken spell — either way the pacer's capacity
-        # estimates describe a path that no longer exists: re-probe from
-        # STARTUP.
-        self._user_breaker_reset = self.breaker.on_reset
-        self.breaker.on_reset = self._breaker_reset
+        #: The breaker and, when given, BBR-style admission pacer
+        #: (:mod:`repro.pacing`) of the learned path; ``breaker`` and
+        #: ``pacer`` name its parts.
+        self.guard = Guard(
+            self.telemetry, breaker, pacer,
+            on_trip=lambda b: self._tripped("gateway", b, weights_version=self._model_version()),
+        )
+        self.breaker, self.pacer = self.guard.breaker, pacer
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._queue: deque[_PendingRequest] = deque()
@@ -415,11 +504,9 @@ class OptimizerGateway(AnswerPath):
         self._inflight: set[_PendingRequest] = set()
         self._service = service
         self._service_lock = threading.Lock()
-        self._fault_budget = 0
-        self._fault_error: BaseException | None = None
         self._running = True
-        # Gauges mirroring the service and breaker are set when telemetry
-        # is read, not once per batch.
+        # Gauges mirroring the service are set when telemetry is read, not
+        # once per batch.
         self.telemetry.add_collector(self._sync_gauges)
         self._worker = threading.Thread(
             target=self._worker_loop, name="optimizer-gateway", daemon=True
@@ -437,15 +524,15 @@ class OptimizerGateway(AnswerPath):
         return self._service is not None
 
     def attach_service(self, service) -> None:
-        """Install (or replace) the learned path; resets the breaker."""
+        """Install (or replace) the learned path; resets the guard."""
         with self._service_lock:
             self._service = service
         self.notify_swap()
 
     def swap_predictor(self, predictor) -> None:
         """Hot-swap the served model under the service lock, never beneath a
-        batch still computing, and reset the breaker (a promoted model
-        starts with a clean record)."""
+        batch still computing, and reset the guard (a promoted model starts
+        with a clean record and an unmeasured pipe)."""
         if self._service is None:
             raise RuntimeError("gateway has no inference service to swap into")
         with self._service_lock:
@@ -454,8 +541,8 @@ class OptimizerGateway(AnswerPath):
 
     def notify_swap(self) -> None:
         """Called after the underlying service's model changed (directly or
-        via the lifecycle's promote path): clean breaker, fresh gauges."""
-        self.breaker.reset()
+        via the lifecycle's promote path): a reset guard, fresh gauges."""
+        self.guard.reset()
         self.telemetry.counter("swaps_total", "model hot swaps observed").inc()
         self._sync_gauges()
 
@@ -490,22 +577,9 @@ class OptimizerGateway(AnswerPath):
             )
         if self._service is None:
             return self._fallback_result(plans, env_features, "no-model", started, span=span)
-        if not self.breaker.allow():
-            return self._fallback_result(plans, env_features, "circuit-open", started, span=span)
-        if self.pacer is not None and not self.pacer.try_admit():
-            # The pipe (plus its state-dependent headroom) is already full:
-            # queueing this request would only buy it latency, not an
-            # answer in budget.  Shed at admission, BBR-style, with a
-            # Retry-After hint from the pacer's own schedule.
-            self.breaker.release_probe()
-            return self._fallback_result(
-                plans,
-                env_features,
-                "pacer-limit",
-                started,
-                retry_after=self.pacer.next_admit_eta(),
-                span=span,
-            )
+        refused = self._admit(self.guard, plans, env_features, started, span)
+        if refused is not None:
+            return refused
         env_key = (
             tuple(float(v) for v in env_features) if env_features is not None else None
         )
@@ -524,10 +598,8 @@ class OptimizerGateway(AnswerPath):
                 self._queue.append(request)
                 self._work.notify()
         if refused is not None:
-            # Admitted, but the worker will not take it: hand back its probe
-            # and pacer slot first.
-            self.breaker.release_probe()
-            self._pacer_release(request)
+            # Admitted, but the worker will not take it.
+            self.guard.refund()
             return self._fallback_result(plans, env_features, refused, started, span=span)
 
         if deadline is None:
@@ -557,29 +629,13 @@ class OptimizerGateway(AnswerPath):
         reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
         return self._fallback_result(plans, env_features, reason, started, span=span)
 
-    # -- guardrail hooks -------------------------------------------------------
-
-    def _breaker_tripped(self, breaker) -> None:
-        self._record_trip("gateway", breaker, weights_version=self._model_version())
-        if self._user_breaker_trip is not None:
-            self._user_breaker_trip(breaker)
-        if self._on_trip is not None:
-            self._on_trip(self)
-
-    def _breaker_reset(self, breaker) -> None:
-        """Breaker reset hook: the learned path was swapped or declared
-        recovered, so the pacer's capacity estimates are void — re-enter
-        STARTUP and re-probe the pipe."""
-        if self.pacer is not None:
-            self.pacer.reset()
-        if self._user_breaker_reset is not None:
-            self._user_breaker_reset(breaker)
+    # -- worker ----------------------------------------------------------------
 
     def _pacer_release(self, request: _PendingRequest) -> None:
         """Return the request's pacer slot without a delivery sample — for
-        requests that never completed a learned batch (shed after
-        admission, abandoned, drained, failed).  Idempotent: the ``paced``
-        flag is cleared exactly once under the gateway lock."""
+        queued requests the worker skips (abandoned, or answered by a
+        close() drain).  Idempotent: the ``paced`` flag is cleared exactly
+        once under the gateway lock."""
         if self.pacer is None:
             return
         with self._lock:
@@ -587,18 +643,6 @@ class OptimizerGateway(AnswerPath):
                 return
             request.paced = False
         self.pacer.release()
-
-    # -- fault injection (smoke tests / chaos drills) --------------------------
-
-    def inject_faults(self, n: int, error: BaseException | None = None) -> None:
-        """Arm the learned path to raise on its next ``n`` batches: the
-        supported chaos hook that proves the fallback + breaker behaviour
-        without reaching into internals."""
-        with self._lock:
-            self._fault_budget = int(n)
-            self._fault_error = error
-
-    # -- worker ----------------------------------------------------------------
 
     def _worker_loop(self) -> None:
         while True:
@@ -687,12 +731,6 @@ class OptimizerGateway(AnswerPath):
         error: BaseException | None = None
         predictions: np.ndarray | None = None
         try:
-            with self._lock:
-                if self._fault_budget > 0:
-                    self._fault_budget -= 1
-                    raise self._fault_error or RuntimeError(
-                        "injected learned-path fault"
-                    )
             if batch_span.sampled:
                 # Activate so the serving layer's traced_sections (encode /
                 # forward) nest under this batch.
@@ -768,25 +806,15 @@ class OptimizerGateway(AnswerPath):
     # -- reporting -------------------------------------------------------------
 
     def _sync_gauges(self) -> None:
-        """The telemetry collector: mirror the live objects into gauges."""
+        """The telemetry collector: mirror the queue and service into gauges."""
         self.telemetry.gauge("queue_depth", "pending requests").set(len(self._queue))
-        self.telemetry.gauge("breaker_state", "0 closed, 1 half-open, 2 open").set(
-            BREAKER_STATE_CODES[self.breaker.state]
-        )
         mirror_service_gauges(self.telemetry, self._service)
 
     def stats(self) -> dict:
         """JSON-able operational snapshot: telemetry, breaker, pacer, queue."""
         snapshot = self.telemetry.snapshot()
-        snapshot["breaker"] = self.breaker.stats()
-        if self.pacer is not None:
-            snapshot["pacer"] = self.pacer.stats()
-        if self.tracer is not None:
-            snapshot["tracing"] = self.tracer.stats()
-        if self.recorder is not None:
-            snapshot["flight_recorder"] = self.recorder.stats()
-        if self.slo is not None:
-            snapshot["slo"] = self.slo.snapshot()
+        snapshot.update(self.guard.stats())
+        self._obs_stats(snapshot)
         snapshot["queue_depth"] = len(self._queue)
         snapshot["has_model"] = self.has_model
         return snapshot
@@ -826,9 +854,3 @@ class OptimizerGateway(AnswerPath):
                 request.event.set()
         if self.pacer is not None and released:
             self.pacer.release(released)
-
-    def __enter__(self) -> "OptimizerGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

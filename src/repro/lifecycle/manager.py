@@ -68,7 +68,7 @@ class ModelLifecycle:
         self._service = None
         #: Gateways fronting this lifecycle's service (see
         #: :meth:`serve_through_gateway`); notified on every hot swap so
-        #: their circuit breakers reset for the new model version.
+        #: their guards reset for the new model version.
         self._gateways: list = []
         #: Serving fleets attached via :meth:`attach_fleet`: every
         #: promotion/rollback broadcasts the newly-current registry
@@ -118,13 +118,7 @@ class ModelLifecycle:
         from repro.serving.service import CostInferenceService
 
         self.environment_features = environment_features
-        warm = (
-            self.feedback.hottest_plans(
-                self.warm_top_k, default_env=environment_features
-            )
-            if self.warm_top_k > 0
-            else None
-        )
+        warm = self._warm_list()
         if self._service is None:
             self._predictor = predictor
             self._service = CostInferenceService(predictor)
@@ -134,56 +128,59 @@ class ModelLifecycle:
             # Hot swap, warming both cache tiers with the feedback log's
             # hottest recurring plans so the promote's first requests for
             # fleet-hot shapes are served warm instead of as a cold burst.
-            self._service.swap_predictor(predictor, warm=warm or None)
+            self._service.swap_predictor(predictor, warm=warm)
             self._predictor = predictor
             for gateway in self._gateways:
                 gateway.notify_swap()
-        self._broadcast_to_fleets(warm)
+        self._ship_current(self._fleets, warm)
 
-    def _broadcast_to_fleets(self, warm) -> None:
-        """Roll the registry's *current* checkpoint across every attached
-        fleet (staged worker-by-worker, warming each shard's caches with
-        the same hottest-plans list the in-process swap used)."""
-        if not self._fleets:
-            return
+    def _warm_list(self):
+        """The feedback log's hottest plans to re-score right after a swap
+        (``None`` when warming is off or nothing is logged yet)."""
+        if self.warm_top_k <= 0:
+            return None
+        return self.feedback.hottest_plans(
+            self.warm_top_k, default_env=self.environment_features
+        ) or None
+
+    def _ship_current(self, fleets, warm) -> None:
+        """Roll the registry's *current* checkpoint across ``fleets``
+        (staged worker-by-worker, warming each shard's caches with the
+        same hottest-plans list the in-process swap used)."""
         current = self.registry.current
         if current is None:
             return
-        path = self.registry.root / current.path
-        for fleet in self._fleets:
-            fleet.promote(path, warm=warm or None)
+        for fleet in fleets:
+            fleet.promote(self.registry.root / current.path, warm=warm)
+
+    def _flag_breaker_trip(self, front_end) -> None:
+        """A front end's ``on_trip``: the next :meth:`check_drift` reports
+        ``retrain=True`` with a ``circuit-breaker-trip`` reason even if the
+        feedback log alone looks healthy — a misbehaving incumbent is a
+        retrain signal, not just an availability event."""
+        version = self.current_version
+        suffix = f":v{version.version}" if version is not None else ""
+        self.drift_monitor.flag(f"circuit-breaker-trip{suffix}")
 
     def attach_fleet(self, fleet) -> None:
         """Subscribe a :class:`~repro.fleet.fleet.ServingFleet` to this
-        lifecycle's rollouts: the current checkpoint ships immediately
-        (when one exists), and every later promotion or rollback is
-        broadcast as a staged fleet promote."""
+        lifecycle, wired as :meth:`serve_through_gateway` wires a gateway:
+        the current checkpoint ships immediately (when one exists; boot the
+        fleet model-less), every later promotion or rollback is broadcast
+        as a staged fleet promote, and a shard's breaker trip flags drift."""
+        fleet.on_trip = self._flag_breaker_trip
         self._fleets.append(fleet)
-        warm = (
-            self.feedback.hottest_plans(
-                self.warm_top_k, default_env=self.environment_features
-            )
-            if self.warm_top_k > 0
-            else None
-        )
-        current = self.registry.current
-        if current is not None:
-            fleet.promote(self.registry.root / current.path, warm=warm or None)
+        self._ship_current([fleet], self._warm_list())
 
     def serve_through_gateway(self, *, breaker=None):
         """Build an :class:`~repro.gateway.gateway.OptimizerGateway` fronting
         this lifecycle's inference service — the entry point concurrent
         callers should use instead of touching :attr:`service` directly.
 
-        The wiring closes the guardrail loop both ways:
-
-        * every promotion/rollback hot swap resets the gateway's circuit
-          breaker (a new model version starts with a clean record);
-        * a breaker *trip* flags the drift monitor, so the next
-          :meth:`check_drift` reports ``retrain=True`` with a
-          ``circuit-breaker-trip`` reason even if the feedback log alone
-          looks healthy — a misbehaving incumbent is a retrain signal, not
-          just an availability event.
+        The wiring closes the guardrail loop both ways: every
+        promotion/rollback hot swap resets the gateway's guard (a new model
+        version starts with a clean record), and a breaker *trip* flags the
+        drift monitor (:meth:`_flag_breaker_trip`).
 
         Works before the first promotion too: the gateway answers from the
         native fallback (reason ``"no-model"``) until a model is attached.
@@ -192,12 +189,8 @@ class ModelLifecycle:
         """
         from repro.gateway import OptimizerGateway
 
-        def _flag_drift(gateway) -> None:
-            version = self.current_version
-            suffix = f":v{version.version}" if version is not None else ""
-            self.drift_monitor.flag(f"circuit-breaker-trip{suffix}")
-
-        gateway = OptimizerGateway(self._service, breaker=breaker, on_trip=_flag_drift)
+        gateway = OptimizerGateway(self._service, breaker=breaker)
+        gateway.on_trip = self._flag_breaker_trip
         self._gateways.append(gateway)
         return gateway
 

@@ -33,10 +33,7 @@ from repro.workload.replay import (
     ReplayReport,
     ScenarioRuntime,
     SegmentStats,
-    ServiceTarget,
-    VirtualClock,
     build_lifecycle,
-    current_checkpoint_path,
 )
 from repro.workload.scenarios import (
     DEFAULT_FAMILIES,
@@ -81,7 +78,6 @@ __all__ = [
     "scenario_schema_growth",
     "CandidateSet",
     "ScenarioRuntime",
-    "ServiceTarget",
     "GatewayTarget",
     "FleetTarget",
     "ReplayConfig",
@@ -89,7 +85,5 @@ __all__ = [
     "ReplayEvent",
     "ReplayReport",
     "SegmentStats",
-    "VirtualClock",
     "build_lifecycle",
-    "current_checkpoint_path",
 ]

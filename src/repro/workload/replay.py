@@ -11,19 +11,18 @@ regime injections are the *only* thing that moves them.
 
 ``ReplayEngine`` then fires a materialized stream at a target:
 
-* **logical mode** — sequential, on a virtual clock that jumps to each
-  arrival timestamp.  No wall-clock timing enters any decision, so the
-  outcome (chosen plans, costs, lifecycle events) is bit-deterministic
-  from the scenario seed: replaying twice yields identical
-  ``outcome_digest`` values — the determinism gate.
+* **logical mode** — sequential, in arrival order.  No wall-clock timing
+  enters any decision, so the outcome (chosen plans, costs, lifecycle
+  events) is bit-deterministic from the scenario seed: replaying twice
+  yields identical ``outcome_digest`` values — the determinism gate.
 * **timed mode** — the open-loop harness the pacer bench established:
   caller threads fire each request at its wall-clock arrival time whether
   or not the target kept up, which is what makes sheds, deadlines, and
   p99 measurable.  Timing-dependent, so excluded from determinism claims.
 
-Targets are thin adapters (:class:`ServiceTarget`, :class:`GatewayTarget`,
-:class:`FleetTarget`) over the three serving layers; all return
-``GatewayResult``-shaped answers so one engine drives them all.
+Targets are thin adapters (:class:`GatewayTarget`, :class:`FleetTarget`)
+over the two front ends; both return ``GatewayResult`` answers so one
+engine drives them.
 
 With a ``ModelLifecycle`` attached, every learned answer's outcome is fed
 back (`observe`), drift is checked on a fixed cadence, and a raised flag
@@ -57,7 +56,6 @@ from repro.workload.scenarios import (
 __all__ = [
     "CandidateSet",
     "ScenarioRuntime",
-    "ServiceTarget",
     "GatewayTarget",
     "FleetTarget",
     "ReplayConfig",
@@ -65,24 +63,22 @@ __all__ = [
     "ReplayReport",
     "ReplayEngine",
     "SegmentStats",
-    "VirtualClock",
     "build_lifecycle",
-    "current_checkpoint_path",
 ]
 
-
-class VirtualClock:
-    """Injectable monotonic clock for logical replays: time is *set* to
-    each arrival timestamp instead of flowing."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.t = float(start)
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance_to(self, t: float) -> None:
-        self.t = max(self.t, float(t))
+#: Drift is assessed every this many observations.
+DRIFT_CHECK_EVERY = 16
+#: Observations between the drift flag and the retrain, so post-drift
+#: outcomes fill the bounded feedback log before the canary draws its
+#: holdout (see :func:`build_lifecycle`).
+RETRAIN_BACKLOG = 160
+#: Recent scoreable records the candidate trains on, and its epochs.
+RETRAIN_WINDOW = 128
+RETRAIN_EPOCHS = 12
+#: Observations after a retrain verdict before drift is assessed again —
+#: the recent window must refill with post-verdict outcomes, or the same
+#: (already-answered) drift re-flags immediately.
+ADAPT_COOLDOWN = 96
 
 
 @dataclass(frozen=True)
@@ -326,42 +322,7 @@ def build_lifecycle(
     return lifecycle
 
 
-def current_checkpoint_path(lifecycle):
-    """Filesystem path of the lifecycle's currently promoted checkpoint
-    (what a ``ServingFleet`` boots its workers from)."""
-    current = lifecycle.registry.current
-    if current is None:
-        raise RuntimeError("lifecycle has no promoted checkpoint")
-    return lifecycle.registry.root / current.path
-
-
 # -- serving targets -----------------------------------------------------------
-
-
-class ServiceTarget:
-    """Drive a bare ``CostInferenceService`` (single-threaded fast path)."""
-
-    name = "service"
-
-    def __init__(self, service) -> None:
-        self.service = service
-
-    def predict(self, candidate_set: CandidateSet, request: Request, deadline_ms, trace=None):
-        from repro.gateway import GatewayResult
-
-        started = time.monotonic()
-        costs = self.service.predict(list(candidate_set.plans), env_features=request.env)
-        return GatewayResult(
-            np.asarray(costs),
-            "learned",
-            "ok",
-            1e3 * (time.monotonic() - started),
-            getattr(getattr(self.service, "predictor", None), "weights_version", None),
-        )
-
-    def stats(self) -> dict:
-        counters = getattr(self.service, "cache_counters", None)
-        return {"cache": counters()} if counters is not None else {}
 
 
 class GatewayTarget:
@@ -379,9 +340,6 @@ class GatewayTarget:
             deadline_ms=deadline_ms,
             trace=trace,
         )
-
-    def stats(self) -> dict:
-        return self.gateway.stats()
 
 
 class FleetTarget:
@@ -402,9 +360,6 @@ class FleetTarget:
             plans_key=candidate_set.key,
             trace=trace,
         )
-
-    def stats(self) -> dict:
-        return self.fleet.stats()
 
 
 # -- replay bookkeeping --------------------------------------------------------
@@ -470,7 +425,7 @@ class ReplayEvent:
     """One lifecycle-visible replay event (drift flag, retrain verdict)."""
 
     kind: str  # "drift-flagged" | "promoted" | "rejected"
-    at: float  # scenario seconds (virtual clock)
+    at: float  # scenario seconds (the request's arrival time)
     index: int  # request index the event fired after
     detail: str = ""
 
@@ -498,7 +453,6 @@ class ReplayReport:
     promotes: int
     stream_digest: str
     outcome_digest: str
-    target_stats: dict | None = None
 
     def overall(self) -> dict:
         """Totals across segments (requests, learned, sheds by reason)."""
@@ -513,8 +467,8 @@ class ReplayReport:
                 )
         return out
 
-    def as_dict(self, *, include_target_stats: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "scenario": self.scenario,
             "target": self.target,
             "mode": self.mode,
@@ -528,47 +482,21 @@ class ReplayReport:
             "outcome_digest": self.outcome_digest,
             "overall": self.overall(),
         }
-        if include_target_stats and self.target_stats is not None:
-            out["target_stats"] = self.target_stats
-        return out
 
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Replay-engine knobs (adaptation cadence documented in docs/SCENARIOS.md)."""
+    """Replay-engine knobs (the adaptation cadence is this module's
+    constants, documented in docs/SCENARIOS.md)."""
 
     mode: str = "logical"  # "logical" | "timed"
     #: Timed mode: caller threads servicing the open-loop schedule.
     threads: int = 12
     deadline_ms: float | None = None
-    #: Timed mode: scenario seconds per wall second (2.0 replays a
-    #: 6-second trace in 3 wall seconds, doubling every arrival rate).
-    time_scale: float = 1.0
-    #: Feed learned outcomes back into the lifecycle (when one is attached).
-    observe: bool = True
-    #: Also observe fallback-answered requests.  Off by default: a shed
-    #: request's "prediction" is the native cost scale, which poisons the
-    #: drift monitor's q-error with apples-to-oranges pairs.
-    observe_fallback: bool = False
-    #: Drift is assessed every this many observations.
-    drift_check_every: int = 16
-    #: Observations between the drift flag and the retrain, so post-drift
-    #: outcomes fill the bounded feedback log before the canary draws its
-    #: holdout (see :func:`build_lifecycle`).
-    retrain_backlog: int = 160
-    #: Recent scoreable records the candidate trains on.
-    retrain_window: int = 128
-    retrain_epochs: int = 12
-    #: Observations after a retrain verdict before drift is assessed
-    #: again — the recent window must refill with post-verdict outcomes,
-    #: or the same (already-answered) drift re-flags immediately.
-    adapt_cooldown: int = 96
 
     def __post_init__(self) -> None:
         if self.mode not in ("logical", "timed"):
             raise ValueError(f"mode must be 'logical' or 'timed', got {self.mode!r}")
-        if self.time_scale <= 0.0:
-            raise ValueError(f"time_scale must be > 0, got {self.time_scale}")
 
 
 class ReplayEngine:
@@ -580,18 +508,16 @@ class ReplayEngine:
         *,
         lifecycle=None,
         config: ReplayConfig | None = None,
-        clock: VirtualClock | None = None,
         tracer=None,
     ) -> None:
         self.runtime = runtime
         self.lifecycle = lifecycle
         self.config = config or ReplayConfig()
-        self.clock = clock or VirtualClock()
         #: Optional :class:`repro.obs.Tracer`: every fired request gets a
         #: ``replay.request`` root span whose context rides ``trace=`` into
-        #: the target (gateway and fleet targets join it; the bare service
-        #: target ignores it).  Under a *seeded* tracer in logical mode the
-        #: request order is deterministic, so trace/span ids are too —
+        #: the target (a traced gateway or fleet joins it).  Under a
+        #: *seeded* tracer in logical mode the request order is
+        #: deterministic, so trace/span ids are too —
         #: replaying twice yields identical ids, and a trace id from a
         #: previous run can be looked up again.
         self.tracer = tracer
@@ -626,19 +552,15 @@ class ReplayEngine:
             promotes=state.promotes,
             stream_digest=stream.digest(),
             outcome_digest=_outcome_digest(outcomes, state.events),
-            target_stats=target.stats(),
         )
 
     # -- modes -----------------------------------------------------------------
 
     def _run_logical(self, stream, pools, target, segments, state) -> list[tuple]:
-        outcomes = []
-        for request in stream.requests:
-            self.clock.advance_to(request.t)
-            outcomes.append(
-                self._fire(request, pools, target, segments, state)
-            )
-        return outcomes
+        return [
+            self._fire(request, pools, target, segments, state)
+            for request in stream.requests
+        ]
 
     def _run_timed(self, stream, pools, target, segments, state) -> list[tuple]:
         requests = stream.requests
@@ -657,7 +579,8 @@ class ReplayEngine:
                         return
                     cursor["i"] = i + 1
                 request = requests[i]
-                wait = start + request.t / self.config.time_scale - time.perf_counter()
+                # Scenario seconds are wall seconds.
+                wait = start + request.t - time.perf_counter()
                 if wait > 0:
                     time.sleep(wait)
                 outcomes[i] = self._fire(
@@ -672,7 +595,6 @@ class ReplayEngine:
             t.start()
         for t in threads:
             t.join()
-        self.clock.advance_to(stream.scenario.duration_seconds)
         return outcomes
 
     # -- one request -----------------------------------------------------------
@@ -718,10 +640,12 @@ class ReplayEngine:
                 segment.record(result, latency, benefit)
         else:
             segment.record(result, latency, benefit)
-        if self.lifecycle is not None and self.config.observe:
-            if result.source == "learned" or self.config.observe_fallback:
-                with self._lifecycle_lock:
-                    self._observe(request, candidate_set, chosen, result, state)
+        # Only learned answers feed the lifecycle: a fallback answer's
+        # "prediction" is the native cost scale, which poisons the drift
+        # monitor's q-error with apples-to-oranges pairs.
+        if self.lifecycle is not None and result.source == "learned":
+            with self._lifecycle_lock:
+                self._observe(request, candidate_set, chosen, result, state)
         return (
             request.index,
             chosen,
@@ -742,11 +666,10 @@ class ReplayEngine:
             day=request.day,
         )
         state.observations += 1
-        cfg = self.config
         if state.pending_since is None:
             if (
                 state.observations >= state.cooldown_until
-                and state.observations % cfg.drift_check_every == 0
+                and state.observations % DRIFT_CHECK_EVERY == 0
             ):
                 report = self.lifecycle.check_drift()
                 if report.retrain:
@@ -759,17 +682,14 @@ class ReplayEngine:
                             detail=",".join(report.reasons),
                         )
                     )
-        elif state.observations - state.pending_since >= cfg.retrain_backlog:
+        elif state.observations - state.pending_since >= RETRAIN_BACKLOG:
             self._retrain(request, state)
 
     def _retrain(self, request, state) -> None:
         from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 
-        cfg = self.config
-        records = self.lifecycle.feedback.scoreable()[-cfg.retrain_window :]
-        candidate = AdaptiveCostPredictor(
-            config=PredictorConfig(epochs=cfg.retrain_epochs)
-        )
+        records = self.lifecycle.feedback.scoreable()[-RETRAIN_WINDOW:]
+        candidate = AdaptiveCostPredictor(config=PredictorConfig(epochs=RETRAIN_EPOCHS))
         candidate.fit(
             [r.plan for r in records], [r.observed_cost for r in records]
         )
@@ -795,11 +715,11 @@ class ReplayEngine:
                     kind="rejected",
                     at=request.t,
                     index=request.index,
-                    detail=report.summary() if hasattr(report, "summary") else "",
+                    detail=report.summary(),
                 )
             )
         state.pending_since = None
-        state.cooldown_until = state.observations + cfg.adapt_cooldown
+        state.cooldown_until = state.observations + ADAPT_COOLDOWN
 
 
 @dataclass

@@ -25,9 +25,9 @@ from repro.evaluation.pool import fork_available
 from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots, merged_to_prometheus
 from repro.fleet import fleet as fleet_module
 from repro.fleet.worker import PLAN_CACHE_CAP
-from repro.gateway import NativeCostFallback, OptimizerGateway
+from repro.gateway import BreakerConfig, NativeCostFallback, OptimizerGateway
 from repro.obs import ObsConfig
-from repro.pacing import PACER_STATE_CODES, AdmissionPacer, PacerConfig
+from repro.pacing import PACER_STATE_CODES, STARTUP, AdmissionPacer, PacerConfig
 from repro.serving.fingerprint import plan_fingerprint
 from repro.serving.service import CostInferenceService
 
@@ -567,8 +567,11 @@ class TestServingFleet:
     def test_both_front_ends_answer_refusals_alike(self, checkpointed):
         """A pacer-limit shed and a closed refusal give the same answer and
         the same counter increments through a gateway and through the fleet
-        parent; a learned fleet answer is recorded as a gateway's is."""
-        path, _predictor, plans = checkpointed
+        parent; a learned fleet answer is recorded as a gateway's is.  Both
+        keep their guard's ledger alike: a refusal after admission hands
+        back the half-open probe and the pacer slot, and a new model resets
+        the guard."""
+        path, predictor, plans = checkpointed
 
         def refusal(front, predict, pacer=None):
             held = 0
@@ -587,10 +590,31 @@ class TestServingFleet:
             delta.pop("plans_total", None)  # the gateway's own admission tally
             return (result.source, result.reason, result.retry_after is None), delta
 
+        def half_open(guard):
+            """Trip ``guard``'s breaker and let its cooldown pass."""
+            clock = types.SimpleNamespace(t=0.0)
+            guard.breaker.clock = lambda: clock.t
+            for _ in range(BreakerConfig().min_calls):
+                guard.breaker.record_failure()
+            clock.t = BreakerConfig().cooldown_seconds
+            assert guard.breaker.state == "half-open"
+
+        def ledger(guard):
+            """Breaker state, half-open probes out, pacer slots out."""
+            return guard.breaker.state, guard.breaker._probes_issued, guard.pacer.inflight
+
+        def renewed(guard, swap):
+            half_open(guard)
+            resets = guard.pacer.resets_total
+            swap()
+            assert guard.breaker.state == "closed"
+            assert (guard.pacer.state, guard.pacer.resets_total) == (STARTUP, resets + 1)
+
         gateway = OptimizerGateway(
             CostInferenceService.from_checkpoint(path), pacer=AdmissionPacer(PacerConfig())
         )
-        fleet = ServingFleet(path, n_workers=1, pacer_config=PacerConfig())
+        fleet = ServingFleet(n_workers=1, pacer_config=PacerConfig())
+        shard = fleet._workers["shard-0"].guard
 
         def ask_gateway():
             return gateway.predict(plans[:4], env_features=ENV)
@@ -599,11 +623,18 @@ class TestServingFleet:
             return fleet.predict("t", plans[:4], env_features=ENV)
 
         try:
+            # Model-less, the shard scores nothing: the probe and slot go back.
+            half_open(shard)
+            assert ask_fleet().reason == "no-model"
+            assert ledger(shard) == ("half-open", 0, 0)
+            renewed(gateway.guard, lambda: gateway.swap_predictor(copy.deepcopy(predictor)))
+            renewed(shard, lambda: fleet.promote(path))
+
             for _ in range(3):  # measured pacers: their sheds carry Retry-After
                 assert ask_gateway().source == ask_fleet().source == "learned"
             shed = refusal(gateway, ask_gateway, gateway.pacer)
             assert shed[0] == ("fallback", "pacer-limit", False)
-            assert refusal(fleet, ask_fleet, fleet._pacers["shard-0"]) == shed
+            assert refusal(fleet, ask_fleet, shard.pacer) == shed
 
             before = fleet.telemetry.snapshot()
             assert ask_fleet().source == "learned"
@@ -612,11 +643,23 @@ class TestServingFleet:
             latency = "request_latency_seconds"
             assert after["histograms"][latency]["count"] == before["histograms"][latency]["count"] + 1
 
+            # A full pipe refuses a half-open probe and hands it back.
+            paths = ((gateway, gateway.guard, ask_gateway), (fleet, shard, ask_fleet))
+            for front, guard, ask in paths:
+                half_open(guard)
+                assert refusal(front, ask, guard.pacer)[0] == shed[0]
+                assert ledger(guard) == ("half-open", 0, 0)
+            fleet.crash_worker("shard-0")
+            assert ask_fleet().reason == "worker-crash"
+            assert ledger(shard) == ("half-open", 0, 0)
+
             gateway.close()
             fleet.close()
             closed = refusal(gateway, ask_gateway)
             assert closed[0] == ("fallback", "closed", True)
             assert refusal(fleet, ask_fleet) == closed
+            # The gateway admitted the request before it found itself closed.
+            assert ledger(gateway.guard) == ("half-open", 0, 0)
         finally:
             gateway.close()
             fleet.close()
@@ -884,9 +927,8 @@ class TestParentGuardrails:
         with ServingFleet(path, n_workers=2, pacer_config=PacerConfig()) as fleet:
             tenant = "slow"
             shard = fleet.router.route(tenant)
-            handle, pacer, breaker = (
-                fleet._workers[shard], fleet._pacers[shard], fleet._breakers[shard]
-            )
+            handle = fleet._workers[shard]
+            pacer, breaker = handle.guard.pacer, handle.guard.breaker
             assert fleet.predict(tenant, plans[:4], env_features=ENV).source == "learned"
             started = time.monotonic()
             late = fleet.predict(tenant, plans[:4], env_features=SLOW_ENV, deadline_ms=50)
@@ -965,8 +1007,9 @@ class TestParentGuardrails:
         results: list = []
         lock = threading.Lock()
         with ServingFleet(path, n_workers=2, pacer_config=PacerConfig()) as fleet:
-            returned = {shard: [] for shard in fleet._pacers}
-            for shard, pacer in fleet._pacers.items():
+            pacers = {shard: h.guard.pacer for shard, h in fleet._workers.items()}
+            returned = {shard: [] for shard in pacers}
+            for shard, pacer in pacers.items():
                 release, on_delivered = pacer.release, pacer.on_delivered
                 pacer.release = (
                     lambda n=1, r=release, out=returned[shard]: out.append(n) or r(n)
@@ -1009,7 +1052,7 @@ class TestParentGuardrails:
             assert counters["learned_total"] == learned
             assert counters["fallback_total"] == 240 - learned
             assert counters["deadline_miss_total"] == sum(r.reason == "deadline" for r in results)
-            for shard, pacer in fleet._pacers.items():
+            for shard, pacer in pacers.items():
                 # Every slot the pacer handed out came back exactly once.
                 assert fleet._workers[shard].owed is None and pacer.inflight == 0
                 assert sum(returned[shard]) == pacer.admitted_total
@@ -1060,6 +1103,26 @@ def test_long_warm_list_in_daemonic_process_encodes_serially(
 
 @needs_fork
 class TestLifecycleFleet:
+    def test_shard_breaker_trip_flags_drift_retrain(
+        self, checkpointed, marked_service, tmp_path
+    ):
+        from repro.lifecycle.manager import ModelLifecycle
+
+        _path, predictor, plans = checkpointed
+        lifecycle = ModelLifecycle(tmp_path / "registry")
+        lifecycle.bootstrap(predictor, environment_features=ENV)
+        with ServingFleet(n_workers=2) as fleet:
+            lifecycle.attach_fleet(fleet)
+            for _ in range(BreakerConfig().min_calls):
+                r = fleet.predict("t", plans[:4], env_features=BROKEN_ENV)
+                assert r.reason == "model-error"
+            assert fleet.predict("t", plans[:4], env_features=ENV).reason == "circuit-open"
+            # The feedback log is empty, yet the trip alone forces a retrain,
+            # as a gateway's does.
+            report = lifecycle.check_drift()
+            assert report.retrain
+            assert any("circuit-breaker-trip:v1" in r for r in report.reasons)
+
     def test_attach_fleet_ships_current_and_broadcasts_promotes(
         self, checkpointed, tmp_path
     ):

@@ -83,17 +83,21 @@ class _StubPredictor:
 
 class _StubService:
     """Duck-typed CostInferenceService: per-plan deterministic answers,
-    optional latency, optional failure, call log."""
+    optional latency, call log; raises on its next ``faults`` calls."""
 
     def __init__(self, *, delay: float = 0.0) -> None:
         self.predictor = _StubPredictor()
         self.delay = delay
+        self.faults = 0
         self.calls: list[tuple[int, tuple | None]] = []
         self._lock = threading.Lock()
 
     def predict(self, plans, *, env_features=None):
         with self._lock:
             self.calls.append((len(plans), env_features))
+        if self.faults > 0:
+            self.faults -= 1
+            raise RuntimeError("injected learned-path fault")
         if self.delay:
             time.sleep(self.delay)
         return np.array([p.marker for p in plans], dtype=np.float64)
@@ -377,15 +381,12 @@ class TestCircuitBreaker:
         assert b.allow()
 
     def test_reset_closes_unconditionally(self):
-        resets = []
         b = _breaker(_FakeClock())
-        b.on_reset = resets.append
         for _ in range(4):
             b.record_failure()
         b.reset()
         assert b.state == "closed"
         assert b.allow()
-        assert resets == [b]
 
     def test_stats_shape(self):
         b = _breaker(_FakeClock())
@@ -497,8 +498,9 @@ class TestGatewayFallbackPaths:
             assert result.reason == "ok"
 
     def test_model_error_answers_baseline_bitwise(self, native_plans):
-        with OptimizerGateway(_StubService()) as gw:
-            gw.inject_faults(1)
+        service = _StubService()
+        with OptimizerGateway(service) as gw:
+            service.faults = 1
             result = gw.predict(native_plans, env_features=ENV)
             assert result.fallback
             assert result.reason == "model-error"
@@ -634,7 +636,7 @@ class TestGatewayBreaker:
     def test_repeated_errors_trip_then_circuit_open(self, native_plans):
         clock = _FakeClock()
         with self._gateway(_StubService(), clock) as gw:
-            gw.inject_faults(100)
+            gw.service.faults = 100
             for _ in range(4):
                 assert gw.predict(native_plans).reason == "model-error"
             assert gw.breaker.state == "open"
@@ -648,13 +650,10 @@ class TestGatewayBreaker:
 
     def test_on_trip_hook_receives_gateway(self, native_plans):
         tripped = []
-        gw = OptimizerGateway(
-            _StubService(),
-            breaker=_breaker(_FakeClock()),
-            on_trip=tripped.append,
-        )
+        gw = OptimizerGateway(_StubService(), breaker=_breaker(_FakeClock()))
+        gw.on_trip = tripped.append
         with gw:
-            gw.inject_faults(100)
+            gw.service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
         assert tripped == [gw]
@@ -662,11 +661,11 @@ class TestGatewayBreaker:
     def test_half_open_probes_recover(self, native_plans):
         clock = _FakeClock()
         with self._gateway(_StubService(), clock) as gw:
-            gw.inject_faults(100)
+            gw.service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             assert gw.breaker.state == "open"
-            gw.inject_faults(0)  # model healthy again
+            gw.service.faults = 0  # model healthy again
             clock.advance(10.0)
             assert gw.breaker.state == "half-open"
             for marker in (1.0, 2.0):  # two probe successes close it
@@ -677,7 +676,7 @@ class TestGatewayBreaker:
     def test_half_open_failure_reopens(self, native_plans):
         clock = _FakeClock()
         with self._gateway(_StubService(), clock) as gw:
-            gw.inject_faults(100)
+            gw.service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             clock.advance(10.0)
@@ -689,12 +688,12 @@ class TestGatewayBreaker:
         clock = _FakeClock()
         service = _StubService()
         with self._gateway(service, clock) as gw:
-            gw.inject_faults(100)
+            gw.service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             assert gw.breaker.state == "open"
             swaps_before = gw.telemetry.counter("swaps_total").value
-            gw.inject_faults(0)
+            gw.service.faults = 0
             gw.swap_predictor(_StubPredictor(version=7))
             assert gw.breaker.state == "closed"
             assert service.predictor.weights_version == 7
@@ -712,7 +711,7 @@ class TestGatewayBreaker:
     def test_stats_and_prometheus_surface_breaker_state(self, native_plans):
         clock = _FakeClock()
         with self._gateway(_StubService(), clock) as gw:
-            gw.inject_faults(100)
+            gw.service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             stats = gw.stats()
@@ -1126,7 +1125,7 @@ class TestLifecycleGateway:
         finally:
             gw.close()
 
-    def test_breaker_trip_flags_drift_retrain(self, trained, native_plans):
+    def test_breaker_trip_flags_drift_retrain(self, trained, native_plans, monkeypatch):
         from repro.lifecycle import ModelLifecycle
 
         predictor, _ = trained
@@ -1135,7 +1134,11 @@ class TestLifecycleGateway:
         gw = lifecycle.serve_through_gateway(breaker=breaker)
         try:
             lifecycle.bootstrap(predictor, environment_features=ENV)
-            gw.inject_faults(100)
+
+            def broken(plans, *, env_features=None):
+                raise RuntimeError("injected learned-path fault")
+
+            monkeypatch.setattr(gw.service, "predict", broken)
             for _ in range(4):
                 assert gw.predict(native_plans).fallback
             assert gw.breaker.state == "open"

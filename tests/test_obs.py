@@ -311,8 +311,12 @@ class _StubPredictor:
 class _StubService:
     def __init__(self) -> None:
         self.predictor = _StubPredictor()
+        self.faults = 0
 
     def predict(self, plans, *, env_features=None):
+        if self.faults > 0:
+            self.faults -= 1
+            raise RuntimeError("injected learned-path fault")
         return np.zeros(len(plans))
 
 
@@ -426,7 +430,7 @@ class TestGatewayTracing:
         with OptimizerGateway(
             _StubService(), fallback=_StubFallback(), recorder=recorder
         ) as gw:
-            gw.inject_faults(10**6)
+            gw.service.faults = 10**6
             for _ in range(40):
                 result = gw.predict(["p1"], env_features=ENV)
                 assert result.source == "fallback"
@@ -712,10 +716,10 @@ class TestReplayTracing:
     def test_seeded_logical_replay_mints_identical_trace_ids(self):
         from repro.serving.service import CostInferenceService
         from repro.workload import (
+            GatewayTarget,
             ReplayConfig,
             ReplayEngine,
             ScenarioRuntime,
-            ServiceTarget,
             build_scenario,
         )
 
@@ -729,9 +733,8 @@ class TestReplayTracing:
             engine = ReplayEngine(
                 runtime, config=ReplayConfig(mode="logical"), tracer=tracer
             )
-            report = engine.run(
-                scenario, ServiceTarget(CostInferenceService(incumbent))
-            )
+            with OptimizerGateway(CostInferenceService(incumbent)) as gateway:
+                report = engine.run(scenario, GatewayTarget(gateway))
             assert report.n_requests > 0
             digests.append(sorted(collector.trace_ids()))
         assert digests[0] == digests[1]

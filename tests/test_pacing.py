@@ -95,8 +95,12 @@ class _StubService:
     def __init__(self, *, delay: float = 0.0) -> None:
         self.predictor = _StubPredictor()
         self.delay = delay
+        self.faults = 0
 
     def predict(self, plans, *, env_features=None):
+        if self.faults > 0:
+            self.faults -= 1
+            raise RuntimeError("injected learned-path fault")
         if self.delay:
             time.sleep(self.delay)
         return np.array([p.marker for p in plans], dtype=np.float64)
@@ -556,7 +560,7 @@ class TestGatewayPacing:
             service, breaker=breaker, pacer=pacer, fallback=_StubFallback()
         )
         try:
-            gw.inject_faults(4)
+            service.faults = 4
             for _ in range(4):
                 assert gw.predict(_marker_plans(1.0)).reason == "model-error"
             assert breaker.state == "open"
@@ -665,7 +669,7 @@ class TestFleetPacing:
             # Fill one shard's pacer to its cap: the next request routed to
             # it sheds with reason pacer-limit, counted in the split.
             shard = fleet.router.route("victim")
-            pacer = fleet._pacers[shard]
+            pacer = fleet._workers[shard].guard.pacer
             taken = 0
             while pacer.try_admit():
                 taken += 1
@@ -678,7 +682,7 @@ class TestFleetPacing:
 
             # Crash the *other* shard: its tenants remap to the survivor,
             # whose pacer keeps the estimates it already learned.
-            other = next(s for s in fleet._pacers if s != shard)
+            other = next(s for s in fleet.live_workers() if s != shard)
             fleet.crash_worker(other)
             crashed_tenant = next(
                 f"c{i}" for i in range(1000)
@@ -805,7 +809,7 @@ class TestRetryAfterSurfacing:
             for tenant in by_shard.values():
                 fleet.predict(tenant, plans[:4], env_features=ENV)
             shard = fleet.router.route("victim")
-            pacer = fleet._pacers[shard]
+            pacer = fleet._workers[shard].guard.pacer
             taken = 0
             while pacer.try_admit():
                 taken += 1

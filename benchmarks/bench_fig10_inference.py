@@ -101,10 +101,10 @@ def test_fig10_cost_inference_strategies(benchmark, eval_projects, trained_loams
                 means = [s.mean() for s in samples]
 
                 selections = {
-                    strategy: service.select_best_index(
+                    strategy: int(np.argmin(service.predict(
                         plans,
                         env_features=env.features() if env is not None else None,
-                    )[0]
+                    ).costs))
                     for strategy, (service, env) in learned.items()
                 }
                 selections["best-achievable"] = report.best_achievable_index

@@ -38,11 +38,9 @@ from repro.core.inference import (
     ClusterCurrentEnvironment,
     ClusterExpectedEnvironment,
     HistoricalMeanEnvironment,
-    NoLoadEnvironment,
 )
 from repro.core.deployment import DeploymentConfig, FleetManager
 from repro.core.loam import LOAM, LOAMConfig
-from repro.core.pairwise import PairwiseComparator
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.core.selector import ProjectFilter, ProjectRanker, ndcg_at_k, recall_at_k
 from repro.core.serialization import load_predictor, save_predictor
@@ -60,8 +58,6 @@ __all__ = [
     "LOAMConfig",
     "LogNormalCost",
     "MultiSegmentHashEncoder",
-    "NoLoadEnvironment",
-    "PairwiseComparator",
     "PlanEncoder",
     "PlanExplorer",
     "PredictorConfig",

@@ -112,16 +112,6 @@ class BaselineCostModel:
             z = self._forward(encoded)
         return np.maximum(np.expm1(z.data * self._log_std + self._log_mean), 0.0)
 
-    def select_best(
-        self,
-        plans: list[PhysicalPlan],
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-    ) -> tuple[PhysicalPlan, np.ndarray]:
-        predictions = self.predict(plans, env_features=env_features)
-        return plans[int(np.argmin(predictions))], predictions
-
-
 class TransformerCostPredictor(BaselineCostModel):
     name = "transformer"
 

@@ -110,13 +110,6 @@ class FleetReport:
     def deployed_projects(self) -> list[str]:
         return [o.name for o in self.outcomes if o.deployed]
 
-    def outcome(self, name: str) -> ProjectOutcome:
-        for candidate in self.outcomes:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no outcome recorded for project {name!r}")
-
-
 class FleetManager:
     """Runs the Filter → Rank → Train → Validate → Deploy loop."""
 

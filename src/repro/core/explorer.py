@@ -34,14 +34,6 @@ class ExplorationResult:
     #: Native-optimizer plannings behind ``plans`` (before deduplication).
     optimize_calls: int = 0
 
-    @property
-    def default_plan(self) -> PhysicalPlan:
-        for plan in self.plans:
-            if plan.is_default:
-                return plan
-        raise LookupError("exploration result lost the default plan")
-
-
 class PlanExplorer:
     """Generates diverse candidate plans by steering the native optimizer.
 

@@ -63,10 +63,3 @@ class MultiSegmentHashEncoder:
         for identifier in identifiers:
             np.maximum(out, self.encode(identifier), out=out)
         return out
-
-    def collision_probability(self, n_identifiers: int) -> float:
-        """Probability that two fixed distinct identifiers share the *entire*
-        encoding — the practically relevant failure mode.  Each segment
-        collides independently with probability 1/segment_dim."""
-        del n_identifiers  # pairwise bound; kept for API clarity
-        return float(self.segment_dim ** -self.n_segments)

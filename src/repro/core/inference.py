@@ -15,16 +15,17 @@ The strategies here mirror the paper's comparison (Section 7.2.5):
   distribution from cluster-wide samples over the past 24 h and uses its
   expected values;
 * :class:`ClusterCurrentEnvironment` — **LOAM-CB**: uses the cluster-wide
-  environment at the moment of optimization;
-* :class:`NoLoadEnvironment` — **LOAM-NL**: no environment features at all
-  (also used at training time by the NL ablation).
+  environment at the moment of optimization.
+
+LOAM-NL, with no environment features at all, is a model trained without
+them (``PredictorConfig(use_environment=False)``), not a strategy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.warehouse.cluster import Cluster, EnvironmentSample
+from repro.warehouse.cluster import Cluster
 from repro.warehouse.executor import ExecutionRecord
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "HistoricalMeanEnvironment",
     "ClusterExpectedEnvironment",
     "ClusterCurrentEnvironment",
-    "NoLoadEnvironment",
 ]
 
 Features = tuple[float, float, float, float]
@@ -45,10 +45,6 @@ class EnvironmentStrategy:
 
     def features(self) -> Features:
         raise NotImplementedError
-
-    def environment(self) -> EnvironmentSample:
-        return EnvironmentSample.from_normalized(self.features())
-
 
 class HistoricalMeanEnvironment(EnvironmentStrategy):
     """The representative average-case instance e_r: per-feature empirical
@@ -142,11 +138,3 @@ class ClusterCurrentEnvironment(EnvironmentStrategy):
     def features(self) -> Features:
         return self.cluster.cluster_environment().normalized()
 
-
-class NoLoadEnvironment(EnvironmentStrategy):
-    """LOAM-NL: environment features zeroed out entirely."""
-
-    name = "loam-nl"
-
-    def features(self) -> Features:
-        return (0.0, 0.0, 0.0, 0.0)

@@ -401,12 +401,6 @@ class AdaptiveCostPredictor:
             z = self.module.predict_cost(nodes, embedding, batch)
         return np.maximum(self._from_target(z.data), 0.0)
 
-    def embeddings(self, plans: list[PhysicalPlan], **kwargs) -> np.ndarray:
-        """Plan embeddings e_P (used by tests and domain-shift diagnostics)."""
-        encoded = self.encoder.encode_plans(plans, **kwargs)
-        with no_grad():
-            return self.module.embed(_to_tree_batch(encoded)).data
-
     def select_best(
         self,
         plans: list[PhysicalPlan],

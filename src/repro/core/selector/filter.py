@@ -26,11 +26,6 @@ from repro.warehouse.executor import ExecutionRecord
 __all__ = ["FilterConfig", "FilterDecision", "ProjectFilter"]
 
 
-def paper_growth_threshold(n0: float = 2000.0, target: float = 10000.0, days: int = 30) -> float:
-    """The minimum r with ``N0 * r^days >= target`` (Appendix D.1)."""
-    return float((target / n0) ** (1.0 / days))
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     """Thresholds for R1–R3.
@@ -39,8 +34,8 @@ class FilterConfig:
     applied literally, the paper's compound-growth threshold r ≈ 1.0551
     would reject every project whose daily volume is steady, including ones
     already far above the 10 000-query training target.  The strict paper
-    value remains available via :func:`paper_growth_threshold` for projects
-    that are below the target and must grow into it.
+    value, the minimum r with ``N0 * r^30 >= 10 000`` (Appendix D.1), suits
+    projects that are below the target and must grow into it.
     """
 
     min_daily_queries: float = 2000.0  # N0 (R1)

@@ -118,9 +118,6 @@ class ProjectRanker:
 
     # -- inference -----------------------------------------------------------------
 
-    def estimate(self, plan: PhysicalPlan, catalog: Catalog, cost: float) -> float:
-        return float(self.estimate_many([plan], [catalog], [cost])[0])
-
     def estimate_many(
         self,
         plans: list[PhysicalPlan],

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.encoding import PlanEncoder
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 
-__all__ = ["save_predictor", "load_predictor", "load_manifest"]
+__all__ = ["save_predictor", "load_predictor"]
 
 _FORMAT_VERSION = 2
 
@@ -68,15 +68,6 @@ def save_predictor(
     }
     np.savez_compressed(path, meta=json.dumps(meta), **arrays)
     return path
-
-
-def load_manifest(path: str | Path) -> dict:
-    """Read a checkpoint's JSON manifest without materializing the weights.
-
-    The registry uses this to rebuild its index from the files on disk.
-    """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        return json.loads(str(archive["meta"]))
 
 
 def load_predictor(

@@ -19,7 +19,6 @@ from repro.evaluation.harness import (
     EvaluationProject,
     MethodResult,
     build_evaluation_project,
-    compute_improvement_space,
     evaluate_methods,
 )
 from repro.evaluation.parallel import (
@@ -40,7 +39,6 @@ __all__ = [
     "ParallelEvaluationError",
     "TaskFailure",
     "build_evaluation_project",
-    "compute_improvement_space",
     "current_scale",
     "derive_seed",
     "evaluate_methods",

@@ -23,7 +23,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.deviance import DevianceEstimator, DevianceReport
 from repro.core.explorer import PlanExplorer
 from repro.evaluation.config import ExperimentScale
 from repro.warehouse.executor import ExecutionRecord
@@ -37,7 +36,6 @@ __all__ = [
     "MethodResult",
     "build_evaluation_project",
     "evaluate_methods",
-    "compute_improvement_space",
     "measure_candidates",
     "QueryCandidates",
 ]
@@ -224,31 +222,3 @@ def evaluate_methods(
         )
     return results
 
-
-def compute_improvement_space(
-    project: EvaluationProject,
-    *,
-    n_queries: int | None = None,
-    top_k: int = 5,
-    estimator: DevianceEstimator | None = None,
-) -> tuple[float, list[DevianceReport]]:
-    """Exact improvement space D(M_d) (Appendix E.1): per test query, fit
-    log-normal cost distributions from repeated candidate executions and
-    compute the default plan's expected deviance relative to the oracle.
-
-    Returns (mean relative D(M_d), per-query reports).
-    """
-    estimator = estimator or DevianceEstimator(n_samples=project.scale.deviance_samples)
-    queries = project.test_queries[: n_queries or len(project.test_queries)]
-    explorer = PlanExplorer(project.workload.optimizer)
-    flighting = project.workload.flighting(seed_key="improvement-space")
-    reports: list[DevianceReport] = []
-    spaces: list[float] = []
-    for query in queries:
-        plans = explorer.candidates(query, top_k=top_k)
-        samples = [flighting.sample_costs(plan, estimator.n_samples) for plan in plans]
-        report = estimator.report_from_samples(samples)
-        default_index = next(i for i, p in enumerate(plans) if p.is_default)
-        reports.append(report)
-        spaces.append(report.improvement_space(default_index))
-    return float(np.mean(spaces)) if spaces else 0.0, reports

@@ -104,7 +104,7 @@ class _Shard:
                     costs = service.predict(plans, env_features=env)
             else:
                 costs = service.predict(plans, env_features=env)
-            kind, payload = "ok", (pack_costs(costs), service.predictor.weights_version)
+            kind, payload = "ok", (pack_costs(costs), service.weights_version)
         except Exception as exc:  # noqa: BLE001 — the parent answers model-error
             kind, payload = "error", repr(exc)
         done = time.monotonic()
@@ -134,7 +134,7 @@ class _Shard:
             self.service = CostInferenceService(predictor)
             if warm:
                 self.service.warm_caches(warm)
-        return self.service.predictor.weights_version
+        return self.service.weights_version
 
 
 def fleet_worker_main(sock, *, worker_id: str, checkpoint_path=None, obs_config=None) -> None:

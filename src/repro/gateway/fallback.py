@@ -4,7 +4,7 @@ Bao's production rule, transplanted: a learned optimizer component must
 always be able to hand the decision back to the native optimizer.  Here
 the native answer is the warehouse's statistics-free cost model — the same
 ``intrinsic_plan_cost`` over the optimizer's ``est_rows`` annotations that
-``NativeOptimizer.estimated_cost`` ranks plans with — so a fallback
+the optimizer's planner (``estimated_cost``) ranks plans with — so a fallback
 response is exactly what the unsteered optimizer would have said, computed
 in pure Python with no model weights, no caches, and no shared mutable
 state.  That makes it safe to call synchronously from any number of

@@ -20,9 +20,10 @@ a learned model that can be slow, broken, or mid-replacement.  The
   on the learned path), and the miss is recorded against the breaker as a
   slow call;
 * **circuit breaker** — per served model version (reset on every
-  ``swap_predictor``): repeated errors or deadline misses trip it, open
-  state answers straight from the fallback without queueing, and a
-  half-open probe sequence decides recovery (:mod:`repro.gateway.breaker`);
+  :meth:`~OptimizerGateway.notify_swap`): repeated errors or deadline
+  misses trip it, open state answers straight from the fallback without
+  queueing, and a half-open probe sequence decides recovery
+  (:mod:`repro.gateway.breaker`);
 * **deterministic fallback** — the statistics-free native cost model
   (:mod:`repro.gateway.fallback`); every response is flagged with its
   source and reason, so callers and dashboards can tell a learned answer
@@ -181,10 +182,6 @@ class GatewayResult:
         #: fleet's ``span_tree`` to reconstruct the request end to end.
         self.trace_id = trace_id
 
-    @property
-    def fallback(self) -> bool:
-        return self.source == "fallback"
-
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.costs, dtype=dtype)
 
@@ -273,7 +270,7 @@ def mirror_service_gauges(telemetry: Telemetry, service) -> None:
     """Mirror ``service``'s served ``weights_version`` and cache counters
     into ``telemetry``'s gauges: a collector's work, run when telemetry is
     read (a gateway's, and a fleet shard's)."""
-    version = getattr(getattr(service, "predictor", None), "weights_version", None)
+    version = getattr(service, "weights_version", None)
     if version is not None:
         telemetry.gauge("model_weights_version", "served weights_version").set(version)
     counters = getattr(service, "cache_counters", None)
@@ -450,8 +447,7 @@ class OptimizerGateway(AnswerPath):
     every request answers from the fallback with reason ``"no-model"`` until
     :meth:`attach_service` installs the learned path.  ``service`` is
     duck-typed — it must expose ``predict(plans, env_features=...)`` and may
-    expose ``swap_predictor``, ``cache_counters`` and a ``predictor`` with a
-    ``weights_version`` counter.
+    expose ``cache_counters`` and the served ``weights_version``.
     """
 
     def __init__(
@@ -516,10 +512,6 @@ class OptimizerGateway(AnswerPath):
     # -- service management ----------------------------------------------------
 
     @property
-    def service(self):
-        return self._service
-
-    @property
     def has_model(self) -> bool:
         return self._service is not None
 
@@ -527,16 +519,6 @@ class OptimizerGateway(AnswerPath):
         """Install (or replace) the learned path; resets the guard."""
         with self._service_lock:
             self._service = service
-        self.notify_swap()
-
-    def swap_predictor(self, predictor) -> None:
-        """Hot-swap the served model under the service lock, never beneath a
-        batch still computing, and reset the guard (a promoted model starts
-        with a clean record and an unmeasured pipe)."""
-        if self._service is None:
-            raise RuntimeError("gateway has no inference service to swap into")
-        with self._service_lock:
-            self._service.swap_predictor(predictor)
         self.notify_swap()
 
     def notify_swap(self) -> None:
@@ -550,7 +532,7 @@ class OptimizerGateway(AnswerPath):
         service = self._service
         if service is None:
             return None
-        return getattr(getattr(service, "predictor", None), "weights_version", None)
+        return getattr(service, "weights_version", None)
 
     # -- request path ----------------------------------------------------------
 

@@ -98,7 +98,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (or be set outright)."""
+    """A point-in-time value, set outright."""
 
     kind = "gauge"
 
@@ -111,13 +111,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:

@@ -65,11 +65,6 @@ class FeedbackRecord:
         obs = max(float(self.observed_cost), 1e-9)
         return max(pred / obs, obs / pred)
 
-    @property
-    def relative_error(self) -> float:
-        obs = max(float(self.observed_cost), 1e-9)
-        return abs(float(self.predicted_cost) - obs) / obs
-
     def as_dict(self) -> dict:
         return {
             "fingerprint": self.fingerprint,

@@ -346,19 +346,3 @@ class ModelLifecycle:
                 baseline_q_error=report.baseline_q_error,
             )
         return report
-
-    def watch(self, executor):
-        """Attach the feedback loop to a warehouse executor: every completed
-        execution is recorded as an outcome, predicted under the lifecycle's
-        representative environment.  Executions before the first promotion
-        are skipped (the native cost model is serving; there is no
-        prediction to compare against).  Returns the observer callable so
-        the caller can ``executor.remove_observer(...)`` it."""
-
-        def _observer(record) -> None:
-            if not self.has_model:
-                return
-            self.observe(record.plan, record.cpu_cost, day=record.day)
-
-        executor.add_observer(_observer)
-        return _observer

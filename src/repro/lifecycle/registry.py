@@ -168,29 +168,6 @@ class ModelRegistry:
         self._write_state()
         return self._entry(previous)
 
-    def prune(self, keep: int = 3) -> list[int]:
-        """Delete all but the newest ``keep`` checkpoints, never touching the
-        current version or anything still reachable through rollback history.
-        Returns the pruned version numbers."""
-        if keep < 1:
-            raise ValueError(f"prune keep must be >= 1, got {keep}")
-        protected = set(self._state["history"])
-        if self._state["current"] is not None:
-            protected.add(self._state["current"])
-        versions = sorted(int(v) for v in self._state["entries"])
-        protected.update(versions[-keep:])
-        pruned = []
-        for version in versions:
-            if version in protected:
-                continue
-            entry = self._entry(version)
-            (self.root / entry.path).unlink(missing_ok=True)
-            del self._state["entries"][str(version)]
-            pruned.append(version)
-        if pruned:
-            self._write_state()
-        return pruned
-
     # -- lookup --------------------------------------------------------------
 
     @property

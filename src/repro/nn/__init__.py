@@ -4,9 +4,9 @@ The offline environment provides no deep-learning library, so the predictive
 modules of LOAM and its baselines are built on this package:
 
 * :mod:`repro.nn.autodiff` — a vectorized reverse-mode autodiff engine;
-* :mod:`repro.nn.layers` — Linear/Sequential/LayerNorm/Dropout modules;
+* :mod:`repro.nn.layers` — Linear/Sequential/LayerNorm modules;
 * :mod:`repro.nn.losses` — MSE and cross-entropy;
-* :mod:`repro.nn.optim` — SGD and Adam with exponential LR decay;
+* :mod:`repro.nn.optim` — Adam with exponential LR decay;
 * :mod:`repro.nn.grl` — the gradient reversal layer for adversarial
   domain adaptation (Ganin & Lempitsky, 2015);
 * :mod:`repro.nn.tree_conv` — Bao-style tree convolution with dynamic
@@ -17,19 +17,18 @@ modules of LOAM and its baselines are built on this package:
   XGBoost second-order objective.
 """
 
-from repro.nn.autodiff import Tensor, concat, gather_nodes, grl, relu, sigmoid, stack, tanh
+from repro.nn.autodiff import Tensor, concat, gather_nodes, grl, relu
 from repro.nn.gbdt import GradientBoostedTrees
 from repro.nn.gcn import GCNEncoder
 from repro.nn.grl import GradientReversal
-from repro.nn.layers import Dropout, LayerNorm, Linear, Module, ReLU, Sequential
+from repro.nn.layers import LayerNorm, Linear, Module, ReLU, Sequential
 from repro.nn.losses import cross_entropy_loss, mse_loss, softmax
-from repro.nn.optim import SGD, Adam, ExponentialDecay
+from repro.nn.optim import Adam, ExponentialDecay
 from repro.nn.transformer import TransformerEncoder
 from repro.nn.tree_conv import TreeBatch, TreeConvEncoder
 
 __all__ = [
     "Adam",
-    "Dropout",
     "ExponentialDecay",
     "GCNEncoder",
     "GradientBoostedTrees",
@@ -38,7 +37,6 @@ __all__ = [
     "Linear",
     "Module",
     "ReLU",
-    "SGD",
     "Sequential",
     "Tensor",
     "TransformerEncoder",
@@ -50,8 +48,5 @@ __all__ = [
     "grl",
     "mse_loss",
     "relu",
-    "sigmoid",
     "softmax",
-    "stack",
-    "tanh",
 ]

@@ -24,10 +24,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "relu",
-    "tanh",
-    "sigmoid",
     "concat",
-    "stack",
     "gather_nodes",
     "fused_tree_conv",
     "grl",
@@ -99,9 +96,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -178,9 +172,6 @@ class Tensor:
     def __sub__(self, other: "Tensor | float") -> "Tensor":
         return self + (-_as_tensor(other))
 
-    def __rsub__(self, other: float) -> "Tensor":
-        return _as_tensor(other) - self
-
     def __radd__(self, other: float) -> "Tensor":
         return self + other
 
@@ -189,9 +180,6 @@ class Tensor:
 
     def __truediv__(self, other: "Tensor | float") -> "Tensor":
         return self * _as_tensor(other) ** -1.0
-
-    def __rtruediv__(self, other: float) -> "Tensor":
-        return _as_tensor(other) * self**-1.0
 
     def __pow__(self, exponent: float) -> "Tensor":
         out_data = self.data**exponent
@@ -329,26 +317,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * (1.0 - out_data**2))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -361,19 +329,6 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
                 slicer: list = [slice(None)] * grad.ndim
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slices = np.moveaxis(grad, axis, 0)
-        for tensor, g in zip(tensors, slices):
-            if tensor.requires_grad:
-                tensor._accumulate(g)
 
     return Tensor._make(out_data, tuple(tensors), backward)
 

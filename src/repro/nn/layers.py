@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.autodiff import Tensor, relu
 
-__all__ = ["Module", "Linear", "ReLU", "Dropout", "LayerNorm", "Sequential"]
+__all__ = ["Module", "Linear", "ReLU", "LayerNorm", "Sequential"]
 
 
 class Module:
@@ -77,22 +77,6 @@ class Linear(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return relu(x)
-
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, p: float = 0.1, *, rng: np.random.Generator | None = None) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
 
 
 class LayerNorm(Module):

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.nn.autodiff import Tensor
 
-__all__ = ["SGD", "Adam", "ExponentialDecay"]
+__all__ = ["Adam", "ExponentialDecay"]
 
 
 class _Optimizer:
@@ -27,21 +27,6 @@ class _Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(_Optimizer):
-    def __init__(self, parameters: list[Tensor], lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.lr * param.grad
-            param.data += velocity
 
 
 class Adam(_Optimizer):

@@ -35,10 +35,6 @@ class TreeBatch:
     mask: np.ndarray
 
     @property
-    def batch_size(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[2]
 

@@ -71,10 +71,6 @@ class _WindowedExtremum:
         self._expire(now)
         return self._wedge[0][1] if self._wedge else None
 
-    @property
-    def empty(self) -> bool:
-        return not self._wedge
-
     def seconds_since_improved(self, now: float) -> float | None:
         """Seconds since the extremum last got better (``None`` before any
         sample).  A long time without improvement means the estimate may be

@@ -289,6 +289,10 @@ class CostInferenceService:
         self._bucket_cache: "OrderedDict[tuple, _BucketEntry]" = OrderedDict()
         self._bucket_cache_cap = 128
         self._pack: _WeightPack | None = None
+        # Added to the predictor's own counter, so that the served version
+        # moves forward at every swap without writing into the caller's
+        # predictor object.
+        self._version_offset = 0
         self.reset_stats()
 
     @classmethod
@@ -400,19 +404,6 @@ class CostInferenceService:
         self._plans_scored += len(plans)
         return out
 
-    def select_best_index(
-        self,
-        plans: list[PhysicalPlan],
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-    ) -> tuple[int, np.ndarray]:
-        """The index of the cheapest predicted plan, plus every prediction
-        (what the figure benchmarks tabulate)."""
-        if not plans:
-            raise ValueError("select_best on an empty candidate list")
-        predictions = self.predict(plans, env_features=env_features)
-        return int(np.argmin(predictions)), predictions
-
     def cache_counters(self) -> dict[str, float]:
         """The service's counters: both cache tiers, request tallies and the
         cold-path timing attribution (seconds encoding — plan-cache probes
@@ -477,12 +468,13 @@ class CostInferenceService:
         """Hot-swap the served model (the lifecycle canary's promote path).
 
         The new predictor must encode plans into the same feature space
-        (same encoder dimensionality); its ``weights_version`` is bumped
-        past the incumbent's so version-keyed invalidation stays monotonic
-        even if the replacement was loaded from a checkpoint with an older
-        counter.  Both cache tiers are dropped: the prediction cache holds
-        the incumbent's outputs, and the encoding cache may have been built
-        by an encoder with different hashing configuration.
+        (same encoder dimensionality); the served :attr:`weights_version`
+        moves past the incumbent's so version-keyed invalidation stays
+        monotonic even if the replacement was loaded from a checkpoint with
+        an older counter.  The predictor object itself is not changed.
+        Both cache tiers are dropped: the prediction cache holds the
+        incumbent's outputs, and the encoding cache may have been built by
+        an encoder with different hashing configuration.
 
         ``warm`` optionally carries ``(plan, env_features)`` pairs to score
         immediately after the swap (see :meth:`warm_caches`), so the first
@@ -496,22 +488,29 @@ class CostInferenceService:
                 f"(got dim {getattr(new_encoder, 'dim', None)}, "
                 f"serving dim {self.encoder.dim})"
             )
-        incumbent_version = getattr(self.predictor, "weights_version", 0)
-        if getattr(predictor, "weights_version", 0) <= incumbent_version:
-            predictor.weights_version = incumbent_version + 1
+        incumbent_version = self.weights_version
         self.predictor = predictor
+        self._version_offset = max(
+            0, incumbent_version + 1 - getattr(predictor, "weights_version", 0)
+        )
         self.encoder = new_encoder
         self._pack = None
         self.clear_caches()
         if warm:
             self.warm_caches(warm)
 
+    @property
+    def weights_version(self) -> int:
+        """The served version: the predictor's ``weights_version`` (bumped
+        on refit), raised past the incumbent's at every swap."""
+        return self._version_offset + getattr(self.predictor, "weights_version", 0)
+
     # -- internals -----------------------------------------------------------
 
     def _current_pack(self) -> _WeightPack:
         """The live weight pack, rebuilt when ``weights_version`` moves (the
         prediction cache goes with the old one), and its projection table."""
-        version = getattr(self.predictor, "weights_version", 0)
+        version = self.weights_version
         pack = self._pack
         if pack is None or pack.version != version:
             pack = self._pack = _WeightPack(self.predictor.module, self.dtype, version)

@@ -33,7 +33,6 @@ from repro.warehouse.operators import PlanNode
 from repro.warehouse.optimizer import NativeOptimizer
 from repro.warehouse.plan import PhysicalPlan
 from repro.warehouse.query import AggregateSpec, JoinSpec, Predicate, Query, QueryTemplate
-from repro.warehouse.persistence import load_repository, save_repository
 from repro.warehouse.repository import QueryRepository
 from repro.warehouse.sql import format_sql, parse_sql
 from repro.warehouse.stages import StageGraph, decompose_into_stages
@@ -68,7 +67,5 @@ __all__ = [
     "decompose_into_stages",
     "format_sql",
     "generate_project",
-    "load_repository",
     "parse_sql",
-    "save_repository",
 ]

@@ -36,10 +36,6 @@ class Column:
         if self.skew < 0:
             raise ValueError(f"column {self.name}: skew must be >= 0, got {self.skew}")
 
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.table}.{self.name}"
-
     def selectivity_eq(self, rank: int) -> float:
         """True selectivity of ``col = value`` where value has frequency rank."""
         return zipf_pmf(rank, self.ndv, self.skew)
@@ -110,9 +106,6 @@ class Catalog:
             raise ValueError(f"duplicate table {table.name!r} in project {self.project}")
         self._tables[table.name] = table
 
-    def drop_table(self, name: str, day: int) -> None:
-        self.table(name).dropped_day = day
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]
@@ -134,9 +127,6 @@ class Catalog:
     @property
     def n_columns(self) -> int:
         return sum(t.n_columns for t in self._tables.values())
-
-    def live_tables(self, day: int) -> list[Table]:
-        return [t for t in self._tables.values() if t.is_live(day)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._tables

@@ -59,25 +59,6 @@ class EnvironmentSample:
             float(min(1.0, max(0.0, self.mem_usage))),
         )
 
-    @staticmethod
-    def from_normalized(features: tuple[float, float, float, float]) -> "EnvironmentSample":
-        """Inverse of :meth:`normalized` (LOAD5 de-log-normalized)."""
-        cpu_idle, io_wait, load5_norm, mem_usage = features
-        load5 = float(np.expm1(load5_norm * np.log1p(LOAD5_MAX)))
-        return EnvironmentSample(cpu_idle, io_wait, load5, mem_usage)
-
-    @staticmethod
-    def mean_of(samples: list["EnvironmentSample"]) -> "EnvironmentSample":
-        if not samples:
-            raise ValueError("cannot average zero environment samples")
-        return EnvironmentSample(
-            cpu_idle=float(np.mean([s.cpu_idle for s in samples])),
-            io_wait=float(np.mean([s.io_wait for s in samples])),
-            load5=float(np.mean([s.load5 for s in samples])),
-            mem_usage=float(np.mean([s.mem_usage for s in samples])),
-        )
-
-
 class Cluster:
     """A pool of homogeneous machines plus the Fuxi-like stage scheduler.
 

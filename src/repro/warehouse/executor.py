@@ -13,10 +13,7 @@ The executor reproduces the paper's observed cost statistics:
 
 from __future__ import annotations
 
-import traceback
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -88,11 +85,6 @@ class ExecutionRecord:
     def is_default(self) -> bool:
         return self.plan.is_default
 
-    @property
-    def n_stages(self) -> int:
-        return len(self.stages)
-
-
 class Executor:
     """Executes physical plans on a :class:`Cluster`."""
 
@@ -106,47 +98,6 @@ class Executor:
         self.catalog = catalog
         self.cluster = cluster
         self.constants = constants
-        #: Observers invoked with every completed :class:`ExecutionRecord` —
-        #: the hook the model lifecycle's feedback loop attaches to
-        #: (``ModelLifecycle.watch``, see docs/LIFECYCLE.md).  Kept as plain
-        #: callables so the warehouse layer stays import-free of serving.
-        #: A raising observer never aborts execution or starves the
-        #: observers behind it: the exception is swallowed, counted in
-        #: :attr:`observer_failures`, detailed in :attr:`observer_errors`,
-        #: and reported through :attr:`telemetry` when one is attached.
-        self.observers: list[Callable[[ExecutionRecord], None]] = []
-        self.observer_failures = 0
-        #: Most recent failures as ``(observer name, traceback text)``.
-        self.observer_errors: deque[tuple[str, str]] = deque(maxlen=16)
-        #: Duck-typed telemetry sink (``.counter(name).inc()``), normally a
-        #: :class:`repro.gateway.telemetry.Telemetry`; kept untyped so the
-        #: warehouse layer stays import-free of the gateway.
-        self.telemetry = None
-
-    def add_observer(self, callback: Callable[[ExecutionRecord], None]) -> None:
-        self.observers.append(callback)
-
-    def set_telemetry(self, telemetry) -> None:
-        """Report observer failures to ``telemetry`` (any object exposing
-        ``counter(name) -> obj`` with ``inc()``)."""
-        self.telemetry = telemetry
-
-    def _notify_observers(self, record: ExecutionRecord) -> None:
-        for observer in list(self.observers):
-            try:
-                observer(record)
-            except Exception:
-                self.observer_failures += 1
-                name = getattr(observer, "__qualname__", None) or repr(observer)
-                self.observer_errors.append((name, traceback.format_exc(limit=8)))
-                if self.telemetry is not None:
-                    self.telemetry.counter(
-                        "executor_observer_failures_total",
-                        "execution observers that raised",
-                    ).inc()
-
-    def remove_observer(self, callback: Callable[[ExecutionRecord], None]) -> None:
-        self.observers.remove(callback)
 
     def execute(
         self,
@@ -186,7 +137,7 @@ class Executor:
                 node.env = features
             latency += intrinsic * factor * noise / parallelism
         cpu_cost = sum(se.cpu_cost for se in stage_execs)
-        record = ExecutionRecord(
+        return ExecutionRecord(
             query_id=plan.query.query_id,
             project=plan.query.project,
             template_id=plan.query.template_id,
@@ -196,8 +147,6 @@ class Executor:
             day=day,
             stages=stage_execs,
         )
-        self._notify_observers(record)
-        return record
 
     def cost_under_environment(
         self,

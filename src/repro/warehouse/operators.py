@@ -81,32 +81,14 @@ class PlanNode:
     def op_type(self) -> str:
         raise NotImplementedError
 
-    @property
-    def left(self) -> Optional["PlanNode"]:
-        return self.children[0] if self.children else None
-
-    @property
-    def right(self) -> Optional["PlanNode"]:
-        return self.children[1] if len(self.children) > 1 else None
-
     def iter_nodes(self) -> Iterator["PlanNode"]:
         """Pre-order traversal."""
         yield self
         for child in self.children:
             yield from child.iter_nodes()
 
-    def iter_postorder(self) -> Iterator["PlanNode"]:
-        for child in self.children:
-            yield from child.iter_postorder()
-        yield self
-
     def n_nodes(self) -> int:
         return sum(1 for _ in self.iter_nodes())
-
-    def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
 
     def attribute_signature(self) -> tuple:
         """Operator-specific attributes for structural fingerprinting."""

@@ -110,16 +110,6 @@ class NativeOptimizer:
             flags=flags, cardinality_scale=cardinality_scale, provenance=provenance
         )
 
-    def estimated_cost(self, plan: PhysicalPlan) -> float:
-        """The optimizer's own rough cost of a plan (used for top-k pruning).
-
-        Side effect, relied on downstream: ``plan`` is re-annotated in place
-        with the *unscaled* model, so a ``cardscale:*`` plan that went
-        through pruning carries unscaled ``est_rows`` afterwards.
-        """
-        return self.planner(plan.query).estimated_cost(plan)
-
-
 class _QueryPlanner:
     """Plans one query under any number of knob settings.
 
@@ -185,7 +175,12 @@ class _QueryPlanner:
         )
 
     def estimated_cost(self, plan: PhysicalPlan) -> float:
-        """See :meth:`NativeOptimizer.estimated_cost`."""
+        """The optimizer's own rough cost of a plan (used for top-k pruning).
+
+        Side effect, relied on downstream: ``plan`` is re-annotated in place
+        with the *unscaled* model, so a ``cardscale:*`` plan that went
+        through pruning carries unscaled ``est_rows`` afterwards.
+        """
         self.raw_model.annotate(plan.root, plan.query, field="est_rows")
         return intrinsic_plan_cost(
             plan.root, field="est_rows", constants=self.optimizer.constants

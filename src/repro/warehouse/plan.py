@@ -32,9 +32,6 @@ class PhysicalPlan:
     def iter_nodes(self) -> Iterator[PlanNode]:
         return self.root.iter_nodes()
 
-    def iter_postorder(self) -> Iterator[PlanNode]:
-        return self.root.iter_postorder()
-
     @property
     def n_nodes(self) -> int:
         return self.root.n_nodes()
@@ -45,9 +42,6 @@ class PhysicalPlan:
 
     def structural_signature(self) -> tuple:
         return self.root.structural_signature()
-
-    def operator_counts(self) -> Counter:
-        return Counter(node.op_type for node in self.iter_nodes())
 
     def parent_child_patterns(self) -> Counter:
         """Counts of ``<parent, child>`` operator-type pairs.
@@ -69,11 +63,6 @@ class PhysicalPlan:
             provenance=self.provenance,
             knob_signature=self.knob_signature,
         )
-
-    def estimated_total_rows(self) -> float:
-        """Sum of estimated rows across nodes — the native rough cost proxy
-        used to retain top-k candidates at evaluation time (Section 7.1)."""
-        return sum(node.est_rows for node in self.iter_nodes())
 
     def pretty(self) -> str:
         """Multi-line indented rendering, for debugging and examples."""

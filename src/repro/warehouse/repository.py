@@ -8,9 +8,6 @@ the data foundation LOAM trains on.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable
-
 from repro.warehouse.executor import ExecutionRecord
 
 __all__ = ["QueryRepository"]
@@ -31,20 +28,12 @@ class QueryRepository:
             )
         self._records.append(record)
 
-    def extend(self, records: Iterable[ExecutionRecord]) -> None:
-        for record in records:
-            self.log(record)
-
     def __len__(self) -> int:
         return len(self._records)
 
     @property
     def records(self) -> list[ExecutionRecord]:
         return list(self._records)
-
-    def records_between(self, first_day: int, last_day: int) -> list[ExecutionRecord]:
-        """Records with ``first_day <= day <= last_day``."""
-        return [r for r in self._records if first_day <= r.day <= last_day]
 
     def default_plan_records(
         self, first_day: int | None = None, last_day: int | None = None
@@ -73,6 +62,3 @@ class QueryRepository:
             seen.add(key)
             out.append(record)
         return out
-
-    def queries_per_day(self) -> dict[int, int]:
-        return dict(Counter(r.day for r in self._records))

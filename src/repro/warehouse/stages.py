@@ -27,10 +27,6 @@ class Stage:
     nodes: list[PlanNode] = field(default_factory=list)
     upstream: list[int] = field(default_factory=list)  # stages this one consumes
 
-    @property
-    def n_operators(self) -> int:
-        return len(self.nodes)
-
     def input_rows(self, *, field_name: str = "true_rows") -> float:
         """Rows entering the stage: the max over its leaf operators' outputs
         (scans read raw rows; exchanges deliver their producer's output)."""
@@ -55,13 +51,6 @@ class StageGraph:
     """All stages of one plan, topologically ordered (upstream first)."""
 
     stages: list[Stage]
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.stages)
-
-    def stage(self, stage_id: int) -> Stage:
-        return self.stages[stage_id]
 
     def topological_order(self) -> list[Stage]:
         return self.stages  # construction order is already upstream-first

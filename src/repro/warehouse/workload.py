@@ -20,7 +20,7 @@ Heterogeneity matters for the reproduction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class ProjectProfile:
     agg_probability: float = 0.6
     noise_sigma: float = 0.12
     n_machines: int = 160
-
-    def with_name(self, name: str) -> "ProjectProfile":
-        return replace(self, name=name)
-
 
 @dataclass
 class ProjectWorkload:

@@ -4,8 +4,7 @@ and replay against the live serving stack.
 See docs/SCENARIOS.md for the full model.  The public surface:
 
 * arrivals — :class:`PoissonArrivals`, :class:`DiurnalArrivals`,
-  :class:`MarkovModulatedArrivals`, :class:`ZipfTenants`,
-  :func:`interarrival_cv`;
+  :class:`MarkovModulatedArrivals`, :class:`ZipfTenants`;
 * regimes — :class:`RegimeEvent`, :class:`RegimeState`, ``REGIME_KINDS``;
 * scenarios — :class:`Scenario`, :class:`FamilySpec`, the named builders
   behind :func:`build_scenario` / :func:`list_scenarios`;
@@ -20,7 +19,6 @@ from repro.workload.arrivals import (
     MarkovModulatedArrivals,
     PoissonArrivals,
     ZipfTenants,
-    interarrival_cv,
 )
 from repro.workload.regimes import REGIME_KINDS, RegimeEvent, RegimeState
 from repro.workload.replay import (
@@ -58,7 +56,6 @@ __all__ = [
     "DiurnalArrivals",
     "MarkovModulatedArrivals",
     "ZipfTenants",
-    "interarrival_cv",
     "REGIME_KINDS",
     "RegimeEvent",
     "RegimeState",

@@ -20,10 +20,6 @@ scenario replays bit-identically from its seed:
   variance below 2), which is what pushes the inter-arrival CV well past
   the Poisson baseline of 1.
 
-:func:`interarrival_cv` is the burstiness yardstick the property tests and
-the scenario-matrix bench report: CV ≈ 1 for Poisson, < 1 for smoothed
-(diurnal within one phase), and ≫ 1 for heavy-tailed on/off traffic.
-
 :class:`ZipfTenants` maps arrivals onto a skewed tenant population (rank
 frequencies ∝ ``rank^-s``), reusing the catalog's Zipf helpers from
 :mod:`repro.utils`; the ``skew-flip`` regime event reverses the rank→tenant
@@ -44,7 +40,6 @@ __all__ = [
     "DiurnalArrivals",
     "MarkovModulatedArrivals",
     "ZipfTenants",
-    "interarrival_cv",
 ]
 
 
@@ -184,19 +179,6 @@ class MarkovModulatedArrivals(ArrivalProcess):
         if not times:
             return np.zeros(0)
         return np.concatenate(times)
-
-
-def interarrival_cv(times: np.ndarray) -> float:
-    """Coefficient of variation of inter-arrival gaps: the burstiness
-    metric (Poisson ⇒ 1, heavy-tailed on/off ⇒ ≫ 1)."""
-    times = np.sort(np.asarray(times, dtype=np.float64))
-    if len(times) < 3:
-        return 0.0
-    gaps = np.diff(times)
-    mean = float(np.mean(gaps))
-    if mean <= 0.0:
-        return 0.0
-    return float(np.std(gaps) / mean)
 
 
 @dataclass(frozen=True)

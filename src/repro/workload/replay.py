@@ -93,11 +93,6 @@ class CandidateSet:
     true_costs: np.ndarray
     default_index: int
 
-    @property
-    def best_index(self) -> int:
-        return int(np.argmin(self.true_costs))
-
-
 class ScenarioRuntime:
     """Grounds scenarios in one generated project: candidate pools per
     family, the representative environment, the observation cost model,

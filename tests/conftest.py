@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def small_project(small_profile: ProjectProfile) -> ProjectWorkload:
 @pytest.fixture(scope="session")
 def project_with_history(small_profile: ProjectProfile) -> ProjectWorkload:
     """A project with 4 simulated days of history (session-scoped: read-only)."""
-    workload = generate_project(small_profile.with_name("histproj"))
+    workload = generate_project(replace(small_profile, name="histproj"))
     workload.simulate_history(4, max_queries_per_day=25)
     return workload
 

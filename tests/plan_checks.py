@@ -10,6 +10,13 @@ from repro.warehouse.costmodel import EstimatedCardinalityModel
 from repro.warehouse.flags import CARDINALITY_SCALES, OPTIMIZER_FLAGS, OptimizerFlags
 from repro.warehouse.workload import ProjectProfile
 
+def postorder(node):
+    """Children before their parent, left to right: the deepest join first."""
+    for child in node.children:
+        yield from postorder(child)
+    yield node
+
+
 #: Three projects spanning the statistics regimes: mostly blind (syntactic
 #: join order), mixed, and fully covered (greedy reordering + cardinality
 #: scaling live).  Seeds picked for a spread of 1-5 table queries.

@@ -48,9 +48,6 @@ class TestColumn:
         with pytest.raises(ValueError):
             Column("c", "t", ndv=10, skew=-0.1)
 
-    def test_qualified_name(self):
-        assert Column("c", "t", ndv=5).qualified_name == "t.c"
-
 
 class TestTable:
     def test_lifespan_open_ended(self):
@@ -98,16 +95,6 @@ class TestCatalog:
     def test_n_columns_totals(self):
         catalog = Catalog("p", [make_table("a"), make_table("b")])
         assert catalog.n_columns == 4
-
-    def test_live_tables_respects_drop(self):
-        catalog = Catalog("p", [make_table("a"), make_table("b", created=0, dropped=3)])
-        assert {t.name for t in catalog.live_tables(2)} == {"a", "b"}
-        assert {t.name for t in catalog.live_tables(5)} == {"a"}
-
-    def test_drop_table_sets_dropped_day(self):
-        catalog = Catalog("p", [make_table("a")])
-        catalog.drop_table("a", day=9)
-        assert catalog.table("a").dropped_day == 9
 
     def test_missing_table_raises(self):
         catalog = Catalog("p")

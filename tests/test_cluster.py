@@ -19,24 +19,6 @@ class TestEnvironmentSample:
         high = EnvironmentSample(0.5, 0.05, LOAD5_MAX, 0.5).normalized()[2]
         assert low < high == pytest.approx(1.0)
 
-    def test_roundtrip_from_normalized(self):
-        env = EnvironmentSample(cpu_idle=0.6, io_wait=0.08, load5=9.0, mem_usage=0.4)
-        back = EnvironmentSample.from_normalized(env.normalized())
-        assert back.cpu_idle == pytest.approx(env.cpu_idle)
-        assert back.load5 == pytest.approx(env.load5, rel=1e-6)
-
-    def test_mean_of(self):
-        a = EnvironmentSample(0.2, 0.0, 2.0, 0.4)
-        b = EnvironmentSample(0.8, 0.2, 6.0, 0.6)
-        mean = EnvironmentSample.mean_of([a, b])
-        assert mean.cpu_idle == pytest.approx(0.5)
-        assert mean.load5 == pytest.approx(4.0)
-
-    def test_mean_of_empty_rejected(self):
-        with pytest.raises(ValueError):
-            EnvironmentSample.mean_of([])
-
-
 class TestCluster:
     def test_reproducible_given_seed(self):
         a = Cluster(20, rng=np.random.default_rng(3))

@@ -125,4 +125,5 @@ class TestFleetManager:
         report = picky.run_round(fleet, sample_day=3)
         assert report.pass_rate == 0.0
         assert all(o.filtered_out for o in report.outcomes)
-        assert "R1" in report.outcome(fleet[0].profile.name).failed_rules
+        first = next(o for o in report.outcomes if o.name == fleet[0].profile.name)
+        assert "R1" in first.failed_rules

@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.deviance import DevianceEstimator
 from repro.evaluation.config import ExperimentScale, current_scale
 from repro.evaluation.harness import (
     build_evaluation_project,
-    compute_improvement_space,
     evaluate_methods,
 )
 from repro.evaluation.projects import evaluation_profiles, ranker_pool_profiles
@@ -99,21 +97,6 @@ class TestEvaluateMethods:
     def test_chose_default_fraction_bounds(self, eval_project):
         results = evaluate_methods(eval_project, {"random": _RandomModel()}, top_k=3)
         assert 0.0 <= results["random"].chose_default_fraction <= 1.0
-
-
-class TestImprovementSpace:
-    def test_improvement_space_nonnegative(self, eval_project):
-        space, reports = compute_improvement_space(
-            eval_project,
-            n_queries=3,
-            top_k=3,
-            estimator=DevianceEstimator(n_samples=4, n_grid=512),
-        )
-        assert space >= 0.0
-        assert len(reports) == 3
-        for report in reports:
-            assert report.oracle_cost > 0
-            assert min(report.per_plan_deviance) >= 0.0
 
 
 class TestProjectProfilesCatalog:

@@ -38,7 +38,7 @@ class TestExecutor:
         assert record.cpu_cost > 0
         assert record.latency > 0
         assert record.day == 3
-        assert record.n_stages >= 1
+        assert len(record.stages) >= 1
         assert record.is_default
 
     def test_env_annotated_on_every_node(self, small_project, rng):
@@ -139,77 +139,3 @@ class TestFlighting:
         flighting = small_project.flighting(seed_key="t5")
         with pytest.raises(ValueError):
             flighting.replay(plan, n_runs=0)
-
-
-class TestObserverIsolation:
-    """A raising observer must not abort execution or starve the observers
-    queued behind it (the gateway PR's hardening of ``add_observer``)."""
-
-    @pytest.fixture()
-    def executor(self, small_project):
-        executor = small_project.executor
-        saved = list(executor.observers)
-        saved_failures = executor.observer_failures
-        executor.observers.clear()
-        yield executor
-        executor.observers[:] = saved
-        executor.observer_failures = saved_failures
-        executor.observer_errors.clear()
-        executor.telemetry = None
-
-    def _execute_once(self, small_project, rng):
-        query = small_project.sample_query(0)
-        plan = small_project.optimizer.optimize(query)
-        return small_project.executor.execute(plan, rng=rng)
-
-    def test_raising_observer_does_not_abort_execution(
-        self, executor, small_project, rng
-    ):
-        def bad(record):
-            raise RuntimeError("observer exploded")
-
-        executor.add_observer(bad)
-        record = self._execute_once(small_project, rng)
-        assert record.cpu_cost > 0
-        assert executor.observer_failures == 1
-
-    def test_later_observers_still_notified(self, executor, small_project, rng):
-        seen = []
-
-        def bad(record):
-            raise ValueError("first in line, still must not starve the rest")
-
-        executor.add_observer(bad)
-        executor.add_observer(seen.append)
-        record = self._execute_once(small_project, rng)
-        assert seen == [record]
-
-    def test_failures_counted_and_detailed(self, executor, small_project, rng):
-        def flaky_observer(record):
-            raise KeyError("boom")
-
-        executor.add_observer(flaky_observer)
-        self._execute_once(small_project, rng)
-        self._execute_once(small_project, rng)
-        assert executor.observer_failures == 2
-        assert len(executor.observer_errors) == 2
-        name, trace = executor.observer_errors[-1]
-        assert "flaky_observer" in name
-        assert "KeyError" in trace
-
-    def test_failures_reported_through_telemetry(self, executor, small_project, rng):
-        from repro.gateway import Telemetry
-
-        telemetry = Telemetry()
-        executor.set_telemetry(telemetry)
-        executor.add_observer(lambda record: (_ for _ in ()).throw(OSError("io")))
-        self._execute_once(small_project, rng)
-        assert telemetry.counter("executor_observer_failures_total").value == 1
-
-    def test_healthy_observers_unaffected(self, executor, small_project, rng):
-        seen = []
-        executor.add_observer(seen.append)
-        self._execute_once(small_project, rng)
-        assert len(seen) == 1
-        assert executor.observer_failures == 0
-        assert len(executor.observer_errors) == 0

@@ -610,11 +610,14 @@ class TestServingFleet:
             assert guard.breaker.state == "closed"
             assert (guard.pacer.state, guard.pacer.resets_total) == (STARTUP, resets + 1)
 
-        gateway = OptimizerGateway(
-            CostInferenceService.from_checkpoint(path), pacer=AdmissionPacer(PacerConfig())
-        )
+        service = CostInferenceService.from_checkpoint(path)
+        gateway = OptimizerGateway(service, pacer=AdmissionPacer(PacerConfig()))
         fleet = ServingFleet(n_workers=1, pacer_config=PacerConfig())
         shard = fleet._workers["shard-0"].guard
+
+        def swap_into_gateway():
+            service.swap_predictor(predictor)
+            gateway.notify_swap()
 
         def ask_gateway():
             return gateway.predict(plans[:4], env_features=ENV)
@@ -627,7 +630,7 @@ class TestServingFleet:
             half_open(shard)
             assert ask_fleet().reason == "no-model"
             assert ledger(shard) == ("half-open", 0, 0)
-            renewed(gateway.guard, lambda: gateway.swap_predictor(copy.deepcopy(predictor)))
+            renewed(gateway.guard, swap_into_gateway)
             renewed(shard, lambda: fleet.promote(path))
 
             for _ in range(3):  # measured pacers: their sheds carry Retry-After

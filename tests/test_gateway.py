@@ -6,7 +6,7 @@ Covers the PR's serving-front-end guarantees:
 (b) a deadline-exceeded request answers from the fallback without ever
     blocking on the learned path;
 (c) the circuit breaker trips on repeated failures, recovers through
-    half-open probes, and resets across ``swap_predictor``;
+    half-open probes, and resets at every model swap;
 (d) load shedding under a full queue still answers every request;
 (e) concurrent callers through the gateway match a serial reference on a
     real trained predictor within rtol 1e-5;
@@ -105,6 +105,10 @@ class _StubService:
     def swap_predictor(self, predictor) -> None:
         self.predictor = predictor
 
+    @property
+    def weights_version(self) -> int:
+        return self.predictor.weights_version
+
 
 class _FakeClock:
     def __init__(self) -> None:
@@ -188,13 +192,6 @@ class TestTelemetry:
         assert c.value == pytest.approx(3.5)
         with pytest.raises(ValueError):
             c.inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        g = Telemetry().gauge("depth")
-        g.set(5)
-        g.inc(2)
-        g.dec(3)
-        assert g.value == pytest.approx(4.0)
 
     def test_get_or_create_returns_same_instrument(self):
         t = Telemetry()
@@ -472,7 +469,7 @@ class TestGatewayFallbackPaths:
         with OptimizerGateway(None) as gw:
             for env in (None, ENV):
                 result = gw.predict(native_plans, env_features=env)
-                assert result.fallback
+                assert result.source == "fallback"
                 assert result.reason == "no-model"
                 assert result.model_version is None
                 expected = NativeCostFallback().predict(native_plans, env_features=env)
@@ -483,7 +480,7 @@ class TestGatewayFallbackPaths:
         service = _StubService()
         with OptimizerGateway(service) as gw:
             result = gw.predict(_marker_plans(3.0, 1.0, 2.0))
-            assert not result.fallback
+            assert result.source != "fallback"
             assert (result.source, result.reason) == ("learned", "ok")
             assert result.model_version == 1
             assert (result.costs == [3.0, 1.0, 2.0]).all()
@@ -502,7 +499,7 @@ class TestGatewayFallbackPaths:
         with OptimizerGateway(service) as gw:
             service.faults = 1
             result = gw.predict(native_plans, env_features=ENV)
-            assert result.fallback
+            assert result.source == "fallback"
             assert result.reason == "model-error"
             expected = NativeCostFallback().predict(native_plans, env_features=ENV)
             assert (result.costs == expected).all()
@@ -516,7 +513,7 @@ class TestGatewayFallbackPaths:
             started = time.monotonic()
             result = gw.predict(native_plans, env_features=ENV, deadline_ms=30)
             elapsed = time.monotonic() - started
-            assert result.fallback
+            assert result.source == "fallback"
             assert result.reason == "deadline"
             assert elapsed < 0.4  # answered well before the 0.5 s learned path
             expected = NativeCostFallback().predict(native_plans, env_features=ENV)
@@ -529,7 +526,8 @@ class TestGatewayFallbackPaths:
             assert gw.breaker.slow_count == 1
 
     def test_shed_when_queue_full(self, native_plans):
-        service = _StubService(delay=0.25)
+        service = _GatedService()
+        service.arm(1)
         config = GatewayConfig(max_queue_depth=1)
         with OptimizerGateway(service, config=config) as gw:
             results = {}
@@ -537,19 +535,20 @@ class TestGatewayFallbackPaths:
             def call(key):
                 results[key] = gw.predict(_marker_plans(float(key)))
 
-            # a: picked up by the worker (sleeping in the stub);
+            # a: picked up by the worker (held at the stub's gate);
             # b: parked on the queue (depth 1 == max) -> next caller sheds.
             a = threading.Thread(target=call, args=(1,))
             a.start()
-            time.sleep(0.08)
+            assert service.entered[0].wait(5.0)
             b = threading.Thread(target=call, args=(2,))
             b.start()
-            time.sleep(0.08)
+            assert _settle(lambda: len(gw._queue) == 1)
             shed = gw.predict(native_plans, env_features=ENV)
-            assert shed.fallback
+            assert shed.source == "fallback"
             assert shed.reason == "shed"
             expected = NativeCostFallback().predict(native_plans, env_features=ENV)
             assert (shed.costs == expected).all()
+            service.open()
             a.join()
             b.join()
             # the queued callers still got learned answers.
@@ -635,37 +634,40 @@ class TestGatewayBreaker:
 
     def test_repeated_errors_trip_then_circuit_open(self, native_plans):
         clock = _FakeClock()
-        with self._gateway(_StubService(), clock) as gw:
-            gw.service.faults = 100
+        service = _StubService()
+        with self._gateway(service, clock) as gw:
+            service.faults = 100
             for _ in range(4):
                 assert gw.predict(native_plans).reason == "model-error"
             assert gw.breaker.state == "open"
             assert gw.telemetry.counter("breaker_trips_total").value == 1
-            calls_before = len(gw.service.calls)
+            calls_before = len(service.calls)
             result = gw.predict(native_plans, env_features=ENV)
             assert result.reason == "circuit-open"
-            assert len(gw.service.calls) == calls_before  # never queued
+            assert len(service.calls) == calls_before  # never queued
             expected = NativeCostFallback().predict(native_plans, env_features=ENV)
             assert (result.costs == expected).all()
 
     def test_on_trip_hook_receives_gateway(self, native_plans):
         tripped = []
-        gw = OptimizerGateway(_StubService(), breaker=_breaker(_FakeClock()))
+        service = _StubService()
+        gw = OptimizerGateway(service, breaker=_breaker(_FakeClock()))
         gw.on_trip = tripped.append
         with gw:
-            gw.service.faults = 100
+            service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
         assert tripped == [gw]
 
     def test_half_open_probes_recover(self, native_plans):
         clock = _FakeClock()
-        with self._gateway(_StubService(), clock) as gw:
-            gw.service.faults = 100
+        service = _StubService()
+        with self._gateway(service, clock) as gw:
+            service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             assert gw.breaker.state == "open"
-            gw.service.faults = 0  # model healthy again
+            service.faults = 0  # model healthy again
             clock.advance(10.0)
             assert gw.breaker.state == "half-open"
             for marker in (1.0, 2.0):  # two probe successes close it
@@ -675,8 +677,9 @@ class TestGatewayBreaker:
 
     def test_half_open_failure_reopens(self, native_plans):
         clock = _FakeClock()
-        with self._gateway(_StubService(), clock) as gw:
-            gw.service.faults = 100
+        service = _StubService()
+        with self._gateway(service, clock) as gw:
+            service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             clock.advance(10.0)
@@ -688,13 +691,14 @@ class TestGatewayBreaker:
         clock = _FakeClock()
         service = _StubService()
         with self._gateway(service, clock) as gw:
-            gw.service.faults = 100
+            service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             assert gw.breaker.state == "open"
             swaps_before = gw.telemetry.counter("swaps_total").value
-            gw.service.faults = 0
-            gw.swap_predictor(_StubPredictor(version=7))
+            service.faults = 0
+            service.swap_predictor(_StubPredictor(version=7))
+            gw.notify_swap()
             assert gw.breaker.state == "closed"
             assert service.predictor.weights_version == 7
             assert gw.telemetry.counter("swaps_total").value == swaps_before + 1
@@ -703,15 +707,11 @@ class TestGatewayBreaker:
             assert result.model_version == 7
             assert gw.telemetry.gauge("model_weights_version").value == 7
 
-    def test_swap_without_service_raises(self):
-        with OptimizerGateway(None) as gw:
-            with pytest.raises(RuntimeError):
-                gw.swap_predictor(_StubPredictor())
-
     def test_stats_and_prometheus_surface_breaker_state(self, native_plans):
         clock = _FakeClock()
-        with self._gateway(_StubService(), clock) as gw:
-            gw.service.faults = 100
+        service = _StubService()
+        with self._gateway(service, clock) as gw:
+            service.faults = 100
             for _ in range(4):
                 gw.predict(native_plans)
             stats = gw.stats()
@@ -806,7 +806,7 @@ class TestGatewayClose:
         started = time.monotonic()
         result = gw.predict(native_plans, env_features=ENV)
         assert time.monotonic() - started < 1.0
-        assert result.fallback and result.reason == "closed"
+        assert result.source == "fallback" and result.reason == "closed"
         expected = NativeCostFallback().predict(native_plans, env_features=ENV)
         assert (result.costs == expected).all()
         counters = gw.stats()["counters"]
@@ -855,7 +855,7 @@ class TestGatewayClose:
         t.join(timeout=10.0)
         stuck.release.set()  # unstick the daemon worker before the test exits
         assert not t.is_alive(), "caller stranded on a stuck learned path"
-        assert done and done[0].fallback and done[0].reason == "closed"
+        assert done and done[0].source == "fallback" and done[0].reason == "closed"
 
     def test_close_racing_deadline_expiry_answers_closed(self):
         """close() fails a stuck in-flight request over *before* the
@@ -878,7 +878,7 @@ class TestGatewayClose:
         t.join(timeout=10.0)
         stuck.release.set()
         assert not t.is_alive(), "caller stranded across close()"
-        assert done and done[0].fallback and done[0].reason == "closed"
+        assert done and done[0].source == "fallback" and done[0].reason == "closed"
         # Woke on the failover, not by waiting out the 2 s deadline.
         assert time.monotonic() - started < 1.5
         assert gw.pacer.inflight == 0
@@ -892,7 +892,7 @@ class TestGatewayClose:
         pacer = AdmissionPacer(PacerConfig())
         gw = OptimizerGateway(stuck, pacer=pacer, fallback=_StubFallback())
         result = gw.predict(_marker_plans(1.0), deadline_ms=30)
-        assert result.fallback and result.reason == "deadline"
+        assert result.source == "fallback" and result.reason == "deadline"
         assert gw.pacer.inflight == 1  # the stuck batch still holds it
         gw.close(timeout=0.1)
         stuck.release.set()
@@ -1138,9 +1138,9 @@ class TestLifecycleGateway:
             def broken(plans, *, env_features=None):
                 raise RuntimeError("injected learned-path fault")
 
-            monkeypatch.setattr(gw.service, "predict", broken)
+            monkeypatch.setattr(lifecycle.service, "predict", broken)
             for _ in range(4):
-                assert gw.predict(native_plans).fallback
+                assert gw.predict(native_plans).source == "fallback"
             assert gw.breaker.state == "open"
             # the feedback log is empty (below min_samples), yet the trip
             # alone must force the retrain signal.

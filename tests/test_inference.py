@@ -9,7 +9,6 @@ from repro.core.inference import (
     ClusterCurrentEnvironment,
     ClusterExpectedEnvironment,
     HistoricalMeanEnvironment,
-    NoLoadEnvironment,
 )
 from repro.warehouse.cluster import Cluster
 
@@ -39,13 +38,6 @@ class TestHistoricalMean:
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):
             HistoricalMeanEnvironment().fit([])
-
-    def test_environment_roundtrip(self, project_with_history):
-        records = project_with_history.repository.records[:20]
-        strategy = HistoricalMeanEnvironment(records)
-        env = strategy.environment()
-        assert np.allclose(env.normalized(), strategy.features(), atol=1e-9)
-
 
 class TestClusterStrategies:
     def test_expected_environment_in_bounds(self):
@@ -100,14 +92,10 @@ class TestClusterStrategies:
 
 
 class TestNoLoad:
-    def test_zero_features(self):
-        assert NoLoadEnvironment().features() == (0.0, 0.0, 0.0, 0.0)
-
     def test_strategy_names_unique(self):
         names = {
             HistoricalMeanEnvironment.name,
             ClusterExpectedEnvironment.name,
             ClusterCurrentEnvironment.name,
-            NoLoadEnvironment.name,
         }
-        assert len(names) == 4
+        assert len(names) == 3

@@ -9,9 +9,9 @@ from repro.nn.autodiff import Tensor
 from repro.nn.gbdt import GradientBoostedTrees
 from repro.nn.gcn import GCNEncoder, normalized_adjacency
 from repro.nn.grl import GradientReversal, dann_lambda
-from repro.nn.layers import Dropout, LayerNorm, Linear, Module, ReLU, Sequential
+from repro.nn.layers import LayerNorm, Linear, Module, ReLU, Sequential
 from repro.nn.losses import mse_loss
-from repro.nn.optim import SGD, Adam, ExponentialDecay
+from repro.nn.optim import Adam, ExponentialDecay
 from repro.nn.transformer import TransformerEncoder
 from repro.nn.tree_conv import TreeBatch, TreeConvEncoder
 
@@ -48,25 +48,12 @@ class TestLayers:
         assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
         assert np.allclose(out.data.std(axis=-1), 1.0, atol=1e-2)
 
-    def test_dropout_eval_identity(self, nn_rng):
-        drop = Dropout(0.5, rng=nn_rng)
-        drop.eval()
-        x = Tensor(np.ones((10, 10)))
-        assert np.allclose(drop(x).data, 1.0)
-
-    def test_dropout_train_masks(self, nn_rng):
-        drop = Dropout(0.5, rng=nn_rng)
-        drop.train()
-        out = drop(Tensor(np.ones((50, 50))))
-        assert (out.data == 0).any()
-        assert out.data.mean() == pytest.approx(1.0, rel=0.15)
-
     def test_module_size_bytes(self, nn_rng):
         layer = Linear(10, 10, rng=nn_rng)
         assert layer.size_bytes() == (100 + 10) * 8
 
     def test_train_eval_propagates(self, nn_rng):
-        model = Sequential(Dropout(0.1), Linear(2, 2, rng=nn_rng))
+        model = Sequential(ReLU(), Linear(2, 2, rng=nn_rng))
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -74,16 +61,6 @@ class TestLayers:
 
 
 class TestOptim:
-    def test_sgd_descends(self):
-        w = Tensor.param(np.array([10.0]))
-        opt = SGD([w], lr=0.1)
-        for _ in range(50):
-            loss = (w * w).sum()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        assert abs(w.data[0]) < 0.5
-
     def test_adam_descends_quadratic(self):
         rng = np.random.default_rng(2)
         w = Tensor.param(rng.normal(size=(5,)))
@@ -106,7 +83,7 @@ class TestOptim:
 
     def test_invalid_lr_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.0)
+            Adam([], lr=0.0)
 
 
 class TestGRLModule:

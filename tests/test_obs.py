@@ -313,6 +313,10 @@ class _StubService:
         self.predictor = _StubPredictor()
         self.faults = 0
 
+    @property
+    def weights_version(self) -> int:
+        return self.predictor.weights_version
+
     def predict(self, plans, *, env_features=None):
         if self.faults > 0:
             self.faults -= 1
@@ -427,10 +431,11 @@ class TestGatewayTracing:
 
     def test_breaker_trip_dumps_flight_recorder(self, tmp_path):
         recorder = FlightRecorder(dump_dir=str(tmp_path), process_label="gw-test")
+        service = _StubService()
         with OptimizerGateway(
-            _StubService(), fallback=_StubFallback(), recorder=recorder
+            service, fallback=_StubFallback(), recorder=recorder
         ) as gw:
-            gw.service.faults = 10**6
+            service.faults = 10**6
             for _ in range(40):
                 result = gw.predict(["p1"], env_features=ENV)
                 assert result.source == "fallback"

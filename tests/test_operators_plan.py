@@ -43,21 +43,11 @@ class TestPlanNode:
     def test_traversal_orders(self):
         root = small_tree()
         pre = [n.op_type for n in root.iter_nodes()]
-        post = [n.op_type for n in root.iter_postorder()]
         assert pre == ["HashJoin", "TableScan", "Exchange", "TableScan"]
-        assert post == ["TableScan", "TableScan", "Exchange", "HashJoin"]
 
     def test_counts_and_depth(self):
         root = small_tree()
         assert root.n_nodes() == 4
-        assert root.depth() == 3
-
-    def test_left_right_accessors(self):
-        root = small_tree()
-        assert root.left.op_type == "TableScan"
-        assert root.right.op_type == "Exchange"
-        assert root.right.left.op_type == "TableScan"
-        assert root.right.right is None
 
     def test_join_op_type_by_algorithm(self):
         assert JoinNode(algorithm="hash").op_type == "HashJoin"
@@ -91,12 +81,6 @@ class TestPlanNode:
 
 
 class TestPhysicalPlan:
-    def test_operator_counts(self):
-        plan = plan_for(small_tree())
-        counts = plan.operator_counts()
-        assert counts["TableScan"] == 2
-        assert counts["HashJoin"] == 1
-
     def test_parent_child_patterns(self):
         plan = plan_for(small_tree())
         patterns = plan.parent_child_patterns()
@@ -118,12 +102,6 @@ class TestPhysicalPlan:
         text = plan_for(small_tree()).pretty()
         for op in ("HashJoin", "TableScan", "Exchange"):
             assert op in text
-
-    def test_estimated_total_rows_sums_nodes(self):
-        root = small_tree()
-        for node in root.iter_nodes():
-            node.est_rows = 10.0
-        assert plan_for(root).estimated_total_rows() == pytest.approx(40.0)
 
     def test_sort_node_signature_includes_keys(self):
         a = SortNode(keys=("a.k",))

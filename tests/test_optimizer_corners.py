@@ -160,6 +160,5 @@ class TestPredicatesAndPartitions:
         opt, _ = optimizer()
         small_q = Query(query_id="q1", project="corner", template_id="t", tables=("small",))
         big_q = Query(query_id="q2", project="corner", template_id="t", tables=("big",))
-        assert opt.estimated_cost(opt.optimize(big_q)) > opt.estimated_cost(
-            opt.optimize(small_q)
-        )
+        big, small = opt.optimize(big_q), opt.optimize(small_q)
+        assert opt.planner(big_q).estimated_cost(big) > opt.planner(small_q).estimated_cost(small)

@@ -108,6 +108,10 @@ class _StubService:
     def swap_predictor(self, predictor) -> None:
         self.predictor = predictor
 
+    @property
+    def weights_version(self) -> int:
+        return self.predictor.weights_version
+
 
 class _StubFallback:
     """Fallback that understands marker plans (the native one needs real
@@ -127,7 +131,7 @@ def _marker_plans(*markers: float) -> list[_MarkerPlan]:
 class TestWindowedExtremum:
     def test_max_tracks_largest_in_window(self):
         f = WindowedMax(10.0)
-        assert f.get(0.0) is None and f.empty
+        assert f.get(0.0) is None and not f._wedge
         assert f.update(3.0, 0.0) == 3.0
         assert f.update(7.0, 1.0) == 7.0
         assert f.update(5.0, 2.0) == 7.0
@@ -147,7 +151,7 @@ class TestWindowedExtremum:
         assert f.get(4.0) == 9.0
         # t=6: the 9.0 sample (t=0) is past the 5 s window; 2.0 survives.
         assert f.get(6.0) == 2.0
-        assert f.get(20.0) is None and f.empty
+        assert f.get(20.0) is None and not f._wedge
 
     def test_seconds_since_improved_and_touch(self):
         f = WindowedMin(100.0)
@@ -172,7 +176,7 @@ class TestWindowedExtremum:
         f = WindowedMax(10.0)
         f.update(1.0, 0.0)
         f.reset()
-        assert f.empty and f.get(0.0) is None
+        assert not f._wedge and f.get(0.0) is None
         assert f.seconds_since_improved(0.0) is None
 
     def test_window_must_be_positive(self):
@@ -410,7 +414,7 @@ class TestGatewayPacing:
             b.start()
             time.sleep(0.08)
             shed = gw.predict(native_plans, env_features=ENV)
-            assert shed.fallback
+            assert shed.source == "fallback"
             assert shed.reason == "pacer-limit"
             expected = NativeCostFallback().predict(native_plans, env_features=ENV)
             assert (shed.costs == expected).all()
@@ -441,7 +445,8 @@ class TestGatewayPacing:
             assert before["state"] != STARTUP
             assert before["btl_rate"] is not None
             assert before["min_latency_seconds"] >= 0.005
-            gw.swap_predictor(_StubPredictor(version=2))
+            service.swap_predictor(_StubPredictor(version=2))
+            gw.notify_swap()
             stats = gw.pacer.stats()
             assert stats["state"] == STARTUP
             assert stats["resets_total"] == 1
@@ -674,7 +679,7 @@ class TestFleetPacing:
             while pacer.try_admit():
                 taken += 1
             r = fleet.predict("victim", plans[:4], env_features=ENV)
-            assert r.fallback and r.reason == "pacer-limit"
+            assert r.source == "fallback" and r.reason == "pacer-limit"
             counters = fleet.telemetry.snapshot()["counters"]
             assert counters["fallback_pacer_limit_total"] == 1
             assert counters["shed_pacer_limit_total"] == 1
@@ -770,7 +775,7 @@ class TestRetryAfterSurfacing:
             while gw.pacer.try_admit():
                 taken += 1
             shed = gw.predict(_marker_plans(3.0), env_features=ENV)
-            assert shed.fallback and shed.reason == "pacer-limit"
+            assert shed.source == "fallback" and shed.reason == "pacer-limit"
             # The warm-up delivery measured the path, so the hint is real.
             assert shed.retry_after is not None and shed.retry_after > 0.0
             stats = gw.stats()
@@ -795,7 +800,7 @@ class TestRetryAfterSurfacing:
                 th.start()
             time.sleep(0.05)
             shed = gw.predict(_marker_plans(3.0), env_features=ENV)
-            assert shed.fallback and shed.reason == "shed"
+            assert shed.source == "fallback" and shed.reason == "shed"
             assert shed.retry_after is None
             t.join()
             for th in threads:
@@ -814,7 +819,7 @@ class TestRetryAfterSurfacing:
             while pacer.try_admit():
                 taken += 1
             r = fleet.predict("victim", plans[:4], env_features=ENV)
-            assert r.fallback and r.reason == "pacer-limit"
+            assert r.source == "fallback" and r.reason == "pacer-limit"
             assert r.retry_after is not None and r.retry_after > 0.0
             stats = fleet.stats()
             assert stats["pacers"][shard]["next_admit_eta_seconds"] > 0.0

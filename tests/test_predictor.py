@@ -90,13 +90,6 @@ class TestAdaptiveCostPredictor:
         busy = predictor.predict(plans[:5], env_features=(0.0, 0.5, 1.0, 1.0))
         assert not np.allclose(idle, busy)
 
-    def test_embeddings_shape(self, training_data):
-        plans, costs, candidates = training_data
-        predictor = AdaptiveCostPredictor(config=TINY)
-        predictor.fit(plans, costs, candidates)
-        emb = predictor.embeddings(plans[:6])
-        assert emb.shape == (6, TINY.embedding_dim)
-
     def test_size_bytes_positive(self):
         predictor = AdaptiveCostPredictor(config=TINY)
         assert predictor.size_bytes() > 0
@@ -143,14 +136,6 @@ class TestBaselines:
         model.fit(plans, costs)
         preds = model.predict(plans)
         assert np.corrcoef(np.log1p(preds), np.log1p(costs))[0, 1] > 0.6
-
-    def test_select_best_member(self, training_data):
-        plans, costs, _ = training_data
-        model = XGBoostCostPredictor(PlanEncoder())
-        model.fit(plans, costs)
-        chosen, _ = model.select_best(plans[:4])
-        assert chosen in plans[:4]
-
 
 class TestTrainingFastPath:
     """The prebuilt-buffer + fused-op fit() path vs the reference path.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.selector.filter import FilterConfig, ProjectFilter, paper_growth_threshold
+from repro.core.selector.filter import FilterConfig, ProjectFilter
 from repro.core.selector.metrics import (
     expected_random_ndcg,
     expected_random_recall,
@@ -17,10 +17,6 @@ from repro.core.selector.ranker import ProjectRanker, RankerPlanVectorizer
 
 
 class TestFilterRules:
-    def test_paper_growth_threshold(self):
-        r = paper_growth_threshold()
-        assert 2000.0 * r**30 == pytest.approx(10_000.0, rel=1e-9)
-
     def test_n_query_metric(self, project_with_history):
         records = project_with_history.repository.records
         n_days = len({r.day for r in records})
@@ -221,7 +217,7 @@ class TestProjectRanker:
         query = small_project.sample_query(0)
         plan = small_project.optimizer.optimize(query)
         with pytest.raises(RuntimeError):
-            ranker.estimate(plan, small_project.catalog, 1.0)
+            ranker.estimate_many([plan], [small_project.catalog], [1.0])
 
     def test_mismatched_inputs_rejected(self, small_project):
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
-from repro.core.serialization import load_manifest, load_predictor, save_predictor
+from repro.core.serialization import load_predictor, save_predictor
 
 TINY = PredictorConfig(hidden_dims=(16, 12), embedding_dim=8, epochs=3)
 
@@ -88,7 +90,8 @@ class TestManifest:
             training_fingerprint="abcd1234abcd1234",
             metrics={"validated_improvement": 0.21},
         )
-        meta = load_manifest(path)
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["meta"]))
         assert meta["format_version"] == 2
         assert meta["weights_version"] == predictor.weights_version
         assert meta["training_fingerprint"] == "abcd1234abcd1234"

@@ -15,6 +15,8 @@ routing of ``AdaptiveCostPredictor.predict``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def trained(project_with_history):
 def candidate_sets(small_profile):
     """600 candidate sets from a project of this module's own (sampling
     queries advances the project's rng, and the shared one is read-only)."""
-    project = generate_project(small_profile.with_name("servproj"))
+    project = generate_project(replace(small_profile, name="servproj"))
     explorer = PlanExplorer(project.optimizer)
     sets = []
     while len(sets) < 600:
@@ -191,8 +193,8 @@ class TestPredictionEquivalence:
         env = (0.5, 0.05, 0.5, 0.5)
         chosen, predictions = predictor.select_best(plans[:6], env_features=env)
         assert chosen is plans[:6][int(np.argmin(predictions))]
-        index, predictions2 = predictor.serving.select_best_index(plans[:6], env_features=env)
-        assert index == int(np.argmin(predictions2))
+        served = predictor.serving.predict(plans[:6], env_features=env)
+        assert int(np.argmin(served)) == int(np.argmin(predictions))
 
     def test_refit_invalidates_weight_snapshot(self, trained, project_with_history):
         records = project_with_history.repository.records[:40]
@@ -319,7 +321,7 @@ class TestTreeBatchValidation:
         f, l, r = self._tree(3)
         l[0], r[0] = 2, 3
         batch = TreeBatch.from_trees([(f, l, r)])
-        assert batch.batch_size == 1
+        assert batch.features.shape[0] == 1
 
     def test_out_of_range_left_rejected(self):
         f, l, r = self._tree(3)
@@ -428,7 +430,29 @@ class TestSwapPredictor:
         stale.weights_version = 0
         service.swap_predictor(stale)
         assert service.predictor is stale
-        assert stale.weights_version == incumbent_version + 1
+        assert service.weights_version == incumbent_version + 1
+        assert stale.weights_version == 0
+
+    def test_swap_leaves_the_callers_predictor_unchanged(self, trained, tmp_path):
+        from repro.core.serialization import load_predictor, save_predictor
+
+        predictor, plans = trained
+        shared, _ = load_predictor(save_predictor(predictor, tmp_path / "shared.npz"))
+        shared.weights_version = 0
+        first, second = CostInferenceService(predictor), CostInferenceService(shared)
+        served = [(first.weights_version, second.weights_version)]
+        for service in (first, second):
+            service.swap_predictor(shared)
+            service.predict(plans[:4], env_features=(0.5, 0.05, 0.5, 0.5))
+        served.append((first.weights_version, second.weights_version))
+        assert shared.weights_version == 0
+        assert served[1][0] > served[0][0] and served[1][1] > served[0][1]
+        # Refitting the shared object moves both services forward from
+        # where each stands.
+        shared.weights_version += 1
+        assert (first.weights_version, second.weights_version) == (
+            served[1][0] + 1, served[1][1] + 1,
+        )
 
     def test_swap_rejects_incompatible_encoder(self, trained):
         predictor, _ = trained

@@ -27,7 +27,7 @@ class TestDecomposition:
     def test_single_pipeline_is_one_stage(self):
         scan = TableScanNode(table="a")
         graph = decompose_into_stages(wrap(scan))
-        assert graph.n_stages == 1
+        assert len(graph.stages) == 1
         assert scan.stage_id == 0
 
     def test_exchange_splits_stages(self):
@@ -35,7 +35,7 @@ class TestDecomposition:
         exchange = ExchangeNode(children=[scan], mode="shuffle", keys=("a.k",))
         agg = AggregateNode(children=[exchange], kind="hash", func="sum", agg_column="a.x")
         graph = decompose_into_stages(wrap(agg))
-        assert graph.n_stages == 2
+        assert len(graph.stages) == 2
         # Exchange belongs to the producer stage, with its scan.
         assert exchange.stage_id == scan.stage_id
         assert agg.stage_id != scan.stage_id
@@ -47,14 +47,14 @@ class TestDecomposition:
         ex_b = ExchangeNode(children=[scan_b], mode="shuffle", keys=("b.k",))
         join = JoinNode(children=[ex_a, ex_b], algorithm="hash", left_key="a.k", right_key="b.k")
         graph = decompose_into_stages(wrap(join))
-        assert graph.n_stages == 3
+        assert len(graph.stages) == 3
         order = graph.topological_order()
         seen: set[int] = set()
         for stage in order:
             assert all(up in seen for up in stage.upstream)
             seen.add(stage.stage_id)
         # Join consumes both producer stages.
-        join_stage = graph.stage(join.stage_id)
+        join_stage = graph.stages[join.stage_id]
         assert len(join_stage.upstream) == 2
 
     def test_stage_ids_are_dense(self):
@@ -62,7 +62,7 @@ class TestDecomposition:
         exchange = ExchangeNode(children=[scan], mode="shuffle")
         agg = AggregateNode(children=[exchange], kind="hash", func="sum", agg_column="a.x")
         graph = decompose_into_stages(wrap(agg))
-        assert sorted(s.stage_id for s in graph.stages) == list(range(graph.n_stages))
+        assert sorted(s.stage_id for s in graph.stages) == list(range(len(graph.stages)))
         for stage in graph.stages:
             for node in stage.nodes:
                 assert node.stage_id == stage.stage_id

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.warehouse.workload import ProjectProfile, generate_project, profile_population
+from repro.warehouse.workload import generate_project, profile_population
 
 
 class TestGeneration:
@@ -66,21 +66,11 @@ class TestHistorySimulation:
         assert all(c > 0 for c in costs)
         assert len(set(costs)) > 1
 
-    def test_records_between(self, project_with_history):
-        repo = project_with_history.repository
-        subset = repo.records_between(1, 2)
-        assert subset
-        assert all(1 <= r.day <= 2 for r in subset)
-
     def test_deduplication_drops_repeats(self, project_with_history):
         repo = project_with_history.repository
         records = repo.records
         duplicated = records + records[:5]
         assert len(repo.deduplicated(duplicated)) == len(repo.deduplicated(records))
-
-    def test_queries_per_day_counts(self, project_with_history):
-        per_day = project_with_history.repository.queries_per_day()
-        assert sum(per_day.values()) == len(project_with_history.repository)
 
     def test_wrong_project_log_rejected(self, project_with_history, small_project, rng):
         query = small_project.sample_query(0)
@@ -106,7 +96,3 @@ class TestProfilePopulation:
         a = profile_population(5, seed=3)
         b = profile_population(5, seed=3)
         assert a == b
-
-    def test_with_name(self):
-        profile = ProjectProfile(name="x")
-        assert profile.with_name("y").name == "y"

@@ -96,9 +96,6 @@ class _SlowService:
         time.sleep(self._delay)
         return self._service.predict(plans, env_features=env_features)
 
-    def swap_predictor(self, predictor) -> None:
-        self._service.swap_predictor(predictor)
-
 
 def _calibration_request(runtime, index: int) -> Request:
     return Request(

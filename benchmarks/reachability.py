@@ -165,14 +165,12 @@ ALLOW: dict[str, tuple[str, str]] = {
         "snapshot() reads them all"),
     "gateway/telemetry.py::Histogram.sum": ("observability", "as Histogram.count"),
     "gateway/telemetry.py::Histogram.quantile": ("observability", "as Histogram.count"),
-    "pacing/pacer.py::AdmissionPacer.btl_rate": (
-        "observability", "the pacer's beliefs read one at a time at a given "
-        "clock reading; stats() reads them all at the pacer's clock"),
-    "pacing/pacer.py::AdmissionPacer.min_latency": ("observability", "as btl_rate"),
-    "pacing/pacer.py::AdmissionPacer.bdp": ("observability", "as btl_rate"),
-    "pacing/pacer.py::AdmissionPacer.state": ("observability", "as btl_rate"),
-    "pacing/pacer.py::AdmissionPacer.inflight": ("observability", "as btl_rate"),
-    "pacing/pacer.py::AdmissionPacer.inflight_cap": ("observability", "as btl_rate"),
+    "pacing/pacer.py::AdmissionPacer.state": (
+        "observability", "the pacer's state on a sampled request span "
+        "(AnswerPath._finish); no entry point samples a trace"),
+    "pacing/pacer.py::AdmissionPacer.inflight": (
+        "observability", "the slot count alone, read without advancing the "
+        "state machine; stats() reports it beside everything else"),
     "fleet/router.py::ConsistentHashRouter.shards": (
         "observability", "the ring's membership and tenant placement"),
     "fleet/router.py::ConsistentHashRouter.assignment": ("observability", "as shards"),

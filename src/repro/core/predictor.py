@@ -284,7 +284,6 @@ class AdaptiveCostPredictor:
             if adversarial:
                 cand_buffers = _PaddedPlanBuffers(encoded_candidates)
 
-        self.module.train()
         for epoch in range(self.config.epochs):
             order = self._rng.permutation(n)
             epoch_cost, epoch_dom, n_batches = 0.0, 0.0, 0
@@ -352,7 +351,6 @@ class AdaptiveCostPredictor:
         report.train_seconds = time.perf_counter() - started
         report.steps_per_second = report.n_batches / max(report.train_seconds, 1e-9)
         self.report = report
-        self.module.eval()
         self.weights_version += 1
         return report
 
@@ -394,7 +392,6 @@ class AdaptiveCostPredictor:
         return self.predict_encoded(encoded)
 
     def predict_encoded(self, encoded: list[EncodedPlan]) -> np.ndarray:
-        self.module.eval()
         with no_grad():
             batch = _to_tree_batch(encoded)
             nodes, embedding = self.module.embed_with_nodes(batch)

@@ -110,5 +110,4 @@ def load_predictor(
         predictor.module._log_std = predictor._log_std
         predictor.weights_version = int(meta.get("weights_version", 0))
         env = meta["environment_features"]
-    predictor.module.eval()
     return predictor, tuple(env) if env else None

@@ -237,12 +237,8 @@ class ServingFleet(AnswerPath):
         lock.  With a budget (``until``), returns :data:`_UNSENT` if it ran
         out before the request left, :data:`_OWED` after.  A sampled
         ``span`` gets the hop's parts (unsampled ones read no clock)."""
-        if handle.owed is not None:
-            if self._read(handle, handle.owed, until) is None:
-                return _UNSENT
-            handle.owed = None
-            if handle.guard.pacer is not None:
-                handle.guard.pacer.release()  # the abandoned request's slot
+        if handle.owed is not None and not self._collect_owed(handle, until):
+            return _UNSENT
         timed = span.sampled
         t0 = time.perf_counter() if timed else 0.0
         sent = handle.channel.send(message)
@@ -262,6 +258,17 @@ class ServingFleet(AnswerPath):
                 frame_bytes_in=received,
             )
         return reply
+
+    def _collect_owed(self, handle: _WorkerHandle, until) -> bool:
+        """Read and discard the reply the shard owes a caller that gave up,
+        returning that request's pacer slot; ``False`` if ``until`` passed
+        first.  Call under the handle's lock."""
+        if self._read(handle, handle.owed, until) is None:
+            return False
+        handle.owed = None
+        if handle.guard.pacer is not None:
+            handle.guard.pacer.release()  # the abandoned request's slot
+        return True
 
     def _rpc(self, handle: _WorkerHandle, message: tuple):
         try:
@@ -353,9 +360,10 @@ class ServingFleet(AnswerPath):
             if refused is not None:
                 return refused
             breaker, pacer = guard.breaker, guard.pacer
-            rpc_started = time.monotonic() if pacer is not None else 0.0
             try:
-                reply = self._score(handle, plans_key, plans, env, trace_wire, span, until)
+                reply, sent_at = self._score(
+                    handle, plans_key, plans, env, trace_wire, span, until
+                )
             except _PIPE_ERRORS as exc:
                 self._mark_dead(handle, exc)
                 guard.refund()  # a crashed exchange measures nothing
@@ -373,9 +381,10 @@ class ServingFleet(AnswerPath):
                 done = time.monotonic()
                 if pacer is not None:
                     # The round trip, need-plans resend included, is one
-                    # delivery sample.
-                    pacer.on_delivered(1, elapsed_seconds=done - rpc_started)
-                breaker.record_success(done - started)
+                    # delivery sample; the wait for the shard's lock and for
+                    # a reply it owed is queueing, so it is not.
+                    pacer.on_delivered(1, elapsed_seconds=done - sent_at)
+                breaker.record_success()
                 costs, version = reply[2]
                 latency_ms = 1e3 * (done - started)
                 return self._finish(
@@ -395,16 +404,22 @@ class ServingFleet(AnswerPath):
 
     def _score(self, handle, plans_key, plans, env, trace_wire, span, until):
         """One request's exchange with its shard, within ``until`` when the
-        request has a budget: the reply, or :data:`_UNSENT` / :data:`_OWED`."""
+        request has a budget: ``(reply, sent_at)``, the reply (or
+        :data:`_UNSENT` / :data:`_OWED`) and, on a paced shard, when the
+        request left, its lock held and any owed reply read."""
         if until is None:
             handle.lock.acquire()
         else:
             left = until - time.monotonic()
             if left <= 0.0 or not handle.lock.acquire(timeout=left):
-                return _UNSENT
+                return _UNSENT, 0.0
         try:
             if not handle.alive:
                 raise WorkerCrashError(f"{handle.name}: lost while this request waited")
+            if handle.owed is not None and not self._collect_owed(handle, until):
+                return _UNSENT, 0.0
+            sent_at = time.monotonic() if handle.guard.pacer is not None else 0.0
+
             def frame(ship_plans):
                 return ("predict", self._next_req_id(), plans_key,
                         plans if ship_plans else None, env, trace_wire)
@@ -418,7 +433,7 @@ class ServingFleet(AnswerPath):
                     "plans_resent_total", "predict frames refused with need-plans and resent"
                 ).inc()
                 reply = self._exchange(handle, frame(True), span, until)
-            return reply
+            return reply, sent_at
         finally:
             handle.lock.release()
 

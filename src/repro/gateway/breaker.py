@@ -4,14 +4,14 @@ Classic three-state breaker (closed → open → half-open) over a rolling
 outcome window:
 
 * **closed** — every request may take the learned path.  Each outcome is
-  pushed into a bounded window; when at least ``min_calls`` outcomes exist
-  and the failed-or-slow fraction reaches ``failure_rate_threshold``, the
-  breaker trips.
+  pushed into a bounded window of ``WINDOW``; when at least ``MIN_CALLS``
+  outcomes exist and the failed-or-slow fraction reaches
+  ``FAILURE_RATE_THRESHOLD``, the breaker trips.
 * **open** — the learned path is off; callers answer from the fallback
-  without queueing.  After ``cooldown_seconds`` the next ``allow`` call
+  without queueing.  After ``COOLDOWN_SECONDS`` the next ``allow`` call
   moves the breaker to half-open.
-* **half-open** — up to ``half_open_probes`` probe requests may take the
-  learned path.  ``half_open_probes`` consecutive successes close the
+* **half-open** — up to ``HALF_OPEN_PROBES`` probe requests may take the
+  learned path.  ``HALF_OPEN_PROBES`` consecutive successes close the
   breaker (window cleared: the new-or-recovered model starts with a clean
   record); any failure re-opens it and restarts the cooldown.
 
@@ -32,33 +32,25 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["BreakerConfig", "CircuitBreaker"]
+__all__ = ["CircuitBreaker"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Trip and recovery thresholds (documented in docs/GATEWAY.md)."""
-
-    #: Rolling outcome window evaluated for the trip decision.
-    window: int = 32
-    #: No trip below this many recorded outcomes (cold-start guard).
-    min_calls: int = 8
-    #: Failed-or-slow fraction of the window that trips the breaker.
-    failure_rate_threshold: float = 0.5
-    #: Latency above which a *successful* call is still recorded as slow;
-    #: ``None`` means only explicit slow marks (deadline misses) count.
-    slow_call_seconds: float | None = None
-    #: Seconds the breaker stays open before probing.
-    cooldown_seconds: float = 30.0
-    #: Consecutive probe successes required to close from half-open.
-    half_open_probes: int = 3
+# Trip and recovery thresholds, documented in docs/GATEWAY.md.
+#: Rolling outcome window evaluated for the trip decision.
+WINDOW = 32
+#: No trip below this many recorded outcomes (cold-start guard).
+MIN_CALLS = 8
+#: Failed-or-slow fraction of the window that trips the breaker.
+FAILURE_RATE_THRESHOLD = 0.5
+#: Seconds the breaker stays open before probing.
+COOLDOWN_SECONDS = 30.0
+#: Consecutive probe successes required to close from half-open.
+HALF_OPEN_PROBES = 3
 
 
 class CircuitBreaker:
@@ -66,17 +58,15 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        config: BreakerConfig | None = None,
         *,
         clock: Callable[[], float] = time.monotonic,
         on_trip: Callable[["CircuitBreaker"], None] | None = None,
     ) -> None:
-        self.config = config or BreakerConfig()
         self.clock = clock
         self.on_trip = on_trip
         self._lock = threading.Lock()
         self._state = CLOSED
-        self._outcomes: deque[bool] = deque(maxlen=self.config.window)  # True == bad
+        self._outcomes: deque[bool] = deque(maxlen=WINDOW)  # True == bad
         self._bad = 0  # running sum(self._outcomes)
         self._opened_at = 0.0
         self._probes_issued = 0
@@ -96,7 +86,7 @@ class CircuitBreaker:
     def _state_locked(self) -> str:
         # An expired cooldown reads as half-open even before the next allow()
         # performs the transition, so observers never see a stale "open".
-        if self._state == OPEN and self.clock() - self._opened_at >= self.config.cooldown_seconds:
+        if self._state == OPEN and self.clock() - self._opened_at >= COOLDOWN_SECONDS:
             return HALF_OPEN
         return self._state
 
@@ -107,39 +97,29 @@ class CircuitBreaker:
             if self._state == CLOSED:
                 return True
             if self._state == OPEN:
-                if self.clock() - self._opened_at < self.config.cooldown_seconds:
+                if self.clock() - self._opened_at < COOLDOWN_SECONDS:
                     return False
                 self._state = HALF_OPEN
                 self._probes_issued = 0
                 self._probe_successes = 0
             # half-open: grant a bounded number of in-flight probes.
-            if self._probes_issued < self.config.half_open_probes:
+            if self._probes_issued < HALF_OPEN_PROBES:
                 self._probes_issued += 1
                 return True
             return False
 
     # -- outcomes -------------------------------------------------------------
 
-    def record_success(self, latency_seconds: float | None = None) -> None:
-        slow = (
-            self.config.slow_call_seconds is not None
-            and latency_seconds is not None
-            and latency_seconds > self.config.slow_call_seconds
-        )
+    def record_success(self) -> None:
         tripped = False
         with self._lock:
             self.success_count += 1
-            if slow:
-                self.slow_count += 1
             if self._state == HALF_OPEN:
-                if slow:
-                    tripped = self._trip_locked()
-                else:
-                    self._probe_successes += 1
-                    if self._probe_successes >= self.config.half_open_probes:
-                        self._close_locked()
+                self._probe_successes += 1
+                if self._probe_successes >= HALF_OPEN_PROBES:
+                    self._close_locked()
             elif self._state == CLOSED:
-                tripped = self._evaluate_locked(slow)
+                tripped = self._evaluate_locked(False)
             # open: stale outcome from before the trip; the window is gone.
         if tripped and self.on_trip is not None:
             self.on_trip(self)
@@ -168,9 +148,9 @@ class CircuitBreaker:
             self._bad -= outcomes.popleft()
         outcomes.append(bad)
         self._bad += bad
-        if len(outcomes) < self.config.min_calls:
+        if len(outcomes) < MIN_CALLS:
             return False
-        if self._bad / len(outcomes) >= self.config.failure_rate_threshold:
+        if self._bad / len(outcomes) >= FAILURE_RATE_THRESHOLD:
             return self._trip_locked()
         return False
 

@@ -20,7 +20,7 @@ a learned model that can be slow, broken, or mid-replacement.  The
   on the learned path), and the miss is recorded against the breaker as a
   slow call;
 * **circuit breaker** — per served model version (reset on every
-  :meth:`~OptimizerGateway.notify_swap`): repeated errors or deadline
+  :meth:`~OptimizerGateway.swap_predictor`): repeated errors or deadline
   misses trip it, open state answers straight from the fallback without
   queueing, and a half-open probe sequence decides recovery
   (:mod:`repro.gateway.breaker`);
@@ -62,6 +62,9 @@ __all__ = ["GatewayClosedError", "GatewayConfig", "GatewayResult", "OptimizerGat
 class GatewayClosedError(RuntimeError):
     """Marks a request that was drained because the gateway shut down; the
     waiting caller answers it from the fallback with reason ``"closed"``."""
+
+#: Pending requests admitted before load shedding kicks in.
+MAX_QUEUE_DEPTH = 64
 
 #: Breaker-state gauge encoding (``breaker_state`` telemetry gauge; the
 #: fleet parent's ``breaker_shard_<k>_state``).
@@ -136,8 +139,6 @@ class Guard:
 class GatewayConfig:
     """Operating limits of the serving front end."""
 
-    #: Pending requests admitted before load shedding kicks in.
-    max_queue_depth: int = 64
     #: Upper bound on plans merged into one learned batch.  The worker
     #: merges only what is already queued: concurrent bursts still merge,
     #: because requests pile up while the previous batch executes.
@@ -519,11 +520,19 @@ class OptimizerGateway(AnswerPath):
         """Install (or replace) the learned path; resets the guard."""
         with self._service_lock:
             self._service = service
-        self.notify_swap()
+        self._new_model()
 
-    def notify_swap(self) -> None:
-        """Called after the underlying service's model changed (directly or
-        via the lifecycle's promote path): a reset guard, fresh gauges."""
+    def swap_predictor(self, predictor, *, warm=None) -> None:
+        """Hot-swap the model behind the attached service (the lifecycle's
+        promote path) under the lock the worker scores under, so the swap
+        and its ``warm`` pass never land beneath a batch still computing;
+        then reset the guard."""
+        with self._service_lock:
+            self._service.swap_predictor(predictor, warm=warm)
+        self._new_model()
+
+    def _new_model(self) -> None:
+        """A new model serves behind the path: a reset guard, fresh gauges."""
         self.guard.reset()
         self.telemetry.counter("swaps_total", "model hot swaps observed").inc()
         self._sync_gauges()
@@ -574,7 +583,7 @@ class OptimizerGateway(AnswerPath):
         with self._work:
             if not self._running:
                 refused = "closed"
-            elif len(self._queue) >= self.config.max_queue_depth:
+            elif len(self._queue) >= MAX_QUEUE_DEPTH:
                 refused = "shed"
             else:
                 self._queue.append(request)
@@ -743,7 +752,6 @@ class OptimizerGateway(AnswerPath):
         # breaker hears the outcomes, in the same order, once it is released
         # (a trip hook may call back into the gateway).
         offset = 0
-        now = time.monotonic()
         slots = 0
         verdicts: list[str | None] = []
         with self._lock:
@@ -769,10 +777,10 @@ class OptimizerGateway(AnswerPath):
                     request.event.set()
                     verdicts.append("ok" if error is None else "error")
                 offset += n
-        for request, verdict in zip(group, verdicts):
+        for verdict in verdicts:
             if verdict == "ok":
                 self._service_time.observe(elapsed)
-                self.breaker.record_success(now - request.enqueued_at)
+                self.breaker.record_success()
             elif verdict is not None:
                 self.breaker.record_failure(kind=verdict)
         if self.pacer is not None and slots:

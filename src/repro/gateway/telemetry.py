@@ -49,6 +49,9 @@ QUANTILE_KEYS = tuple(f"p{int(q * 100)}" for q in QUANTILES)
 #: refusal from a blown budget from a shutdown refusal.
 SHED_REASONS = ("queue-full", "pacer-limit", "deadline", "closed")
 
+#: Observations a histogram's quantile reservoir holds.
+HISTOGRAM_WINDOW = 2048
+
 
 def _sanitize(name: str) -> str:
     """Prometheus metric names allow ``[a-zA-Z0-9_:]`` only."""
@@ -125,18 +128,18 @@ class Histogram:
     """Lifetime count/sum/min/max plus quantiles over a recent reservoir.
 
     The reservoir is a bounded FIFO window (not a decaying sample): p50/p95/
-    p99 describe the last ``window`` observations, which is what an operator
+    p99 describe the last :data:`HISTOGRAM_WINDOW` observations, which is what an operator
     watching a serving dashboard wants — current behaviour, not the average
     over a process lifetime that may span several model versions.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "", *, window: int = 2048) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
-        self._window: deque[float] = deque(maxlen=window)
+        self._window: deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -220,11 +223,11 @@ class Telemetry:
 
     # -- instrument access ----------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs):
+    def _get_or_create(self, cls, name: str, help: str):
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = cls(name, help, **kwargs)
+                instrument = cls(name, help)
                 self._instruments[name] = instrument
             elif not isinstance(instrument, cls):
                 raise TypeError(
@@ -239,8 +242,8 @@ class Telemetry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "", *, window: int = 2048) -> Histogram:
-        return self._get_or_create(Histogram, name, help, window=window)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create(Histogram, name, help)
 
     def add_collector(self, collect) -> None:
         """Run ``collect()`` at the top of every :meth:`snapshot` and

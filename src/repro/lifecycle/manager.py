@@ -35,6 +35,10 @@ from repro.lifecycle.registry import ModelRegistry, ModelVersion
 
 __all__ = ["ModelLifecycle"]
 
+#: How many of the feedback log's hottest plans to re-score right after a
+#: hot swap, so a promote's first requests for hot shapes are served warm.
+WARM_TOP_K = 32
+
 
 class ModelLifecycle:
     """Versioned, feedback-driven, canary-gated model serving for one project."""
@@ -46,7 +50,6 @@ class ModelLifecycle:
         feedback: FeedbackLog | None = None,
         drift: DriftMonitor | DriftConfig | None = None,
         canary: CanaryController | CanaryConfig | None = None,
-        warm_top_k: int = 32,
         recorder=None,
     ) -> None:
         self._tmpdir = None
@@ -61,15 +64,12 @@ class ModelLifecycle:
         self.feedback = feedback or FeedbackLog()
         self.drift_monitor = drift if isinstance(drift, DriftMonitor) else DriftMonitor(drift)
         self.canary = canary if isinstance(canary, CanaryController) else CanaryController(canary)
-        #: How many of the feedback log's hottest plans to re-score right
-        #: after a hot swap (0 disables the post-promote warming pass).
-        self.warm_top_k = warm_top_k
         self._predictor = None
         self._service = None
-        #: Gateways fronting this lifecycle's service (see
-        #: :meth:`serve_through_gateway`); notified on every hot swap so
-        #: their guards reset for the new model version.
-        self._gateways: list = []
+        #: The gateway fronting this lifecycle's service (see
+        #: :meth:`serve_through_gateway`): every hot swap goes through it,
+        #: under its service lock, and resets its guard.
+        self._gateway = None
         #: Serving fleets attached via :meth:`attach_fleet`: every
         #: promotion/rollback broadcasts the newly-current registry
         #: checkpoint to them as a staged, cache-warming rollout.
@@ -119,28 +119,27 @@ class ModelLifecycle:
 
         self.environment_features = environment_features
         warm = self._warm_list()
+        gateway = self._gateway
         if self._service is None:
             self._predictor = predictor
             self._service = CostInferenceService(predictor)
-            for gateway in self._gateways:
+            if gateway is not None:
                 gateway.attach_service(self._service)
         else:
             # Hot swap, warming both cache tiers with the feedback log's
             # hottest recurring plans so the promote's first requests for
             # fleet-hot shapes are served warm instead of as a cold burst.
-            self._service.swap_predictor(predictor, warm=warm)
+            # Through the gateway, the swap waits out a batch in flight.
+            swapper = gateway if gateway is not None else self._service
+            swapper.swap_predictor(predictor, warm=warm)
             self._predictor = predictor
-            for gateway in self._gateways:
-                gateway.notify_swap()
         self._ship_current(self._fleets, warm)
 
     def _warm_list(self):
         """The feedback log's hottest plans to re-score right after a swap
-        (``None`` when warming is off or nothing is logged yet)."""
-        if self.warm_top_k <= 0:
-            return None
+        (``None`` while nothing is logged)."""
         return self.feedback.hottest_plans(
-            self.warm_top_k, default_env=self.environment_features
+            WARM_TOP_K, default_env=self.environment_features
         ) or None
 
     def _ship_current(self, fleets, warm) -> None:
@@ -185,13 +184,16 @@ class ModelLifecycle:
         Works before the first promotion too: the gateway answers from the
         native fallback (reason ``"no-model"``) until a model is attached.
         ``breaker`` replaces the gateway's default circuit breaker (e.g. one
-        on an injected clock).
+        on an injected clock).  A lifecycle serves through one gateway: a
+        second call raises.
         """
         from repro.gateway import OptimizerGateway
 
+        if self._gateway is not None:
+            raise RuntimeError("lifecycle already serves through a gateway")
         gateway = OptimizerGateway(self._service, breaker=breaker)
         gateway.on_trip = self._flag_breaker_trip
-        self._gateways.append(gateway)
+        self._gateway = gateway
         return gateway
 
     # -- rollout -------------------------------------------------------------

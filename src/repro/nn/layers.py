@@ -14,8 +14,6 @@ __all__ = ["Module", "Linear", "ReLU", "LayerNorm", "Sequential"]
 class Module:
     """Base class: parameter discovery by attribute walking."""
 
-    training: bool = True
-
     def parameters(self) -> Iterator[Tensor]:
         for value in self.__dict__.values():
             if isinstance(value, Tensor) and value.requires_grad:
@@ -28,26 +26,6 @@ class Module:
                         yield from item.parameters()
                     elif isinstance(item, Tensor) and item.requires_grad:
                         yield item
-
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for value in self.__dict__.values():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
 
     def size_bytes(self) -> int:
         """Model footprint: parameter bytes (Figure 9b reports MB)."""

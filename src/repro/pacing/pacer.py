@@ -28,7 +28,7 @@ The cap multiple follows BBR's state machine:
 
 * **STARTUP** — exponential capacity discovery: a generous gain
   (``2/ln 2``) lets inflight grow until the delivery-rate estimate stops
-  improving for ``startup_full_rounds`` consecutive batches (the pipe is
+  improving for ``STARTUP_FULL_ROUNDS`` consecutive batches (the pipe is
   full);
 * **DRAIN** — the queue STARTUP built is drained: the cap drops to the
   BDP and admission stays blocked until inflight sinks to it;
@@ -36,8 +36,8 @@ The cap multiple follows BBR's state machine:
   1.0 to probe for freed capacity, one below to drain what the probe
   built, six at 1.0) around ``cwnd_gain × BDP``;
 * **PROBE_RTT** — when the min-latency estimate has not improved for
-  ``probe_rtt_interval_seconds`` the pacer suspects it is stale, caps
-  inflight to ``probe_rtt_cap`` for ``probe_rtt_duration_seconds`` so the
+  ``PROBE_RTT_INTERVAL_SECONDS`` the pacer suspects it is stale, caps
+  inflight to ``PROBE_RTT_CAP`` for ``probe_rtt_duration_seconds`` so the
   queue empties and a genuine queue-free sample can be taken, then
   returns to PROBE_BW.
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.pacing.estimators import WindowedMax, WindowedMin
@@ -87,44 +87,39 @@ PACER_STATE_CODES = {STARTUP: 0.0, DRAIN: 1.0, PROBE_BW: 2.0, PROBE_RTT: 3.0}
 #: BBR's STARTUP gain: 2/ln 2, the smallest gain that can double the
 #: delivered rate every round while the pipe is still growing.
 STARTUP_GAIN = 2.0 / math.log(2.0)
+#: PROBE_BW gain cycle applied to ``cwnd_gain × BDP`` (one probing phase,
+#: one draining phase, six cruising).
+PROBE_BW_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+#: Floor of one PROBE_BW phase, which otherwise tracks the measured
+#: queue-free latency (BBR paces its cycle at ~one RTT).
+MIN_PHASE_SECONDS = 0.05
+#: Time window of the delivery-rate max filter.
+RATE_WINDOW_SECONDS = 10.0
+#: Time window of the queue-free-latency min filter.
+LATENCY_WINDOW_SECONDS = 10.0
+#: Min-latency staleness that forces a PROBE_RTT pass.
+PROBE_RTT_INTERVAL_SECONDS = 5.0
+#: Inflight cap during PROBE_RTT (BBR's 4-packet floor, in requests).
+PROBE_RTT_CAP = 1
+#: Consecutive completed batches without ≥ ``STARTUP_GROWTH_FACTOR`` rate
+#: growth that declare the pipe full (STARTUP → DRAIN).
+STARTUP_FULL_ROUNDS = 3
+STARTUP_GROWTH_FACTOR = 1.25
 
 
 @dataclass(frozen=True)
 class PacerConfig:
-    """Tuning knobs of the admission pacer (documented in docs/PACING.md)."""
+    """Tuning knobs of the admission pacer (documented in docs/PACING.md);
+    the rest of BBR's schedule is the module constants above."""
 
-    #: Cap gain while discovering capacity (BBR's 2/ln 2).
-    startup_gain: float = STARTUP_GAIN
     #: Steady-state cap multiple of the BDP.  2.0 keeps one batch in
     #: service and one queued behind it — the pipe never idles, and a
     #: freshly admitted request waits at most ~one extra service time.
     cwnd_gain: float = 2.0
-    #: PROBE_BW gain cycle applied to ``cwnd_gain × BDP`` (one probing
-    #: phase, one draining phase, six cruising).
-    probe_bw_gains: tuple[float, ...] = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    #: Duration of one PROBE_BW phase; ``None`` tracks the measured
-    #: queue-free latency (BBR paces its cycle at ~one RTT), floored at
-    #: ``min_phase_seconds``.
-    probe_bw_phase_seconds: float | None = None
-    min_phase_seconds: float = 0.05
-    #: Time window of the delivery-rate max filter.
-    rate_window_seconds: float = 10.0
-    #: Time window of the queue-free-latency min filter.
-    latency_window_seconds: float = 10.0
-    #: Min-latency staleness that forces a PROBE_RTT pass.
-    probe_rtt_interval_seconds: float = 5.0
-    #: How long PROBE_RTT holds the cap down.
-    probe_rtt_duration_seconds: float = 0.2
-    #: Inflight cap during PROBE_RTT (BBR's 4-packet floor, in requests).
-    probe_rtt_cap: int = 1
-    #: Consecutive completed batches without ≥ ``startup_growth_factor``
-    #: rate growth that declare the pipe full (STARTUP → DRAIN).
-    startup_full_rounds: int = 3
-    startup_growth_factor: float = 1.25
     #: Cap before any estimate exists (a fresh or just-reset pacer).
     initial_cap: int = 8
-    #: The cap never sinks below this outside PROBE_RTT.
-    min_cap: int = 1
+    #: How long PROBE_RTT holds the cap down.
+    probe_rtt_duration_seconds: float = 0.2
     #: Also space admissions in *time* at ``gain × pacing_margin ×
     #: btl_rate`` (BBR's pacing_rate, the primary regulator the inflight
     #: cap merely backstops).  With only the cap, every admitted request
@@ -157,8 +152,8 @@ class AdmissionPacer:
         self.telemetry = None
         self.name = name
         self._lock = threading.Lock()
-        self._rate = WindowedMax(self.config.rate_window_seconds)
-        self._latency = WindowedMin(self.config.latency_window_seconds)
+        self._rate = WindowedMax(RATE_WINDOW_SECONDS)
+        self._latency = WindowedMin(LATENCY_WINDOW_SECONDS)
         self._state = STARTUP
         self._state_entered_at = clock()
         self._inflight = 0
@@ -192,24 +187,9 @@ class AdmissionPacer:
 
     # -- estimates -------------------------------------------------------------
 
-    def btl_rate(self, now: float | None = None) -> float | None:
-        """Bottleneck delivery-rate estimate (requests/second), or ``None``
-        while unmeasured."""
-        with self._lock:
-            return self._rate.get(self.clock() if now is None else now)
-
-    def min_latency(self, now: float | None = None) -> float | None:
-        """Queue-free service-latency estimate (seconds), or ``None``."""
-        with self._lock:
-            return self._latency.get(self.clock() if now is None else now)
-
-    def bdp(self, now: float | None = None) -> float | None:
+    def _bdp_locked(self, now: float) -> float | None:
         """Bandwidth-delay product in requests: how many fit in the pipe
         without queueing.  ``None`` until both estimators have samples."""
-        with self._lock:
-            return self._bdp_locked(self.clock() if now is None else now)
-
-    def _bdp_locked(self, now: float) -> float | None:
         rate = self._rate.get(now)
         latency = self._latency.get(now)
         if rate is None or latency is None:
@@ -229,27 +209,23 @@ class AdmissionPacer:
         with self._lock:
             return self._inflight
 
-    def inflight_cap(self, now: float | None = None) -> int:
-        with self._lock:
-            now = self.clock() if now is None else now
-            self._advance_locked(now)
-            return self._cap_locked(now)
-
     def _cap_locked(self, now: float) -> int:
         cfg = self.config
         if self._state == PROBE_RTT:
-            return max(1, cfg.probe_rtt_cap)
+            return PROBE_RTT_CAP
         bdp = self._bdp_locked(now)
         if bdp is None:
-            return max(cfg.min_cap, cfg.initial_cap)
+            return cfg.initial_cap
+        # A BDP is positive (every delivery sample is ≥ 1 request), so
+        # every ceiling below is ≥ 1 and the window never closes.
         if self._state == STARTUP:
             # Never below the initial cap: STARTUP must be able to grow
             # inflight past the still-underestimated BDP.
-            return max(cfg.initial_cap, math.ceil(cfg.startup_gain * bdp))
+            return max(cfg.initial_cap, math.ceil(STARTUP_GAIN * bdp))
         if self._state == DRAIN:
-            return max(cfg.min_cap, math.ceil(bdp))
-        gain = cfg.probe_bw_gains[self._probe_bw_phase % len(cfg.probe_bw_gains)]
-        return max(cfg.min_cap, math.ceil(gain * cfg.cwnd_gain * bdp))
+            return math.ceil(bdp)
+        gain = PROBE_BW_GAINS[self._probe_bw_phase]
+        return math.ceil(gain * cfg.cwnd_gain * bdp)
 
     def _enter_locked(self, state: str, now: float) -> None:
         if state == self._state:
@@ -269,32 +245,26 @@ class AdmissionPacer:
             self._phase_started_at = now
 
     def _phase_seconds_locked(self, now: float) -> float:
-        cfg = self.config
-        if cfg.probe_bw_phase_seconds is not None:
-            return cfg.probe_bw_phase_seconds
         latency = self._latency.get(now)
-        return max(cfg.min_phase_seconds, latency if latency is not None else 0.0)
+        return max(MIN_PHASE_SECONDS, latency if latency is not None else 0.0)
 
     def _advance_locked(self, now: float) -> None:
         """Time-driven transitions (the sample-driven STARTUP→DRAIN check
         lives in :meth:`on_delivered`, where the samples arrive)."""
-        cfg = self.config
         if self._state == DRAIN:
             bdp = self._bdp_locked(now)
-            if bdp is None or self._inflight <= max(cfg.min_cap, math.ceil(bdp)):
+            if bdp is None or self._inflight <= math.ceil(bdp):
                 self._enter_locked(PROBE_BW, now)
         if self._state == PROBE_BW:
             phase = self._phase_seconds_locked(now)
             while now - self._phase_started_at >= phase:
                 self._phase_started_at += phase
-                self._probe_bw_phase = (self._probe_bw_phase + 1) % len(
-                    cfg.probe_bw_gains
-                )
+                self._probe_bw_phase = (self._probe_bw_phase + 1) % len(PROBE_BW_GAINS)
             stale = self._latency.seconds_since_improved(now)
-            if stale is not None and stale >= cfg.probe_rtt_interval_seconds:
+            if stale is not None and stale >= PROBE_RTT_INTERVAL_SECONDS:
                 self._enter_locked(PROBE_RTT, now)
         if self._state == PROBE_RTT:
-            if now - self._state_entered_at >= cfg.probe_rtt_duration_seconds:
+            if now - self._state_entered_at >= self.config.probe_rtt_duration_seconds:
                 # The pass held the pipe near-empty; whatever min was
                 # sampled during it is trustworthy for another interval.
                 self._latency.touch(now)
@@ -306,13 +276,12 @@ class AdmissionPacer:
     # -- admission + delivery --------------------------------------------------
 
     def _pacing_gain_locked(self) -> float:
-        cfg = self.config
         if self._state == STARTUP:
-            return cfg.startup_gain
+            return STARTUP_GAIN
         if self._state == DRAIN:
-            return 1.0 / cfg.startup_gain  # BBR: drain what STARTUP built
+            return 1.0 / STARTUP_GAIN  # BBR: drain what STARTUP built
         if self._state == PROBE_BW:
-            return cfg.probe_bw_gains[self._probe_bw_phase % len(cfg.probe_bw_gains)]
+            return PROBE_BW_GAINS[self._probe_bw_phase]
         return 1.0  # PROBE_RTT: the cap floor dominates anyway
 
     def try_admit(self) -> bool:
@@ -402,12 +371,12 @@ class AdmissionPacer:
             rate = self._rate.update(n / elapsed, now)
             self._latency.update(elapsed, now)
             if self._state == STARTUP:
-                if rate >= self._startup_best_rate * self.config.startup_growth_factor:
+                if rate >= self._startup_best_rate * STARTUP_GROWTH_FACTOR:
                     self._startup_best_rate = rate
                     self._startup_stale_rounds = 0
                 else:
                     self._startup_stale_rounds += 1
-                    if self._startup_stale_rounds >= self.config.startup_full_rounds:
+                    if self._startup_stale_rounds >= STARTUP_FULL_ROUNDS:
                         self._enter_locked(DRAIN, now)
             self._advance_locked(now)
 

@@ -34,6 +34,10 @@ __all__ = ["LRUCache", "EncodingCache", "PredictionCache", "ProjectionTable"]
 
 #: Distinct node keys a :class:`ProjectionTable` may hold between requests.
 TABLE_CAPACITY = 4096
+#: Plans an :class:`EncodingCache` holds.
+ENCODING_CACHE_SIZE = 1024
+#: ``(fingerprint, env)`` predictions a :class:`PredictionCache` holds.
+PREDICTION_CACHE_SIZE = 4096
 
 V = TypeVar("V")
 
@@ -84,15 +88,15 @@ class LRUCache(Generic[V]):
 class EncodingCache(LRUCache[np.ndarray]):
     """fingerprint → :meth:`ProjectionTable.plan_ints` (integers only)."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        super().__init__(capacity)
+    def __init__(self) -> None:
+        super().__init__(ENCODING_CACHE_SIZE)
 
 
 class PredictionCache(LRUCache[float]):
     """(fingerprint, env features) → predicted cost."""
 
-    def __init__(self, capacity: int = 4096) -> None:
-        super().__init__(capacity)
+    def __init__(self) -> None:
+        super().__init__(PREDICTION_CACHE_SIZE)
 
 
 class ProjectionTable:

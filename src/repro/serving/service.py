@@ -263,8 +263,6 @@ class CostInferenceService:
         self,
         predictor,
         *,
-        encoding_cache_size: int = 1024,
-        prediction_cache_size: int = 4096,
         dtype=np.float32,
         enable_prediction_cache: bool = True,
     ) -> None:
@@ -274,8 +272,8 @@ class CostInferenceService:
         #: Representative environment restored by :meth:`from_checkpoint`
         #: (``None`` when constructed directly or the checkpoint had none).
         self.environment_features: tuple[float, float, float, float] | None = None
-        self.encoding_cache = EncodingCache(encoding_cache_size)
-        self.prediction_cache = PredictionCache(prediction_cache_size)
+        self.encoding_cache = EncodingCache()
+        self.prediction_cache = PredictionCache()
         self.enable_prediction_cache = enable_prediction_cache
         self._buffers = _BufferPool(self.dtype)
         # Layer 1 of every node seen under the live weight set; replaced
@@ -296,15 +294,14 @@ class CostInferenceService:
         self.reset_stats()
 
     @classmethod
-    def from_checkpoint(cls, path, **kwargs) -> "CostInferenceService":
+    def from_checkpoint(cls, path) -> "CostInferenceService":
         """Build a service straight from a registry checkpoint (the fleet
-        workers' boot path).  ``kwargs`` are the constructor's; the
-        checkpoint's stored representative environment, if any, is exposed
-        as ``service.environment_features``."""
+        workers' boot path).  The checkpoint's stored representative
+        environment, if any, is exposed as ``service.environment_features``."""
         from repro.core.serialization import load_predictor
 
         predictor, env = load_predictor(path)
-        service = cls(predictor, **kwargs)
+        service = cls(predictor)
         service.environment_features = env
         return service
 

@@ -81,6 +81,27 @@ RETRAIN_EPOCHS = 12
 ADAPT_COOLDOWN = 96
 
 
+#: Days of simulated history the scenario project is generated with, and
+#: the queries simulated per day.
+HISTORY_DAYS = 3
+QUERIES_PER_DAY = 30
+#: Candidate sets per family pool, and candidate plans per query.
+POOL_SIZE = 8
+TOP_K = 5
+#: The incumbent's training set: light log-normal noise on the pools' own
+#: cost law, capped at this many plans.
+INCUMBENT_NOISE_SIGMA = 0.05
+INCUMBENT_MAX_PLANS = 400
+#: Replay lifecycle calibration (see :func:`build_lifecycle`): the feedback
+#: log's bound, the drift monitor's window, minimum samples and degradation
+#: ratio, and the q-error alarm's headroom over the incumbent's baseline.
+FEEDBACK_CAPACITY = 192
+DRIFT_WINDOW = 32
+DRIFT_MIN_SAMPLES = 24
+DEGRADATION_RATIO = 1.5
+Q_ERROR_HEADROOM = 2.0
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """One recurring query's steering decision, frozen for replay: the
@@ -98,45 +119,25 @@ class ScenarioRuntime:
     family, the representative environment, the observation cost model,
     and incumbent training."""
 
-    def __init__(
-        self,
-        profile=None,
-        *,
-        history_days: int = 3,
-        horizon_days: int | None = None,
-        max_queries_per_day: int = 30,
-        pool_size: int = 8,
-        top_k: int = 5,
-        seed: int = 7,
-    ) -> None:
+    def __init__(self, *, seed: int = 7) -> None:
         from repro.core.explorer import PlanExplorer
         from repro.core.inference import ClusterExpectedEnvironment
         from repro.warehouse.workload import ProjectProfile, generate_project
 
-        if profile is None:
-            profile = ProjectProfile(
-                name="scenario-rt",
-                seed=seed,
-                n_tables=12,
-                n_templates=10,
-                stats_availability=0.2,
-                temp_table_ratio=0.25,
-                max_join_tables=4,
-                row_scale=3e5,
-                n_machines=60,
-            )
-        self.profile = profile
-        self.history_days = history_days
-        self.pool_size = pool_size
-        self.top_k = top_k
+        self.profile = ProjectProfile(
+            name="scenario-rt",
+            seed=seed,
+            n_tables=12,
+            n_templates=10,
+            stats_availability=0.2,
+            temp_table_ratio=0.25,
+            max_join_tables=4,
+            row_scale=3e5,
+            n_machines=60,
+        )
         self._rng = np.random.default_rng(seed)
-        self.workload = generate_project(
-            profile,
-            horizon_days=horizon_days if horizon_days is not None else history_days + 5,
-        )
-        self.workload.simulate_history(
-            history_days, max_queries_per_day=max_queries_per_day
-        )
+        self.workload = generate_project(self.profile, horizon_days=HISTORY_DAYS + 5)
+        self.workload.simulate_history(HISTORY_DAYS, max_queries_per_day=QUERIES_PER_DAY)
         self.explorer = PlanExplorer(self.workload.optimizer)
         self.env_r = tuple(
             float(v)
@@ -155,7 +156,7 @@ class ScenarioRuntime:
         """The family's candidate-set pool (built once, cached)."""
         if spec.name in self._pools:
             return self._pools[spec.name]
-        day = spec.build_day if spec.build_day is not None else self.history_days - 1
+        day = spec.build_day if spec.build_day is not None else HISTORY_DAYS - 1
         live, weights = self.workload.live_templates(day)
         matching = [
             (t, w) for t, w in zip(live, weights) if spec.matches(t)
@@ -169,8 +170,8 @@ class ScenarioRuntime:
         rng = spawn_rng(self._rng, "pool", spec.name)
         pool: list[CandidateSet] = []
         attempts = 0
-        max_attempts = 12 * self.pool_size
-        while len(pool) < self.pool_size and attempts < max_attempts:
+        max_attempts = 12 * POOL_SIZE
+        while len(pool) < POOL_SIZE and attempts < max_attempts:
             attempts += 1
             template = templates[int(rng.choice(len(templates), p=w))]
             query = template.instantiate(
@@ -178,7 +179,7 @@ class ScenarioRuntime:
                 rng,
                 submit_day=day,
             )
-            plans = self.explorer.candidates(query, top_k=self.top_k)
+            plans = self.explorer.candidates(query, top_k=TOP_K)
             if len(plans) < 2:
                 continue
             default_index = next(
@@ -220,20 +221,14 @@ class ScenarioRuntime:
 
     # -- incumbent -------------------------------------------------------------
 
-    def train_incumbent(
-        self,
-        families: tuple[FamilySpec, ...] = DEFAULT_FAMILIES,
-        *,
-        epochs: int = 6,
-        noise_sigma: float = 0.05,
-        max_plans: int = 400,
-    ):
-        """Train the incumbent on the pools' own cost law (intrinsic ×
-        e_r's environment factor, light noise) so pre-drift q-errors are
-        small by construction and regimes are the only moving part."""
+    def train_incumbent(self, *, epochs: int = 6):
+        """Train the incumbent on the default families' pools under their
+        own cost law (intrinsic × e_r's environment factor, light noise) so
+        pre-drift q-errors are small by construction and regimes are the
+        only moving part."""
         from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 
-        pools = self.pools(families)
+        pools = self.pools(DEFAULT_FAMILIES)
         plans = [p for pool in pools.values() for cs in pool for p in cs.plans]
         costs = np.array(
             [
@@ -244,11 +239,10 @@ class ScenarioRuntime:
             ]
         ) * environment_factor_from_features(self.env_r)
         rng = spawn_rng(self._rng, "incumbent")
-        costs = costs * np.exp(
-            rng.normal(-0.5 * noise_sigma**2, noise_sigma, size=len(costs))
-        )
-        if len(plans) > max_plans:
-            keep = rng.choice(len(plans), size=max_plans, replace=False)
+        sigma = INCUMBENT_NOISE_SIGMA
+        costs = costs * np.exp(rng.normal(-0.5 * sigma**2, sigma, size=len(costs)))
+        if len(plans) > INCUMBENT_MAX_PLANS:
+            keep = rng.choice(len(plans), size=INCUMBENT_MAX_PLANS, replace=False)
             plans = [plans[i] for i in keep]
             costs = costs[keep]
         predictor = AdaptiveCostPredictor(config=PredictorConfig(epochs=epochs))
@@ -282,19 +276,9 @@ class ScenarioRuntime:
         return float(np.mean(qs))
 
 
-def build_lifecycle(
-    runtime: ScenarioRuntime,
-    incumbent,
-    *,
-    registry=None,
-    feedback_capacity: int = 192,
-    drift_window: int = 32,
-    min_samples: int = 24,
-    degradation_ratio: float = 1.5,
-    q_error_headroom: float = 2.0,
-):
+def build_lifecycle(runtime: ScenarioRuntime, incumbent, *, registry=None):
     """A ``ModelLifecycle`` calibrated for replay: the absolute q-error
-    alarm sits at ``q_error_headroom ×`` the incumbent's measured baseline
+    alarm sits at ``Q_ERROR_HEADROOM ×`` the incumbent's measured baseline
     (floored at 2.5), and the feedback log is bounded tightly enough that
     a post-drift backlog displaces pre-drift records before the canary
     holdout is drawn — without which a genuinely better retrain loses the
@@ -304,12 +288,12 @@ def build_lifecycle(
     baseline = runtime.baseline_q_error(incumbent)
     lifecycle = ModelLifecycle(
         registry,
-        feedback=FeedbackLog(capacity=feedback_capacity),
+        feedback=FeedbackLog(capacity=FEEDBACK_CAPACITY),
         drift=DriftConfig(
-            window=drift_window,
-            min_samples=min_samples,
-            max_q_error=max(2.5, q_error_headroom * baseline),
-            degradation_ratio=degradation_ratio,
+            window=DRIFT_WINDOW,
+            min_samples=DRIFT_MIN_SAMPLES,
+            max_q_error=max(2.5, Q_ERROR_HEADROOM * baseline),
+            degradation_ratio=DEGRADATION_RATIO,
         ),
         canary=CanaryConfig(holdout_fraction=0.3, min_holdout=8),
     )

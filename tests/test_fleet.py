@@ -25,9 +25,11 @@ from repro.evaluation.pool import fork_available
 from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots, merged_to_prometheus
 from repro.fleet import fleet as fleet_module
 from repro.fleet.worker import PLAN_CACHE_CAP
-from repro.gateway import BreakerConfig, NativeCostFallback, OptimizerGateway
+from repro.gateway import NativeCostFallback, OptimizerGateway
+from repro.gateway.breaker import COOLDOWN_SECONDS, MIN_CALLS
 from repro.obs import ObsConfig
 from repro.pacing import PACER_STATE_CODES, STARTUP, AdmissionPacer, PacerConfig
+from repro.pacing.pacer import STARTUP_FULL_ROUNDS
 from repro.serving.fingerprint import plan_fingerprint
 from repro.serving.service import CostInferenceService
 
@@ -550,10 +552,10 @@ class TestServingFleet:
 
     def test_parent_exports_its_shard_pacers_gauges(self, checkpointed):
         path, _predictor, plans = checkpointed
-        # Held in STARTUP, so the gauges and stats() read one operating point.
-        config = PacerConfig(startup_full_rounds=10**9)
-        with ServingFleet(path, n_workers=1, pacer_config=config) as fleet:
-            for i in range(8):
+        # Too few samples to leave STARTUP (the first sets the rate to
+        # beat), so the gauges and stats() read one operating point.
+        with ServingFleet(path, n_workers=1, pacer_config=PacerConfig()) as fleet:
+            for i in range(STARTUP_FULL_ROUNDS):
                 assert fleet.predict(f"t{i}", plans[:4], env_features=ENV).source == "learned"
             stats = fleet.stats()
             gauges, pacer = stats["fleet"]["gauges"], stats["pacers"]["shard-0"]
@@ -563,6 +565,30 @@ class TestServingFleet:
             assert gauges["pacer_shard_0_btl_rate"] == pacer["btl_rate"] > 0.0
             assert gauges["pacer_shard_0_min_latency_seconds"] == pacer["min_latency_seconds"]
             assert "\nrepro_fleet_parent_pacer_shard_0_state " in fleet.to_prometheus()
+
+    def test_delivery_sample_excludes_the_wait_for_the_shard_lock(self, checkpointed):
+        """A paced shard's delivery sample is its exchange, not the queue in
+        front of it: a caller held 0.3 s behind the shard's lock must not
+        teach the pacer a 0.3 s queue-free latency."""
+        path, _predictor, plans = checkpointed
+        with ServingFleet(path, n_workers=1, pacer_config=PacerConfig()) as fleet:
+            fleet.ping()  # the worker has booted
+            handle = fleet._workers["shard-0"]
+            results = []
+            with handle.lock:
+                caller = threading.Thread(
+                    target=lambda: results.append(
+                        fleet.predict("t", plans[:4], env_features=ENV)
+                    )
+                )
+                caller.start()
+                time.sleep(0.3)
+            caller.join(timeout=30.0)
+            assert not caller.is_alive()
+            assert results[0].source == "learned"
+            pacer = fleet.stats()["pacers"]["shard-0"]
+            assert pacer["delivered_total"] == 1
+            assert pacer["min_latency_seconds"] < 0.1
 
     def test_both_front_ends_answer_refusals_alike(self, checkpointed):
         """A pacer-limit shed and a closed refusal give the same answer and
@@ -594,9 +620,9 @@ class TestServingFleet:
             """Trip ``guard``'s breaker and let its cooldown pass."""
             clock = types.SimpleNamespace(t=0.0)
             guard.breaker.clock = lambda: clock.t
-            for _ in range(BreakerConfig().min_calls):
+            for _ in range(MIN_CALLS):
                 guard.breaker.record_failure()
-            clock.t = BreakerConfig().cooldown_seconds
+            clock.t = COOLDOWN_SECONDS
             assert guard.breaker.state == "half-open"
 
         def ledger(guard):
@@ -616,8 +642,7 @@ class TestServingFleet:
         shard = fleet._workers["shard-0"].guard
 
         def swap_into_gateway():
-            service.swap_predictor(predictor)
-            gateway.notify_swap()
+            gateway.swap_predictor(predictor)
 
         def ask_gateway():
             return gateway.predict(plans[:4], env_features=ENV)
@@ -974,7 +999,7 @@ class TestParentGuardrails:
         with ServingFleet(path, n_workers=2, obs=obs) as fleet:
             broken = "shard-0"
             tenant, other = _tenant_on(fleet, broken), _tenant_on(fleet, broken, exclude=True)
-            for _ in range(8):  # BreakerConfig().min_calls
+            for _ in range(MIN_CALLS):
                 r = fleet.predict(tenant, plans[:4], env_features=BROKEN_ENV)
                 assert (r.source, r.reason) == ("fallback", "model-error")
                 assert np.array_equal(r.costs, native)
@@ -1116,7 +1141,7 @@ class TestLifecycleFleet:
         lifecycle.bootstrap(predictor, environment_features=ENV)
         with ServingFleet(n_workers=2) as fleet:
             lifecycle.attach_fleet(fleet)
-            for _ in range(BreakerConfig().min_calls):
+            for _ in range(MIN_CALLS):
                 r = fleet.predict("t", plans[:4], env_features=BROKEN_ENV)
                 assert r.reason == "model-error"
             assert fleet.predict("t", plans[:4], env_features=ENV).reason == "circuit-open"

@@ -30,16 +30,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.gateway import (
-    BreakerConfig,
     CircuitBreaker,
-    GatewayConfig,
     NativeCostFallback,
     OptimizerGateway,
     Telemetry,
     environment_factor_from_features,
 )
-from repro.gateway.gateway import _Latch
+from repro.gateway.breaker import (
+    COOLDOWN_SECONDS,
+    FAILURE_RATE_THRESHOLD,
+    HALF_OPEN_PROBES,
+    MIN_CALLS,
+    WINDOW,
+)
+from repro.gateway.gateway import MAX_QUEUE_DEPTH, _Latch
+from repro.gateway.telemetry import HISTOGRAM_WINDOW
 from repro.pacing import PACER_STATE_CODES, AdmissionPacer, PacerConfig
+from repro.pacing.pacer import STARTUP_FULL_ROUNDS
 from repro.serving import CostInferenceService
 
 TINY = PredictorConfig(epochs=2, hidden_dims=(16, 16), embedding_dim=8, adversarial=False)
@@ -102,7 +109,7 @@ class _StubService:
             time.sleep(self.delay)
         return np.array([p.marker for p in plans], dtype=np.float64)
 
-    def swap_predictor(self, predictor) -> None:
+    def swap_predictor(self, predictor, *, warm=None) -> None:
         self.predictor = predictor
 
     @property
@@ -216,13 +223,14 @@ class TestTelemetry:
             h.quantile(1.5)
 
     def test_histogram_window_bounds_quantiles_not_totals(self):
-        h = Telemetry().histogram("lat", window=8)
-        for v in range(100):
+        h = Telemetry().histogram("lat")
+        n = HISTOGRAM_WINDOW + 100
+        for v in range(n):
             h.observe(v)
-        assert h.count == 100
-        assert h.sum == pytest.approx(sum(range(100)))
-        # quantiles describe the last 8 observations (92..99) only.
-        assert h.quantile(0.0) == 92
+        assert h.count == n
+        assert h.sum == pytest.approx(sum(range(n)))
+        # quantiles describe the last HISTOGRAM_WINDOW observations only.
+        assert h.quantile(0.0) == 100
 
     def test_histogram_snapshot_fields(self):
         h = Telemetry().histogram("lat")
@@ -287,28 +295,23 @@ class TestTelemetry:
 # -- circuit breaker ------------------------------------------------------------
 
 
-def _breaker(clock, **overrides) -> CircuitBreaker:
-    defaults = dict(
-        window=8, min_calls=4, failure_rate_threshold=0.5,
-        cooldown_seconds=10.0, half_open_probes=2,
-    )
-    defaults.update(overrides)
-    return CircuitBreaker(BreakerConfig(**defaults), clock=clock)
+def _breaker(clock) -> CircuitBreaker:
+    return CircuitBreaker(clock=clock)
 
 
 class TestCircuitBreaker:
     def test_no_trip_below_min_calls(self):
         b = _breaker(_FakeClock())
-        for _ in range(3):
+        for _ in range(MIN_CALLS - 1):
             b.record_failure()
         assert b.state == "closed"
         assert b.allow()
 
     def test_trips_at_failure_rate(self):
         b = _breaker(_FakeClock())
-        for _ in range(2):
-            b.record_success(0.01)
-        for _ in range(2):
+        for _ in range(MIN_CALLS // 2):
+            b.record_success()
+        for _ in range(MIN_CALLS // 2):
             b.record_failure()
         assert b.state == "open"
         assert not b.allow()
@@ -317,69 +320,64 @@ class TestCircuitBreaker:
     def test_successes_keep_it_closed(self):
         b = _breaker(_FakeClock())
         for _ in range(50):
-            b.record_success(0.01)
+            b.record_success()
         b.record_failure()
         assert b.state == "closed"
-
-    def test_slow_successes_count_as_bad(self):
-        b = _breaker(_FakeClock(), slow_call_seconds=0.1)
-        for _ in range(4):
-            b.record_success(0.5)  # correct answers, blown budget
-        assert b.state == "open"
-        assert b.slow_count == 4
 
     def test_on_trip_callback(self):
         fired = []
         b = _breaker(_FakeClock())
         b.on_trip = fired.append
-        for _ in range(4):
+        for _ in range(MIN_CALLS):
             b.record_failure()
         assert fired == [b]
 
     def test_half_open_after_cooldown_then_closes(self):
         clock = _FakeClock()
         b = _breaker(clock)
-        for _ in range(4):
+        for _ in range(MIN_CALLS):
             b.record_failure()
         assert not b.allow()
-        clock.advance(10.0)
+        clock.advance(COOLDOWN_SECONDS)
         assert b.state == "half-open"
-        # two probe slots, third denied while probes are in flight.
-        assert b.allow() and b.allow()
+        # every probe slot granted, the next denied while probes are in flight.
+        for _ in range(HALF_OPEN_PROBES):
+            assert b.allow()
         assert not b.allow()
-        b.record_success(0.01)
-        b.record_success(0.01)
+        for _ in range(HALF_OPEN_PROBES):
+            b.record_success()
         assert b.state == "closed"
         assert b.allow()
 
     def test_half_open_failure_reopens(self):
         clock = _FakeClock()
         b = _breaker(clock)
-        for _ in range(4):
+        for _ in range(MIN_CALLS):
             b.record_failure()
-        clock.advance(10.0)
+        clock.advance(COOLDOWN_SECONDS)
         assert b.allow()
         b.record_failure(kind="slow")
         assert b.state == "open"
         assert b.trip_count == 2
         # cooldown restarted: still open until it elapses again.
-        clock.advance(5.0)
+        clock.advance(COOLDOWN_SECONDS / 2)
         assert not b.allow()
 
     def test_release_probe_returns_slot(self):
         clock = _FakeClock()
-        b = _breaker(clock, half_open_probes=1)
-        for _ in range(4):
+        b = _breaker(clock)
+        for _ in range(MIN_CALLS):
             b.record_failure()
-        clock.advance(10.0)
-        assert b.allow()
-        assert not b.allow()  # the only probe slot is out
-        b.release_probe()  # the granted request was shed before the model
+        clock.advance(COOLDOWN_SECONDS)
+        for _ in range(HALF_OPEN_PROBES):
+            assert b.allow()
+        assert not b.allow()  # every probe slot is out
+        b.release_probe()  # a granted request was shed before the model
         assert b.allow()
 
     def test_reset_closes_unconditionally(self):
         b = _breaker(_FakeClock())
-        for _ in range(4):
+        for _ in range(MIN_CALLS):
             b.record_failure()
         b.reset()
         assert b.state == "closed"
@@ -387,42 +385,32 @@ class TestCircuitBreaker:
 
     def test_stats_shape(self):
         b = _breaker(_FakeClock())
-        b.record_success(0.01)
+        b.record_success()
         stats = b.stats()
         assert stats["state"] == "closed"
         assert stats["success_count"] == 1
         assert stats["window_filled"] == 1
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        window=st.integers(1, 12),
-        min_calls=st.integers(1, 14),
-        threshold=st.floats(0.05, 1.0),
-        outcomes=st.lists(st.booleans(), max_size=80),
-    )
-    def test_trip_points_match_windowed_sum_definition(
-        self, window, min_calls, threshold, outcomes
-    ):
+    @given(outcomes=st.lists(st.booleans(), max_size=3 * WINDOW))
+    def test_trip_points_match_windowed_sum_definition(self, outcomes):
         """The running bad-count trips exactly where ``sum(window) /
-        len(window) >= threshold`` over the last ``window`` outcomes does."""
-        config = BreakerConfig(
-            window=window, min_calls=min_calls, failure_rate_threshold=threshold
-        )
-        breaker = CircuitBreaker(config, clock=_FakeClock())
-        reference: deque[bool] = deque(maxlen=window)
+        len(window) >= threshold`` over the last ``WINDOW`` outcomes does."""
+        breaker = _breaker(_FakeClock())
+        reference: deque[bool] = deque(maxlen=WINDOW)
         trips, want = [], []
         for i, bad in enumerate(outcomes):
             if bad:
                 breaker.record_failure()
             else:
-                breaker.record_success(0.0)
+                breaker.record_success()
             if breaker.trip_count > len(trips):
                 trips.append(i)
                 breaker.reset()  # closed again with an empty window
             reference.append(bad)
             if (
-                len(reference) >= min_calls
-                and sum(reference) / len(reference) >= threshold
+                len(reference) >= MIN_CALLS
+                and sum(reference) / len(reference) >= FAILURE_RATE_THRESHOLD
             ):
                 want.append(i)
                 reference.clear()
@@ -528,32 +516,36 @@ class TestGatewayFallbackPaths:
     def test_shed_when_queue_full(self, native_plans):
         service = _GatedService()
         service.arm(1)
-        config = GatewayConfig(max_queue_depth=1)
-        with OptimizerGateway(service, config=config) as gw:
+        with OptimizerGateway(service) as gw:
             results = {}
 
             def call(key):
                 results[key] = gw.predict(_marker_plans(float(key)))
 
-            # a: picked up by the worker (held at the stub's gate);
-            # b: parked on the queue (depth 1 == max) -> next caller sheds.
-            a = threading.Thread(target=call, args=(1,))
-            a.start()
+            # 1: picked up by the worker (held at the stub's gate); the next
+            # MAX_QUEUE_DEPTH callers park on the queue -> the next one sheds.
+            first = threading.Thread(target=call, args=(1,))
+            first.start()
             assert service.entered[0].wait(5.0)
-            b = threading.Thread(target=call, args=(2,))
-            b.start()
-            assert _settle(lambda: len(gw._queue) == 1)
+            queued = [
+                threading.Thread(target=call, args=(key,))
+                for key in range(2, MAX_QUEUE_DEPTH + 2)
+            ]
+            for th in queued:
+                th.start()
+            assert _settle(lambda: len(gw._queue) == MAX_QUEUE_DEPTH)
             shed = gw.predict(native_plans, env_features=ENV)
             assert shed.source == "fallback"
             assert shed.reason == "shed"
             expected = NativeCostFallback().predict(native_plans, env_features=ENV)
             assert (shed.costs == expected).all()
             service.open()
-            a.join()
-            b.join()
+            for th in [first, *queued]:
+                th.join(timeout=10.0)
+            assert not any(th.is_alive() for th in [first, *queued])
             # the queued callers still got learned answers.
-            assert results[1].source == "learned" and results[1][0] == 1.0
-            assert results[2].source == "learned" and results[2][0] == 2.0
+            for key in range(1, MAX_QUEUE_DEPTH + 2):
+                assert results[key].source == "learned" and results[key][0] == key
             assert gw.telemetry.counter("fallback_shed_total").value == 1
             # ... and the shed split attributes it to the queue.
             assert gw.telemetry.counter("sheds_total").value == 1
@@ -628,16 +620,15 @@ class TestGatewayFallbackPaths:
 
 
 class TestGatewayBreaker:
-    def _gateway(self, service, clock, **breaker_overrides):
-        breaker = _breaker(clock, **breaker_overrides)
-        return OptimizerGateway(service, breaker=breaker)
+    def _gateway(self, service, clock):
+        return OptimizerGateway(service, breaker=_breaker(clock))
 
     def test_repeated_errors_trip_then_circuit_open(self, native_plans):
         clock = _FakeClock()
         service = _StubService()
         with self._gateway(service, clock) as gw:
             service.faults = 100
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 assert gw.predict(native_plans).reason == "model-error"
             assert gw.breaker.state == "open"
             assert gw.telemetry.counter("breaker_trips_total").value == 1
@@ -655,7 +646,7 @@ class TestGatewayBreaker:
         gw.on_trip = tripped.append
         with gw:
             service.faults = 100
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 gw.predict(native_plans)
         assert tripped == [gw]
 
@@ -664,14 +655,14 @@ class TestGatewayBreaker:
         service = _StubService()
         with self._gateway(service, clock) as gw:
             service.faults = 100
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 gw.predict(native_plans)
             assert gw.breaker.state == "open"
             service.faults = 0  # model healthy again
-            clock.advance(10.0)
+            clock.advance(COOLDOWN_SECONDS)
             assert gw.breaker.state == "half-open"
-            for marker in (1.0, 2.0):  # two probe successes close it
-                result = gw.predict(_marker_plans(marker))
+            for marker in range(HALF_OPEN_PROBES):  # probe successes close it
+                result = gw.predict(_marker_plans(float(marker)))
                 assert result.source == "learned"
             assert gw.breaker.state == "closed"
 
@@ -680,9 +671,9 @@ class TestGatewayBreaker:
         service = _StubService()
         with self._gateway(service, clock) as gw:
             service.faults = 100
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 gw.predict(native_plans)
-            clock.advance(10.0)
+            clock.advance(COOLDOWN_SECONDS)
             assert gw.predict(native_plans).reason == "model-error"  # probe fails
             assert gw.breaker.state == "open"
             assert gw.breaker.trip_count == 2
@@ -692,13 +683,12 @@ class TestGatewayBreaker:
         service = _StubService()
         with self._gateway(service, clock) as gw:
             service.faults = 100
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 gw.predict(native_plans)
             assert gw.breaker.state == "open"
             swaps_before = gw.telemetry.counter("swaps_total").value
             service.faults = 0
-            service.swap_predictor(_StubPredictor(version=7))
-            gw.notify_swap()
+            gw.swap_predictor(_StubPredictor(version=7))
             assert gw.breaker.state == "closed"
             assert service.predictor.weights_version == 7
             assert gw.telemetry.counter("swaps_total").value == swaps_before + 1
@@ -712,7 +702,7 @@ class TestGatewayBreaker:
         service = _StubService()
         with self._gateway(service, clock) as gw:
             service.faults = 100
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 gw.predict(native_plans)
             stats = gw.stats()
             assert stats["breaker"]["state"] == "open"
@@ -944,9 +934,23 @@ class TestRequestPath:
         counter_reads: list = []
         cache_counters = service.cache_counters
         service.cache_counters = lambda: counter_reads.append(1) or cache_counters()
-        # startup_full_rounds: the pacer stays in STARTUP, so the dwell
-        # histogram (one lookup per state change) stays out of the count.
-        pacer = AdmissionPacer(PacerConfig(startup_full_rounds=10**9))
+        # Fewer delivery samples than STARTUP needs to call the pipe full
+        # (later batches return their slots unmeasured): the pacer stays in
+        # STARTUP, so the gauges and stats() read one operating point and
+        # the dwell histogram (one lookup per state change) stays out of
+        # the count.
+        pacer = AdmissionPacer(PacerConfig())
+        samples: list[float] = []
+        on_delivered = pacer.on_delivered
+
+        def few_samples(n=1, *, elapsed_seconds):
+            if len(samples) < STARTUP_FULL_ROUNDS:
+                samples.append(elapsed_seconds)
+                on_delivered(n, elapsed_seconds=elapsed_seconds)
+            else:
+                pacer.release(n)
+
+        pacer.on_delivered = few_samples
         with OptimizerGateway(service, pacer=pacer) as gw:
             for _ in range(3):
                 gw.predict(plans[:6], env_features=ENV)
@@ -997,10 +1001,12 @@ class TestRequestPath:
 
     def test_deadline_against_stuck_service_returns_slot_and_probe_once(self):
         clock = _FakeClock()
-        breaker = _breaker(clock, half_open_probes=1)
-        for _ in range(4):
+        breaker = _breaker(clock)
+        for _ in range(MIN_CALLS):
             breaker.record_failure()
-        clock.advance(10.0)  # cooldown over: the next request is the probe
+        clock.advance(COOLDOWN_SECONDS)  # cooldown over: half-open
+        for _ in range(HALF_OPEN_PROBES - 1):
+            assert breaker.allow()  # other probes in flight: the next is the last
         pacer = AdmissionPacer(PacerConfig())
         returned: list[int] = []
         release, on_delivered = pacer.release, pacer.on_delivered
@@ -1016,7 +1022,7 @@ class TestRequestPath:
             assert time.monotonic() - started < 1.0
             assert result.reason == "deadline"
             assert (result.costs == [-3.0]).all()
-            # The stuck batch still holds the slot and the only probe.
+            # The stuck batch still holds the slot and the last probe.
             assert pacer.inflight == 1 and returned == []
             assert breaker.state == "half-open" and not breaker.allow()
             service.release.set()
@@ -1139,7 +1145,7 @@ class TestLifecycleGateway:
                 raise RuntimeError("injected learned-path fault")
 
             monkeypatch.setattr(lifecycle.service, "predict", broken)
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 assert gw.predict(native_plans).source == "fallback"
             assert gw.breaker.state == "open"
             # the feedback log is empty (below min_samples), yet the trip
@@ -1166,7 +1172,7 @@ class TestLifecycleGateway:
                 lifecycle.observe(
                     plan, float(cost), predicted_cost=float(cost), env_features=ENV
                 )
-            for _ in range(4):
+            for _ in range(MIN_CALLS):
                 gw.breaker.record_failure()
             assert gw.breaker.state == "open"
             # an identical-weights candidate (the registered checkpoint
@@ -1181,4 +1187,71 @@ class TestLifecycleGateway:
             assert gw.breaker.state == "closed"
             assert gw.predict(plans[:4], env_features=ENV).source == "learned"
         finally:
+            gw.close()
+
+    def test_promote_waits_for_the_batch_in_flight(self, trained, monkeypatch):
+        """A promote from another thread swaps the model under the gateway's
+        service lock: it does not enter ``swap_predictor`` while a batch is
+        still inside ``service.predict``.  A lifecycle keeps one gateway."""
+        from repro.lifecycle import CanaryConfig, ModelLifecycle
+
+        predictor, plans = trained
+        lifecycle = ModelLifecycle(canary=CanaryConfig(min_holdout=4))
+        gw = lifecycle.serve_through_gateway()
+        gate = threading.Event()
+        try:
+            with pytest.raises(RuntimeError):
+                lifecycle.serve_through_gateway()
+            lifecycle.bootstrap(predictor, environment_features=ENV)
+            predicted = gw.predict(plans[:20], env_features=ENV)
+            for plan, cost in zip(plans[:20], predicted.costs):
+                lifecycle.observe(
+                    plan, float(cost), predicted_cost=float(cost), env_features=ENV
+                )
+            service = lifecycle.service
+            predict, swap = service.predict, service.swap_predictor
+            inside = threading.Event()
+            in_flight: list[bool] = []  # non-empty while the gated batch computes
+            swapped_mid_batch: list[bool] = []
+
+            def gated_predict(batch, *, env_features=None):
+                if inside.is_set():
+                    return predict(batch, env_features=env_features)
+                in_flight.append(True)
+                inside.set()
+                try:
+                    gate.wait(10.0)
+                    return predict(batch, env_features=env_features)
+                finally:
+                    in_flight.pop()
+
+            def watched_swap(new, *, warm=None):
+                swapped_mid_batch.append(bool(in_flight))
+                swap(new, warm=warm)
+
+            monkeypatch.setattr(service, "predict", gated_predict)
+            monkeypatch.setattr(service, "swap_predictor", watched_swap)
+            caller = threading.Thread(
+                target=gw.predict, args=(plans[:4],), kwargs={"env_features": ENV}
+            )
+            caller.start()
+            assert inside.wait(5.0)
+            # An identical-weights candidate ties the incumbent: promoted.
+            candidate, _ = lifecycle.registry.load(1)
+            promoter = threading.Thread(
+                target=lifecycle.submit_candidate,
+                args=(candidate,),
+                kwargs={"environment_features": ENV},
+            )
+            promoter.start()
+            promoter.join(timeout=0.3)
+            assert swapped_mid_batch == []  # waiting on the service lock
+            gate.set()
+            caller.join(timeout=10.0)
+            promoter.join(timeout=10.0)
+            assert not caller.is_alive() and not promoter.is_alive()
+            assert swapped_mid_batch == [False]
+            assert lifecycle.current_version.version == 2
+        finally:
+            gate.set()
             gw.close()

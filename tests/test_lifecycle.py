@@ -29,6 +29,7 @@ from repro.lifecycle import (
     plan_digest,
     training_data_fingerprint,
 )
+from repro.lifecycle.manager import WARM_TOP_K
 from repro.serving.service import CostInferenceService
 
 TINY = PredictorConfig(hidden_dims=(16, 12), embedding_dim=8, epochs=4, adversarial=False)
@@ -348,7 +349,7 @@ class TestLifecycleEndToEnd:
         # the *new* model (so nothing stale from the incumbent survives and
         # the cache holds at most the warming set).
         warmed = lifecycle.service.cache_counters()["warmed_plans"]
-        assert 0 < warmed <= lifecycle.warm_top_k
+        assert 0 < warmed <= WARM_TOP_K
         assert 0 < len(lifecycle.service.prediction_cache) <= warmed
         assert 0 < len(lifecycle.service.encoding_cache) <= warmed
 
@@ -367,7 +368,6 @@ class TestLifecycleEndToEnd:
         lifecycle = ModelLifecycle(
             tmp_path / "warm",
             canary=CanaryConfig(holdout_fraction=0.3, min_holdout=4),
-            warm_top_k=8,
         )
         lifecycle.bootstrap(weak, environment_features=ENV)
         hot = plans[0]
@@ -387,22 +387,6 @@ class TestLifecycleEndToEnd:
         # ...and the warm value is the new model's prediction, not a stale one.
         fresh = CostInferenceService(predictor).predict([hot], env_features=ENV)
         np.testing.assert_array_equal(got, fresh)
-
-    def test_warm_top_k_zero_disables_warming(self, pool, tmp_path):
-        predictor, plans, costs = pool
-        weak = _perturbed(predictor, tmp_path, sigma=0.8, seed=7)
-        lifecycle = ModelLifecycle(
-            tmp_path / "nowarm",
-            canary=CanaryConfig(holdout_fraction=0.3, min_holdout=4),
-            warm_top_k=0,
-        )
-        lifecycle.bootstrap(weak, environment_features=ENV)
-        for plan, cost in zip(plans, costs):
-            lifecycle.observe(plan, cost, env_features=ENV)
-        report, _ = lifecycle.submit_candidate(predictor, environment_features=ENV)
-        assert report.decision == "promote"
-        assert lifecycle.service.cache_counters()["warmed_plans"] == 0
-        assert len(lifecycle.service.prediction_cache) == 0
 
     def test_rollback_restores_previous_version_exactly(self, pool, tmp_path):
         predictor, plans, costs = pool

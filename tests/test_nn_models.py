@@ -52,13 +52,6 @@ class TestLayers:
         layer = Linear(10, 10, rng=nn_rng)
         assert layer.size_bytes() == (100 + 10) * 8
 
-    def test_train_eval_propagates(self, nn_rng):
-        model = Sequential(ReLU(), Linear(2, 2, rng=nn_rng))
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
-
 
 class TestOptim:
     def test_adam_descends_quadratic(self):

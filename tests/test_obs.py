@@ -728,7 +728,7 @@ class TestReplayTracing:
             build_scenario,
         )
 
-        runtime = ScenarioRuntime(seed=7, max_queries_per_day=10)
+        runtime = ScenarioRuntime(seed=7)
         incumbent = runtime.train_incumbent(epochs=2)
         scenario = build_scenario("steady")
         digests = []

@@ -37,13 +37,14 @@ from repro.core.serialization import save_predictor
 from repro.evaluation.pool import fork_available
 from repro.fleet import ServingFleet
 from repro.gateway import (
-    BreakerConfig,
     CircuitBreaker,
     GatewayConfig,
     NativeCostFallback,
     OptimizerGateway,
     Telemetry,
 )
+from repro.gateway.breaker import COOLDOWN_SECONDS, HALF_OPEN_PROBES, MIN_CALLS
+from repro.gateway.gateway import MAX_QUEUE_DEPTH
 from repro.pacing import (
     DRAIN,
     PACER_STATE_CODES,
@@ -105,12 +106,37 @@ class _StubService:
             time.sleep(self.delay)
         return np.array([p.marker for p in plans], dtype=np.float64)
 
-    def swap_predictor(self, predictor) -> None:
+    def swap_predictor(self, predictor, *, warm=None) -> None:
         self.predictor = predictor
 
     @property
     def weights_version(self) -> int:
         return self.predictor.weights_version
+
+
+class _NeverTrips:
+    """Breaker stub that admits every request and never opens."""
+
+    on_trip = None
+    state = "closed"
+
+    def allow(self) -> bool:
+        return True
+
+    def release_probe(self) -> None:
+        pass
+
+    def reset(self) -> None:
+        pass
+
+    def record_success(self) -> None:
+        pass
+
+    def record_failure(self, *, kind: str = "error") -> None:
+        pass
+
+    def stats(self) -> dict:
+        return {"state": self.state}
 
 
 class _StubFallback:
@@ -188,13 +214,7 @@ class TestWindowedExtremum:
 
 
 def _pacer(clock, **overrides) -> AdmissionPacer:
-    defaults = dict(
-        probe_bw_phase_seconds=1.0,
-        probe_rtt_interval_seconds=5.0,
-        probe_rtt_duration_seconds=0.25,
-        startup_full_rounds=3,
-        initial_cap=4,
-    )
+    defaults = dict(probe_rtt_duration_seconds=0.25, initial_cap=4)
     defaults.update(overrides)
     return AdmissionPacer(PacerConfig(**defaults), clock=clock)
 
@@ -203,8 +223,8 @@ class TestPacerStateMachine:
     def test_starts_in_startup_with_initial_cap(self):
         p = _pacer(_FakeClock())
         assert p.state == STARTUP
-        assert p.inflight_cap() == 4
-        assert p.bdp() is None
+        assert p.stats()["inflight_cap"] == 4
+        assert p.stats()["bdp"] is None
 
     def test_admission_denied_at_cap_and_released(self):
         p = _pacer(_FakeClock())
@@ -226,9 +246,10 @@ class TestPacerStateMachine:
     def test_delivery_feeds_both_estimators(self):
         p = _pacer(_FakeClock())
         p.on_delivered(2, elapsed_seconds=0.1)
-        assert p.btl_rate() == pytest.approx(20.0)  # 2 requests / 0.1 s
-        assert p.min_latency() == pytest.approx(0.1)
-        assert p.bdp() == pytest.approx(2.0)
+        stats = p.stats()
+        assert stats["btl_rate"] == pytest.approx(20.0)  # 2 requests / 0.1 s
+        assert stats["min_latency_seconds"] == pytest.approx(0.1)
+        assert stats["bdp"] == pytest.approx(2.0)
 
     def test_startup_exits_to_drain_when_rate_plateaus(self):
         clock = _FakeClock()
@@ -248,7 +269,7 @@ class TestPacerStateMachine:
         p.on_delivered(1, elapsed_seconds=0.1)
         assert p.state == DRAIN
         assert p.inflight == 2
-        assert p.inflight_cap() == 1  # ceil(bdp) = ceil(10/s * 0.1s)
+        assert p.stats()["inflight_cap"] == 1  # ceil(bdp) = ceil(10/s * 0.1s)
         assert not p.try_admit()
 
     def test_drain_exits_to_probe_bw_once_inflight_sinks_to_bdp(self):
@@ -276,12 +297,13 @@ class TestPacerStateMachine:
         p = self._parked_in_drain(clock)
         p.release(2)
         assert p.state == PROBE_BW
+        # A phase lasts one queue-free latency (0.1 s).
         # bdp = 1; phase 0 probes up: ceil(1.25 * 2.0 * 1) = 3.
-        assert p.inflight_cap() == 3
-        clock.advance(1.0)  # phase 1 drains: ceil(0.75 * 2.0 * 1) = 2
-        assert p.inflight_cap() == 2
-        clock.advance(1.0)  # phase 2 cruises: ceil(1.0 * 2.0 * 1) = 2
-        assert p.inflight_cap() == 2
+        assert p.stats()["inflight_cap"] == 3
+        clock.advance(0.1)  # phase 1 drains: ceil(0.75 * 2.0 * 1) = 2
+        assert p.stats()["inflight_cap"] == 2
+        clock.advance(0.1)  # phase 2 cruises: ceil(1.0 * 2.0 * 1) = 2
+        assert p.stats()["inflight_cap"] == 2
         assert p.stats()["probe_bw_phase"] == 2
 
     def test_probe_rtt_on_stale_latency_then_back_to_probe_bw(self):
@@ -291,7 +313,7 @@ class TestPacerStateMachine:
         assert p.state == PROBE_BW
         clock.advance(5.0)  # latency estimate now 5 s stale
         assert p.state == PROBE_RTT
-        assert p.inflight_cap() == 1  # probe_rtt_cap floor
+        assert p.stats()["inflight_cap"] == 1  # the PROBE_RTT_CAP floor
         clock.advance(0.25)
         assert p.state == PROBE_BW  # estimates still in window
         # The pass re-validated the estimate: no immediate re-entry.
@@ -312,7 +334,7 @@ class TestPacerStateMachine:
         assert p.state == PROBE_RTT
         clock.advance(0.25)
         assert p.state == STARTUP
-        assert p.bdp() is None
+        assert p.stats()["bdp"] is None
         assert p.state_entries[STARTUP] == 2
 
     def test_reset_reenters_startup_and_clears_estimates(self):
@@ -324,7 +346,8 @@ class TestPacerStateMachine:
         p.reset()
         assert p.state == STARTUP
         assert p.resets_total == 1
-        assert p.btl_rate() is None and p.min_latency() is None
+        stats = p.stats()
+        assert stats["btl_rate"] is None and stats["min_latency_seconds"] is None
         # Admitted requests are still out there: inflight survives reset.
         assert p.inflight == inflight
 
@@ -334,7 +357,7 @@ class TestPacerStateMachine:
         # No rate estimate yet: pacing is inert, only the cap governs.
         assert p.try_admit() and p.try_admit()
         p.on_delivered(2, elapsed_seconds=0.2)  # rate 10/s
-        # STARTUP paces at startup_gain * rate = 28.85/s -> ~34.7 ms apart.
+        # STARTUP paces at STARTUP_GAIN * rate = 28.85/s -> ~34.7 ms apart.
         assert p.try_admit()
         assert not p.try_admit()  # same instant: next token not due
         assert p.denied_total == 1
@@ -354,11 +377,7 @@ class TestPacerStateMachine:
     def test_gauges_and_dwell_histograms(self):
         clock = _FakeClock()
         telemetry = Telemetry()
-        p = AdmissionPacer(
-            PacerConfig(probe_bw_phase_seconds=1.0, initial_cap=4),
-            clock=clock,
-            telemetry=telemetry,
-        )
+        p = AdmissionPacer(PacerConfig(initial_cap=4), clock=clock, telemetry=telemetry)
         for _ in range(4):
             p.try_admit()
         for _ in range(4):
@@ -445,8 +464,7 @@ class TestGatewayPacing:
             assert before["state"] != STARTUP
             assert before["btl_rate"] is not None
             assert before["min_latency_seconds"] >= 0.005
-            service.swap_predictor(_StubPredictor(version=2))
-            gw.notify_swap()
+            gw.swap_predictor(_StubPredictor(version=2))
             stats = gw.pacer.stats()
             assert stats["state"] == STARTUP
             assert stats["resets_total"] == 1
@@ -454,7 +472,7 @@ class TestGatewayPacing:
             # ... and the pipe is re-learned from post-swap traffic.
             r = gw.predict(_marker_plans(2.0))
             assert r.source == "learned"
-            assert gw.pacer.btl_rate() is not None
+            assert gw.pacer.stats()["btl_rate"] is not None
 
     def test_pacer_beats_the_deep_queue_under_open_loop_overload(self):
         """3x a known 5 ms pipe, open loop, budget 2.5x the service time.
@@ -480,7 +498,7 @@ class TestGatewayPacing:
             with OptimizerGateway(
                 _StubService(delay=delay),
                 config=GatewayConfig(max_coalesce_plans=1),
-                breaker=CircuitBreaker(BreakerConfig(min_calls=10**6)),
+                breaker=_NeverTrips(),
                 pacer=AdmissionPacer(pacer) if pacer is not None else None,
                 fallback=_StubFallback(),
             ) as gw:
@@ -552,24 +570,18 @@ class TestGatewayPacing:
         cap) must hand its probe slot back — the breaker can still probe to
         recovery once the pacer drains."""
         clock = _FakeClock()
-        breaker = CircuitBreaker(
-            BreakerConfig(
-                window=8, min_calls=4, failure_rate_threshold=0.5,
-                cooldown_seconds=10.0, half_open_probes=2,
-            ),
-            clock=clock,
-        )
+        breaker = CircuitBreaker(clock=clock)
         pacer = AdmissionPacer(PacerConfig(initial_cap=8))
         service = _StubService()
         gw = OptimizerGateway(
             service, breaker=breaker, pacer=pacer, fallback=_StubFallback()
         )
         try:
-            service.faults = 4
-            for _ in range(4):
+            service.faults = MIN_CALLS
+            for _ in range(MIN_CALLS):
                 assert gw.predict(_marker_plans(1.0)).reason == "model-error"
             assert breaker.state == "open"
-            clock.advance(11.0)
+            clock.advance(COOLDOWN_SECONDS + 1.0)
             # Park the pacer in DRAIN with inflight above its BDP cap.
             for _ in range(8):
                 assert pacer.try_admit()
@@ -580,12 +592,12 @@ class TestGatewayPacing:
             probe = gw.predict(_marker_plans(2.0))
             assert probe.reason == "pacer-limit"
             assert breaker.state == "half-open"
-            # Slot returned: with the pacer drained, both configured probes
-            # still run and close the breaker.
+            # Slot returned: with the pacer drained, every configured probe
+            # still runs and they close the breaker.
             pacer.release(4)
             assert pacer.state == PROBE_BW
-            assert gw.predict(_marker_plans(3.0)).source == "learned"
-            assert gw.predict(_marker_plans(4.0)).source == "learned"
+            for marker in range(HALF_OPEN_PROBES):
+                assert gw.predict(_marker_plans(3.0 + marker)).source == "learned"
             assert breaker.state == "closed"
             # Half-open recovery is not a path change: no pacer reset.
             assert pacer.resets_total == 0
@@ -784,27 +796,38 @@ class TestRetryAfterSurfacing:
             gw.pacer.release(taken)
 
     def test_gateway_queue_shed_has_no_retry_after(self):
-        service = _StubService(delay=0.2)
-        config = GatewayConfig(max_queue_depth=1)
-        with OptimizerGateway(
-            service, config=config, fallback=_StubFallback()
-        ) as gw:
-            t = threading.Thread(target=gw.predict, args=(_marker_plans(1.0),))
-            t.start()
-            time.sleep(0.05)
-            threads = [
-                threading.Thread(target=gw.predict, args=(_marker_plans(2.0),))
-                for _ in range(2)
-            ]
-            for th in threads:
-                th.start()
-            time.sleep(0.05)
-            shed = gw.predict(_marker_plans(3.0), env_features=ENV)
-            assert shed.source == "fallback" and shed.reason == "shed"
-            assert shed.retry_after is None
-            t.join()
-            for th in threads:
-                th.join()
+        inside, gate = threading.Event(), threading.Event()
+
+        class _HeldService(_StubService):
+            def predict(self, plans, *, env_features=None):
+                inside.set()
+                gate.wait(10.0)
+                return super().predict(plans, env_features=env_features)
+
+        with OptimizerGateway(_HeldService(), fallback=_StubFallback()) as gw:
+            try:
+                # One request held in the learned batch, MAX_QUEUE_DEPTH queued
+                # behind it: the next one sheds.
+                t = threading.Thread(target=gw.predict, args=(_marker_plans(1.0),))
+                t.start()
+                assert inside.wait(5.0)
+                threads = [
+                    threading.Thread(target=gw.predict, args=(_marker_plans(2.0),))
+                    for _ in range(MAX_QUEUE_DEPTH)
+                ]
+                for th in threads:
+                    th.start()
+                deadline = time.monotonic() + 5.0
+                while len(gw._queue) < MAX_QUEUE_DEPTH and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                shed = gw.predict(_marker_plans(3.0), env_features=ENV)
+                assert shed.source == "fallback" and shed.reason == "shed"
+                assert shed.retry_after is None
+            finally:
+                gate.set()
+            for th in [t, *threads]:
+                th.join(timeout=10.0)
+            assert not any(th.is_alive() for th in [t, *threads])
 
     @needs_fork
     def test_fleet_pacer_limit_shed_carries_retry_after(self, fleet_checkpoint):
@@ -876,7 +899,7 @@ class PacerSlotLedger(RuleBasedStateMachine):
     def ledger_balances(self):
         pacer = self.pacer
         assert pacer.inflight == self.held
-        assert pacer.inflight_cap() >= 1
+        assert pacer.stats()["inflight_cap"] >= 1
         assert pacer.state in PACER_STATE_CODES
         eta = pacer.next_admit_eta()
         assert eta is None or eta >= 0.0
@@ -884,7 +907,8 @@ class PacerSlotLedger(RuleBasedStateMachine):
             # Nothing but a release or time has happened since: still the
             # fresh STARTUP the reset entered, with nothing measured.
             assert pacer.state == STARTUP
-            assert pacer.btl_rate() is None and pacer.min_latency() is None
+            stats = pacer.stats()
+            assert stats["btl_rate"] is None and stats["min_latency_seconds"] is None
 
 
 PacerSlotLedger.TestCase.settings = settings(

@@ -29,7 +29,7 @@ from repro.serving import (
     LRUCache,
     plan_fingerprint,
 )
-from repro.serving.cache import ProjectionTable
+from repro.serving.cache import ENCODING_CACHE_SIZE, ProjectionTable
 from repro.serving.fingerprint import plan_nodes
 from repro.serving.service import _combined_gather_index
 from repro.warehouse.plan import PhysicalPlan
@@ -248,20 +248,27 @@ class TestCacheBehaviour:
         assert cache.get("a") is None
         assert (cache.hits, cache.misses, cache.evictions) == (0, 1, 0)
 
-    def test_service_under_lru_pressure_stays_correct(self, trained):
-        predictor, plans = trained
-        service = CostInferenceService(
-            predictor, encoding_cache_size=4, prediction_cache_size=4
-        )
+    def test_service_under_lru_pressure_stays_correct(self, trained, candidate_sets):
+        predictor, _plans = trained
+        service = CostInferenceService(predictor)
         env = (0.5, 0.05, 0.5, 0.5)
-        many = plans[:20]
+        # More distinct plans than the plan cache holds.
+        distinct = {plan_fingerprint(p): p for plans in candidate_sets for p in plans}
+        many = list(distinct.values())[: ENCODING_CACHE_SIZE + 64]
+        assert len(many) > ENCODING_CACHE_SIZE
         out = service.predict(many, env_features=env)
         assert service.encoding_cache.evictions > 0
         naive = predictor.predict_baseline(many, env_features=env)
         np.testing.assert_allclose(out, naive, rtol=1e-5)
-        # A second pass re-encodes what was evicted but stays correct.
-        again = service.predict(many, env_features=env)
-        np.testing.assert_allclose(again, naive, rtol=1e-5)
+        # A second pass (reversed: new buckets, so no assembly-cache hit; a
+        # second environment: no prediction-cache hit) re-encodes what was
+        # evicted but stays correct.
+        env2 = (0.4, 0.1, 0.6, 0.3)
+        encoded = service.encoding_cache.misses
+        again = service.predict(many[::-1], env_features=env2)
+        assert service.encoding_cache.misses > encoded
+        naive2 = predictor.predict_baseline(many[::-1], env_features=env2)
+        np.testing.assert_allclose(again, naive2, rtol=1e-5)
 
     def test_clear_caches(self, trained):
         predictor, plans = trained

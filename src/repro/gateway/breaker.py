@@ -114,6 +114,10 @@ class CircuitBreaker:
         tripped = False
         with self._lock:
             self.success_count += 1
+            if self._state == CLOSED and not self._bad and len(self._outcomes) == WINDOW:
+                # A clean, full window: pushing one more success would
+                # drop a success and change nothing.
+                return
             if self._state == HALF_OPEN:
                 self._probe_successes += 1
                 if self._probe_successes >= HALF_OPEN_PROBES:

@@ -232,7 +232,7 @@ class _PendingRequest:
 
     __slots__ = (
         "plans", "env_features", "env_key", "enqueued_at",
-        "event", "result", "error", "abandoned", "done", "paced", "span",
+        "event", "result", "version", "error", "abandoned", "done", "paced", "span",
     )
 
     def __init__(self, plans, env_features, env_key, now) -> None:
@@ -243,6 +243,9 @@ class _PendingRequest:
         #: The waiting caller's latch.
         self.event = _Latch()
         self.result: np.ndarray | None = None
+        #: The served ``weights_version`` that computed ``result``, read
+        #: under the service lock the batch ran under.
+        self.version: int | None = None
         self.error: BaseException | None = None
         self.abandoned = False
         self.done = False
@@ -493,8 +496,14 @@ class OptimizerGateway(AnswerPath):
         )
         self.breaker, self.pacer = self.guard.breaker, pacer
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
         self._queue: deque[_PendingRequest] = deque()
+        # The idle worker parks by acquiring ``_wake``, which is held
+        # whenever the worker is not being woken; a producer that finds it
+        # parked (under ``_lock``) releases it, once.  Unlike
+        # ``Condition.wait`` a park allocates nothing.
+        self._wake = threading.Lock()
+        self._wake.acquire()
+        self._parked = False
         #: Requests the worker thread holds but has not yet answered —
         #: tracked so :meth:`close` can fail them over to the fallback if
         #: the learned path is stuck.
@@ -580,14 +589,14 @@ class OptimizerGateway(AnswerPath):
         deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
 
         refused = None
-        with self._work:
+        with self._lock:
             if not self._running:
                 refused = "closed"
             elif len(self._queue) >= MAX_QUEUE_DEPTH:
                 refused = "shed"
             else:
                 self._queue.append(request)
-                self._work.notify()
+                self._unpark_locked()
         if refused is not None:
             # Admitted, but the worker will not take it.
             self.guard.refund()
@@ -614,7 +623,7 @@ class OptimizerGateway(AnswerPath):
         if error is None:
             latency_ms = 1e3 * (time.monotonic() - started)
             return self._finish(
-                GatewayResult(request.result, "learned", "ok", latency_ms, self._model_version()),
+                GatewayResult(request.result, "learned", "ok", latency_ms, request.version),
                 span=span,
             )
         reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
@@ -635,20 +644,33 @@ class OptimizerGateway(AnswerPath):
             request.paced = False
         self.pacer.release()
 
+    def _unpark_locked(self) -> None:
+        """Wake the worker if it is parked (caller holds ``_lock``)."""
+        if self._parked:
+            self._parked = False
+            self._wake.release()
+
     def _worker_loop(self) -> None:
         while True:
-            with self._work:
-                while self._running and not self._queue:
-                    self._work.wait()
-                if not self._running and not self._queue:
-                    return
-                first = self._popleft_locked()
-                if first.done:
-                    # Already answered by a concurrent close() drain.
-                    continue
-                abandoned_early = first.abandoned
-                if not abandoned_early:
-                    self._inflight.add(first)
+            with self._lock:
+                if not self._queue:
+                    if not self._running:
+                        return
+                    self._parked = True
+                    first = None
+                else:
+                    first = self._popleft_locked()
+                    if first.done:
+                        # Already answered by a concurrent close() drain.
+                        continue
+                    abandoned_early = first.abandoned
+                    if not abandoned_early:
+                        self._inflight.add(first)
+            if first is None:
+                # Park until a producer or close() releases the lock; a
+                # release that landed first makes this return at once.
+                self._wake.acquire()
+                continue
             if abandoned_early:
                 # The caller already answered from the fallback; the learned
                 # path failed to schedule it in budget — a slow call.
@@ -672,7 +694,7 @@ class OptimizerGateway(AnswerPath):
         group = [first]
         total = len(first.plans)
         while total < self.config.max_coalesce_plans:
-            with self._work:
+            with self._lock:
                 if not self._queue:
                     break
                 nxt = self._queue[0]
@@ -721,7 +743,10 @@ class OptimizerGateway(AnswerPath):
         started = time.monotonic()
         error: BaseException | None = None
         predictions: np.ndarray | None = None
+        version: int | None = None
         try:
+            # The version is read under the lock the batch ran under: a
+            # promote waiting on it must not relabel these costs.
             if batch_span.sampled:
                 # Activate so the serving layer's traced_sections (encode /
                 # forward) nest under this batch.
@@ -729,11 +754,13 @@ class OptimizerGateway(AnswerPath):
                     predictions = self._service.predict(
                         all_plans, env_features=env_features
                     )
+                    version = self._model_version()
             else:
                 with self._service_lock:
                     predictions = self._service.predict(
                         all_plans, env_features=env_features
                     )
+                    version = self._model_version()
         except BaseException as exc:  # noqa: BLE001 — every failure must answer
             error = exc
         elapsed = time.monotonic() - started
@@ -774,6 +801,7 @@ class OptimizerGateway(AnswerPath):
                         request.error = error
                     else:
                         request.result = np.asarray(predictions[offset : offset + n])
+                        request.version = version
                     request.event.set()
                     verdicts.append("ok" if error is None else "error")
                 offset += n
@@ -825,9 +853,9 @@ class OptimizerGateway(AnswerPath):
         callers answer from the fallback instead of blocking forever.
         The gateway's one invariant survives shutdown: every admitted
         request is answered."""
-        with self._work:
+        with self._lock:
             self._running = False
-            self._work.notify_all()
+            self._unpark_locked()
         self._worker.join(timeout)
         released = 0
         with self._lock:

@@ -6,10 +6,11 @@
   its ReLU and a node's features are a function of its key, so layer 1 of
   any plan is a sum of looked-up rows; no feature matrix is built on the
   serving path.  Scoped to one packed weight set.
-* :class:`EncodingCache` — fingerprint → the plan as integers (table ids
-  of its nodes and of their children, plus child positions).  A hit
-  replaces the per-node walk with a dict lookup.
-* :class:`PredictionCache` — (fingerprint, env) → predicted cost.  A hit
+* :class:`EncodingCache` — plan id (:func:`~repro.serving.fingerprint.
+  plan_id`) → the plan as integers (table ids of its nodes and of their
+  children, plus child positions).  A hit replaces the per-node walk with
+  a dict lookup.
+* :class:`PredictionCache` — (plan id, env) → predicted cost.  A hit
   skips the forward pass entirely.  Only populated for explicit
   environment overrides: predictions under per-node *logged* environments
   depend on mutable node annotations the key cannot see.
@@ -36,7 +37,7 @@ __all__ = ["LRUCache", "EncodingCache", "PredictionCache", "ProjectionTable"]
 TABLE_CAPACITY = 4096
 #: Plans an :class:`EncodingCache` holds.
 ENCODING_CACHE_SIZE = 1024
-#: ``(fingerprint, env)`` predictions a :class:`PredictionCache` holds.
+#: ``(plan id, env)`` predictions a :class:`PredictionCache` holds.
 PREDICTION_CACHE_SIZE = 4096
 
 V = TypeVar("V")
@@ -86,14 +87,14 @@ class LRUCache(Generic[V]):
 
 
 class EncodingCache(LRUCache[np.ndarray]):
-    """fingerprint → :meth:`ProjectionTable.plan_ints` (integers only)."""
+    """plan id → :meth:`ProjectionTable.plan_ints` (integers only)."""
 
     def __init__(self) -> None:
         super().__init__(ENCODING_CACHE_SIZE)
 
 
 class PredictionCache(LRUCache[float]):
-    """(fingerprint, env features) → predicted cost."""
+    """(plan id, env features) → predicted cost."""
 
     def __init__(self) -> None:
         super().__init__(PREDICTION_CACHE_SIZE)

@@ -19,9 +19,21 @@ hash.  A digest (e.g. FNV over ``repr``) would be stable across processes
 but costs a Python-level loop over kilobytes per plan; dict lookups on
 structured tuples are both faster and collision-proof, and the cache is
 per-process anyway.
+
+Hashing a fingerprint is still about a microsecond per plan (a plan has a
+dozen node keys, and CPython does not cache tuple hashes), so the serving
+caches key on :func:`plan_id` instead: a small int interned once per
+fingerprint per process and memoized on the plan beside the fingerprint.
+Ids are minted from one process-wide counter and never reused, so equal
+ids always mean equal fingerprints; the converse fails only across a
+clear of the intern table, which costs cache misses and nothing else.  An
+id means nothing in another process (a forked fleet shard mints its own),
+so ``PhysicalPlan`` pickling drops it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from repro.warehouse.operators import (
     AggregateNode,
@@ -33,7 +45,16 @@ from repro.warehouse.operators import (
 )
 from repro.warehouse.plan import PhysicalPlan
 
-__all__ = ["plan_fingerprint", "plan_nodes"]
+__all__ = ["plan_fingerprint", "plan_id", "plan_nodes"]
+
+#: Distinct fingerprints the intern table holds before it is cleared.
+INTERN_CAPACITY = 8192
+
+#: fingerprint -> id, process-wide.  Cleared when full; ids keep counting.
+_interned: dict[tuple, int] = {}
+#: The next unused id: ``count.__next__`` and ``dict.setdefault`` are each
+#: one atomic step under the GIL, so concurrent minting needs no lock.
+_mint = itertools.count(1).__next__
 
 
 def _node_key(node: PlanNode) -> tuple:
@@ -77,6 +98,24 @@ def plan_fingerprint(plan: PhysicalPlan) -> tuple:
     fingerprint = tuple(_node_key(node) for node in plan_nodes(plan))
     plan.__dict__["_serving_fingerprint"] = fingerprint
     return fingerprint
+
+
+def plan_id(plan: PhysicalPlan) -> int:
+    """The plan's fingerprint as an int, minted once per process and
+    memoized on the plan (``_serving_id``) — what every serving cache keys
+    on.  Two threads minting for one new fingerprint both get the id that
+    ``setdefault`` kept; the loser's id is simply never used."""
+    cached = plan.__dict__.get("_serving_id")
+    if cached is not None:
+        return cached
+    fingerprint = plan_fingerprint(plan)
+    minted = _interned.get(fingerprint)
+    if minted is None:
+        if len(_interned) >= INTERN_CAPACITY:
+            _interned.clear()
+        minted = _interned.setdefault(fingerprint, _mint())
+    plan.__dict__["_serving_id"] = minted
+    return minted
 
 
 def plan_nodes(plan: PhysicalPlan) -> tuple:

@@ -15,15 +15,15 @@ round-off when ``dtype=float32``) while removing all of those costs:
    ReLU and the statistics-free encoding of a node is a function of its
    fingerprint key, so ``row @ W1`` is computed once per distinct node and
    weight set (:class:`~repro.serving.cache.ProjectionTable`).  A plan is
-   cached as integers (table ids and child positions, keyed by
-   :func:`~repro.serving.fingerprint.plan_fingerprint`), a bucket's
+   cached as integers (table ids and child positions, keyed by its
+   :func:`~repro.serving.fingerprint.plan_id`), a bucket's
    layer-1 pre-activation is three row gathers, and the environment block
    enters through its own 4-row weight slice.  No feature matrix exists on
    the serving path;
 2. **size-bucketed micro-batching** — plans are grouped by node count
    (``TreeBatch.bucket_indices``) so one 40-node plan does not pad every
    5-node plan in the batch to 41 rows; assembled buckets are cached by
-   fingerprint tuple, and forward intermediates come from per-tag arenas
+   plan-id tuple, and forward intermediates come from per-tag arenas
    reused across requests;
 3. **packed inference forward** — a raw-numpy mirror of
    ``TreeConvEncoder``/``_PredictiveModule`` over one weight pack per
@@ -33,7 +33,7 @@ round-off when ``dtype=float32``) while removing all of those costs:
    2-D.
 
 A second-tier prediction cache short-circuits exact repeats (same plan
-fingerprint, same environment override) without a forward pass, and
+id, same environment override) without a forward pass, and
 :meth:`CostInferenceService.swap_predictor` accepts a post-swap warming
 list (the lifecycle feeds it the feedback log's hottest plans) so a model
 promote never serves a cold burst.
@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.encoding import _NEUTRAL_ENV
 from repro.nn.tree_conv import TreeBatch
 from repro.serving.cache import EncodingCache, PredictionCache, ProjectionTable
-from repro.serving.fingerprint import plan_fingerprint, plan_nodes
+from repro.serving.fingerprint import plan_fingerprint, plan_id, plan_nodes
 from repro.obs.trace import traced_section
 from repro.warehouse.plan import PhysicalPlan
 
@@ -252,7 +252,8 @@ class CostInferenceService:
     ``config`` and (optionally) a ``weights_version`` counter bumped on
     refit, which replaces the weight pack and drops the prediction cache.
 
-    Caveat: plans are cached by *structural* fingerprint.  When
+    Caveat: plans are cached by *structural* fingerprint, through the id
+    interned for it and memoized on the plan.  When
     ``env_features=None`` the per-node logged environments are read fresh
     from the plan on every request (so mutation of ``node.env`` is safe),
     but mutating any other encoder-visible attribute of a previously scored
@@ -280,7 +281,7 @@ class CostInferenceService:
         # (with everything below that holds its ids or rows) when the pack
         # changes or it outgrows ``serving.cache.TABLE_CAPACITY``.
         self._table: ProjectionTable | None = None
-        # Assembled padded batches keyed by the bucket's fingerprint tuple:
+        # Assembled padded batches keyed by the bucket's plan-id tuple:
         # a known candidate set re-scored under a new environment differs
         # from its last forward only in the environment's layer-1
         # contribution.
@@ -324,37 +325,40 @@ class CostInferenceService:
         env_key = tuple(float(v) for v in env_features) if env_features is not None else None
 
         pack = self._current_pack()
-        fingerprints = [plan_fingerprint(p) for p in plans]
+        ids = [plan_id(p) for p in plans]
         use_pred_cache = self.enable_prediction_cache and env_key is not None
 
         pending: list[int] = []
-        for i, fp in enumerate(fingerprints):
-            if use_pred_cache:
-                cached = self.prediction_cache.get((fp, env_key))
-                if cached is not None:
+        if use_pred_cache:
+            get = self.prediction_cache.get
+            for i, pid in enumerate(ids):
+                cached = get((pid, env_key))
+                if cached is None:
+                    pending.append(i)
+                else:
                     out[i] = cached
-                    continue
-            pending.append(i)
+        else:
+            pending = list(range(len(plans)))
 
         if pending:
-            pending_fps = [fingerprints[i] for i in pending]
+            pending_ids = [ids[i] for i in pending]
             pending_plans = [plans[i] for i in pending]
-            # A fingerprint has one node key per plan node, so bucketing
-            # needs no encodings at all — and when every bucket hits the
-            # assembly cache the encode step is skipped entirely.
-            n_nodes = [len(fp) for fp in pending_fps]
+            # Bucketing needs only node counts, no encodings — and when
+            # every bucket hits the assembly cache the encode step is
+            # skipped entirely.
+            n_nodes = [len(plan_nodes(p)) for p in pending_plans]
             # Bucketing pays off when a large batch mixes sizes; for a small
             # request (one query's candidate set) the fixed per-forward cost
             # of extra buckets outweighs the padding it saves.  The small
             # case is also the latency-critical one, so it skips the bucket
             # regrouping (and its per-member list rebuilds) entirely.
             if len(pending) <= SMALL_REQUEST_PLANS:
-                key = (tuple(pending_fps), max(n_nodes))
+                key = (tuple(pending_ids), max(n_nodes))
                 encoded: list[np.ndarray] | None = None
                 if key not in self._bucket_cache:
                     encode_started = time.perf_counter()
                     with traced_section("serving.encode", n_plans=len(pending)):
-                        encoded = self._encode_pending(pending_plans, pending_fps)
+                        encoded = self._encode_pending(pending_plans, pending_ids)
                     self._encode_seconds += time.perf_counter() - encode_started
                 with traced_section("serving.forward", n_plans=len(pending)):
                     batch_out = self._forward_bucket(
@@ -363,19 +367,19 @@ class CostInferenceService:
                 out[pending] = batch_out
                 if use_pred_cache:
                     put = self.prediction_cache.put
-                    for fp, value in zip(pending_fps, batch_out):
-                        put((fp, env_key), float(value))
+                    for pid, value in zip(pending_ids, batch_out):
+                        put((pid, env_key), float(value))
             else:
                 buckets = TreeBatch.bucket_indices(n_nodes, max_batch=MAX_BATCH_PLANS)
                 keys = [
-                    (tuple(pending_fps[m] for m in members), padded)
+                    (tuple(pending_ids[m] for m in members), padded)
                     for padded, members in buckets
                 ]
                 encoded = None
                 if any(k not in self._bucket_cache for k in keys):
                     encode_started = time.perf_counter()
                     with traced_section("serving.encode", n_plans=len(pending)):
-                        encoded = self._encode_pending(pending_plans, pending_fps)
+                        encoded = self._encode_pending(pending_plans, pending_ids)
                     self._encode_seconds += time.perf_counter() - encode_started
                 with traced_section(
                     "serving.forward", n_plans=len(pending), n_buckets=len(buckets)
@@ -393,7 +397,7 @@ class CostInferenceService:
                             out[i] = value
                             if use_pred_cache:
                                 self.prediction_cache.put(
-                                    (fingerprints[i], env_key), float(value)
+                                    (ids[i], env_key), float(value)
                                 )
             self._bound_table()
 
@@ -533,24 +537,25 @@ class CostInferenceService:
             self._reset_projection()
 
     def _encode_pending(
-        self, plans: list[PhysicalPlan], fingerprints: list[tuple]
+        self, plans: list[PhysicalPlan], ids: list[int]
     ) -> list[np.ndarray]:
         """Integer encodings (``ProjectionTable.plan_ints``) for the
-        prediction-cache misses of one request, through the plan cache."""
+        prediction-cache misses of one request, through the plan cache.
+        Only a miss reads the fingerprint: the table needs its node keys."""
         plan_cache, table = self.encoding_cache, self._table
         encoded = []
-        for plan, fingerprint in zip(plans, fingerprints):
-            ints = plan_cache.get(fingerprint)
+        for plan, pid in zip(plans, ids):
+            ints = plan_cache.get(pid)
             if ints is None:
-                ints = table.plan_ints(plan, fingerprint)
-                plan_cache.put(fingerprint, ints)
+                ints = table.plan_ints(plan, plan_fingerprint(plan))
+                plan_cache.put(pid, ints)
             encoded.append(ints)
         return encoded
 
     def _bucket_entry(
         self, key: tuple, encoded: list[np.ndarray] | None, batch: int
     ) -> _BucketEntry:
-        """The cached padded-batch assembly for ``key = (fingerprint tuple,
+        """The cached padded-batch assembly for ``key = (plan-id tuple,
         padded node count)``; assembled from ``encoded`` on a miss.  The
         assembly depends only on the bucket's plan structures and the live
         weights, so a known candidate set re-scored under a new environment

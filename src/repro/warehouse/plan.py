@@ -56,6 +56,16 @@ class PhysicalPlan:
                 patterns[(node.op_type, child.op_type)] += 1
         return patterns
 
+    def __getstate__(self) -> dict:
+        # The serving layer's plan id (``serving.fingerprint.plan_id``) is
+        # minted per process: in another process the same int may stand for
+        # another plan, so it never crosses a pickle.
+        state = self.__dict__
+        if "_serving_id" in state:
+            state = dict(state)
+            del state["_serving_id"]
+        return state
+
     def clone(self) -> "PhysicalPlan":
         return PhysicalPlan(
             root=self.root.clone(),

@@ -92,6 +92,9 @@ TOP_K = 5
 #: cost law, capped at this many plans.
 INCUMBENT_NOISE_SIGMA = 0.05
 INCUMBENT_MAX_PLANS = 400
+#: Candidate sets, drawn from the ``DEFAULT_FAMILIES`` pools, that the
+#: incumbent's baseline q-error is measured over.
+BASELINE_Q_SETS = 48
 #: Replay lifecycle calibration (see :func:`build_lifecycle`): the feedback
 #: log's bound, the drift monitor's window, minimum samples and degradation
 #: ratio, and the q-error alarm's headroom over the incumbent's baseline.
@@ -249,23 +252,17 @@ class ScenarioRuntime:
         predictor.fit(list(plans), costs)
         return predictor
 
-    def baseline_q_error(
-        self,
-        predictor,
-        families: tuple[FamilySpec, ...] = DEFAULT_FAMILIES,
-        *,
-        n: int = 48,
-    ) -> float:
+    def baseline_q_error(self, predictor) -> float:
         """Mean q-error of ``predictor`` against the observation model at
         e_r — the calibration the drift thresholds anchor on."""
         from repro.serving.service import CostInferenceService
 
-        pools = self.pools(families)
+        pools = self.pools(DEFAULT_FAMILIES)
         service = CostInferenceService(predictor, enable_prediction_cache=False)
         rng = spawn_rng(self._rng, "baseline-q")
         names = sorted(pools)
         qs = []
-        for _ in range(n):
+        for _ in range(BASELINE_Q_SETS):
             pool = pools[names[int(rng.integers(len(names)))]]
             cs = pool[int(rng.integers(len(pool)))]
             predictions = np.asarray(service.predict(list(cs.plans), env_features=self.env_r))

@@ -30,6 +30,7 @@ from repro.gateway.breaker import COOLDOWN_SECONDS, MIN_CALLS
 from repro.obs import ObsConfig
 from repro.pacing import PACER_STATE_CODES, STARTUP, AdmissionPacer, PacerConfig
 from repro.pacing.pacer import STARTUP_FULL_ROUNDS
+from repro.serving import fingerprint as fingerprint_module
 from repro.serving.fingerprint import plan_fingerprint
 from repro.serving.service import CostInferenceService
 
@@ -456,6 +457,22 @@ class TestServingFleet:
                 got.costs, direct.predict(sets[0], env_features=ENV)
             )
             assert fleet.telemetry.snapshot()["counters"]["plans_resent_total"] == 1
+
+    def test_a_shard_never_reads_the_parents_plan_ids(self, checkpointed, monkeypatch):
+        """Plan ids are minted per process: after the fork, the shard's ids
+        for set C and the parent's for set B are the same ints.  Were B's
+        ids pickled along, the shard would answer B with C's cached costs."""
+        monkeypatch.setattr(fingerprint_module, "_interned", {})
+        path, _predictor, plans = checkpointed
+        set_c = [p.clone() for p in plans[10:14]]
+        set_b = [p.clone() for p in plans[20:24]]
+        with ServingFleet(path, n_workers=1) as fleet:
+            assert fleet.predict("t", set_c, env_features=ENV).source == "learned"
+            parent = CostInferenceService.from_checkpoint(path)
+            want = parent.predict(set_b, env_features=ENV)
+            got = fleet.predict("t", set_b, env_features=ENV)
+        assert got.source == "learned"
+        np.testing.assert_array_equal(got.costs, want)
 
     def test_stalled_worker_times_out_sheds_and_is_killed(self, checkpointed):
         path, _predictor, plans = checkpointed

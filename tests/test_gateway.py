@@ -1107,6 +1107,54 @@ class TestRequestPath:
             gw.close()
         assert gw.pacer.inflight == 0
 
+    def test_a_learned_answer_names_the_model_that_scored_it(self):
+        """A promote that lands between the batch and the caller's wake-up
+        must not label the old model's costs with the new version."""
+        swapped = threading.Event()
+        promoters: list[threading.Thread] = []
+
+        class Service(_StubService):
+            def predict(self, plans, *, env_features=None):
+                # The promote queues on the service lock behind this batch.
+                promoter = threading.Thread(
+                    target=gw.swap_predictor, args=(_StubPredictor(2),)
+                )
+                promoters.append(promoter)
+                promoter.start()
+                return np.full(len(plans), float(self.predictor.weights_version))
+
+            def swap_predictor(self, predictor, *, warm=None) -> None:
+                super().swap_predictor(predictor, warm=warm)
+                swapped.set()
+
+            @property
+            def weights_version(self) -> int:
+                # Read outside the batch's lock, the version is the promote's.
+                swapped.wait(0.3)
+                return self.predictor.weights_version
+
+        gw = OptimizerGateway(Service())
+        try:
+            result = gw.predict(_marker_plans(1.0, 2.0))
+            for promoter in promoters:
+                promoter.join(timeout=10.0)
+            assert result.source == "learned"
+            assert (result.costs == 1.0).all()
+            assert result.model_version == 1
+            assert swapped.is_set() and gw.stats()["gauges"]["model_weights_version"] == 2
+        finally:
+            gw.close()
+
+    def test_the_idle_worker_parks_and_every_producer_or_close_wakes_it(self):
+        gw = OptimizerGateway(_StubService())
+        for marker in range(5):
+            # Each request finds the worker parked (the queue ran dry).
+            assert _settle(lambda: gw._parked)
+            assert gw.predict(_marker_plans(float(marker))).costs[0] == marker
+        assert _settle(lambda: gw._parked)
+        gw.close(timeout=5.0)
+        assert not gw._worker.is_alive() and not gw._parked
+
 
 # -- lifecycle wiring -----------------------------------------------------------
 

@@ -29,8 +29,10 @@ from repro.serving import (
     LRUCache,
     plan_fingerprint,
 )
+from repro.serving import fingerprint as fingerprint_module
+from repro.serving import service as service_module
 from repro.serving.cache import ENCODING_CACHE_SIZE, ProjectionTable
-from repro.serving.fingerprint import plan_nodes
+from repro.serving.fingerprint import plan_id, plan_nodes
 from repro.serving.service import _combined_gather_index
 from repro.warehouse.plan import PhysicalPlan
 from repro.warehouse.workload import generate_project
@@ -96,8 +98,8 @@ class TestEnvSpliceEquivalence:
         table = _table(service)
         for plan in plans[:10]:
             fingerprint = plan_fingerprint(plan)
-            (ints,) = service._encode_pending([plan], [fingerprint])
-            assert service.encoding_cache.get(fingerprint) is ints
+            (ints,) = service._encode_pending([plan], [plan_id(plan)])
+            assert service.encoding_cache.get(plan_id(plan)) is ints
             assert ints.dtype.kind == "i"
             reference = encoder.encode_plan_reference(plan, env_override=(0.7, 0.02, 0.9, 0.4))
             assert (ints[3] == reference.left).all()
@@ -312,6 +314,86 @@ class TestFingerprint:
         for node in plan.iter_nodes():
             node.env = (0.9, 0.9, 0.9, 0.9)
         assert plan_fingerprint(plan) == key
+
+
+class TestPlanIds:
+    """Every serving cache keys on ``plan_id``: an int interned once per
+    fingerprint per process, memoized on the plan, never reused."""
+
+    def test_warm_repeat_requests_compute_no_fingerprint(self, trained, monkeypatch):
+        # A table of its own: a clear would re-mint the clone's id below.
+        monkeypatch.setattr(fingerprint_module, "_interned", {})
+        predictor, plans = trained
+        service = CostInferenceService(predictor)
+        fresh = [p.clone() for p in plans[:15]]
+        for request in (fresh[:5], fresh[5:]):  # small and wide paths
+            service.predict(request, env_features=COLD_ENV)
+            service.predict(request)
+        calls: list = []
+        original = fingerprint_module.plan_fingerprint
+
+        def counting(plan):
+            calls.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(fingerprint_module, "plan_fingerprint", counting)
+        monkeypatch.setattr(service_module, "plan_fingerprint", counting)
+        for request in (fresh[:5], fresh[5:]):
+            service.predict(request, env_features=COLD_ENV)  # prediction hits
+            service.predict(request, env_features=(0.3, 0.3, 0.3, 0.3))  # bucket hits
+            service.predict(request)  # logged environments
+        assert calls == []
+        keys = list(service.prediction_cache._store)
+        assert keys and all(
+            isinstance(pid, int) and isinstance(env, tuple) for pid, env in keys
+        )
+        # A clone is a new plan object with the same fingerprint: hashed
+        # once to find its id, then a cache hit like its original.
+        clone = fresh[0].clone()
+        hits = service.prediction_cache.hits
+        service.predict([clone], env_features=COLD_ENV)
+        assert service.prediction_cache.hits == hits + 1
+        assert calls == [clone] and plan_id(clone) == plan_id(fresh[0])
+
+    def test_a_pickled_plan_carries_no_id(self, trained):
+        import pickle
+
+        _, plans = trained
+        plan = plans[0].clone()
+        pid = plan_id(plan)
+        restored = pickle.loads(pickle.dumps(plan))
+        assert "_serving_id" not in restored.__dict__
+        assert plan.__dict__["_serving_id"] == pid  # the sender keeps its memo
+        assert plan_id(restored) == pid  # same process, same fingerprint
+
+    def test_answers_across_an_intern_table_clear_match_a_fresh_service(
+        self, trained, candidate_sets, monkeypatch
+    ):
+        monkeypatch.setattr(fingerprint_module, "INTERN_CAPACITY", 6)
+        monkeypatch.setattr(fingerprint_module, "_interned", {})
+        predictor, _ = trained
+        sets = candidate_sets[:12]
+        envs = _fresh_envs(len(sets), seed=9)
+        want = [
+            CostInferenceService(predictor).predict(
+                [p.clone() for p in plans], env_features=env
+            )
+            for plans, env in zip(sets, envs)
+        ]
+        service = CostInferenceService(predictor)
+        minted: dict = {}
+        for _round in range(3):
+            for plans, env, expected in zip(sets, envs, want):
+                # The set's own objects keep ids minted rounds (and clears)
+                # ago and hit; clones after a clear are minted new ids.
+                for request in (plans, [p.clone() for p in plans]):
+                    got = service.predict(request, env_features=env)
+                    np.testing.assert_array_equal(got, expected)
+                    for plan in request:
+                        minted.setdefault(plan_fingerprint(plan), set()).add(plan_id(plan))
+        assert len(fingerprint_module._interned) <= 6
+        assert any(len(ids) > 1 for ids in minted.values())
+        assert service.cache_counters()["prediction_cache_hits"] > 0
 
 
 # -- TreeBatch validation (satellite bugfix) -------------------------------------
@@ -551,10 +633,9 @@ class TestProjectionTable:
         encoder = predictor.encoder
         service = CostInferenceService(predictor)
         bucket = plans[:7]
-        fingerprints = [plan_fingerprint(p) for p in bucket]
         service.predict(bucket, env_features=COLD_ENV)
         ((key, entry),) = service._bucket_cache.items()
-        assert key[0] == tuple(fingerprints)
+        assert key[0] == tuple(plan_id(p) for p in bucket)
         # The dense form the table replaces: zero-env feature rows, one
         # interleaved self/left/right gather, one GEMM, bias, mask.
         rows = key[1] + 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import print_banner
+from repro.core.decision import default_index
 from repro.core.explorer import PlanExplorer
 from repro.evaluation.reporting import format_table
 
@@ -34,10 +35,7 @@ def test_ext_diversified_exploration(benchmark, eval_projects, scale):
                     flighting.measure_cost(plan, n_runs=scale.flighting_runs)
                     for plan in result.plans
                 ]
-                default_idx = next(
-                    i for i, p in enumerate(result.plans) if p.is_default
-                )
-                stats[label][0] += costs[default_idx]
+                stats[label][0] += costs[default_index(result.plans)]
                 stats[label][1] += min(costs)
                 stats[label][2] += result.generation_seconds
         return stats, plan_counts

@@ -21,7 +21,7 @@ learned model's own M_b estimate — the argmin of mean predicted cost over
 ``predict`` per environment and compared with LOAM's Mr pick:
 
 * ``argmin_flip_share`` — sets where any single sampled environment
-  changes Mr's argmin;
+  changes Mr's pick;
 * ``mb_agree_share`` — sets where the M_b estimate picks what Mr picks;
 * ``mb_vs_mr_gain`` — ``1 - cost(M_b picks) / cost(Mr picks)`` in
   flighting mean cost (positive: M_b is cheaper).
@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import PROJECT_NAMES, print_banner, train_loam
+from repro.core.decision import choose, default_index
 from repro.core.deviance import DevianceEstimator
 from repro.core.explorer import PlanExplorer
 from repro.core.inference import (
@@ -100,11 +101,12 @@ def test_fig10_cost_inference_strategies(benchmark, eval_projects, trained_loams
                 report = estimator.report_from_samples(samples)
                 means = [s.mean() for s in samples]
 
+                d_index = default_index(plans)
                 selections = {
-                    strategy: int(np.argmin(service.predict(
+                    strategy: choose(service.predict(
                         plans,
                         env_features=env.features() if env is not None else None,
-                    ).costs))
+                    ).costs, d_index).index
                     for strategy, (service, env) in learned.items()
                 }
                 selections["best-achievable"] = report.best_achievable_index

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import print_banner
+from repro.core.decision import default_index
 from repro.core.explorer import PlanExplorer
 from repro.core.selector import FilterConfig, ProjectFilter
 from repro.evaluation.reporting import format_table
@@ -52,8 +53,7 @@ def test_sec73_fleet_benefit_estimate(benchmark, scale):
                 query = workload.sample_query(14)
                 plans = explorer.candidates(query, top_k=5)
                 costs = [flighting.measure_cost(p, n_runs=2) for p in plans]
-                d = next(i for i, p in enumerate(plans) if p.is_default)
-                native_total += costs[d]
+                native_total += costs[default_index(plans)]
                 oracle_total += min(costs)
             gains.append(1.0 - oracle_total / native_total)
         high_gain_rate = float(np.mean([g >= 0.10 for g in gains]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.decision import default_index
 from repro.core.loam import LOAM, LOAMConfig
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.evaluation.config import current_scale
@@ -150,7 +151,7 @@ def ranker_pool(scale):
                 continue
             samples = [flighting.sample_costs(p, estimator.n_samples) for p in plans]
             report = estimator.report_from_samples(samples)
-            d_index = next(i for i, p in enumerate(plans) if p.is_default)
+            d_index = default_index(plans)
             measurements.append(
                 (
                     plans[d_index],

@@ -125,10 +125,6 @@ ALLOW: dict[str, tuple[str, str]] = {
         "interface decision"),
     "nn/autodiff.py::Tensor.__rmul__": ("protocol", "as __radd__"),
     "nn/autodiff.py::Tensor.__truediv__": ("protocol", "as __radd__"),
-    "gateway/gateway.py::GatewayResult.__len__": (
-        "protocol", "a GatewayResult is a drop-in for the cost vector it wraps"),
-    "gateway/gateway.py::GatewayResult.__iter__": ("protocol", "as __len__"),
-    "gateway/gateway.py::GatewayResult.__getitem__": ("protocol", "as __len__"),
     "serving/cache.py::LRUCache.__contains__": ("protocol", "container protocol"),
     "serving/cache.py::ProjectionTable.__len__": ("protocol", "container protocol"),
     "warehouse/catalog.py::Catalog.__contains__": ("protocol", "container protocol"),

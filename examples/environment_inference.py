@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.decision import default_index
 from repro.core.deviance import DevianceEstimator
 from repro.core.explorer import PlanExplorer
 from repro.evaluation.reporting import format_table
@@ -49,12 +50,12 @@ def main() -> None:
     print(f"Executing each candidate {estimator.n_samples} times in flighting...")
     samples = [flighting.sample_costs(plan, estimator.n_samples) for plan in plans]
     report = estimator.report_from_samples(samples)
-    default_index = next(i for i, p in enumerate(plans) if p.is_default)
+    d_index = default_index(plans)
 
     rows = []
     for i, (plan, dist) in enumerate(zip(plans, report.distributions)):
         marker = []
-        if i == default_index:
+        if i == d_index:
             marker.append("M_d")
         if i == report.best_achievable_index:
             marker.append("M_b")
@@ -84,8 +85,8 @@ def main() -> None:
 
     worst = int(np.argmax(report.per_plan_deviance))
     print(
-        f"native default plan deviance: {report.per_plan_deviance[default_index]:,.0f} "
-        f"({report.improvement_space(default_index):.1%} improvement space); "
+        f"native default plan deviance: {report.per_plan_deviance[d_index]:,.0f} "
+        f"({report.improvement_space(d_index):.1%} improvement space); "
         f"worst candidate: {plans[worst].provenance} "
         f"({report.relative_deviance_of(worst):.1%})"
     )

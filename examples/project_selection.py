@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.decision import default_index
 from repro.core.deviance import DevianceEstimator
 from repro.core.explorer import PlanExplorer
 from repro.core.selector import FilterConfig, ProjectFilter, ProjectRanker
@@ -32,7 +33,7 @@ def improvement_spaces(workload, n_queries=6, n_samples=5):
             continue
         samples = [flighting.sample_costs(p, n_samples) for p in plans]
         report = estimator.report_from_samples(samples)
-        d_index = next(i for i, p in enumerate(plans) if p.is_default)
+        d_index = default_index(plans)
         triples.append((plans[d_index], samples[d_index].mean(), report.improvement_space(d_index)))
     return triples
 

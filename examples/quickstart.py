@@ -65,8 +65,11 @@ def main() -> None:
     query = workload.sample_query(9)
     outcome = loam.optimize(query)
     print(f"\nSteering online query {query.query_id} ({query.n_tables} tables):")
-    for plan, cost in zip(outcome.candidates, outcome.predicted_costs):
-        marker = "  <- chosen" if plan is outcome.chosen_plan else ""
+    decision = outcome.decision
+    for i, (plan, cost) in enumerate(zip(outcome.candidates, outcome.predicted_costs)):
+        marker = "  <- chosen" if i == decision.index else ""
+        if i == decision.default_index:
+            marker += "  (native default)"
         print(f"  {plan.provenance:<32} predicted cost {cost:,.0f}{marker}")
     print(
         f"  plan generation {outcome.exploration_seconds * 1e3:.1f} ms, "

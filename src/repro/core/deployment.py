@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.decision import default_index
 from repro.core.deviance import DevianceEstimator
 from repro.core.explorer import PlanExplorer
 from repro.core.loam import LOAM, LOAMConfig, ValidationReport
@@ -163,7 +164,7 @@ class FleetManager:
                 continue
             samples = [flighting.sample_costs(p, estimator.n_samples) for p in plans]
             report = estimator.report_from_samples(samples)
-            d_index = next(i for i, p in enumerate(plans) if p.is_default)
+            d_index = default_index(plans)
             self._ranker_pool.append(
                 (
                     plans[d_index],

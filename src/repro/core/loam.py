@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.decision import Decision, choose, default_index
 from repro.core.encoding import PlanEncoder
 from repro.core.explorer import PlanExplorer
 from repro.core.inference import EnvironmentStrategy, HistoricalMeanEnvironment
@@ -71,11 +72,15 @@ class ValidationReport:
 class OptimizationOutcome:
     """Result of steering one online query."""
 
-    chosen_plan: PhysicalPlan
+    decision: Decision
     candidates: list[PhysicalPlan]
     predicted_costs: np.ndarray
     exploration_seconds: float
     inference_seconds: float
+
+    @property
+    def chosen_plan(self) -> PhysicalPlan:
+        return self.candidates[self.decision.index]
 
 
 class LOAM:
@@ -137,12 +142,13 @@ class LOAM:
             raise RuntimeError("LOAM.optimize before train()")
         exploration = self.explorer.explore(query, top_k=self.config.top_k_candidates)
         started = time.perf_counter()
-        chosen, predicted = self.predictor.select_best(
+        predicted = self.predictor.predict(
             exploration.plans, env_features=self.environment.features()
         )
+        decision = choose(predicted, default_index(exploration.plans))
         inference_seconds = time.perf_counter() - started
         return OptimizationOutcome(
-            chosen_plan=chosen,
+            decision=decision,
             candidates=exploration.plans,
             predicted_costs=predicted,
             exploration_seconds=exploration.generation_seconds,
@@ -158,29 +164,20 @@ class LOAM:
         flighting = self.workload.flighting(seed_key="validation")
         loam_costs, native_costs = [], []
         feedback: list[tuple[PhysicalPlan, float, float]] = []
+        runs = self.config.flighting_runs
         for query in test_queries:
             outcome = self.optimize(query)
-            default = outcome.candidates[0] if outcome.candidates[0].is_default else None
-            if default is None:
-                default = next(p for p in outcome.candidates if p.is_default)
-            loam_cost = flighting.measure_cost(
-                outcome.chosen_plan, n_runs=self.config.flighting_runs
-            )
-            native_cost = flighting.measure_cost(default, n_runs=self.config.flighting_runs)
+            chosen, default = outcome.decision.index, outcome.decision.default_index
+            plans, predictions = outcome.candidates, outcome.predicted_costs
+            loam_cost = flighting.measure_cost(plans[chosen], n_runs=runs)
+            native_cost = flighting.measure_cost(plans[default], n_runs=runs)
             loam_costs.append(loam_cost)
             native_costs.append(native_cost)
             # Executed-plan outcomes (chosen + default) for the lifecycle
             # feedback loop: predicted cost alongside the measured one.
-            predictions = outcome.predicted_costs
-            chosen_idx = next(
-                i for i, p in enumerate(outcome.candidates) if p is outcome.chosen_plan
-            )
-            feedback.append((outcome.chosen_plan, float(predictions[chosen_idx]), loam_cost))
-            if default is not outcome.chosen_plan:
-                default_idx = next(
-                    i for i, p in enumerate(outcome.candidates) if p is default
-                )
-                feedback.append((default, float(predictions[default_idx]), native_cost))
+            feedback.append((plans[chosen], float(predictions[chosen]), loam_cost))
+            if default != chosen:
+                feedback.append((plans[default], float(predictions[default]), native_cost))
         return ValidationReport(
             n_queries=len(test_queries),
             loam_average_cost=float(np.mean(loam_costs)) if loam_costs else 0.0,

@@ -176,8 +176,8 @@ class AdaptiveCostPredictor:
     @property
     def serving(self):
         """The lazily constructed online fast path (encode cache + bucketed
-        batching + inference-only forward).  ``predict``/``select_best``
-        route through it; see :mod:`repro.serving.service`."""
+        batching + inference-only forward).  ``predict`` routes through
+        it; see :mod:`repro.serving.service`."""
         if self._serving is None:
             from repro.serving.service import CostInferenceService
 
@@ -397,16 +397,6 @@ class AdaptiveCostPredictor:
             nodes, embedding = self.module.embed_with_nodes(batch)
             z = self.module.predict_cost(nodes, embedding, batch)
         return np.maximum(self._from_target(z.data), 0.0)
-
-    def select_best(
-        self,
-        plans: list[PhysicalPlan],
-        *,
-        env_features: tuple[float, float, float, float] | None = None,
-    ) -> tuple[PhysicalPlan, np.ndarray]:
-        """The steering decision: pick the candidate with least predicted cost."""
-        predictions = self.predict(plans, env_features=env_features)
-        return plans[int(np.argmin(predictions))], predictions
 
     # -- introspection -----------------------------------------------------------------------
 

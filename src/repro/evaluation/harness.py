@@ -23,6 +23,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.core.decision import choose, default_index
 from repro.core.explorer import PlanExplorer
 from repro.evaluation.config import ExperimentScale
 from repro.warehouse.executor import ExecutionRecord
@@ -153,12 +154,7 @@ def measure_candidates(
         costs = np.array(
             [flighting.measure_cost(plan, n_runs=flighting_runs) for plan in plans]
         )
-        default_index = next(i for i, p in enumerate(plans) if p.is_default)
-        out.append(
-            QueryCandidates(
-                query=query, plans=plans, measured_costs=costs, default_index=default_index
-            )
-        )
+        out.append(QueryCandidates(query, plans, costs, default_index(plans)))
     return out
 
 
@@ -210,7 +206,7 @@ def evaluate_methods(
             started = time.perf_counter()
             predictions = predict(qc.plans, env_features=env)
             infer_times.append(time.perf_counter() - started)
-            pick = int(np.argmin(predictions))
+            pick = choose(predictions, qc.default_index).index
             chosen_costs.append(qc.measured_costs[pick])
             chose_default.append(pick == qc.default_index)
         results[name] = MethodResult(

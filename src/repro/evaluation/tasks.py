@@ -11,6 +11,7 @@ making each task's result a pure function of ``(args, seed)``.
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from repro.core.loam import LOAM, LOAMConfig
@@ -153,9 +154,13 @@ def lifecycle_adaptive_task(
             )
     drift = lifecycle.check_drift()
 
+    # evaluate_methods scores cost vectors; the gateway answers GatewayResults.
+    served = SimpleNamespace(
+        predict=lambda plans, env_features: gateway.predict(plans, env_features=env_features).costs
+    )
     results = evaluate_methods(
         project,
-        {"loam": gateway, "loam-na": loam_na.predictor},
+        {"loam": served, "loam-na": loam_na.predictor},
         env_features={"loam": env, "loam-na": loam_na.environment.features()},
         measured=measured,
     )

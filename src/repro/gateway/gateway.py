@@ -147,11 +147,7 @@ class GatewayConfig:
 
 class GatewayResult:
     """One answered request: a cost vector plus how it was produced.
-
-    Acts as an array (``np.argmin(result)``, ``len``, iteration, indexing
-    all read ``costs``) so it is a drop-in for the raw prediction vectors
-    the serving layer returns.
-    """
+    :func:`repro.core.decision.choose` turns ``costs`` into a plan."""
 
     __slots__ = (
         "costs", "source", "reason", "latency_ms", "model_version", "retry_after",
@@ -182,18 +178,6 @@ class GatewayResult:
         #: ``None`` when tracing is off/unsampled.  Feed it to the owning
         #: fleet's ``span_tree`` to reconstruct the request end to end.
         self.trace_id = trace_id
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.costs, dtype=dtype)
-
-    def __len__(self) -> int:
-        return len(self.costs)
-
-    def __iter__(self):
-        return iter(self.costs)
-
-    def __getitem__(self, index):
-        return self.costs[index]
 
     def __repr__(self) -> str:
         return (

@@ -256,8 +256,10 @@ class CostInferenceService:
     interned for it and memoized on the plan.  When
     ``env_features=None`` the per-node logged environments are read fresh
     from the plan on every request (so mutation of ``node.env`` is safe),
-    but mutating any other encoder-visible attribute of a previously scored
-    plan requires :meth:`clear_caches`.
+    but any other encoder-visible attribute of a previously scored plan
+    must not change: score a ``plan.clone()`` instead.  The plan's memoized
+    ``_serving_fingerprint`` and ``_serving_id`` survive
+    :meth:`clear_caches`, so clearing does not make a mutated plan safe.
     """
 
     def __init__(

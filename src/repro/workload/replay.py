@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.decision import choose, default_index
 from repro.gateway.fallback import environment_factor_from_features
 from repro.utils import spawn_rng
 from repro.workload.scenarios import (
@@ -185,9 +186,6 @@ class ScenarioRuntime:
             plans = self.explorer.candidates(query, top_k=TOP_K)
             if len(plans) < 2:
                 continue
-            default_index = next(
-                (i for i, p in enumerate(plans) if getattr(p, "is_default", False)), 0
-            )
             pool.append(
                 CandidateSet(
                     key=f"{spec.name}:{len(pool)}",
@@ -196,7 +194,7 @@ class ScenarioRuntime:
                     true_costs=np.array(
                         [self.workload.executor.intrinsic_cost(p) for p in plans]
                     ),
-                    default_index=default_index,
+                    default_index=default_index(plans),
                 )
             )
         if not pool:
@@ -604,12 +602,10 @@ class ReplayEngine:
         if span is not None:
             span.set_attrs(source=result.source, reason=result.reason)
             span.finish()
-        chosen = int(np.argmin(np.asarray(result.costs)))
+        decision = choose(result.costs, candidate_set.default_index)
+        chosen, default = decision.index, decision.default_index
         true = candidate_set.true_costs
-        benefit = float(
-            (true[candidate_set.default_index] - true[chosen])
-            / max(true[candidate_set.default_index], 1e-9)
-        )
+        benefit = float((true[default] - true[chosen]) / max(true[default], 1e-9))
         segment = segments.setdefault(request.segment, SegmentStats(request.segment))
         if seg_lock is not None:
             with seg_lock:

@@ -472,14 +472,14 @@ class TestGatewayFallbackPaths:
             assert (result.source, result.reason) == ("learned", "ok")
             assert result.model_version == 1
             assert (result.costs == [3.0, 1.0, 2.0]).all()
-            assert np.argmin(result) == 1  # array protocol
-            assert len(result) == 3 and list(result) == [3.0, 1.0, 2.0]
-            assert result[1] == 1.0
+            assert np.argmin(result.costs) == 1
+            assert len(result.costs) == 3 and list(result.costs) == [3.0, 1.0, 2.0]
+            assert result.costs[1] == 1.0
 
     def test_empty_request_answers_immediately(self):
         with OptimizerGateway(_StubService()) as gw:
             result = gw.predict([])
-            assert len(result) == 0
+            assert len(result.costs) == 0
             assert result.reason == "ok"
 
     def test_model_error_answers_baseline_bitwise(self, native_plans):
@@ -545,7 +545,7 @@ class TestGatewayFallbackPaths:
             assert not any(th.is_alive() for th in [first, *queued])
             # the queued callers still got learned answers.
             for key in range(1, MAX_QUEUE_DEPTH + 2):
-                assert results[key].source == "learned" and results[key][0] == key
+                assert results[key].source == "learned" and results[key].costs[0] == key
             assert gw.telemetry.counter("fallback_shed_total").value == 1
             # ... and the shed split attributes it to the queue.
             assert gw.telemetry.counter("sheds_total").value == 1

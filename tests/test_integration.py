@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.decision import default_index
 from repro.core.deviance import DevianceEstimator
 from repro.core.explorer import PlanExplorer
 from repro.warehouse.costmodel import annotate_true_cardinalities, intrinsic_plan_cost
@@ -62,8 +63,7 @@ class TestOptimizerQuality:
                     continue
                 samples = [flighting.sample_costs(p, 5) for p in plans]
                 report = estimator.report_from_samples(samples)
-                d = next(i for i, p in enumerate(plans) if p.is_default)
-                per_query.append(report.improvement_space(d))
+                per_query.append(report.improvement_space(default_index(plans)))
             spaces[availability] = float(np.mean(per_query))
         assert spaces[0.05] > spaces[0.9] * 0.8  # allow noise; shape must hold
 

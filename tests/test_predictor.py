@@ -10,6 +10,7 @@ from repro.core.baselines import (
     TransformerCostPredictor,
     XGBoostCostPredictor,
 )
+from repro.core.decision import choose, default_index
 from repro.core.encoding import PlanEncoder
 from repro.core.explorer import PlanExplorer
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
@@ -59,11 +60,12 @@ class TestAdaptiveCostPredictor:
         corr = np.corrcoef(np.log1p(preds), np.log1p(costs))[0, 1]
         assert corr > 0.5
 
-    def test_select_best_returns_member(self, training_data):
+    def test_choose_returns_member(self, training_data):
         plans, costs, candidates = training_data
         predictor = AdaptiveCostPredictor(config=TINY)
         predictor.fit(plans, costs, candidates)
-        chosen, predictions = predictor.select_best(plans[:5])
+        predictions = predictor.predict(plans[:5])
+        chosen = plans[:5][choose(predictions, default_index(plans[:5])).index]
         assert chosen in plans[:5]
         assert np.argmin(predictions) == plans[:5].index(chosen)
 

@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.decision import choose, default_index
 from repro.core.encoding import PlanEncoder
 from repro.core.explorer import PlanExplorer
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
@@ -190,10 +191,11 @@ class TestPredictionEquivalence:
         assert service.prediction_cache.hits >= hits_before + 8
         np.testing.assert_array_equal(cold, warm)
 
-    def test_select_best_consistent_with_predict(self, trained):
+    def test_choose_consistent_with_predict(self, trained):
         predictor, plans = trained
         env = (0.5, 0.05, 0.5, 0.5)
-        chosen, predictions = predictor.select_best(plans[:6], env_features=env)
+        predictions = predictor.predict(plans[:6], env_features=env)
+        chosen = plans[:6][choose(predictions, default_index(plans[:6])).index]
         assert chosen is plans[:6][int(np.argmin(predictions))]
         served = predictor.serving.predict(plans[:6], env_features=env)
         assert int(np.argmin(served)) == int(np.argmin(predictions))

@@ -58,10 +58,6 @@ class TestChoose:
         decision = choose(costs, d)
         assert decision == Decision(int(np.argmin(costs)), d)
 
-    def test_ties_take_the_first_index(self):
-        assert choose(np.array([3.0, 1.0, 1.0, 2.0]), 0).index == 1
-        assert choose(np.array([1.0, 1.0]), 1).index == 0
-
 
 class TestDefaultIndex:
     def test_finds_the_default_wherever_it_sits(self, candidate_sets):

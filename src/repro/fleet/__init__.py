@@ -10,12 +10,11 @@ containment, and merged fleet telemetry.
 
 from repro.fleet.fleet import ServingFleet, WorkerCrashError
 from repro.fleet.router import ConsistentHashRouter
-from repro.fleet.telemetry import merge_snapshots, merged_to_prometheus
+from repro.fleet.telemetry import merge_snapshots
 
 __all__ = [
     "ConsistentHashRouter",
     "ServingFleet",
     "WorkerCrashError",
     "merge_snapshots",
-    "merged_to_prometheus",
 ]

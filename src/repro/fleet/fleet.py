@@ -45,7 +45,7 @@ from collections import OrderedDict
 
 from repro.evaluation.pool import fork_available
 from repro.fleet.router import ConsistentHashRouter
-from repro.fleet.telemetry import merge_snapshots, merged_to_prometheus
+from repro.fleet.telemetry import merge_snapshots
 from repro.fleet.wire import Channel, unpack_costs
 from repro.fleet.worker import PLAN_CACHE_CAP, fleet_worker_main
 from repro.gateway import GatewayResult, Telemetry
@@ -139,15 +139,13 @@ class ServingFleet(AnswerPath):
         #: worker builds its own tracer/recorder from the same config.
         self.obs = obs
         self.collector = SpanCollector() if obs is not None else None
-        tracer, recorder, slo = (
+        tracer, recorder = (
             obs.build("fleet-parent", collector=self.collector)
             if obs is not None
-            else (None, None, None)
+            else (None, None)
         )
-        super().__init__(
-            Telemetry("repro_fleet_parent"), tracer=tracer, recorder=recorder, slo=slo
-        )
-        self._workers_alive = self.telemetry.gauge("workers_alive", "live fleet workers")
+        super().__init__(Telemetry(), tracer=tracer, recorder=recorder)
+        self._workers_alive = self.telemetry.gauge("workers_alive")
         self._req_ids = itertools.count(1)
         self._closed = False
         ctx = mp.get_context("fork")
@@ -288,9 +286,7 @@ class ServingFleet(AnswerPath):
             self.router.remove_shard(handle.name)
         except KeyError:
             pass
-        self.telemetry.counter(
-            "worker_failures_total", "fleet workers lost (crash or pipe break)"
-        ).inc()
+        self.telemetry.counter("worker_failures_total").inc()  # crash or pipe break
         self._workers_alive.set(len(self.live_workers()))
         if self.recorder is not None:
             # Incident kind: snapshots the parent's recent spans/events so
@@ -372,7 +368,7 @@ class ServingFleet(AnswerPath):
                 if reply is _UNSENT and pacer is not None:
                     pacer.release()  # an owed reply keeps the slot until it is read
                 breaker.record_failure(kind="slow")
-                self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
+                self.telemetry.counter("deadline_miss_total").inc()
                 return self._fallback_result(plans, env, "deadline", started, span=span)
             if self.collector is not None:
                 self.collector.add_many(reply[3])  # the shard's span records
@@ -429,9 +425,7 @@ class ServingFleet(AnswerPath):
             if reply[0] == "need-plans":
                 # The mirror was wrong (the worker never saw this key, or
                 # evicted it); resend with plans inline.
-                self.telemetry.counter(
-                    "plans_resent_total", "predict frames refused with need-plans and resent"
-                ).inc()
+                self.telemetry.counter("plans_resent_total").inc()
                 reply = self._exchange(handle, frame(True), span, until)
             return reply, sent_at
         finally:
@@ -470,10 +464,8 @@ class ServingFleet(AnswerPath):
             raise RuntimeError("promote with no live workers")
         if len(set(acked.values())) != 1:
             raise RuntimeError(f"fleet diverged after promote: {acked}")
-        self.telemetry.counter("promotes_total", "staged fleet promotes").inc()
-        self.telemetry.gauge(
-            "model_weights_version", "weights_version every shard converged to"
-        ).set(next(iter(acked.values())))
+        self.telemetry.counter("promotes_total").inc()
+        self.telemetry.gauge("model_weights_version").set(next(iter(acked.values())))
         return acked
 
     # -- chaos + observability ---------------------------------------------------
@@ -530,11 +522,6 @@ class ServingFleet(AnswerPath):
         if self.collector is not None:
             out["collector"] = self.collector.stats()
         return self._obs_stats(out)
-
-    def to_prometheus(self) -> str:
-        """One text exposition: merged per-shard metrics under
-        ``repro_fleet`` plus parent-side metrics under ``repro_fleet_parent``."""
-        return merged_to_prometheus(self.stats()["merged"]) + self.telemetry.to_prometheus()
 
     # -- shutdown --------------------------------------------------------------
 

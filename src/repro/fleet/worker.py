@@ -62,14 +62,12 @@ class _Shard:
         self.tracer = tracer
         self.plan_cache: OrderedDict = OrderedDict()
         t = self.telemetry = Telemetry()
-        self._requests = t.counter("requests_total", "requests received")
-        self._learned = t.counter("learned_total", "requests answered learned")
-        self._batches = t.counter("batches_total", "learned batches executed")
-        self._batch_seconds = t.histogram("learned_batch_seconds", "learned-path batch latency")
-        self._batch_plans = t.histogram("batch_plans", "plans per learned batch")
-        self._latency = t.histogram(
-            "request_latency_seconds", "shard request latency, frame read to answer"
-        )
+        self._requests = t.counter("requests_total")
+        self._learned = t.counter("learned_total")
+        self._batches = t.counter("batches_total")
+        self._batch_seconds = t.histogram("learned_batch_seconds")
+        self._batch_plans = t.histogram("batch_plans")
+        self._latency = t.histogram("request_latency_seconds")  # frame read to answer
         t.add_collector(lambda: mirror_service_gauges(t, self.service))
 
     def plans_for(self, plans_key, plans):
@@ -141,9 +139,7 @@ def fleet_worker_main(sock, *, worker_id: str, checkpoint_path=None, obs_config=
     """Entry point of one forked fleet worker (blocks until ``close``)."""
     pin_blas_threads()
     seed = derive_seed(0, f"fleet-{worker_id}")
-    tracer, recorder, _slo = (
-        obs_config.build(worker_id) if obs_config is not None else (None, None, None)
-    )
+    tracer, recorder = obs_config.build(worker_id) if obs_config is not None else (None, None)
     shard = _Shard(
         CostInferenceService.from_checkpoint(checkpoint_path)
         if checkpoint_path is not None

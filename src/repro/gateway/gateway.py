@@ -29,7 +29,7 @@ a learned model that can be slow, broken, or mid-replacement.  The
   source and reason, so callers and dashboards can tell a learned answer
   from a guardrail answer;
 * **telemetry** — counters, gauges, and latency histograms for every
-  decision point, exported as JSON or Prometheus text
+  decision point, exported as a JSON-able snapshot
   (:mod:`repro.gateway.telemetry`), including the inference service's
   cache-tier hit/miss/eviction counters.
 
@@ -91,9 +91,7 @@ class Guard:
         if pacer is not None and pacer.telemetry is None:
             pacer.attach(telemetry)
         telemetry.add_collector(
-            lambda: telemetry.gauge(gauge, "0 closed, 1 half-open, 2 open").set(
-                BREAKER_STATE_CODES[self.breaker.state]
-            )
+            lambda: telemetry.gauge(gauge).set(BREAKER_STATE_CODES[self.breaker.state])
         )
 
     def admit(self) -> tuple[str, float | None] | None:
@@ -260,30 +258,27 @@ def mirror_service_gauges(telemetry: Telemetry, service) -> None:
     read (a gateway's, and a fleet shard's)."""
     version = getattr(service, "weights_version", None)
     if version is not None:
-        telemetry.gauge("model_weights_version", "served weights_version").set(version)
+        telemetry.gauge("model_weights_version").set(version)
     counters = getattr(service, "cache_counters", None)
     if counters is not None:
+        # Cache hit/miss and request tallies, and the cold-path split
+        # (encode/forward seconds, warmed plans).
         for name, value in counters().items():
-            telemetry.gauge(
-                f"serving_{name}",
-                "inference-service counter: cache hit/miss tallies, request "
-                "tallies and the cold-path attribution split (encode/forward "
-                "seconds, warmed plans)",
-            ).set(value)
+            telemetry.gauge(f"serving_{name}").set(value)
 
 
 class AnswerPath:
     """The answer path both front ends run — :class:`OptimizerGateway` and
     the fleet parent: count a request and open its span, answer a refusal
     from the native fallback, and record every answer the same way
-    (``learned_total``, ``request_latency_seconds``, an SLO sample, the
-    span's outcome attributes), so a request leaves one audit trail
-    whichever front end answered it.
+    (``learned_total``, ``request_latency_seconds``, the span's outcome
+    attributes), so a request leaves one audit trail whichever front end
+    answered it.
 
     Observability is optional and ~free when absent: a
-    :class:`repro.obs.Tracer` minting request spans, a
+    :class:`repro.obs.Tracer` minting request spans and a
     :class:`repro.obs.FlightRecorder` fed incident events (sheds feed its
-    storm detector), and a :class:`repro.obs.SLOMonitor` fed every answer.
+    storm detector).
     """
 
     #: Name of the span one request opens.
@@ -296,22 +291,14 @@ class AnswerPath:
     #: misbehaving model is a retrain signal, not just an availability event.
     on_trip = None
 
-    def __init__(
-        self, telemetry: Telemetry, *, fallback=None, tracer=None, recorder=None, slo=None
-    ) -> None:
+    def __init__(self, telemetry: Telemetry, *, fallback=None, tracer=None, recorder=None) -> None:
         self.telemetry = telemetry
         self.fallback = fallback or NativeCostFallback()
         self.tracer = tracer
         self.recorder = recorder
-        self.slo = slo
-        self._requests_total = telemetry.counter("requests_total", "requests received")
-        self._learned_total = telemetry.counter("learned_total", "requests answered learned")
-        self._request_latency = telemetry.histogram(
-            "request_latency_seconds", "end-to-end request latency"
-        )
-        if slo is not None:
-            # SLO window gauges are computed when telemetry is read.
-            telemetry.add_collector(lambda: slo.export(telemetry))
+        self._requests_total = telemetry.counter("requests_total")
+        self._learned_total = telemetry.counter("learned_total")
+        self._request_latency = telemetry.histogram("request_latency_seconds")
 
     def _open(self, trace, n_plans: int):
         """Count one request and open its span (joining ``trace``, an
@@ -344,20 +331,16 @@ class AnswerPath:
         from the native fallback, counted by reason and, for a shed, in the
         shed split and the flight recorder's storm detector."""
         costs = self.fallback.predict(list(plans), env_features=env_features)
-        self.telemetry.counter("fallback_total", "requests answered by fallback").inc()
-        self.telemetry.counter(
-            f"fallback_{reason.replace('-', '_')}_total", f"fallbacks: {reason}"
-        ).inc()
+        self.telemetry.counter("fallback_total").inc()
+        self.telemetry.counter(f"fallback_{reason.replace('-', '_')}_total").inc()
         shed_reason = _SHED_REASONS.get(reason)
         if shed_reason is not None:
             self.telemetry.record_shed(shed_reason)
             if self.recorder is not None:
                 self.recorder.note_shed(shed_reason)
         if retry_after is not None:
-            self.telemetry.histogram(
-                "retry_after_seconds",
-                "Retry-After hints attached to pacer-limit sheds",
-            ).observe(float(retry_after))
+            # The Retry-After hints attached to pacer-limit sheds.
+            self.telemetry.histogram("retry_after_seconds").observe(float(retry_after))
         latency_ms = 1e3 * (time.monotonic() - started)
         return self._finish(
             GatewayResult(costs, "fallback", reason, latency_ms, None, retry_after=retry_after),
@@ -371,7 +354,7 @@ class AnswerPath:
         survive for reconstruction) and hand it to :attr:`on_trip`.
         ``where`` names the breaker's path (``"gateway"``, or the fleet
         shard it guards)."""
-        self.telemetry.counter("breaker_trips_total", "circuit breaker trips").inc()
+        self.telemetry.counter("breaker_trips_total").inc()
         if self.recorder is not None:
             breaker_stats = breaker.stats()
             self.recorder.record(
@@ -390,10 +373,7 @@ class AnswerPath:
         end, and close its span with the outcome and ``pacer``'s state."""
         if result.source == "learned":
             self._learned_total.inc()
-        latency = result.latency_ms / 1e3
-        self._request_latency.observe(latency)
-        if self.slo is not None:
-            self.slo.record(latency, deadline_hit=result.reason != "deadline")
+        self._request_latency.observe(result.latency_ms / 1e3)
         if span.sampled:
             span.set_attrs(
                 source=result.source, reason=result.reason, weights_version=result.model_version
@@ -411,14 +391,12 @@ class AnswerPath:
         return result
 
     def _obs_stats(self, out: dict) -> dict:
-        """Add the configured tracer's, flight recorder's and SLO monitor's
-        snapshots to a ``stats()`` dict."""
+        """Add the configured tracer's and flight recorder's snapshots to a
+        ``stats()`` dict."""
         if self.tracer is not None:
             out["tracing"] = self.tracer.stats()
         if self.recorder is not None:
             out["flight_recorder"] = self.recorder.stats()
-        if self.slo is not None:
-            out["slo"] = self.slo.snapshot()
         return out
 
     def __enter__(self):
@@ -449,28 +427,21 @@ class OptimizerGateway(AnswerPath):
         pacer: AdmissionPacer | None = None,
         tracer=None,
         recorder=None,
-        slo=None,
     ) -> None:
         super().__init__(
-            telemetry or Telemetry(), fallback=fallback, tracer=tracer, recorder=recorder, slo=slo
+            telemetry or Telemetry(), fallback=fallback, tracer=tracer, recorder=recorder
         )
         self.config = config or GatewayConfig()
         # The instruments every learned request updates, resolved once.
         t = self.telemetry
-        self._plans_total = t.counter("plans_total", "plans scored")
-        self._batches_total = t.counter("batches_total", "learned batches executed")
-        self._queue_wait = t.histogram(
-            "queue_wait_seconds", "request wait from admission to worker pickup"
-        )
-        self._learned_batch = t.histogram(
-            "learned_batch_seconds", "learned-path batch latency"
-        )
-        self._batch_plans = t.histogram("batch_plans", "plans per learned batch")
-        self._service_time = t.histogram(
-            "service_time_seconds",
-            "learned-path compute share of request latency (per request, its "
-            "batch's execution time; queue_wait_seconds holds the other half)",
-        )
+        self._plans_total = t.counter("plans_total")
+        self._batches_total = t.counter("batches_total")
+        # A request's wait from admission to worker pickup; its batch's
+        # execution time (service_time) is the other half of its latency.
+        self._queue_wait = t.histogram("queue_wait_seconds")
+        self._learned_batch = t.histogram("learned_batch_seconds")
+        self._batch_plans = t.histogram("batch_plans")
+        self._service_time = t.histogram("service_time_seconds")
         #: The breaker and, when given, BBR-style admission pacer
         #: (:mod:`repro.pacing`) of the learned path; ``breaker`` and
         #: ``pacer`` name its parts.
@@ -527,7 +498,7 @@ class OptimizerGateway(AnswerPath):
     def _new_model(self) -> None:
         """A new model serves behind the path: a reset guard, fresh gauges."""
         self.guard.reset()
-        self.telemetry.counter("swaps_total", "model hot swaps observed").inc()
+        self.telemetry.counter("swaps_total").inc()
         self._sync_gauges()
 
     def _model_version(self) -> int | None:
@@ -600,7 +571,7 @@ class OptimizerGateway(AnswerPath):
                 if not done:
                     request.abandoned = True
         if not done:
-            self.telemetry.counter("deadline_miss_total", "requests past budget").inc()
+            self.telemetry.counter("deadline_miss_total").inc()
             return self._fallback_result(plans, env_features, "deadline", started, span=span)
         # Marked done by _execute, or by a close() drain.
         error = request.error
@@ -809,7 +780,7 @@ class OptimizerGateway(AnswerPath):
 
     def _sync_gauges(self) -> None:
         """The telemetry collector: mirror the queue and service into gauges."""
-        self.telemetry.gauge("queue_depth", "pending requests").set(len(self._queue))
+        self.telemetry.gauge("queue_depth").set(len(self._queue))
         mirror_service_gauges(self.telemetry, self._service)
 
     def stats(self) -> dict:
@@ -820,9 +791,6 @@ class OptimizerGateway(AnswerPath):
         snapshot["queue_depth"] = len(self._queue)
         snapshot["has_model"] = self.has_model
         return snapshot
-
-    def to_prometheus(self) -> str:
-        return self.telemetry.to_prometheus()
 
     # -- shutdown --------------------------------------------------------------
 

@@ -12,13 +12,11 @@ Three instrument kinds, one registry:
 
 A :class:`Telemetry` registry creates instruments on first use (get-or-
 create, so instrumented code never needs registration boilerplate) and
-exports everything as a JSON-able snapshot or Prometheus text exposition
-(counters, gauges, and summaries with quantile labels; one renderer,
-:func:`render_prometheus`, serves a registry and a merged fleet snapshot
-alike).  All instruments are safe to update from multiple
-threads; exports take a consistent per-instrument snapshot.  Hot paths hold
-their instruments as attributes (one lookup, not one per update); gauges that
-mirror another object are set by collectors when an export is read.
+exports everything as a JSON-able snapshot.  All instruments are safe to
+update from multiple threads; a snapshot takes a consistent per-instrument
+view.  Hot paths hold their instruments as attributes (one lookup, not one
+per update); gauges that mirror another object are set by collectors when a
+snapshot is read.
 """
 
 from __future__ import annotations
@@ -27,16 +25,7 @@ import math
 import threading
 from collections import OrderedDict, deque
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "SHED_REASONS",
-    "Telemetry",
-    "escape_label_value",
-    "escape_help_text",
-    "render_prometheus",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "SHED_REASONS", "Telemetry"]
 
 #: Quantiles reported for every histogram, in export order.
 QUANTILES = (0.50, 0.95, 0.99)
@@ -53,35 +42,13 @@ SHED_REASONS = ("queue-full", "pacer-limit", "deadline", "closed")
 HISTOGRAM_WINDOW = 2048
 
 
-def _sanitize(name: str) -> str:
-    """Prometheus metric names allow ``[a-zA-Z0-9_:]`` only."""
-    return "".join(c if c.isalnum() or c in "_:" else "_" for c in name)
-
-
-def escape_label_value(value) -> str:
-    """Escape a label value per the Prometheus text exposition format:
-    backslash, double-quote, and line-feed must be backslash-escaped."""
-    return (
-        str(value)
-        .replace("\\", r"\\")
-        .replace('"', r"\"")
-        .replace("\n", r"\n")
-    )
-
-
-def escape_help_text(text: str) -> str:
-    """HELP lines escape backslash and line-feed (quotes are legal there)."""
-    return str(text).replace("\\", r"\\").replace("\n", r"\n")
-
-
 class Counter:
     """A monotonically increasing total."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._value = 0.0
         self._lock = threading.Lock()
 
@@ -105,9 +72,8 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._value = 0.0
         self._lock = threading.Lock()
 
@@ -135,9 +101,8 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._lock = threading.Lock()
         self._window: deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
         self._count = 0
@@ -163,32 +128,12 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile (nearest-rank) of the recent window; 0.0 when
-        nothing has been observed."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if not self._window:
-                return 0.0
-            ordered = sorted(self._window)
-        return ordered[int(q * (len(ordered) - 1))]
-
     def snapshot(self, *, include_samples: bool = False) -> dict:
-        """Summary statistics; with ``include_samples`` the raw reservoir
-        window rides along under ``"samples"`` so a downstream merge (the
-        fleet's :func:`repro.fleet.telemetry.merge_snapshots`) can compute
-        *exact* cross-shard quantiles instead of a max bound."""
+        """Summary statistics (quantiles nearest-rank over the recent
+        window); with ``include_samples`` the raw window rides along under
+        ``"samples"`` so the fleet's
+        :func:`repro.fleet.telemetry.merge_snapshots` can compute exact
+        cross-shard quantiles."""
         with self._lock:
             window = sorted(self._window)
             count, total = self._count, self._sum
@@ -213,21 +158,20 @@ class Histogram:
 
 
 class Telemetry:
-    """Get-or-create instrument registry with JSON and Prometheus export."""
+    """Get-or-create instrument registry with a JSON-able snapshot."""
 
-    def __init__(self, namespace: str = "repro") -> None:
-        self.namespace = _sanitize(namespace)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: "OrderedDict[str, Counter | Gauge | Histogram]" = OrderedDict()
         self._collectors: list = []
 
     # -- instrument access ----------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, help: str):
+    def _get_or_create(self, cls, name: str):
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = cls(name, help)
+                instrument = cls(name)
                 self._instruments[name] = instrument
             elif not isinstance(instrument, cls):
                 raise TypeError(
@@ -236,47 +180,37 @@ class Telemetry:
                 )
             return instrument
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(Gauge, name)
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get_or_create(Histogram, name, help)
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(Histogram, name)
 
     def add_collector(self, collect) -> None:
-        """Run ``collect()`` at the top of every :meth:`snapshot` and
-        :meth:`to_prometheus`, for as long as the registry lives: gauges
-        mirroring another object's state (cache tallies, breaker state) are
-        set there, when read, not on the path that serves requests."""
+        """Run ``collect()`` at the top of every :meth:`snapshot`, for as
+        long as the registry lives: gauges mirroring another object's state
+        (cache tallies, breaker state) are set there, when read, not on the
+        path that serves requests."""
         with self._lock:
             self._collectors.append(collect)
-
-    def _collected(self) -> list:
-        with self._lock:
-            collectors = list(self._collectors)
-        for collect in collectors:
-            collect()
-        with self._lock:
-            return list(self._instruments.values())
 
     def record_shed(self, reason: str) -> None:
         """Count one shed admission decision, split by reason.
 
         ``sheds_total`` aggregates; ``shed_<reason>_total`` (one counter
         per :data:`SHED_REASONS` entry) attributes it, so the queue-full /
-        pacer-limit / deadline / closed split is visible in both the JSON
-        and Prometheus exports without callers managing counter names.
+        pacer-limit / deadline / closed split is visible in the snapshot
+        without callers managing counter names.
         """
         if reason not in SHED_REASONS:
             raise ValueError(
                 f"unknown shed reason {reason!r}; expected one of {SHED_REASONS}"
             )
-        self.counter("sheds_total", "requests shed at admission, all reasons").inc()
-        self.counter(
-            f"shed_{reason.replace('-', '_')}_total", f"requests shed: {reason}"
-        ).inc()
+        self.counter("sheds_total").inc()
+        self.counter(f"shed_{reason.replace('-', '_')}_total").inc()
 
     # -- export ---------------------------------------------------------------
 
@@ -284,7 +218,12 @@ class Telemetry:
         """One consistent-enough JSON-able view of every instrument.
         ``include_samples`` forwards to every histogram (raw reservoirs for
         exact downstream merging)."""
-        instruments = self._collected()
+        with self._lock:
+            collectors = list(self._collectors)
+        for collect in collectors:
+            collect()
+        with self._lock:
+            instruments = list(self._instruments.values())
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         for instrument in instruments:
             if isinstance(instrument, Histogram):
@@ -293,37 +232,3 @@ class Telemetry:
                 snap = instrument.snapshot()
             out[f"{instrument.kind}s"][instrument.name] = snap
         return out
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of :meth:`snapshot`, with each
-        instrument's help text."""
-        snapshot = self.snapshot()
-        with self._lock:
-            helps = {name: i.help for name, i in self._instruments.items() if i.help}
-        return render_prometheus(snapshot, self.namespace, helps=helps)
-
-
-def render_prometheus(snapshot: dict, namespace: str, *, helps=None) -> str:
-    """Prometheus text exposition of a snapshot-shaped dict (a registry's
-    :meth:`Telemetry.snapshot`, or a merged fleet snapshot): counters and
-    gauges verbatim, histograms as summaries with quantile labels plus
-    ``_count``/``_sum``.  ``helps`` maps instrument names to HELP text."""
-    ns = _sanitize(namespace)
-    helps = helps or {}
-    lines: list[str] = []
-    kinds = (("counters", "counter"), ("gauges", "gauge"), ("histograms", "summary"))
-    for kind, type_ in kinds:
-        for name, value in snapshot.get(kind, {}).items():
-            metric = f"{ns}_{_sanitize(name)}"
-            if name in helps:
-                lines.append(f"# HELP {metric} {escape_help_text(helps[name])}")
-            lines.append(f"# TYPE {metric} {type_}")
-            if type_ != "summary":
-                lines.append(f"{metric} {value:.10g}")
-                continue
-            for q, key in zip(QUANTILES, QUANTILE_KEYS):
-                label = escape_label_value(f"{q:g}")
-                lines.append(f'{metric}{{quantile="{label}"}} {value[key]:.10g}')
-            lines.append(f"{metric}_sum {value['sum']:.10g}")
-            lines.append(f"{metric}_count {value['count']}")
-    return "\n".join(lines) + "\n"

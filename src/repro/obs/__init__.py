@@ -1,22 +1,18 @@
-"""Observability for the serving stack: tracing, flight recorder, SLOs.
+"""Observability for the serving stack: tracing and the flight recorder.
 
-Three pieces, designed to be wired into the gateway / fleet / lifecycle
+Two pieces, designed to be wired into the gateway / fleet / lifecycle
 layers without coupling them to each other:
 
 * :mod:`repro.obs.trace` — ``TraceContext`` / ``Span`` / ``Tracer`` with
   deterministic-under-seed ids, head sampling, cross-process propagation
-  over the fleet RPC framing, bounded JSONL export, and a
-  ``SpanCollector`` that stitches complete span trees per trace id.
+  over the fleet RPC framing, and a ``SpanCollector`` that stitches
+  complete span trees per trace id.
 * :mod:`repro.obs.recorder` — ``FlightRecorder``, a per-process ring
   buffer of recent spans/events that snapshots itself to JSONL on breaker
   trips, worker crashes, and shed storms.
-* :mod:`repro.obs.slo` — ``SLOMonitor``, rolling-window deadline-hit-rate
-  and p99 burn-rate tracking with multi-window alerting, exported through
-  ``Telemetry`` gauges (and therefore the Prometheus text format).
 """
 
 from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import SLOConfig, SLOMonitor, SLOWindow
 from repro.obs.trace import (
     NULL_SPAN,
     ObsConfig,
@@ -32,9 +28,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "FlightRecorder",
-    "SLOConfig",
-    "SLOMonitor",
-    "SLOWindow",
     "NULL_SPAN",
     "ObsConfig",
     "Span",

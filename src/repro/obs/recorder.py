@@ -28,14 +28,22 @@ DEFAULT_DUMP_DIR_ENV = "REPRO_FLIGHT_DIR"
 # Event kinds that trigger an automatic snapshot.
 AUTO_DUMP_KINDS = frozenset({"breaker-trip", "worker-crash", "shed-storm"})
 
+#: Ring size: entries a recorder keeps, oldest falling off.
+CAPACITY = 4096
+#: A ``shed-storm`` event fires when at least this many sheds land within
+#: :data:`STORM_WINDOW_SECONDS`.
+STORM_THRESHOLD = 50
+STORM_WINDOW_SECONDS = 1.0
+#: Minimum spacing between *automatic* dumps; explicit ``dump()`` calls
+#: always write.
+DUMP_COOLDOWN_SECONDS = 5.0
+
 
 class FlightRecorder:
     """Bounded ring of events/spans with incident-triggered JSONL dumps.
 
     Parameters
     ----------
-    capacity:
-        Ring size; oldest entries fall off.
     dump_dir:
         Where snapshots go.  Defaults to ``$REPRO_FLIGHT_DIR`` or
         ``flight-dumps/`` under the working directory; created on first
@@ -43,35 +51,14 @@ class FlightRecorder:
     process_label:
         Included in dump filenames and the header so merged incident
         folders stay attributable (e.g. ``"worker-2"``).
-    storm_threshold / storm_window_seconds:
-        A ``shed-storm`` event fires when at least ``storm_threshold``
-        sheds land within the window.
-    dump_cooldown_seconds:
-        Minimum spacing between *automatic* dumps; explicit ``dump()``
-        calls always write.
     """
 
-    def __init__(
-        self,
-        capacity=4096,
-        *,
-        dump_dir=None,
-        process_label="main",
-        storm_threshold=50,
-        storm_window_seconds=1.0,
-        dump_cooldown_seconds=5.0,
-        clock=time.monotonic,
-    ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, *, dump_dir=None, process_label="main", clock=time.monotonic):
         self.process_label = str(process_label)
-        self._ring = deque(maxlen=int(capacity))
+        self._ring = deque(maxlen=CAPACITY)
         self._lock = threading.Lock()
         self._clock = clock
         self._dump_dir = dump_dir
-        self._storm_threshold = int(storm_threshold)
-        self._storm_window = float(storm_window_seconds)
-        self._cooldown = float(dump_cooldown_seconds)
         self._shed_times = deque()
         self._last_auto_dump = None
         self._dump_seq = 0
@@ -110,15 +97,15 @@ class FlightRecorder:
         storm = False
         with self._lock:
             self._shed_times.append(now)
-            horizon = now - self._storm_window
+            horizon = now - STORM_WINDOW_SECONDS
             while self._shed_times and self._shed_times[0] < horizon:
                 self._shed_times.popleft()
-            if len(self._shed_times) >= self._storm_threshold:
+            if len(self._shed_times) >= STORM_THRESHOLD:
                 storm = True
                 self._shed_times.clear()
         if storm:
-            self.record("shed-storm", reason, threshold=self._storm_threshold,
-                        window_seconds=self._storm_window)
+            self.record("shed-storm", reason, threshold=STORM_THRESHOLD,
+                        window_seconds=STORM_WINDOW_SECONDS)
         return storm
 
     # -- dumping ---------------------------------------------------------
@@ -128,25 +115,21 @@ class FlightRecorder:
         with self._lock:
             if self._last_auto_dump is not None and (
                 now - self._last_auto_dump
-            ) < self._cooldown:
+            ) < DUMP_COOLDOWN_SECONDS:
                 return None
             self._last_auto_dump = now
         return self.dump(reason=reason)
 
-    def dump(self, reason="manual", path=None):
-        """Snapshot the ring to JSONL; returns the file path."""
-        if path is None:
-            dump_dir = self._dump_dir or os.environ.get(
-                DEFAULT_DUMP_DIR_ENV, "flight-dumps"
-            )
-            os.makedirs(dump_dir, exist_ok=True)
-            with self._lock:
-                self._dump_seq += 1
-                seq = self._dump_seq
-            fname = (
-                f"flight-{self.process_label}-pid{os.getpid()}-{seq:03d}-{reason}.jsonl"
-            )
-            path = os.path.join(dump_dir, fname)
+    def dump(self, reason="manual"):
+        """Snapshot the ring to a JSONL file in the dump directory; returns
+        the file path."""
+        dump_dir = self._dump_dir or os.environ.get(DEFAULT_DUMP_DIR_ENV, "flight-dumps")
+        os.makedirs(dump_dir, exist_ok=True)
+        with self._lock:
+            self._dump_seq += 1
+            seq = self._dump_seq
+        fname = f"flight-{self.process_label}-pid{os.getpid()}-{seq:03d}-{reason}.jsonl"
+        path = os.path.join(dump_dir, fname)
         with self._lock:
             entries = list(self._ring)
         header = {

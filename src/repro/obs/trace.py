@@ -21,10 +21,8 @@ this codebase:
     shared no-op span, so tracing-off costs one method call per request.
 
 Finished sampled spans land in a bounded in-memory buffer (drained by the
-fleet worker reply path), optionally in a :class:`SpanCollector`, a
-:class:`~repro.obs.recorder.FlightRecorder`, and — bounded by a token
-bucket so an overload cannot amplify into disk pressure — a JSONL export
-sink.
+fleet worker reply path) and, optionally, in a :class:`SpanCollector` and
+a :class:`~repro.obs.recorder.FlightRecorder`.
 
 ``traced_section`` attaches child spans to whatever span the current
 thread activated (a ``contextvars`` slot), which is how the serving layer
@@ -38,13 +36,12 @@ import contextlib
 import contextvars
 import hashlib
 import itertools
-import json
 import os
 import threading
 import typing
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "TraceContext",
@@ -199,6 +196,13 @@ NULL_SPAN = _NullSpan()
 #: Slots in a tracer's precomputed sampling-decision table (power of two).
 _DECISION_TABLE_SIZE = 4096
 
+#: Finished spans a tracer buffers for :meth:`Tracer.drain`; the oldest
+#: fall off (counted as ``spans_dropped``).
+MAX_BUFFERED_SPANS = 8192
+
+#: Traces a :class:`SpanCollector` keeps, least recently touched evicted.
+MAX_TRACES = 1024
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -262,9 +266,6 @@ class Tracer:
     seed:
         When given, trace/span ids are a pure function of (seed, counter):
         two tracers with the same seed mint identical id sequences.
-    export_path:
-        Optional JSONL file; finished sampled spans are appended, rate
-        bounded by ``max_export_per_sec`` (token bucket, bursts allowed).
     collector:
         Optional :class:`SpanCollector` fed every finished sampled span.
     recorder:
@@ -276,19 +277,14 @@ class Tracer:
         sample_rate=1.0,
         *,
         seed=None,
-        export_path=None,
-        max_export_per_sec=200.0,
         collector=None,
         recorder=None,
-        max_buffered_spans=8192,
         process_label="main",
-        clock=time.monotonic,
     ):
         if not 0.0 <= float(sample_rate) <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
         self.sample_rate = float(sample_rate)
         self.process_label = str(process_label)
-        self._clock = clock
         if seed is None:
             self._key = os.urandom(16).hex()
         else:
@@ -337,22 +333,11 @@ class Tracer:
             self._decision_mask = 0
             self._decisions = [self.sample_rate >= 1.0]
         self._lock = threading.Lock()
-        self._buffer = deque(maxlen=int(max_buffered_spans))
+        self._buffer = deque(maxlen=MAX_BUFFERED_SPANS)
         self._collector = collector
         self._recorder = recorder
-        self._export_path = export_path
-        self._export_lock = threading.Lock()
-        self._bucket = float(max_export_per_sec)
-        self._bucket_max = max(1.0, float(max_export_per_sec))
-        self._bucket_rate = float(max_export_per_sec)
-        self._bucket_at = clock()
         self._spans_started = 0
         self._spans_dropped = 0
-        self._spans_exported = 0
-
-    @property
-    def enabled(self):
-        return self.sample_rate > 0.0
 
     # -- id minting ------------------------------------------------------
 
@@ -406,7 +391,7 @@ class Tracer:
     # -- finish pipeline -------------------------------------------------
 
     def _on_finish(self, span):
-        if self._collector is None and self._recorder is None and self._export_path is None:
+        if self._collector is None and self._recorder is None:
             # No sinks: buffer the finished Span itself and materialize the
             # record dict lazily at drain() — keeps the per-span cost off
             # the request path when nothing consumes records eagerly.
@@ -424,27 +409,6 @@ class Tracer:
             self._collector.add(record)
         if self._recorder is not None:
             self._recorder.record_span(record)
-        if self._export_path is not None and self._take_token():
-            self._export(record)
-
-    def _take_token(self):
-        with self._export_lock:
-            now = self._clock()
-            self._bucket = min(
-                self._bucket_max, self._bucket + (now - self._bucket_at) * self._bucket_rate
-            )
-            self._bucket_at = now
-            if self._bucket >= 1.0:
-                self._bucket -= 1.0
-                return True
-            return False
-
-    def _export(self, record):
-        line = json.dumps(record, sort_keys=True, default=str)
-        with self._export_lock:
-            with open(self._export_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-        self._spans_exported += 1
 
     # -- draining --------------------------------------------------------
 
@@ -473,11 +437,7 @@ class Tracer:
             "spans_started": self._spans_started,
             "spans_buffered": buffered,
             "spans_dropped": self._spans_dropped,
-            "spans_exported": self._spans_exported,
         }
-
-
-DISABLED_TRACER = Tracer(sample_rate=0.0, seed=0)
 
 
 class SpanTree:
@@ -523,7 +483,7 @@ class SpanTree:
     def children(self, span_id):
         return [s for s in self.spans if s["parent_id"] == span_id]
 
-    def render(self, indent="  "):
+    def render(self):
         """Human-readable tree, children ordered by start time."""
         lines = []
 
@@ -537,7 +497,7 @@ class SpanTree:
                 else ""
             )
             lines.append(
-                f"{indent * depth}{span['name']} [{span['process']}/{span['pid']}]"
+                f"{'  ' * depth}{span['name']} [{span['process']}/{span['pid']}]"
                 f"{dur_s}{attr_s}"
             )
             for child in sorted(self.children(span["span_id"]), key=lambda s: s["start"]):
@@ -558,11 +518,11 @@ class SpanTree:
 
 
 class SpanCollector:
-    """Accumulates span records per trace; bounded by trace count (LRU)."""
+    """Accumulates span records per trace; bounded by trace count (LRU,
+    :data:`MAX_TRACES`)."""
 
-    def __init__(self, max_traces=1024):
+    def __init__(self):
         self._traces: OrderedDict = OrderedDict()
-        self._max_traces = int(max_traces)
         self._lock = threading.Lock()
         self._evicted = 0
 
@@ -575,7 +535,7 @@ class SpanCollector:
             if spans is None:
                 spans = []
                 self._traces[trace_id] = spans
-                while len(self._traces) > self._max_traces:
+                while len(self._traces) > MAX_TRACES:
                     self._traces.popitem(last=False)
                     self._evicted += 1
             else:
@@ -611,44 +571,32 @@ class ObsConfig:
 
     ``sample_rate``/``seed`` parameterize each process's tracer (worker
     seeds are derived per worker id so ids never collide across shards);
-    ``dump_dir`` is where flight recorders write incident snapshots;
-    ``export_path`` is the parent-side JSONL span sink.
+    ``dump_dir`` is where flight recorders write incident snapshots.
     """
 
     sample_rate: float = 1.0
     seed: int | None = None
-    export_path: str | None = None
     dump_dir: str | None = None
-    max_export_per_sec: float = 200.0
-    recorder_capacity: int = 4096
-    slo: object | None = field(default=None, compare=False)
 
     def build(self, process_label, *, collector=None):
-        """One process's ``(tracer, recorder, slo)``, the tracer feeding
-        the recorder so an incident dump holds the sampled spans before it
-        (``slo`` is ``None`` without an ``slo`` config).  The process given
-        the ``collector`` is the fleet parent: it mints ids from ``seed``
-        and owns the JSONL export.  A worker derives its seed from its
-        ``process_label`` and exports nothing: its spans ride the replies
-        to the parent's collector."""
+        """One process's ``(tracer, recorder)``, the tracer feeding the
+        recorder so an incident dump holds the sampled spans before it.
+        The process given the ``collector`` is the fleet parent: it mints
+        ids from ``seed``.  A worker derives its seed from its
+        ``process_label``: its spans ride the replies to the parent's
+        collector."""
         from repro.evaluation.pool import derive_seed
         from repro.obs.recorder import FlightRecorder
-        from repro.obs.slo import SLOMonitor
 
-        parent = collector is not None
         seed = self.seed
-        if seed is not None and not parent:
+        if seed is not None and collector is None:
             seed = derive_seed(seed, f"trace-{process_label}")
-        recorder = FlightRecorder(
-            self.recorder_capacity, dump_dir=self.dump_dir, process_label=process_label
-        )
+        recorder = FlightRecorder(dump_dir=self.dump_dir, process_label=process_label)
         tracer = Tracer(
             self.sample_rate,
             seed=seed,
-            export_path=self.export_path if parent else None,
-            max_export_per_sec=self.max_export_per_sec,
             collector=collector,
             recorder=recorder,
             process_label=process_label,
         )
-        return tracer, recorder, SLOMonitor(self.slo) if self.slo is not None else None
+        return tracer, recorder

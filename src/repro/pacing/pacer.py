@@ -168,13 +168,11 @@ class AdmissionPacer:
         self.resets_total = 0
         self.state_entries = {state: 0 for state in PACER_STATE_CODES}
         self.state_entries[STARTUP] = 1
-        #: Per-state dwell histogram (name, help), built once: ``telemetry``
-        #: may be attached after construction, so only the names are bound.
+        #: Per-state dwell histogram names (time spent per visit), built
+        #: once: ``telemetry`` may be attached after construction, so only
+        #: the names are bound.
         self._dwell_names = {
-            state: (
-                f"{name}_dwell_{state.replace('-', '_')}_seconds",
-                f"time spent per visit in pacer state {state}",
-            )
+            state: f"{name}_dwell_{state.replace('-', '_')}_seconds"
             for state in PACER_STATE_CODES
         }
         if telemetry is not None:
@@ -231,7 +229,7 @@ class AdmissionPacer:
         if state == self._state:
             return
         if self.telemetry is not None:
-            self.telemetry.histogram(*self._dwell_names[self._state]).observe(
+            self.telemetry.histogram(self._dwell_names[self._state]).observe(
                 now - self._state_entered_at
             )
         self._state = state
@@ -415,21 +413,16 @@ class AdmissionPacer:
             rate = self._rate.get(now)
             latency = self._latency.get(now)
         prefix = self.name
-        telemetry.gauge(
-            f"{prefix}_state", "0 startup, 1 drain, 2 probe-bw, 3 probe-rtt"
-        ).set(PACER_STATE_CODES[state])
-        telemetry.gauge(
-            f"{prefix}_inflight_cap", "BDP-derived admitted-request cap"
-        ).set(cap)
-        telemetry.gauge(f"{prefix}_inflight", "admitted unanswered requests").set(
-            inflight
+        telemetry.gauge(f"{prefix}_state").set(PACER_STATE_CODES[state])
+        # The BDP-derived cap on admitted, unanswered requests.
+        telemetry.gauge(f"{prefix}_inflight_cap").set(cap)
+        telemetry.gauge(f"{prefix}_inflight").set(inflight)
+        # The bottleneck delivery-rate (requests/s) and queue-free
+        # service-latency estimates.
+        telemetry.gauge(f"{prefix}_btl_rate").set(rate if rate is not None else 0.0)
+        telemetry.gauge(f"{prefix}_min_latency_seconds").set(
+            latency if latency is not None else 0.0
         )
-        telemetry.gauge(
-            f"{prefix}_btl_rate", "bottleneck delivery-rate estimate (requests/s)"
-        ).set(rate if rate is not None else 0.0)
-        telemetry.gauge(
-            f"{prefix}_min_latency_seconds", "queue-free service-latency estimate"
-        ).set(latency if latency is not None else 0.0)
 
     def stats(self) -> dict:
         """JSON-able operating snapshot."""

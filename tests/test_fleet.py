@@ -22,7 +22,7 @@ from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 from repro.core.serialization import save_predictor
 from repro.evaluation.parallel import EvalTask, run_tasks
 from repro.evaluation.pool import fork_available
-from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots, merged_to_prometheus
+from repro.fleet import ConsistentHashRouter, ServingFleet, merge_snapshots
 from repro.fleet import fleet as fleet_module
 from repro.fleet.worker import PLAN_CACHE_CAP
 from repro.gateway import NativeCostFallback, OptimizerGateway
@@ -133,6 +133,9 @@ class TestRouter:
 
 class TestMergeSnapshots:
     def _snap(self, reqs, p99, count):
+        """A worker's ``snapshot(include_samples=True)``: ``count``
+        observations from 0.001 up to ``p99``."""
+        samples = [0.001] * (count - 1) + [p99] if count else []
         return {
             "counters": {"requests_total": reqs},
             "gauges": {
@@ -144,12 +147,12 @@ class TestMergeSnapshots:
                 "request_latency_seconds": {
                     "count": count, "sum": 0.1 * count, "min": 0.001 if count else 0.0,
                     "max": p99, "mean": 0.1 if count else 0.0,
-                    "p50": p99 / 2, "p95": p99, "p99": p99,
+                    "p50": p99 / 2, "p95": p99, "p99": p99, "samples": samples,
                 }
             },
         }
 
-    def test_counters_sum_quantiles_upper_bound(self):
+    def test_counters_sum_and_codes_take_max(self):
         merged = merge_snapshots([self._snap(10, 0.2, 5), self._snap(7, 0.8, 3)])
         assert merged["shards"] == 2
         assert merged["counters"]["requests_total"] == 17
@@ -160,7 +163,6 @@ class TestMergeSnapshots:
         hist = merged["histograms"]["request_latency_seconds"]
         assert hist["count"] == 8
         assert hist["sum"] == pytest.approx(0.8)
-        assert hist["p99"] == 0.8  # max across shards: conservative bound
         assert hist["min"] == 0.001
         assert hist["max"] == 0.8
 
@@ -169,13 +171,6 @@ class TestMergeSnapshots:
         hist = merged["histograms"]["request_latency_seconds"]
         assert hist["count"] == 5
         assert hist["min"] == 0.001
-
-    def test_prometheus_export(self):
-        merged = merge_snapshots([self._snap(10, 0.2, 5)])
-        text = merged_to_prometheus(merged)
-        assert "repro_fleet_shards 1" in text
-        assert "repro_fleet_requests_total 10" in text
-        assert 'repro_fleet_request_latency_seconds{quantile="0.99"}' in text
 
     def _sampled(self, samples):
         ordered = sorted(samples)
@@ -212,16 +207,6 @@ class TestMergeSnapshots:
         again = merge_snapshots([merged, self._sampled([1000])])
         assert again["histograms"]["lat"]["count"] == 101
         assert again["histograms"]["lat"]["max"] == 1000
-
-    def test_sampleless_shard_degrades_to_max_bound(self):
-        a, b = list(range(50)), list(range(50, 100))
-        lossy = self._sampled(b)
-        del lossy["histograms"]["lat"]["samples"]
-        merged = merge_snapshots([self._sampled(a), lossy])
-        hist = merged["histograms"]["lat"]
-        assert hist["count"] == 100
-        assert hist["p50"] == 74  # max of per-shard medians: the bound
-        assert "samples" not in hist
 
     def test_empty_shard_does_not_break_exact_merge(self):
         empty = {
@@ -399,15 +384,13 @@ class TestServingFleet:
             assert {t for t in tenants if now[t] != owners[t]} == {
                 t for t in tenants if owners[t] == victim
             }
-            # The event is visible in fleet telemetry and the merged export.
+            # The event is visible in fleet telemetry and the merged view.
             stats = fleet.stats()
             assert stats["workers_alive"] == 2
             assert stats["fleet"]["counters"]["worker_failures_total"] == 1
             assert stats["fleet"]["counters"]["fallback_worker_crash_total"] == 1
             assert victim not in stats["shards"]
-            prom = fleet.to_prometheus()
-            assert "repro_fleet_parent_worker_failures_total 1" in prom
-            assert "repro_fleet_shards 2" in prom  # the merge counts survivors
+            assert stats["merged"]["shards"] == 2  # the merge counts survivors
 
     def test_bad_checkpoint_fails_the_promote_not_the_shards(self, checkpointed, tmp_path):
         path, predictor, plans = checkpointed
@@ -581,7 +564,7 @@ class TestServingFleet:
             assert gauges["pacer_shard_0_inflight_cap"] == pacer["inflight_cap"]
             assert gauges["pacer_shard_0_btl_rate"] == pacer["btl_rate"] > 0.0
             assert gauges["pacer_shard_0_min_latency_seconds"] == pacer["min_latency_seconds"]
-            assert "\nrepro_fleet_parent_pacer_shard_0_state " in fleet.to_prometheus()
+            assert "pacer_shard_0_state" in fleet.telemetry.snapshot()["gauges"]
 
     def test_delivery_sample_excludes_the_wait_for_the_shard_lock(self, checkpointed):
         """A paced shard's delivery sample is its exchange, not the queue in

@@ -193,7 +193,7 @@ def _settle(condition, timeout: float = 5.0) -> bool:
 class TestTelemetry:
     def test_counter_monotone(self):
         t = Telemetry()
-        c = t.counter("reqs", "requests")
+        c = t.counter("reqs")
         c.inc()
         c.inc(2.5)
         assert c.value == pytest.approx(3.5)
@@ -214,23 +214,24 @@ class TestTelemetry:
         h = Telemetry().histogram("lat")
         for v in range(100):  # 0..99
             h.observe(v)
-        assert h.quantile(0.50) == 49
-        assert h.quantile(0.95) == 94
-        assert h.quantile(0.99) == 98
-        assert h.quantile(0.0) == 0
-        assert h.quantile(1.0) == 99
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
+        snap = h.snapshot()
+        assert snap["p50"] == 49
+        assert snap["p95"] == 94
+        assert snap["p99"] == 98
+        assert snap["min"] == 0
+        assert snap["max"] == 99
 
     def test_histogram_window_bounds_quantiles_not_totals(self):
         h = Telemetry().histogram("lat")
         n = HISTOGRAM_WINDOW + 100
         for v in range(n):
             h.observe(v)
-        assert h.count == n
-        assert h.sum == pytest.approx(sum(range(n)))
+        snap = h.snapshot(include_samples=True)
+        assert snap["count"] == n
+        assert snap["sum"] == pytest.approx(sum(range(n)))
         # quantiles describe the last HISTOGRAM_WINDOW observations only.
-        assert h.quantile(0.0) == 100
+        assert snap["samples"][0] == 100
+        assert snap["p50"] == 100 + int(0.5 * (HISTOGRAM_WINDOW - 1))
 
     def test_histogram_snapshot_fields(self):
         h = Telemetry().histogram("lat")
@@ -255,26 +256,6 @@ class TestTelemetry:
         assert doc["counters"]["reqs"] == 3
         assert doc["gauges"]["depth"] == 2
         assert doc["histograms"]["lat"]["count"] == 1
-
-    def test_prometheus_exposition(self):
-        t = Telemetry(namespace="repro")
-        t.counter("reqs", "requests").inc(3)
-        t.gauge("depth").set(2)
-        t.histogram("lat", "latency").observe(0.25)
-        text = t.to_prometheus()
-        assert "# HELP repro_reqs requests" in text
-        assert "# TYPE repro_reqs counter" in text
-        assert "repro_reqs 3" in text
-        assert "# TYPE repro_depth gauge" in text
-        assert "# TYPE repro_lat summary" in text
-        assert 'repro_lat{quantile="0.5"} 0.25' in text
-        assert "repro_lat_count 1" in text
-        assert text.endswith("\n")
-
-    def test_prometheus_name_sanitized(self):
-        t = Telemetry(namespace="repro")
-        t.counter("weird-name.total").inc()
-        assert "repro_weird_name_total 1" in t.to_prometheus()
 
     def test_thread_safety_counts_every_increment(self):
         t = Telemetry()
@@ -697,7 +678,7 @@ class TestGatewayBreaker:
             assert result.model_version == 7
             assert gw.telemetry.gauge("model_weights_version").value == 7
 
-    def test_stats_and_prometheus_surface_breaker_state(self, native_plans):
+    def test_stats_and_snapshot_surface_breaker_state(self, native_plans):
         clock = _FakeClock()
         service = _StubService()
         with self._gateway(service, clock) as gw:
@@ -708,7 +689,7 @@ class TestGatewayBreaker:
             assert stats["breaker"]["state"] == "open"
             assert stats["gauges"]["breaker_state"] == 2.0
             assert stats["has_model"] is True
-            assert "repro_breaker_state 2" in gw.to_prometheus()
+            assert gw.telemetry.snapshot()["gauges"]["breaker_state"] == 2.0
 
 
 # -- learned path on a real trained predictor -----------------------------------
@@ -909,20 +890,12 @@ class TestLatencySplit:
             assert snapshot["service_time_seconds"]["p50"] >= 0.02
             total = snapshot["request_latency_seconds"]
             assert snapshot["queue_wait_seconds"]["p50"] <= total["max"]
-            prom = gw.to_prometheus()
-            assert "repro_queue_wait_seconds" in prom
-            assert "repro_service_time_seconds" in prom
+            histograms = gw.telemetry.snapshot()["histograms"]
+            assert "queue_wait_seconds" in histograms
+            assert "service_time_seconds" in histograms
 
 
 # -- the bound request path: gauges on read, bound instruments, lock latch -------
-
-
-def _prometheus_values(text: str) -> dict[str, float]:
-    return {
-        line.split()[0]: float(line.split()[1])
-        for line in text.splitlines()
-        if line and not line.startswith("#") and "{" not in line
-    }
 
 
 class TestRequestPath:
@@ -958,9 +931,9 @@ class TestRequestPath:
             lookups: list = []
             get_or_create = Telemetry._get_or_create
 
-            def counting(self, cls, name, help, **kwargs):
+            def counting(self, cls, name, **kwargs):
                 lookups.append(name)
-                return get_or_create(self, cls, name, help, **kwargs)
+                return get_or_create(self, cls, name, **kwargs)
 
             with monkeypatch.context() as patched:
                 patched.setattr(Telemetry, "_get_or_create", counting)
@@ -984,11 +957,9 @@ class TestRequestPath:
                 pacer_min_latency_seconds=pacer["min_latency_seconds"],
             )
             assert want["pacer_btl_rate"] > 0.0
-            prometheus = _prometheus_values(gw.to_prometheus())
             for gauges in (gw.stats()["gauges"], gw.telemetry.snapshot()["gauges"]):
                 for name, value in want.items():
                     assert gauges[name] == value, name
-                    assert prometheus[f"repro_{name}"] == pytest.approx(value, rel=1e-9)
             assert gw.stats()["counters"]["requests_total"] == 203
 
     def test_latch_is_one_shot_and_set_is_idempotent(self):

@@ -5,27 +5,25 @@ Covers:
 (a) tracing primitives — deterministic-under-seed trace/span ids, head
     sampling (root decision propagated to children and across wire
     contexts), traced_section nesting via the active-span contextvar,
-    buffer drains and lazy record materialization, JSONL export rate
-    bounding, collector span trees and completeness;
+    buffer drains and lazy record materialization, collector span trees
+    and completeness;
 (b) gateway integration — sampled requests carry a resolvable trace id,
     request/batch/serving spans stitch into one tree, tracing-off costs
     nothing and yields no ids, breaker trips auto-dump the flight
     recorder with the trip event in the snapshot;
 (c) the flight recorder — ring bounding, incident-kind auto-dumps with
     cooldown, shed-storm escalation, self-describing JSONL dump format;
-(d) SLO monitoring — window math on an injectable fake clock, nearest-
-    rank p99, multi-window burn-rate alerting semantics, telemetry gauge
-    export and Prometheus text round trip;
-(e) cross-process fleet tracing — every sampled fleet request resolves to
+(d) cross-process fleet tracing — every sampled fleet request resolves to
     a complete span tree spanning the parent and a worker process, and a
     worker crash leaves a flight-recorder dump (fork platforms only);
-(f) seeded replay tracing — two logical replays of the same scenario
+(e) seeded replay tracing — two logical replays of the same scenario
     mint identical trace-id sets.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -39,16 +37,9 @@ from repro.core.serialization import save_predictor
 from repro.evaluation.pool import fork_available
 from repro.gateway import OptimizerGateway, Telemetry
 from repro.gateway import gateway as gateway_module
-from repro.gateway.telemetry import escape_help_text, escape_label_value
+from repro.obs import recorder as recorder_module
 from repro.obs import trace as trace_module
-from repro.obs import (
-    FlightRecorder,
-    ObsConfig,
-    SLOConfig,
-    SLOMonitor,
-    SpanCollector,
-    Tracer,
-)
+from repro.obs import FlightRecorder, ObsConfig, SpanCollector, Tracer
 from repro.obs.trace import (
     NULL_SPAN,
     SpanTree,
@@ -121,7 +112,6 @@ class TestTracer:
     def test_rate_zero_and_one(self):
         off = Tracer(0.0, seed=0)
         assert all(off.start_trace("r") is NULL_SPAN for _ in range(50))
-        assert not off.enabled
         on = Tracer(1.0, seed=0)
         assert all(on.start_trace("r").sampled for _ in range(50))
 
@@ -156,8 +146,9 @@ class TestTracer:
         assert [r["name"] for r in rest] == ["b"]
         assert tracer.drain() == []
 
-    def test_buffer_bounded_and_drops_counted(self):
-        tracer = Tracer(1.0, seed=0, max_buffered_spans=4)
+    def test_buffer_bounded_and_drops_counted(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_BUFFERED_SPANS", 4)
+        tracer = Tracer(1.0, seed=0)
         for i in range(10):
             tracer.start_trace(f"s{i}").finish()
         stats = tracer.stats()
@@ -192,24 +183,6 @@ class TestTracer:
                 raise RuntimeError("x")
         (record,) = tracer.drain()
         assert "error" in record["attrs"]
-
-    def test_export_jsonl_rate_bounded(self, tmp_path):
-        clock = _FakeClock()
-        path = tmp_path / "spans.jsonl"
-        tracer = Tracer(
-            1.0, seed=0, export_path=str(path), max_export_per_sec=5.0, clock=clock
-        )
-        for i in range(20):
-            tracer.start_trace(f"s{i}").finish()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        # Burst capacity only: the bucket starts full at 5 tokens.
-        assert len(lines) == 5
-        assert tracer.stats()["spans_exported"] == 5
-        clock.advance(1.0)  # refill 5 tokens
-        for i in range(20, 30):
-            tracer.start_trace(f"s{i}").finish()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 10
 
 
 class TestTracedSection:
@@ -289,8 +262,9 @@ class TestSpanCollectorAndTree:
         )
         assert not two_roots.is_complete()
 
-    def test_lru_eviction_bounded(self):
-        collector = SpanCollector(max_traces=2)
+    def test_lru_eviction_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_TRACES", 2)
+        collector = SpanCollector()
         tracer = Tracer(1.0, seed=0, collector=collector)
         spans = [tracer.start_trace(f"s{i}") for i in range(3)]
         for span in spans:
@@ -448,27 +422,14 @@ class TestGatewayTracing:
         assert lines[0]["reason"] == "breaker-trip"
         assert any(e.get("kind") == "breaker-trip" for e in lines[1:])
 
-    def test_slo_wired_through_gateway(self):
-        slo = SLOMonitor(SLOConfig())
-        with OptimizerGateway(
-            _StubService(), fallback=_StubFallback(), slo=slo
-        ) as gw:
-            for _ in range(5):
-                gw.predict(["p1"], env_features=ENV)
-            snapshot = gw.stats()
-        assert snapshot["slo"]["total"] == 5
-        assert snapshot["slo"]["total_missed"] == 0
-        text = gw.to_prometheus()
-        assert "repro_slo_hit_rate_60s" in text
-        assert "repro_slo_alerting" in text
-
 
 # -- flight recorder ------------------------------------------------------------
 
 
 class TestFlightRecorder:
-    def test_ring_bounded(self):
-        recorder = FlightRecorder(capacity=3, dump_dir="unused")
+    def test_ring_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "CAPACITY", 3)
+        recorder = FlightRecorder(dump_dir="unused")
         for i in range(10):
             recorder.record("tick", f"e{i}")
         entries = recorder.entries()
@@ -476,11 +437,10 @@ class TestFlightRecorder:
         assert [e["name"] for e in entries] == ["e7", "e8", "e9"]
         assert recorder.stats()["events_total"] == 10
 
-    def test_auto_dump_on_incident_kinds_with_cooldown(self, tmp_path):
+    def test_auto_dump_on_incident_kinds_with_cooldown(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(recorder_module, "DUMP_COOLDOWN_SECONDS", 5.0)
         clock = _FakeClock()
-        recorder = FlightRecorder(
-            dump_dir=str(tmp_path), dump_cooldown_seconds=5.0, clock=clock
-        )
+        recorder = FlightRecorder(dump_dir=str(tmp_path), clock=clock)
         recorder.record("request-ok", "quiet")
         assert recorder.dumps_total == 0
         recorder.record("breaker-trip", "trip-1")
@@ -506,14 +466,11 @@ class TestFlightRecorder:
         assert span["type"] == "span" and span["trace_id"] == "t"
         assert "worker-3" in os.path.basename(path)
 
-    def test_shed_storm_escalation(self, tmp_path):
+    def test_shed_storm_escalation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(recorder_module, "STORM_THRESHOLD", 5)
+        monkeypatch.setattr(recorder_module, "STORM_WINDOW_SECONDS", 1.0)
         clock = _FakeClock()
-        recorder = FlightRecorder(
-            dump_dir=str(tmp_path),
-            storm_threshold=5,
-            storm_window_seconds=1.0,
-            clock=clock,
-        )
+        recorder = FlightRecorder(dump_dir=str(tmp_path), clock=clock)
         for _ in range(4):
             assert not recorder.note_shed("pacer-limit")
         assert recorder.note_shed("pacer-limit")  # fifth inside the window
@@ -526,115 +483,28 @@ class TestFlightRecorder:
         assert recorder.dumps_total == 1
 
 
-# -- SLO monitoring -------------------------------------------------------------
-
-
-class TestSLOMonitor:
-    def _monitor(self, **config):
-        clock = _FakeClock()
-        defaults = dict(
-            deadline_hit_objective=0.9,
-            p99_target_seconds=0.1,
-            windows=((10.0, 2.0), (100.0, 1.0)),
-            min_samples=5,
-        )
-        defaults.update(config)
-        return SLOMonitor(SLOConfig(**defaults), clock=clock), clock
-
-    def test_window_math_on_fake_clock(self):
-        monitor, clock = self._monitor()
-        for i in range(10):
-            monitor.record(0.01, deadline_hit=(i != 0))
-            clock.advance(1.0)
-        clock.advance(0.5)
-        # The miss was 10.5s ago: outside the 10s window, inside the 100s one.
-        short = monitor.window_stats(10.0)
-        long = monitor.window_stats(100.0)
-        assert short["n"] == 9 and short["hit_rate"] == 1.0
-        assert long["n"] == 10 and long["hit_rate"] == pytest.approx(0.9)
-        # error budget is 0.1, error rate 0.1 -> burn rate 1.0
-        assert long["burn_rate"] == pytest.approx(1.0)
-
-    def test_p99_nearest_rank(self):
-        monitor, _clock = self._monitor()
-        for v in range(1, 101):
-            monitor.record(v / 1000.0)
-        stats = monitor.window_stats(10.0)
-        assert stats["p99_seconds"] == pytest.approx(0.099)
-        assert stats["p99_burn"] == pytest.approx(0.99)
-
-    def test_alerting_requires_every_window(self):
-        monitor, clock = self._monitor()
-        # Ancient total burn but a quiet recent window: no alert.
-        for _ in range(50):
-            monitor.record(0.01, deadline_hit=False)
-            clock.advance(1.0)
-        clock.advance(15.0)  # short window is now empty
-        for _ in range(10):
-            monitor.record(0.01, deadline_hit=True)
-        assert not monitor.alerting()
-        # A fresh sustained burn lights both windows.
-        for _ in range(40):
-            monitor.record(0.01, deadline_hit=False)
-        assert monitor.alerting()
-        assert monitor.snapshot()["alerting"]
-
-    def test_min_samples_suppresses_alert(self):
-        monitor, _clock = self._monitor(min_samples=50)
-        for _ in range(10):
-            monitor.record(0.01, deadline_hit=False)
-        assert not monitor.alerting()
-
-    def test_snapshot_and_telemetry_export(self):
-        monitor, _clock = self._monitor()
-        for _ in range(8):
-            monitor.record(0.05, deadline_hit=True)
-        snap = monitor.snapshot()
-        assert snap["total"] == 8 and snap["total_missed"] == 0
-        assert [w["window_seconds"] for w in snap["windows"]] == [10.0, 100.0]
-        telemetry = Telemetry(namespace="repro")
-        monitor.export(telemetry)
-        text = telemetry.to_prometheus()
-        assert "repro_slo_hit_rate_10s 1" in text
-        assert "repro_slo_burn_rate_100s 0" in text
-        assert "repro_slo_alerting 0" in text
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SLOConfig(deadline_hit_objective=1.5)
-        with pytest.raises(ValueError):
-            SLOConfig(windows=())
-        with pytest.raises(ValueError):
-            SLOConfig(windows=((0.0, 1.0),))
-
-
 # -- telemetry hardening --------------------------------------------------------
 
 
 class TestTelemetryHardening:
-    def test_escape_label_value(self):
-        assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
-
-    def test_escape_help_text(self):
-        assert escape_help_text("line1\nline2\\x") == "line1\\nline2\\\\x"
-
     def test_histogram_ignores_nonfinite(self):
-        telemetry = Telemetry(namespace="t")
-        hist = telemetry.histogram("lat", "latency")
+        telemetry = Telemetry()
+        hist = telemetry.histogram("lat")
         hist.observe(1.0)
         hist.observe(float("nan"))
         hist.observe(float("inf"))
         snap = hist.snapshot()
         assert snap["count"] == 1
         assert snap["nonfinite"] == 2
-        # The exposition stays parseable: no NaN tokens.
-        assert "nan" not in telemetry.to_prometheus().lower()
+        # The snapshot stays finite: no NaN or inf reaches a summary field.
+        summary = telemetry.snapshot()["histograms"]["lat"]
+        assert all(math.isfinite(value) for value in summary.values())
 
     def test_merge_sums_nonfinite(self):
         from repro.fleet import merge_snapshots
 
-        telemetry = Telemetry(namespace="t")
-        hist = telemetry.histogram("lat", "latency")
+        telemetry = Telemetry()
+        hist = telemetry.histogram("lat")
         hist.observe(float("nan"))
         snap = telemetry.snapshot(include_samples=True)
         merged = merge_snapshots([snap, snap])
@@ -718,7 +588,7 @@ class TestFleetTracing:
 
 
 class TestReplayTracing:
-    def test_seeded_logical_replay_mints_identical_trace_ids(self):
+    def test_seeded_logical_replay_mints_identical_trace_ids(self, monkeypatch):
         from repro.serving.service import CostInferenceService
         from repro.workload import (
             GatewayTarget,
@@ -731,9 +601,10 @@ class TestReplayTracing:
         runtime = ScenarioRuntime(seed=7)
         incumbent = runtime.train_incumbent(epochs=2)
         scenario = build_scenario("steady")
+        monkeypatch.setattr(trace_module, "MAX_TRACES", 8192)
         digests = []
         for _ in range(2):
-            collector = SpanCollector(max_traces=8192)
+            collector = SpanCollector()
             tracer = Tracer(1.0, seed=11, collector=collector)
             engine = ReplayEngine(
                 runtime, config=ReplayConfig(mode="logical"), tracer=tracer

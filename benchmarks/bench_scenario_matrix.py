@@ -46,8 +46,6 @@ from repro.gateway import GatewayConfig, OptimizerGateway
 from repro.pacing import AdmissionPacer, PacerConfig
 from repro.serving import CostInferenceService
 from repro.workload import (
-    FleetTarget,
-    GatewayTarget,
     ReplayConfig,
     ReplayEngine,
     Request,
@@ -118,7 +116,11 @@ def _queue_free_ms(runtime, target, n: int = 30) -> float:
     waits = []
     for i in range(n):
         t0 = time.perf_counter()
-        result = target.predict(candidate_set, _calibration_request(runtime, i), None)
+        request = _calibration_request(runtime, i)
+        result = target.answer(
+            request.tenant, candidate_set.plans, env_features=request.env,
+            plans_key=candidate_set.key,
+        )
         waits.append(time.perf_counter() - t0)
         assert result is not None
     waits.sort()
@@ -165,7 +167,7 @@ def _timed_scenarios(capacity: float) -> list:
 def _drift_row(runtime, incumbent, target_factory) -> tuple[dict, object]:
     """One logical drift replay with a fresh lifecycle; returns (row, report)."""
     lifecycle = build_lifecycle(runtime, incumbent)
-    target, closer = target_factory(lifecycle)
+    target = target_factory(lifecycle)
     try:
         engine = ReplayEngine(
             runtime, lifecycle=lifecycle, config=ReplayConfig(mode="logical")
@@ -173,7 +175,7 @@ def _drift_row(runtime, incumbent, target_factory) -> tuple[dict, object]:
         report = engine.run(build_scenario("drift"), target)
         return _row(report, queue_free_ms=0.0), report
     finally:
-        closer()
+        target.close()
 
 
 def test_scenario_matrix(benchmark, scenario_setup, scale):
@@ -191,8 +193,7 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
         slow = _SlowService(CostInferenceService(incumbent), SERVICE_DELAY_S)
         config = GatewayConfig(max_coalesce_plans=max_set)
         with OptimizerGateway(slow, config=config, pacer=AdmissionPacer(PACER)) as gw:
-            target = GatewayTarget(gw)
-            queue_free = _queue_free_ms(runtime, target)
+            queue_free = _queue_free_ms(runtime, gw)
             capacity = 1e3 / queue_free
             deadline = max(4.0 * queue_free, 60.0)
             engine = ReplayEngine(
@@ -202,7 +203,7 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
                 ),
             )
             for scenario in _timed_scenarios(capacity):
-                report = engine.run(scenario, target)
+                report = engine.run(scenario, gw)
                 rows.append(_row(report, queue_free_ms=queue_free))
         gateway_calibration = {
             "queue_free_ms": queue_free,
@@ -212,8 +213,7 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
 
         # -- gateway: logical drift row (+ determinism double-replay) ---------
         def gateway_factory(lifecycle):
-            gw = lifecycle.serve_through_gateway()
-            return GatewayTarget(gw), gw.close
+            return lifecycle.serve_through_gateway()
 
         drift_row, drift_report = _drift_row(runtime, incumbent, gateway_factory)
         rows.append(drift_row)
@@ -236,8 +236,7 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
             lifecycle = build_lifecycle(runtime, incumbent)
             with ServingFleet(n_workers=2, pacer_config=PACER) as fleet:
                 lifecycle.attach_fleet(fleet)  # ships the incumbent
-                target = FleetTarget(fleet)
-                fleet_queue_free = _queue_free_ms(runtime, target)
+                fleet_queue_free = _queue_free_ms(runtime, fleet)
                 # Two shards serve in parallel; clamp the offered-rate base
                 # so open-loop schedules stay serviceable by the callers.
                 fleet_capacity = min(
@@ -251,7 +250,7 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
                     ),
                 )
                 for scenario in _timed_scenarios(fleet_capacity):
-                    report = engine.run(scenario, target)
+                    report = engine.run(scenario, fleet)
                     fleet_rows.append(_row(report, queue_free_ms=fleet_queue_free))
                 pacer_states = {
                     shard: stats["state"]
@@ -269,7 +268,7 @@ def test_scenario_matrix(benchmark, scenario_setup, scale):
             def fleet_factory(lifecycle):
                 fleet = ServingFleet(n_workers=2)
                 lifecycle.attach_fleet(fleet)  # ships the incumbent
-                return FleetTarget(fleet), fleet.close
+                return fleet
 
             fleet_drift_row, _ = _drift_row(runtime, incumbent, fleet_factory)
 

@@ -161,7 +161,7 @@ ALLOW: dict[str, tuple[str, str]] = {
     "fleet/fleet.py::ServingFleet.span_tree": ("observability", "as obs/trace.py"),
     "pacing/pacer.py::AdmissionPacer.state": (
         "observability", "the pacer's state on a sampled request span "
-        "(AnswerPath._finish); no entry point samples a trace"),
+        "(AnswerPath.answer); no entry point samples a trace"),
     "pacing/pacer.py::AdmissionPacer.inflight": (
         "observability", "the slot count alone, read without advancing the "
         "state machine; stats() reports it beside everything else"),

@@ -108,8 +108,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     and lifecycle events."""
     from repro.evaluation.reporting import format_table
     from repro.workload import (
-        FleetTarget,
-        GatewayTarget,
         ReplayConfig,
         ReplayEngine,
         ScenarioRuntime,
@@ -137,19 +135,17 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.target == "fleet":
         from repro.fleet import ServingFleet
 
-        fleet = ServingFleet(n_workers=2)  # attach_fleet ships the model
-        lifecycle.attach_fleet(fleet)
-        target, closer = FleetTarget(fleet), fleet.close
+        target = ServingFleet(n_workers=2)  # attach_fleet ships the model
+        lifecycle.attach_fleet(target)
     else:
-        gateway = lifecycle.serve_through_gateway()
-        target, closer = GatewayTarget(gateway), gateway.close
+        target = lifecycle.serve_through_gateway()
     try:
         engine = ReplayEngine(
             runtime, lifecycle=lifecycle, config=ReplayConfig(mode="logical")
         )
         report = engine.run(build_scenario(args.scenario), target)
     finally:
-        closer()
+        target.close()
 
     print(f"{args.scenario} via {args.target} ({report.n_requests} requests, "
           f"retrains {report.retrains}, promotes {report.promotes})")

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.encoding import PlanEncoder
 from repro.core.predictor import AdaptiveCostPredictor, PredictorConfig
 
-__all__ = ["save_predictor", "load_predictor"]
+__all__ = ["checkpoint_weights_version", "save_predictor", "load_predictor"]
 
 _FORMAT_VERSION = 2
 
@@ -111,3 +111,10 @@ def load_predictor(
         predictor.weights_version = int(meta.get("weights_version", 0))
         env = meta["environment_features"]
     return predictor, tuple(env) if env else None
+
+
+def checkpoint_weights_version(path: str | Path) -> int:
+    """The ``weights_version`` a service booted from ``path`` serves, read
+    from the manifest alone (no parameter is decompressed)."""
+    with np.load(Path(path), allow_pickle=False) as archive:
+        return int(json.loads(str(archive["meta"])).get("weights_version", 0))

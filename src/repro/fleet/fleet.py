@@ -9,11 +9,13 @@ frame, ``service.predict``, write a frame), and a consistent-hash router
 (:mod:`repro.fleet.router`) pins every tenant to one shard, so its caches
 stay hot and the fleet's aggregate cache capacity is N× one process's.
 
-This module is the one place a fleet request is admitted and answered:
-route → the shard's :class:`~repro.gateway.gateway.Guard` (its circuit
-breaker, then its admission pacer) → one exchange on the shard's socket →
-the gateway's own :class:`~repro.gateway.gateway.AnswerPath`, so a fleet
-answer leaves the audit trail a gateway answer does.  A ``deadline_ms``
+A fleet request is answered by the gateway's own
+:meth:`~repro.gateway.gateway.AnswerPath.answer`, so it leaves the audit
+trail a gateway answer does; this module supplies its two steps: the ring
+lookup (``_route``) and one exchange on the shard's socket (``_score``),
+behind the shard's :class:`~repro.gateway.gateway.Guard`.  The parent
+tracks which model each shard serves, so a model-less or empty request
+never reaches a shard.  A ``deadline_ms``
 covers the wait for the shard's lock, for a reply the shard still owes a
 caller that gave up, and for the caller's own reply.  On expiry the
 caller answers ``deadline`` and records one slow call; if its request was
@@ -43,6 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 
+from repro.core.serialization import checkpoint_weights_version
 from repro.evaluation.pool import fork_available
 from repro.fleet.router import ConsistentHashRouter
 from repro.fleet.telemetry import merge_snapshots
@@ -76,16 +79,23 @@ _UNSENT, _OWED = ("unsent",), ("owed",)
 
 class _WorkerHandle:
     """Parent-side state for one shard: process, socket, socket lock, the
-    shard's guard, a mirror of the worker's LRU of candidate-set keys, and
-    the id of the reply the shard owes a caller that gave up (at most one)."""
+    shard's guard, the model it serves (``model_version`` as of the boot
+    checkpoint or the last promote ack), a mirror of the worker's LRU of
+    candidate-set keys, and the id of the reply the shard owes a caller
+    that gave up (at most one)."""
 
-    __slots__ = ("name", "process", "channel", "guard", "lock", "alive", "sent_keys", "owed")
+    __slots__ = (
+        "name", "process", "channel", "guard", "has_model", "model_version", "lock",
+        "alive", "sent_keys", "owed",
+    )
 
-    def __init__(self, name, process, channel, guard) -> None:
+    def __init__(self, name, process, channel, guard, model_version) -> None:
         self.name = name
         self.process = process
         self.channel = channel
         self.guard = guard
+        self.has_model = model_version is not None
+        self.model_version = model_version
         self.lock = threading.Lock()
         self.alive = True
         self.sent_keys: OrderedDict = OrderedDict()
@@ -114,6 +124,7 @@ class ServingFleet(AnswerPath):
     otherwise rather than serving a silently single-process fleet.
     """
 
+    name = "fleet"
     span_name = "fleet.request"
 
     def __init__(
@@ -148,6 +159,9 @@ class ServingFleet(AnswerPath):
         self._workers_alive = self.telemetry.gauge("workers_alive")
         self._req_ids = itertools.count(1)
         self._closed = False
+        boot_version = (
+            checkpoint_weights_version(checkpoint_path) if checkpoint_path is not None else None
+        )
         ctx = mp.get_context("fork")
         self._workers: dict[str, _WorkerHandle] = {}
         for i in range(n_workers):
@@ -183,7 +197,7 @@ class ServingFleet(AnswerPath):
                 on_trip=functools.partial(self._tripped, name),
             )
             self._workers[name] = _WorkerHandle(
-                name, process, Channel(parent_sock, _SLICE), guard
+                name, process, Channel(parent_sock, _SLICE), guard, boot_version
             )
         self._paced = pacer_config is not None
         self.router = ConsistentHashRouter(self._workers)
@@ -322,83 +336,68 @@ class ServingFleet(AnswerPath):
         plans_key=None,
         trace=None,
     ) -> GatewayResult:
-        """Score ``plans`` for ``tenant`` on its pinned shard.  Same contract
-        as the gateway's ``predict`` — always answers, flagging source and
-        reason — with ``deadline_ms`` bounding the whole call.  A stable
-        ``plans_key`` per candidate set ships the plan trees once per
-        shard, so scoring one set under k environments sends k small
-        frames.  A sampled ``fleet.request`` span's context rides the frame
-        and the shard's span records ride the reply, so
-        ``span_tree(result.trace_id)`` spans both processes; ``trace`` joins
-        an upstream trace (e.g. a scenario replay's)."""
-        started = time.monotonic()
-        until = started + deadline_ms / 1e3 if deadline_ms is not None else None
-        env = tuple(float(v) for v in env_features) if env_features is not None else None
-        plans = list(plans)
-        span = self._open(trace, len(plans))
-        trace_wire = None
+        """:meth:`~repro.gateway.gateway.AnswerPath.answer` on ``tenant``'s
+        pinned shard, ``deadline_ms`` bounding the whole call.  Scoring one
+        candidate set under k environments with one ``plans_key`` sends k
+        small frames.  A sampled ``fleet.request`` span's context rides the
+        frame and the shard's span records ride the reply, so
+        ``span_tree(result.trace_id)`` spans both processes."""
+        return self.answer(
+            tenant, plans, env_features=env_features, deadline_ms=deadline_ms,
+            plans_key=plans_key, trace=trace,
+        )
+
+    def _route(self, tenant, span):
+        """``tenant``'s live shard, retrying on the shrunken ring when the
+        one it routes to is found dead."""
         if span.sampled:
             span.set_attr("tenant", tenant)
-            trace_wire = span.context.to_wire()
-        # A crash mid-request sheds to the fallback; a shard found dead at
-        # routing time retries on the shrunken ring.
-        for _attempt in range(max(1, len(self._workers))):
+        for _attempt in range(len(self._workers)):
             if self._closed or not len(self.router):
                 break
-            shard = self.router.route(tenant)
-            handle = self._workers[shard]
-            if not handle.alive:
-                continue
-            if span.sampled:
-                span.set_attr("shard", shard)
-            guard = handle.guard
-            refused = self._admit(guard, plans, env, started, span)
-            if refused is not None:
-                return refused
-            breaker, pacer = guard.breaker, guard.pacer
-            try:
-                reply, sent_at = self._score(
-                    handle, plans_key, plans, env, trace_wire, span, until
-                )
-            except _PIPE_ERRORS as exc:
-                self._mark_dead(handle, exc)
-                guard.refund()  # a crashed exchange measures nothing
-                return self._fallback_result(plans, env, "worker-crash", started, span=span)
-            if reply is _UNSENT or reply is _OWED:
-                if reply is _UNSENT and pacer is not None:
-                    pacer.release()  # an owed reply keeps the slot until it is read
-                breaker.record_failure(kind="slow")
-                self.telemetry.counter("deadline_miss_total").inc()
-                return self._fallback_result(plans, env, "deadline", started, span=span)
-            if self.collector is not None:
-                self.collector.add_many(reply[3])  # the shard's span records
-            kind = reply[0]
-            if kind == "ok":
-                done = time.monotonic()
-                if pacer is not None:
-                    # The round trip, need-plans resend included, is one
-                    # delivery sample; the wait for the shard's lock and for
-                    # a reply it owed is queueing, so it is not.
-                    pacer.on_delivered(1, elapsed_seconds=done - sent_at)
-                breaker.record_success()
-                costs, version = reply[2]
-                latency_ms = 1e3 * (done - started)
-                return self._finish(
-                    GatewayResult(unpack_costs(costs), "learned", "ok", latency_ms, version),
-                    span=span,
-                    pacer=pacer,
-                )
-            if kind == "no-model":
-                guard.refund()
-                return self._fallback_result(plans, env, "no-model", started, span=span)
-            if pacer is not None:
-                pacer.release()
-            breaker.record_failure()
-            return self._fallback_result(plans, env, "model-error", started, span=span)
-        reason = "closed" if self._closed else "no-workers"
-        return self._fallback_result(plans, env, reason, started, span=span)
+            handle = self._workers[self.router.route(tenant)]
+            if handle.alive:
+                if span.sampled:
+                    span.set_attr("shard", handle.name)
+                return handle
+        return "closed" if self._closed else "no-workers"
 
-    def _score(self, handle, plans_key, plans, env, trace_wire, span, until):
+    def _score(self, handle, plans, env_features, plans_key, span, until):
+        """One exchange with the shard, settling its guard: a crash sheds
+        only this request (``"worker-crash"``) and the shard's tenants
+        remap to the survivors."""
+        guard = handle.guard
+        breaker, pacer = guard.breaker, guard.pacer
+        env = tuple(float(v) for v in env_features) if env_features is not None else None
+        trace_wire = span.context.to_wire() if span.sampled else None
+        try:
+            reply, sent_at = self._send(handle, plans_key, plans, env, trace_wire, span, until)
+        except _PIPE_ERRORS as exc:
+            self._mark_dead(handle, exc)
+            guard.refund()  # a crashed exchange measures nothing
+            return "worker-crash"
+        if reply is _UNSENT or reply is _OWED:
+            if reply is _UNSENT and pacer is not None:
+                pacer.release()  # an owed reply keeps the slot until it is read
+            breaker.record_failure(kind="slow")
+            return "deadline"
+        if self.collector is not None:
+            self.collector.add_many(reply[3])  # the shard's span records
+        if reply[0] == "ok":
+            if pacer is not None:
+                # The round trip, need-plans resend included, is one
+                # delivery sample; the wait for the shard's lock and for
+                # a reply it owed is queueing, so it is not.
+                pacer.on_delivered(1, elapsed_seconds=time.monotonic() - sent_at)
+            breaker.record_success()
+            costs, version = reply[2]
+            return unpack_costs(costs), version
+        if pacer is not None:
+            pacer.release()
+        breaker.record_failure()
+        return "model-error"
+
+    def _send(self, handle, plans_key, plans, env, trace_wire, span, until):
         """One request's exchange with its shard, within ``until`` when the
         request has a budget: ``(reply, sent_at)``, the reply (or
         :data:`_UNSENT` / :data:`_OWED`) and, on a paced shard, when the
@@ -458,7 +457,8 @@ class ServingFleet(AnswerPath):
                 raise RuntimeError(
                     f"promote of {checkpoint_path} failed on {name}: {reply[2]}"
                 )
-            acked[name] = int(reply[2])
+            acked[name] = handle.model_version = int(reply[2])
+            handle.has_model = True
             handle.guard.reset()
         if not acked:
             raise RuntimeError("promote with no live workers")

@@ -7,11 +7,11 @@ dashboard, not N.  The merge rules per instrument kind:
 
 * **counters** — summed: totals across the fleet are the sum of per-shard
   totals, exactly.
-* **gauges** — tallies (queue depth, pacer inflight, ``serving_*`` cache
-  counts) are summed.  ``*_version`` and ``*_state`` gauges are codes, not
-  amounts, and merge by **max**: the newest version any shard serves and
-  the worst state any shard is in (``breaker_state`` 2 means an open
-  breaker somewhere, never two half-open ones).
+* **gauges** — a shard's gauges are its ``serving_*`` cache tallies,
+  which are summed, and ``model_weights_version``: a ``*_version`` gauge
+  is a code, not an amount, and merges by **max**, the newest version any
+  shard serves.  (Breaker and pacer gauges live in the parent, one per
+  shard, and are never merged.)
 * **histograms** — ``count``/``sum`` are summed and ``min``/``max``
   combined.  Every shard ships its raw reservoir (the worker's ``stats``
   RPC sends ``Telemetry.snapshot(include_samples=True)``), so the merged
@@ -52,7 +52,7 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
             seen = merged["gauges"].get(name)
             if seen is None:
                 merged["gauges"][name] = value
-            elif name.endswith(("_version", "_state")):
+            elif name.endswith("_version"):
                 merged["gauges"][name] = max(seen, value)
             else:
                 merged["gauges"][name] = seen + value

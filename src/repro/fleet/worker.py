@@ -15,12 +15,13 @@ no queue.  Messages, one :mod:`repro.fleet.wire` frame each way:
     shipped before (the worker keeps an LRU of candidate sets, which the
     parent mirrors); an unknown key answers ``("need-plans", req_id)``.
     The reply is ``(kind, req_id, payload, spans)``: ``"ok"`` with
-    ``(costs, weights_version)`` (``costs`` as raw ``float64`` bytes),
-    ``"no-model"`` with ``None`` before the first promote, or ``"error"``
-    with the repr of what ``predict`` raised.  With a ``trace_wire``
-    (the parent's sampled :class:`~repro.obs.TraceContext`), the shard
-    opens one ``fleet.shard`` span, ``serving.*`` spans nested under it,
-    and returns their records as ``spans``.
+    ``(costs, weights_version)`` (``costs`` as raw ``float64`` bytes), or
+    ``"error"`` with the repr of what ``predict`` raised; the parent sends
+    no ``predict`` to a shard before its first model, nor an empty one.
+    With a ``trace_wire`` (the parent's sampled
+    :class:`~repro.obs.TraceContext`), the shard opens one ``fleet.shard``
+    span, ``serving.*`` spans nested under it, and returns their records
+    as ``spans``.
 ``("load", req_id, checkpoint_path, warm)``
     Staged promote: load, hot-swap (``swap_predictor(..., warm=...)``
     re-scores the warm list) and ack ``("loaded", req_id,
@@ -88,8 +89,6 @@ class _Shard:
         """Run one request through the service: ``(kind, payload, spans)``."""
         self._requests.inc()
         service = self.service
-        if service is None:
-            return "no-model", None, []
         span = NULL_SPAN
         if trace_wire is not None and self.tracer is not None:
             span = self.tracer.start_trace(

@@ -36,9 +36,8 @@ a learned model that can be slow, broken, or mid-replacement.  The
 Every request is answered with a cost vector, whatever happens to the
 learned path — the gateway's one invariant.  :class:`Guard` and
 :class:`AnswerPath` are the part of it the fleet parent
-(:class:`~repro.fleet.fleet.ServingFleet`) shares: admission and refunds,
-how a request is counted and traced, how a refusal is answered from the
-fallback, and how every answer and breaker trip is recorded.
+(:class:`~repro.fleet.fleet.ServingFleet`) shares: one request path,
+:meth:`AnswerPath.answer`, over each front end's own routing and scoring.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ class Guard:
 
     def refund(self) -> None:
         """Hand back the probe and the pacer slot of an admitted request
-        that was never scored (refused after admission, no model behind
-        the path, a shard lost mid-request)."""
+        that was never scored (refused after admission, a shard lost
+        mid-request)."""
         self.breaker.release_probe()
         if self.pacer is not None:
             self.pacer.release()
@@ -269,11 +268,16 @@ def mirror_service_gauges(telemetry: Telemetry, service) -> None:
 
 class AnswerPath:
     """The answer path both front ends run — :class:`OptimizerGateway` and
-    the fleet parent: count a request and open its span, answer a refusal
-    from the native fallback, and record every answer the same way
-    (``learned_total``, ``request_latency_seconds``, the span's outcome
-    attributes), so a request leaves one audit trail whichever front end
-    answered it.
+    the fleet parent.  :meth:`answer` counts a request, opens its span,
+    routes it, answers a refusal from the native fallback and records every
+    answer the same way, so a request leaves one audit trail whichever
+    front end answered it.  A front end provides ``_route(tenant, span)``,
+    the scorer (an object with a :class:`Guard` ``guard``, ``has_model``
+    and ``model_version``) or the reason there is none, and
+    ``_score(scorer, plans, env_features, plans_key, span, until)``, which
+    scores an admitted request within ``until`` (monotonic seconds, or
+    ``None``), settles the guard and returns ``(costs, model_version)`` or
+    a fallback reason.
 
     Observability is optional and ~free when absent: a
     :class:`repro.obs.Tracer` minting request spans and a
@@ -281,11 +285,10 @@ class AnswerPath:
     storm detector).
     """
 
+    #: The front end's name in replay reports.
+    name = "gateway"
     #: Name of the span one request opens.
     span_name = "gateway.request"
-    #: The pacer whose state a finished span records when the caller names
-    #: none (a gateway's own; the fleet names a shard's).
-    pacer: AdmissionPacer | None = None
     #: Called with this front end after any of its breakers trips: the
     #: lifecycle sets it (``serve_through_gateway``, ``attach_fleet``) so a
     #: misbehaving model is a retrain signal, not just an availability event.
@@ -300,6 +303,73 @@ class AnswerPath:
         self._learned_total = telemetry.counter("learned_total")
         self._request_latency = telemetry.histogram("request_latency_seconds")
 
+    def answer(
+        self, tenant, plans, *, env_features=None, deadline_ms: float | None = None,
+        plans_key=None, trace=None,
+    ) -> GatewayResult:
+        """Score ``plans`` within the deadline budget.  Always returns a
+        cost per plan; ``result.source`` says whether the learned model or
+        the native fallback produced it.  ``tenant`` routes the request and
+        a stable ``plans_key`` per candidate set ships its plan trees once
+        per shard (both fleet-only); ``trace`` carries an upstream
+        :class:`~repro.obs.TraceContext` so the request span joins the
+        caller's trace instead of starting one."""
+        started = time.monotonic()
+        plans = list(plans)
+        span = self._open(trace, len(plans))
+        scorer = self._route(tenant, span)
+        pacer = retry_after = shed_reason = None
+        if isinstance(scorer, str):
+            outcome = scorer
+        else:
+            pacer = scorer.guard.pacer
+            if not plans:
+                outcome = np.zeros(0), scorer.model_version
+            elif not scorer.has_model:
+                outcome = "no-model"
+            else:
+                refused = scorer.guard.admit()
+                if refused is None:
+                    until = started + deadline_ms / 1e3 if deadline_ms is not None else None
+                    outcome = self._score(scorer, plans, env_features, plans_key, span, until)
+                else:
+                    outcome, retry_after = refused
+        if isinstance(outcome, str):
+            source, reason, version = "fallback", outcome, None
+            costs = self.fallback.predict(plans, env_features=env_features)
+            t = self.telemetry
+            t.counter("fallback_total").inc()
+            t.counter(f"fallback_{reason.replace('-', '_')}_total").inc()
+            if reason == "deadline":
+                t.counter("deadline_miss_total").inc()
+            shed_reason = _SHED_REASONS.get(reason)
+            if shed_reason is not None:
+                t.record_shed(shed_reason)
+                if self.recorder is not None:
+                    self.recorder.note_shed(shed_reason)
+            if retry_after is not None:
+                # The Retry-After hints attached to pacer-limit sheds.
+                t.histogram("retry_after_seconds").observe(float(retry_after))
+        else:
+            (costs, version), source, reason = outcome, "learned", "ok"
+            self._learned_total.inc()
+        elapsed = time.monotonic() - started
+        self._request_latency.observe(elapsed)
+        result = GatewayResult(
+            costs, source, reason, 1e3 * elapsed, version, retry_after=retry_after
+        )
+        if span.sampled:
+            span.set_attrs(source=source, reason=reason, weights_version=version)
+            if shed_reason is not None:
+                span.set_attr("shed_reason", shed_reason)
+            if retry_after is not None:
+                span.set_attr("retry_after", retry_after)
+            if pacer is not None:  # the scorer's; none if the request was never routed
+                span.set_attr("pacer_state", pacer.state)
+            result.trace_id = span.trace_id
+            span.finish()
+        return result
+
     def _open(self, trace, n_plans: int):
         """Count one request and open its span (joining ``trace``, an
         upstream :class:`~repro.obs.TraceContext`, when given)."""
@@ -310,43 +380,6 @@ class AnswerPath:
         if span.sampled:
             span.set_attr("n_plans", n_plans)
         return span
-
-    def _admit(self, guard: Guard, plans, env_features, started, span):
-        """``None`` when ``guard`` admits the request, else its answer: the
-        refusal (``circuit-open``, ``pacer-limit``) from the fallback."""
-        refused = guard.admit()
-        if refused is None:
-            return None
-        reason, retry_after = refused
-        return self._fallback_result(
-            plans, env_features, reason, started, retry_after=retry_after, span=span,
-            pacer=guard.pacer,
-        )
-
-    def _fallback_result(
-        self, plans, env_features, reason, started, *, retry_after=None,
-        span=NULL_SPAN, pacer=None,
-    ) -> GatewayResult:
-        """Answer a request the learned path will not (or did not) serve
-        from the native fallback, counted by reason and, for a shed, in the
-        shed split and the flight recorder's storm detector."""
-        costs = self.fallback.predict(list(plans), env_features=env_features)
-        self.telemetry.counter("fallback_total").inc()
-        self.telemetry.counter(f"fallback_{reason.replace('-', '_')}_total").inc()
-        shed_reason = _SHED_REASONS.get(reason)
-        if shed_reason is not None:
-            self.telemetry.record_shed(shed_reason)
-            if self.recorder is not None:
-                self.recorder.note_shed(shed_reason)
-        if retry_after is not None:
-            # The Retry-After hints attached to pacer-limit sheds.
-            self.telemetry.histogram("retry_after_seconds").observe(float(retry_after))
-        latency_ms = 1e3 * (time.monotonic() - started)
-        return self._finish(
-            GatewayResult(costs, "fallback", reason, latency_ms, None, retry_after=retry_after),
-            span=span,
-            pacer=pacer,
-        )
 
     def _tripped(self, where: str, breaker, **attrs) -> None:
         """A breaker trip: count it, record it as an incident (the recorder
@@ -367,28 +400,6 @@ class AnswerPath:
             )
         if self.on_trip is not None:
             self.on_trip(self)
-
-    def _finish(self, result: GatewayResult, *, span=NULL_SPAN, pacer=None):
-        """Record one answer, whose ``latency_ms`` is the request's end to
-        end, and close its span with the outcome and ``pacer``'s state."""
-        if result.source == "learned":
-            self._learned_total.inc()
-        self._request_latency.observe(result.latency_ms / 1e3)
-        if span.sampled:
-            span.set_attrs(
-                source=result.source, reason=result.reason, weights_version=result.model_version
-            )
-            shed_reason = _SHED_REASONS.get(result.reason)
-            if shed_reason is not None:
-                span.set_attr("shed_reason", shed_reason)
-            if result.retry_after is not None:
-                span.set_attr("retry_after", result.retry_after)
-            pacer = self.pacer if pacer is None else pacer
-            if pacer is not None:
-                span.set_attr("pacer_state", pacer.state)
-            result.trace_id = span.trace_id
-            span.finish()
-        return result
 
     def _obs_stats(self, out: dict) -> dict:
         """Add the configured tracer's and flight recorder's snapshots to a
@@ -434,7 +445,6 @@ class OptimizerGateway(AnswerPath):
         self.config = config or GatewayConfig()
         # The instruments every learned request updates, resolved once.
         t = self.telemetry
-        self._plans_total = t.counter("plans_total")
         self._batches_total = t.counter("batches_total")
         # A request's wait from admission to worker pickup; its batch's
         # execution time (service_time) is the other half of its latency.
@@ -447,7 +457,7 @@ class OptimizerGateway(AnswerPath):
         #: ``pacer`` name its parts.
         self.guard = Guard(
             self.telemetry, breaker, pacer,
-            on_trip=lambda b: self._tripped("gateway", b, weights_version=self._model_version()),
+            on_trip=lambda b: self._tripped("gateway", b, weights_version=self.model_version),
         )
         self.breaker, self.pacer = self.guard.breaker, pacer
         self._lock = threading.Lock()
@@ -501,7 +511,8 @@ class OptimizerGateway(AnswerPath):
         self.telemetry.counter("swaps_total").inc()
         self._sync_gauges()
 
-    def _model_version(self) -> int | None:
+    @property
+    def model_version(self) -> int | None:
         service = self._service
         if service is None:
             return None
@@ -517,32 +528,24 @@ class OptimizerGateway(AnswerPath):
         deadline_ms: float | None = None,
         trace=None,
     ) -> GatewayResult:
-        """Score ``plans`` within the deadline budget.  Always returns a
-        cost per plan; ``result.source`` says whether the learned model or
-        the native fallback produced it.  ``trace`` carries an upstream
-        :class:`~repro.obs.TraceContext` (e.g. from the fleet parent) so the
-        request span joins the caller's trace instead of starting one."""
-        started = time.monotonic()
-        span = self._open(trace, len(plans))
-        self._plans_total.inc(len(plans))
-        if not len(plans):
-            return self._finish(
-                GatewayResult(np.zeros(0), "learned", "ok", 0.0, self._model_version()),
-                span=span,
-            )
-        if self._service is None:
-            return self._fallback_result(plans, env_features, "no-model", started, span=span)
-        refused = self._admit(self.guard, plans, env_features, started, span)
-        if refused is not None:
-            return refused
+        """:meth:`~AnswerPath.answer` for the one tenant a gateway serves."""
+        return self.answer(
+            None, plans, env_features=env_features, deadline_ms=deadline_ms, trace=trace
+        )
+
+    def _route(self, tenant, span):
+        """Every request goes to the gateway's own learned path."""
+        return self
+
+    def _score(self, scorer, plans, env_features, plans_key, span, until):
+        """Queue the request for the coalescing worker and wait for its
+        batch until ``until``; the worker settles the guard per batch."""
         env_key = (
             tuple(float(v) for v in env_features) if env_features is not None else None
         )
-        request = _PendingRequest(list(plans), env_features, env_key, started)
+        request = _PendingRequest(plans, env_features, env_key, time.monotonic())
         request.paced = self.pacer is not None
         request.span = span
-        deadline = started + deadline_ms / 1e3 if deadline_ms is not None else None
-
         refused = None
         with self._lock:
             if not self._running:
@@ -555,12 +558,12 @@ class OptimizerGateway(AnswerPath):
         if refused is not None:
             # Admitted, but the worker will not take it.
             self.guard.refund()
-            return self._fallback_result(plans, env_features, refused, started, span=span)
+            return refused
 
-        if deadline is None:
+        if until is None:
             done = request.event.wait()
         else:
-            timeout = deadline - time.monotonic()
+            timeout = until - time.monotonic()
             # A budget already exhausted by admission does not wait at all.
             done = timeout > 0 and request.event.wait(timeout)
         if not done:
@@ -571,18 +574,12 @@ class OptimizerGateway(AnswerPath):
                 if not done:
                     request.abandoned = True
         if not done:
-            self.telemetry.counter("deadline_miss_total").inc()
-            return self._fallback_result(plans, env_features, "deadline", started, span=span)
+            return "deadline"
         # Marked done by _execute, or by a close() drain.
         error = request.error
         if error is None:
-            latency_ms = 1e3 * (time.monotonic() - started)
-            return self._finish(
-                GatewayResult(request.result, "learned", "ok", latency_ms, request.version),
-                span=span,
-            )
-        reason = "closed" if isinstance(error, GatewayClosedError) else "model-error"
-        return self._fallback_result(plans, env_features, reason, started, span=span)
+            return request.result, request.version
+        return "closed" if isinstance(error, GatewayClosedError) else "model-error"
 
     # -- worker ----------------------------------------------------------------
 
@@ -709,13 +706,13 @@ class OptimizerGateway(AnswerPath):
                     predictions = self._service.predict(
                         all_plans, env_features=env_features
                     )
-                    version = self._model_version()
+                    version = self.model_version
             else:
                 with self._service_lock:
                     predictions = self._service.predict(
                         all_plans, env_features=env_features
                     )
-                    version = self._model_version()
+                    version = self.model_version
         except BaseException as exc:  # noqa: BLE001 — every failure must answer
             error = exc
         elapsed = time.monotonic() - started

@@ -9,8 +9,8 @@ See docs/SCENARIOS.md for the full model.  The public surface:
 * scenarios — :class:`Scenario`, :class:`FamilySpec`, the named builders
   behind :func:`build_scenario` / :func:`list_scenarios`;
 * replay — :class:`ScenarioRuntime`, :class:`ReplayEngine`,
-  :class:`ReplayConfig`, the serving-target adapters, and
-  :func:`build_lifecycle`.
+  :class:`ReplayConfig` and :func:`build_lifecycle`; a replay's target
+  is a front end (``OptimizerGateway``, ``ServingFleet``) itself.
 """
 
 from repro.workload.arrivals import (
@@ -23,8 +23,6 @@ from repro.workload.arrivals import (
 from repro.workload.regimes import REGIME_KINDS, RegimeEvent, RegimeState
 from repro.workload.replay import (
     CandidateSet,
-    FleetTarget,
-    GatewayTarget,
     ReplayConfig,
     ReplayEngine,
     ReplayEvent,
@@ -75,8 +73,6 @@ __all__ = [
     "scenario_schema_growth",
     "CandidateSet",
     "ScenarioRuntime",
-    "GatewayTarget",
-    "FleetTarget",
     "ReplayConfig",
     "ReplayEngine",
     "ReplayEvent",

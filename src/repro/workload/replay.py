@@ -20,9 +20,10 @@ regime injections are the *only* thing that moves them.
   or not the target kept up, which is what makes sheds, deadlines, and
   p99 measurable.  Timing-dependent, so excluded from determinism claims.
 
-Targets are thin adapters (:class:`GatewayTarget`, :class:`FleetTarget`)
-over the two front ends; both return ``GatewayResult`` answers so one
-engine drives them.
+A target is a front end itself, an ``OptimizerGateway`` or a
+``ServingFleet``: the engine calls its ``answer`` (the request's tenant
+routes it, the candidate set's pool key is its ``plans_key``), and its
+``name`` labels the report.
 
 With a ``ModelLifecycle`` attached, every learned answer's outcome is fed
 back (`observe`), drift is checked on a fixed cadence, and a raised flag
@@ -57,8 +58,6 @@ from repro.workload.scenarios import (
 __all__ = [
     "CandidateSet",
     "ScenarioRuntime",
-    "GatewayTarget",
-    "FleetTarget",
     "ReplayConfig",
     "ReplayEvent",
     "ReplayReport",
@@ -294,46 +293,6 @@ def build_lifecycle(runtime: ScenarioRuntime, incumbent, *, registry=None):
     )
     lifecycle.bootstrap(incumbent, environment_features=runtime.env_r)
     return lifecycle
-
-
-# -- serving targets -----------------------------------------------------------
-
-
-class GatewayTarget:
-    """Drive one ``OptimizerGateway`` (all tenants share it)."""
-
-    name = "gateway"
-
-    def __init__(self, gateway) -> None:
-        self.gateway = gateway
-
-    def predict(self, candidate_set: CandidateSet, request: Request, deadline_ms, trace=None):
-        return self.gateway.predict(
-            list(candidate_set.plans),
-            env_features=request.env,
-            deadline_ms=deadline_ms,
-            trace=trace,
-        )
-
-
-class FleetTarget:
-    """Drive a ``ServingFleet``: tenants route to their pinned shards and
-    candidate sets ship encode-once via their pool keys."""
-
-    name = "fleet"
-
-    def __init__(self, fleet) -> None:
-        self.fleet = fleet
-
-    def predict(self, candidate_set: CandidateSet, request: Request, deadline_ms, trace=None):
-        return self.fleet.predict(
-            request.tenant,
-            list(candidate_set.plans),
-            env_features=request.env,
-            deadline_ms=deadline_ms,
-            plans_key=candidate_set.key,
-            trace=trace,
-        )
 
 
 # -- replay bookkeeping --------------------------------------------------------
@@ -590,8 +549,9 @@ class ReplayEngine:
             trace = span.context if span.sampled else None
         t0 = time.perf_counter()
         try:
-            result = target.predict(
-                candidate_set, request, self.config.deadline_ms, trace=trace
+            result = target.answer(
+                request.tenant, candidate_set.plans, env_features=request.env,
+                deadline_ms=self.config.deadline_ms, plans_key=candidate_set.key, trace=trace,
             )
         except BaseException:
             if span is not None:

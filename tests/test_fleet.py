@@ -141,7 +141,6 @@ class TestMergeSnapshots:
             "gauges": {
                 "queue_depth": 1.0,
                 "model_weights_version": float(reqs),
-                "breaker_state": 2.0 if count > 3 else 1.0,
             },
             "histograms": {
                 "request_latency_seconds": {
@@ -157,9 +156,8 @@ class TestMergeSnapshots:
         assert merged["shards"] == 2
         assert merged["counters"]["requests_total"] == 17
         assert merged["gauges"]["queue_depth"] == 2.0
-        # Codes, not amounts: newest version, worst state — never a sum.
+        # A code, not an amount: the newest version — never a sum.
         assert merged["gauges"]["model_weights_version"] == 10.0
-        assert merged["gauges"]["breaker_state"] == 2.0
         hist = merged["histograms"]["request_latency_seconds"]
         assert hist["count"] == 8
         assert hist["sum"] == pytest.approx(0.8)
@@ -259,6 +257,28 @@ def _long_warm_list(project, n=96):
     while len(plans) < n:
         plans.extend(explorer.candidates(project.sample_query(4), top_k=5))
     return plans[:n]
+
+
+def _paced_front_end(kind, path):
+    """A paced ``"gateway"`` or one-shard ``"fleet"`` over ``path``'s model
+    (none when ``None``): its guard, ``ask(plans)`` sending one request,
+    and ``scored()`` counting the requests its scorer received."""
+    if kind == "gateway":
+        service = CostInferenceService.from_checkpoint(path) if path is not None else None
+        front = OptimizerGateway(service, pacer=AdmissionPacer(PacerConfig()))
+        return types.SimpleNamespace(
+            front=front,
+            guard=front.guard,
+            ask=lambda plans: front.predict(plans, env_features=ENV),
+            scored=lambda: front.telemetry.counter("batches_total").value,
+        )
+    front = ServingFleet(path, n_workers=1, pacer_config=PacerConfig())
+    return types.SimpleNamespace(
+        front=front,
+        guard=front._workers["shard-0"].guard,
+        ask=lambda plans: front.predict("t", plans, env_features=ENV),
+        scored=lambda: front.stats()["shards"]["shard-0"]["counters"]["requests_total"],
+    )
 
 
 @needs_fork
@@ -691,6 +711,51 @@ class TestServingFleet:
         finally:
             gateway.close()
             fleet.close()
+
+    @pytest.mark.parametrize("front_end", ["gateway", "fleet"])
+    def test_a_model_less_request_is_answered_before_admission(self, checkpointed, front_end):
+        """No model behind the path: the answer is ``no-model`` from the
+        fallback, and the request takes no pacer slot, no half-open probe
+        and no trip to the scorer."""
+        _path, _predictor, plans = checkpointed
+        end = _paced_front_end(front_end, None)
+        try:
+            clock = types.SimpleNamespace(t=0.0)
+            breaker = end.guard.breaker
+            breaker.clock = lambda: clock.t
+            for _ in range(MIN_CALLS):
+                breaker.record_failure()
+            clock.t = COOLDOWN_SECONDS
+            assert breaker.state == "half-open"
+            before = breaker.stats(), breaker._probes_issued, end.guard.pacer.admitted_total
+            result = end.ask(plans[:4])
+            assert (result.source, result.reason) == ("fallback", "no-model")
+            np.testing.assert_array_equal(
+                result.costs, NativeCostFallback().predict(plans[:4], env_features=ENV)
+            )
+            after = breaker.stats(), breaker._probes_issued, end.guard.pacer.admitted_total
+            assert after == before
+            assert end.scored() == 0
+        finally:
+            end.front.close()
+
+    @pytest.mark.parametrize("front_end", ["gateway", "fleet"])
+    def test_an_empty_request_is_answered_without_scoring(self, checkpointed, front_end):
+        """Zero plans: a learned ``ok`` with zero costs from the served
+        model, admitted by nothing and scored by nothing."""
+        path, _predictor, _plans = checkpointed
+        end = _paced_front_end(front_end, path)
+        try:
+            admitted = end.guard.pacer.admitted_total
+            result = end.ask([])
+            assert (result.source, result.reason) == ("learned", "ok")
+            assert result.costs.shape == (0,)
+            served = CostInferenceService.from_checkpoint(path).weights_version
+            assert result.model_version == served
+            assert end.guard.pacer.admitted_total == admitted
+            assert end.scored() == 0
+        finally:
+            end.front.close()
 
 
 class _CountingSocket:

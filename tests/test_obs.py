@@ -28,6 +28,7 @@ import os
 import threading
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,7 +417,7 @@ class TestGatewayTracing:
         assert recorder.dumps_total >= 1
         lines = [
             json.loads(line)
-            for line in open(recorder.last_dump_path, encoding="utf-8")
+            for line in Path(recorder.last_dump_path).read_text(encoding="utf-8").splitlines()
         ]
         assert lines[0]["type"] == "header"
         assert lines[0]["reason"] == "breaker-trip"
@@ -457,7 +458,7 @@ class TestFlightRecorder:
         recorder.record("request-ok", "first", latency_ms=1.5)
         recorder.record_span({"trace_id": "t", "span_id": "s", "name": "op"})
         path = recorder.dump(reason="manual")
-        lines = [json.loads(line) for line in open(path, encoding="utf-8")]
+        lines = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
         header, first, span = lines
         assert header["type"] == "header"
         assert header["process"] == "worker-3"
@@ -591,7 +592,6 @@ class TestReplayTracing:
     def test_seeded_logical_replay_mints_identical_trace_ids(self, monkeypatch):
         from repro.serving.service import CostInferenceService
         from repro.workload import (
-            GatewayTarget,
             ReplayConfig,
             ReplayEngine,
             ScenarioRuntime,
@@ -610,7 +610,7 @@ class TestReplayTracing:
                 runtime, config=ReplayConfig(mode="logical"), tracer=tracer
             )
             with OptimizerGateway(CostInferenceService(incumbent)) as gateway:
-                report = engine.run(scenario, GatewayTarget(gateway))
+                report = engine.run(scenario, gateway)
             assert report.n_requests > 0
             digests.append(sorted(collector.trace_ids()))
         assert digests[0] == digests[1]

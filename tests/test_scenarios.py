@@ -23,8 +23,6 @@ from repro.evaluation.pool import fork_available
 from repro.workload import (
     DiurnalArrivals,
     FamilySpec,
-    FleetTarget,
-    GatewayTarget,
     MarkovModulatedArrivals,
     PoissonArrivals,
     RegimeEvent,
@@ -301,7 +299,7 @@ class TestReplayEngine:
         reports = []
         for _ in range(2):
             with OptimizerGateway(CostInferenceService(incumbent)) as gateway:
-                reports.append(engine.run(scenario, GatewayTarget(gateway)))
+                reports.append(engine.run(scenario, gateway))
         assert reports[0].outcome_digest == reports[1].outcome_digest
         assert reports[0].stream_digest == reports[1].stream_digest
         assert reports[0].n_requests == len(scenario.stream(POOLS, env=runtime.env_r))
@@ -313,12 +311,12 @@ class TestReplayEngine:
         def serve(lifecycle):
             if front_end == "gateway":
                 gateway = lifecycle.serve_through_gateway()
-                return GatewayTarget(gateway), gateway.close
+                return gateway, gateway.close
             from repro.fleet import ServingFleet
 
             fleet = ServingFleet(n_workers=2)
             lifecycle.attach_fleet(fleet)  # ships the incumbent
-            return FleetTarget(fleet), fleet.close
+            return fleet, fleet.close
 
         def replay():
             lifecycle = build_lifecycle(runtime, incumbent)
@@ -352,6 +350,34 @@ class TestReplayEngine:
         assert again.stream_digest == report.stream_digest
         assert again.outcome_digest == report.outcome_digest
 
+    @needs_fork
+    def test_drift_replay_decides_alike_through_both_front_ends(self, runtime, incumbent):
+        """One answer path: the logical drift replay through the gateway
+        and through a two-shard fleet makes the same decisions, lifecycle
+        events included."""
+        from repro.fleet import ServingFleet
+
+        reports = {}
+        for front_end in ("gateway", "fleet"):
+            lifecycle = build_lifecycle(runtime, incumbent)
+            if front_end == "gateway":
+                target = lifecycle.serve_through_gateway()
+            else:
+                target = ServingFleet(n_workers=2)
+                lifecycle.attach_fleet(target)  # ships the incumbent
+            try:
+                engine = ReplayEngine(
+                    runtime, lifecycle=lifecycle, config=ReplayConfig(mode="logical")
+                )
+                reports[front_end] = engine.run(build_scenario("drift"), target)
+            finally:
+                target.close()
+        gateway, fleet = reports["gateway"], reports["fleet"]
+        assert (gateway.target, fleet.target) == ("gateway", "fleet")
+        assert gateway.promotes == fleet.promotes == 1
+        assert gateway.stream_digest == fleet.stream_digest
+        assert gateway.outcome_digest == fleet.outcome_digest
+
     def test_steady_scenario_never_retrains(self, runtime, incumbent):
         lifecycle = build_lifecycle(runtime, incumbent)
         gateway = lifecycle.serve_through_gateway()
@@ -359,7 +385,7 @@ class TestReplayEngine:
             engine = ReplayEngine(
                 runtime, lifecycle=lifecycle, config=ReplayConfig(mode="logical")
             )
-            report = engine.run(build_scenario("steady"), GatewayTarget(gateway))
+            report = engine.run(build_scenario("steady"), gateway)
             assert report.retrains == 0 and report.promotes == 0
             assert report.events == []
             assert report.segments["steady"]["learned_rate"] == 1.0
@@ -374,7 +400,7 @@ class TestReplayEngine:
 
         engine = ReplayEngine(runtime, config=ReplayConfig(mode="logical"))
         with OptimizerGateway(CostInferenceService(incumbent)) as gateway:
-            report = engine.run(build_scenario("steady", duration=1.0), GatewayTarget(gateway))
+            report = engine.run(build_scenario("steady", duration=1.0), gateway)
         payload = json.dumps(report.as_dict())
         assert "outcome_digest" in payload
         assert report.overall()["requests"] == report.n_requests
